@@ -10,6 +10,7 @@ therefore byte-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ def atlas_sl2r(lambda_max: Fraction) -> list[AtlasPointR]:
     """Verdicts on the half-integer grid |lambda| <= lambda_max, both parities."""
     points = []
     for sigma in (SigmaR.PLUS, SigmaR.MINUS):
-        lam = -lambda_max
+        lam = Fraction(-math.floor(2 * lambda_max), 2)
         while lam <= lambda_max:
             series = composition_series_r(sigma, lam)
             if isinstance(series, IrreducibleR):

@@ -83,8 +83,16 @@ def _emit(payload, out: str | None, raw: bool = False) -> None:
         print(text)
 
 
-def _ktype_vec(value: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in value.split(","))
+def _emit_verdict(result, h_to_json, out: str | None) -> int:
+    """Emit an Accept (exit 0) or a Reject with its witness (exit 2)."""
+    if not result.accepted:
+        _emit({"accept": False, "witness": jsonio.witness_to_json(result.witness)}, out)
+        return 2
+    payload = {"accept": True, "h": h_to_json(result.h)}
+    if result.coords is not None:
+        payload["coords"] = jsonio.coords_to_json(result.coords)
+    _emit(payload, out)
+    return 0
 
 
 def _sigma_r(value: str) -> SigmaR:
@@ -172,7 +180,8 @@ def _cmd_q(args) -> int:
     if args.group == "sl2r":
         _emit(jsonio.poly_to_json(q_poly_r(int(args.n), int(args.m))), args.out)
     elif args.group == "sl2r-product":
-        _emit(jsonio.mpoly_to_json(q_product(_ktype_vec(args.n), _ktype_vec(args.m))), args.out)
+        l, n = jsonio.ktype_vec_from_json(args.n), jsonio.ktype_vec_from_json(args.m)
+        _emit(jsonio.mpoly_to_json(q_product(l, n)), args.out)
     else:
         _emit(jsonio.diag_map_to_json(q_nm_c(int(args.n), int(args.m))), args.out)
     return 0
@@ -189,34 +198,20 @@ def _cmd_check3(args) -> int:
         if args.n is None or args.m is None:
             raise _UsageError("check3 --group sl2r needs -n and -m")
         phi = jsonio.poly_from_json(_load_json_arg(args.phi))
-        result = level3_check_r(phi, args.n, args.m)
-        if result.accepted:
-            _emit({"accept": True, "h": jsonio.poly_to_json(result.h)}, args.out)
-            return 0
-        _emit({"accept": False, "witness": jsonio.witness_to_json(result.witness)}, args.out)
-        return 2
+        return _emit_verdict(level3_check_r(phi, args.n, args.m), jsonio.poly_to_json, args.out)
     phi_map = jsonio.diag_map_from_json(_load_json_arg(args.phi))
     if args.n is not None and phi_map.src != args.n:
         raise _UsageError(f"-n {args.n} does not match phi (n = {phi_map.src})")
     if args.m is not None and phi_map.dst != args.m:
         raise _UsageError(f"-m {args.m} does not match phi (m = {phi_map.dst})")
-    result = level3_check_c(phi_map)
-    if result.accepted:
-        _emit({"accept": True, "h": jsonio.diag_map_to_json(result.h),
-               "coords": jsonio.coords_to_json(result.coords)}, args.out)
-        return 0
-    _emit({"accept": False, "witness": jsonio.witness_to_json(result.witness)}, args.out)
-    return 2
+    return _emit_verdict(level3_check_c(phi_map), jsonio.diag_map_to_json, args.out)
 
 
 def _cmd_check3_product(args) -> int:
     phi = jsonio.mpoly_from_json(_load_json_arg(args.phi))
-    result = level3_check_product(phi, _ktype_vec(args.n), _ktype_vec(args.m))
-    if result.accepted:
-        _emit({"accept": True, "h": jsonio.mpoly_to_json(result.h)}, args.out)
-        return 0
-    _emit({"accept": False, "witness": jsonio.witness_to_json(result.witness)}, args.out)
-    return 2
+    result = level3_check_product(phi, jsonio.ktype_vec_from_json(args.n),
+                                  jsonio.ktype_vec_from_json(args.m))
+    return _emit_verdict(result, jsonio.mpoly_to_json, args.out)
 
 
 def _cmd_check2(args) -> int:

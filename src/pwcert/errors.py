@@ -26,6 +26,12 @@ class ParityMismatch(PwError, ValueError):
     """K-type or weight parities disagree where equality mod 2 is required."""
 
 
+def check_parity(n: int, m: int) -> None:
+    """Raise ParityMismatch unless the K-types n and m have equal parity."""
+    if (n - m) % 2 != 0:
+        raise ParityMismatch(f"K-types {n} and {m} have different parity")
+
+
 class ArityMismatch(PwError, ValueError):
     """Multivariate operands have different numbers of variables."""
 

@@ -29,10 +29,18 @@ def poly_to_json(p: Poly) -> dict:
     return {"coeffs": [rat_str(c) for c in p.coeffs]}
 
 
+def _rat_from_json(value: Any) -> Fraction:
+    """A JSON rational: a "p/q" string or an integer, never a float or a bool."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"rationals must be strings or integers, got {value!r}")
+    return rat(value)
+
+
 def poly_from_json(data: dict) -> Poly:
-    if not isinstance(data, dict) or "coeffs" not in data:
+    coeffs = data.get("coeffs") if isinstance(data, dict) else None
+    if not isinstance(coeffs, list):
         raise ValueError("polynomial JSON needs a 'coeffs' list")
-    return Poly([rat(c) for c in data["coeffs"]])
+    return Poly([_rat_from_json(c) for c in coeffs])
 
 
 def mpoly_to_json(p: MultiPoly) -> dict:
@@ -47,7 +55,7 @@ def mpoly_to_json(p: MultiPoly) -> dict:
 def mpoly_from_json(data: dict) -> MultiPoly:
     if not isinstance(data, dict) or "arity" not in data or "terms" not in data:
         raise ValueError("multivariate polynomial JSON needs 'arity' and 'terms'")
-    terms = {tuple(t["exps"]): rat(t["coeff"]) for t in data["terms"]}
+    terms = {tuple(t["exps"]): _rat_from_json(t["coeff"]) for t in data["terms"]}
     return MultiPoly(int(data["arity"]), terms)
 
 
@@ -68,7 +76,10 @@ def diag_map_to_json(m: WeightedDiagMap) -> dict:
 
 
 def diag_map_from_json(data: dict) -> WeightedDiagMap:
-    comps = {int(k): poly_from_json(v) for k, v in data["components"].items()}
+    comps = data.get("components") if isinstance(data, dict) else None
+    if not isinstance(comps, dict):
+        raise ValueError("weighted map JSON needs a 'components' object")
+    comps = {int(k): poly_from_json(v) for k, v in comps.items()}
     return WeightedDiagMap(int(data["n"]), int(data["m"]), comps)
 
 
@@ -79,10 +90,6 @@ def coords_to_json(c: GeneratorCoords) -> dict:
 
 def coords_from_json(data: dict) -> GeneratorCoords:
     return GeneratorCoords(int(data["m"]), tuple(poly_from_json(h) for h in data["h"]))
-
-
-def ktype_vec_to_json(v: tuple[int, ...]) -> dict:
-    return {"ktypes": list(v)}
 
 
 def ktype_vec_from_json(data: dict | list | str) -> tuple[int, ...]:
@@ -181,7 +188,7 @@ def level2_report_c_to_json(r: Level2ReportC) -> dict:
 
 
 def witness_to_json(witness: Any) -> dict:
-    """Generic structured-witness encoder for Reject values."""
+    """Encoder for the witness of the shared Reject (pwcert.verdict), from any checker."""
     if is_dataclass(witness):
         raw = asdict(witness)
         out = {"kind": type(witness).__name__}

@@ -56,12 +56,6 @@ class MultiPoly:
         return MultiPoly(arity, {(0,) * arity: rat(c)})
 
     @staticmethod
-    def variable(arity: int, var: int) -> MultiPoly:
-        exps = [0] * arity
-        exps[var] = 1
-        return MultiPoly(arity, {tuple(exps): 1})
-
-    @staticmethod
     def from_univariate(p: Poly, arity: int, var: int) -> MultiPoly:
         """Inject a univariate polynomial into variable ``var`` of d variables."""
         if not 0 <= var < arity:

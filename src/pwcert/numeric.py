@@ -121,7 +121,7 @@ def _ensure_iwasawa() -> None:
         return
     worst = max(_iwasawa_residual(x) for x in (-25.0, -3.0, -0.7, 0.0, 0.4, 1.0, 12.0))
     if worst > 1e-12:
-        raise AssertionError(f"Iwasawa factorization self-check failed ({worst:.3e})")
+        raise RuntimeError(f"Iwasawa factorization self-check failed ({worst:.3e})")
     _iwasawa_validated = True
 
 

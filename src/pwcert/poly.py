@@ -246,12 +246,6 @@ def poly_div_rem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return Poly(quo), Poly(rem[: max(g.degree, 0)])
 
 
-def divides_exactly(f: Poly, g: Poly) -> Poly | None:
-    """Return f/g when g divides f exactly, else None."""
-    q, r = poly_div_rem(f, g)
-    return q if r.is_zero else None
-
-
 def parity_split(f: Poly) -> tuple[Poly, Poly]:
     """Split f into even and odd parts: f = e + o, e(-x)=e(x), o(-x)=-o(x)."""
     even = [c if i % 2 == 0 else Fraction(0) for i, c in enumerate(f.coeffs)]

@@ -96,10 +96,6 @@ class RationalFunction:
     def __call__(self, x):
         return self._num(x) / self._den(x)
 
-    def as_poly(self) -> Poly | None:
-        """Return the numerator when the denominator is 1, else None."""
-        return self._num if self._den == Poly.one() else None
-
     def format(self, var: str = "x") -> str:
         if self._den == Poly.one():
             return self._num.format(var)

@@ -34,6 +34,7 @@ from .errors import (
     ParityMismatch,
     SrcDstMismatch,
     WeightNotInKType,
+    check_parity,
 )
 from .gammaprod import GammaProduct
 from .poly import (
@@ -46,6 +47,7 @@ from .poly import (
 )
 from .ratfunc import RationalFunction
 from .rationals import RatLike, is_integer, rat
+from .verdict import Accept, Reject
 
 
 # -- weights and tensor products ------------------------------------------------
@@ -63,11 +65,6 @@ def clebsch_gordan(n: int, m: int) -> list[int]:
     if n < 0 or m < 0:
         raise ValueError("K-types are nonnegative integers")
     return list(range(n + m, abs(n - m) - 1, -2))
-
-
-def _check_parity(n: int, m: int) -> None:
-    if (n - m) % 2 != 0:
-        raise ParityMismatch(f"K-types {n} and {m} have different parity")
 
 
 # -- c-functions -------------------------------------------------------------------
@@ -101,7 +98,7 @@ def c_quotient_c(n: int, m: int) -> RationalFunction:
     """
     if n < 0 or m < 0:
         raise ValueError("K-types are nonnegative integers")
-    _check_parity(n, m)
+    check_parity(n, m)
     if n == m:
         return RationalFunction.one()
     lo, hi = min(n, m), max(n, m)
@@ -135,10 +132,6 @@ class ReducibilityC:
     fn: int | None = None
     socle_is_R: bool | None = None
     finite_dim_ktypes: tuple[int, ...] = field(default_factory=tuple)
-
-    @property
-    def h_ktype_min(self) -> int:
-        return abs(self.sigma)
 
     def h_contains(self, t: int) -> bool:
         return t >= abs(self.sigma) and (t - self.sigma) % 2 == 0
@@ -214,9 +207,6 @@ class IntertwinerDiamond:
     def vertices(self) -> tuple[Vertex, Vertex, Vertex, Vertex]:
         return (self.right, self.left, self.top, self.bottom)
 
-    def orbit(self) -> frozenset[Vertex]:
-        return frozenset(self.vertices)
-
 
 def diamond(sigma: int, lam: RatLike) -> IntertwinerDiamond:
     """Structural data of the intertwiner diamond at a reducible point."""
@@ -287,9 +277,6 @@ class WeightedDiagMap:
 
     def __getitem__(self, k: int) -> Poly:
         return self._components[k]
-
-    def level(self) -> int:
-        return min(self.src, self.dst)
 
     def restrict(self, m: int) -> dict[int, Poly]:
         """Component dict restricted to the weights of the K-type m."""
@@ -374,35 +361,32 @@ def q_minus(m: int) -> WeightedDiagMap:
 
 def q_roots_c(n: int, m: int) -> list[Fraction]:
     """Roots (shared by every component) of the chain polynomial q_{n,m}."""
-    _check_parity(n, m)
+    check_parity(n, m)
     if n < m:
         return [Fraction(-(j + 2)) for j in range(n, m, 2)]
     return [Fraction(j + 2) for j in range(m, n, 2)]
+
+
+def _weight_scalar(n: int, m: int, k: int) -> int:
+    """Weight-k scalar of q_{n,m}: prod ((j+2)^2 - k^2) over the lowering steps
+    j = m, m+2, ..., n-2 (1 unless n > m); never zero, as |k| <= m < j + 2."""
+    scalar = 1
+    for j in range(m, n, 2):
+        scalar *= (j + 2) ** 2 - k * k
+    return scalar
 
 
 def q_nm_c(n: int, m: int) -> WeightedDiagMap:
     """The ladder chain q_{n,m}: identity for n = m, raising chain composed
     q^+_{m-2} ... q^+_n for n < m, lowering chain q^-_m ... q^-_{n-2} for n > m.
 
-    Components come out in closed form: for n < m the weight-independent
-    product of (x + j + 2) over the chain; for n > m the product of
-    ((j+2)^2 - k^2)(x - (j + 2)).
+    Every component is the monic chain with roots q_roots_c(n, m) times the
+    weight scalar: prod (x + j + 2) for n < m, prod ((j+2)^2 - k^2)(x - (j+2)) for n > m.
     """
-    _check_parity(n, m)
-    if n == m:
-        return identity_map(n)
-    if n < m:
-        chain = Poly.one()
-        for j in range(n, m, 2):
-            chain = chain * Poly((j + 2, 1))
-        return diag_map(n, m, chain)
-    comps = {}
-    for k in weights(m):
-        p = Poly.one()
-        for j in range(m, n, 2):
-            p = p * Poly((-(j + 2), 1)) * ((j + 2) ** 2 - k * k)
-        comps[k] = p
-    return WeightedDiagMap(n, m, comps)
+    chain = Poly.from_roots(q_roots_c(n, m))
+    return WeightedDiagMap(
+        n, m, {k: chain * _weight_scalar(n, m, k) for k in weights(min(n, m))}
+    )
 
 
 # -- the diagonal algebra --------------------------------------------------------------
@@ -425,22 +409,12 @@ class SwapWitness:
     value_lk: Fraction
 
 
-@dataclass(frozen=True)
-class AlgebraAccept:
-    accepted: bool = True
-
-
-@dataclass(frozen=True)
-class AlgebraReject:
-    witness: SymmetryWitness | SwapWitness
-    accepted: bool = False
-
-
-def algebra_check(phi: WeightedDiagMap) -> AlgebraAccept | AlgebraReject:
+def algebra_check(phi: WeightedDiagMap) -> Accept | Reject:
     """Test both diagonal-algebra conditions on an endomorphism-valued map.
 
     (i) phi_k(x) = phi_{-k}(-x) as exact polynomial identities;
     (ii) phi_k(l) = phi_l(k) for all weight pairs.
+    Acceptance carries phi itself as h.
     """
     if phi.src != phi.dst:
         raise SrcDstMismatch("algebra membership is defined for src = dst")
@@ -449,14 +423,14 @@ def algebra_check(phi: WeightedDiagMap) -> AlgebraAccept | AlgebraReject:
         if k < 0:
             continue
         if phi[k] != phi[-k].reflect():
-            return AlgebraReject(SymmetryWitness(weight=k))
+            return Reject(SymmetryWitness(weight=k))
     for i, k in enumerate(wts):
         for l in wts[i + 1 :]:
             vkl, vlk = phi[k](Fraction(l)), phi[l](Fraction(k))
             if vkl != vlk:
-                return AlgebraReject(SwapWitness(weight_k=k, weight_l=l,
-                                                 value_kl=vkl, value_lk=vlk))
-    return AlgebraAccept()
+                return Reject(SwapWitness(weight_k=k, weight_l=l,
+                                          value_kl=vkl, value_lk=vlk))
+    return Accept(h=phi)
 
 
 @dataclass(frozen=True)
@@ -587,47 +561,36 @@ class WeightRootWitness:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class Level3AcceptC:
-    h: WeightedDiagMap
-    coords: GeneratorCoords
-    accepted: bool = True
-
-
-@dataclass(frozen=True)
-class Level3RejectC:
-    witness: WeightRootWitness | SymmetryWitness | SwapWitness
-    accepted: bool = False
-
-
-def level3_check_c(phi: WeightedDiagMap) -> Level3AcceptC | Level3RejectC:
+def level3_check_c(phi: WeightedDiagMap) -> Accept | Reject:
     """Certify phi = (quotient in the diagonal algebra) * q_{src,dst}.
 
-    Componentwise exact division by the chain, then the algebra test on the
-    quotient; acceptance also returns the quotient's generator coordinates.
+    Each component is divided exactly by the monic chain shared by all weights,
+    then by its weight scalar; the algebra test runs once on the quotient, and
+    acceptance also returns the quotient's generator coordinates.
     """
     if phi.is_zero_hom:
         raise ParityMismatch(
             f"K-types {phi.src} and {phi.dst} have different parity (zero Hom space)"
         )
     n, m = phi.src, phi.dst
-    chain = q_nm_c(n, m)
+    roots = q_roots_c(n, m)
+    chain = Poly.from_roots(roots)
     level = min(n, m)
     comps = {}
     for k in weights(level):
-        quotient, remainder = poly_div_rem(phi[k], chain[k])
+        quotient, remainder = poly_div_rem(phi[k], chain)
         if not remainder.is_zero:
-            for root in q_roots_c(n, m):
+            for root in roots:
                 value = phi[k](root)
                 if value != 0:
-                    return Level3RejectC(WeightRootWitness(weight=k, root=root, value=value))
-            raise AssertionError("nonzero remainder despite vanishing at all chain roots")
-        comps[k] = quotient
+                    return Reject(WeightRootWitness(weight=k, root=root, value=value))
+            raise InternalNonDivisibility("nonzero remainder despite vanishing at all chain roots")
+        comps[k] = quotient / _weight_scalar(n, m, k)
     h = WeightedDiagMap(level, level, comps)
     verdict = algebra_check(h)
     if not verdict.accepted:
-        return Level3RejectC(verdict.witness)
-    return Level3AcceptC(h=h, coords=free_module_decompose(h))
+        return verdict
+    return Accept(h=h, coords=GeneratorCoords(m=level, h=tuple(_decompose_components(comps, level))))
 
 
 # -- interpolation extension -------------------------------------------------------------
@@ -644,7 +607,7 @@ def extend_interpolate(h: WeightedDiagMap, target: int) -> WeightedDiagMap:
     """
     if h.src != h.dst:
         raise SrcDstMismatch("extension is defined for src = dst")
-    _check_parity(h.src, target)
+    check_parity(h.src, target)
     if target < h.src:
         raise ValueError("target K-type must be >= the source level")
     verdict = algebra_check(h)

@@ -25,11 +25,12 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParityMismatch, TruncationTooSmall
+from .errors import InternalNonDivisibility, TruncationTooSmall, check_parity
 from .gammaprod import GammaProduct
 from .poly import Poly, parity_split, poly_div_rem
 from .ratfunc import RationalFunction
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
+from .verdict import Accept, Reject
 
 
 class SigmaR(enum.Enum):
@@ -45,11 +46,6 @@ class SigmaR(enum.Enum):
     @property
     def ktype_parity(self) -> int:
         return 0 if self is SigmaR.PLUS else 1
-
-
-def _check_parity(n: int, m: int) -> None:
-    if (n - m) % 2 != 0:
-        raise ParityMismatch(f"K-types {n} and {m} have different parity")
 
 
 # -- c-functions ----------------------------------------------------------------
@@ -80,7 +76,7 @@ def c_quotient_r(n: int, m: int) -> RationalFunction:
     prod (x - t) / prod (x + t) over half-integers t from (|m|+1)/2 to
     (|n|-1)/2; inverted for |n| < |m|; and 1 for |n| = |m|.
     """
-    _check_parity(n, m)
+    check_parity(n, m)
     a, b = abs(n), abs(m)
     if a == b:
         return RationalFunction.one()
@@ -103,7 +99,7 @@ def q_roots_r(n: int, m: int) -> list[Fraction]:
     half-integers; strictly opposite signs give the full ladder from
     -(|n|-1)/2 up to (|m|-1)/2 in integer steps.
     """
-    _check_parity(n, m)
+    check_parity(n, m)
     if n == m:
         return []
     if n * m < 0:
@@ -328,19 +324,7 @@ class OddQuotientWitness:
     coeff: Fraction
 
 
-@dataclass(frozen=True)
-class Level3AcceptR:
-    h: Poly
-    accepted: bool = True
-
-
-@dataclass(frozen=True)
-class Level3RejectR:
-    witness: RootWitness | OddQuotientWitness
-    accepted: bool = False
-
-
-def level3_check_r(phi: Poly, n: int, m: int) -> Level3AcceptR | Level3RejectR:
+def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
     """Certify phi = h * q_{n,m} with h even, or return a structured witness.
 
     q_{n,m} has simple roots (consecutive distinct half-integers), so a single
@@ -349,19 +333,18 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Level3AcceptR | Level3RejectR:
     """
     q = q_poly_r(n, m)
     roots = q_roots_r(n, m)
-    assert len(set(roots)) == len(roots), "ladder roots must be simple"
     quotient, remainder = poly_div_rem(phi, q)
     if not remainder.is_zero:
         for r in roots:
             value = phi(r)
             if value != 0:
-                return Level3RejectR(RootWitness(root=r, value=value))
-        raise AssertionError("nonzero remainder with phi vanishing at all simple roots")
+                return Reject(RootWitness(root=r, value=value))
+        raise InternalNonDivisibility("nonzero remainder with phi vanishing at all simple roots")
     _, odd = parity_split(quotient)
     if not odd.is_zero:
         degree = next(i for i, c in enumerate(odd.coeffs) if c != 0)
-        return Level3RejectR(OddQuotientWitness(degree=degree, coeff=odd[degree]))
-    return Level3AcceptR(h=quotient)
+        return Reject(OddQuotientWitness(degree=degree, coeff=odd[degree]))
+    return Accept(h=quotient)
 
 
 # -- Level-2 membership ------------------------------------------------------------
@@ -416,7 +399,7 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> Level2Repor
     c-quotient c_n/c_m and sign = (-1)^((m-n)/2).
     """
     for n in psi:
-        _check_parity(n, m)
+        check_parity(n, m)
         if abs(n) > truncation:
             raise TruncationTooSmall(f"K-type {n} exceeds truncation {truncation}")
     sigma = SigmaR.of_ktype(m)

@@ -17,6 +17,7 @@ from .errors import ArityMismatch, ParityMismatch
 from .multipoly import MultiPoly, mpoly_div_in_var, mpoly_even_in_var
 from .poly import Poly
 from .sl2r import q_poly_r, q_roots_r
+from .verdict import Accept, Reject
 
 KTypeVec = tuple[int, ...]
 
@@ -59,21 +60,7 @@ class ProductOddWitness:
     exponent: int
 
 
-@dataclass(frozen=True)
-class Level3AcceptProduct:
-    h: MultiPoly
-    accepted: bool = True
-
-
-@dataclass(frozen=True)
-class Level3RejectProduct:
-    witness: ProductRootWitness | ProductOddWitness
-    accepted: bool = False
-
-
-def level3_check_product(
-    phi: MultiPoly, l: KTypeVec, n: KTypeVec
-) -> Level3AcceptProduct | Level3RejectProduct:
+def level3_check_product(phi: MultiPoly, l: KTypeVec, n: KTypeVec) -> Accept | Reject:
     """Certify phi = h * q_{l,n} with h even in every variable.
 
     Divides variable 0 upward (a fixed order; the result is order
@@ -88,10 +75,10 @@ def level3_check_product(
         for root in q_roots_r(li, ni):
             quotient, remainder = mpoly_div_in_var(h, Poly((-root, 1)), i)
             if not remainder.is_zero:
-                return Level3RejectProduct(ProductRootWitness(var=i, root=root))
+                return Reject(ProductRootWitness(var=i, root=root))
             h = quotient
     for i in range(d):
         if not mpoly_even_in_var(h, i):
             exponent = min(e[i] for e in h.terms if e[i] % 2)
-            return Level3RejectProduct(ProductOddWitness(var=i, exponent=exponent))
-    return Level3AcceptProduct(h=h)
+            return Reject(ProductOddWitness(var=i, exponent=exponent))
+    return Accept(h=h)

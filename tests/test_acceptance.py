@@ -17,7 +17,6 @@ from pwcert.atlas import atlas_sl2c
 from pwcert.numeric import c_integral_sl2r, c_numeric
 from pwcert.sl2c import (
     GeneratorCoords,
-    Level3AcceptC,
     SymmetryWitness,
     WeightRootWitness,
     WeightedDiagMap,
@@ -34,7 +33,6 @@ from pwcert.sl2c import (
     weights,
 )
 from pwcert.sl2r import (
-    Level3AcceptR,
     OddQuotientWitness,
     RootWitness,
     SigmaR,
@@ -48,12 +46,12 @@ from pwcert.sl2r import (
     smallest_submodule_r,
 )
 from pwcert.sl2r_product import (
-    Level3AcceptProduct,
     ProductOddWitness,
     ProductRootWitness,
     level3_check_product,
     q_product,
 )
+from pwcert.verdict import Accept
 
 LAM = Poly.variable()
 
@@ -167,7 +165,7 @@ def _check_sl2r_level3(rng, count):
         h = rand_even_poly(rng)
         member = h * q_poly_r(n, m)
         result = level3_check_r(member, n, m)
-        if not (isinstance(result, Level3AcceptR) and result.h == h):
+        if not (isinstance(result, Accept) and result.h == h):
             failures.append(("accept", n, m))
             continue
         perturbed, degree = _perturbed_sl2r(rng, n, m, member)
@@ -198,7 +196,7 @@ def _check_product_level3(rng, count):
             h = h + MultiPoly(d, {exps: rng.randint(-9, 9)})
         member = h * q_product(l, n)
         result = level3_check_product(member, l, n)
-        if not (isinstance(result, Level3AcceptProduct) and result.h == h):
+        if not (isinstance(result, Accept) and result.h == h):
             failures.append(("accept", l, n))
             continue
         ladder_vars = [i for i in range(d) if q_roots_r(l[i], n[i])]
@@ -235,7 +233,7 @@ def _check_sl2c_level3(rng, count):
         chain = q_nm_c(n, m)
         member = WeightedDiagMap(n, m, {k: h[k] * chain[k] for k in weights(level)})
         result = level3_check_c(member)
-        if not (isinstance(result, Level3AcceptC) and result.h == h and result.coords == coords):
+        if not (isinstance(result, Accept) and result.h == h and result.coords == coords):
             failures.append(("accept", n, m))
             continue
         k0 = rng.choice(weights(level))

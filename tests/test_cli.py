@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from pwcert.cli import main
 
 
@@ -117,6 +119,21 @@ def test_atlas_sl2r_reducible_at_half_integers(capsys):
             assert point["reducible"] == (lam_den == "")
 
 
+@pytest.mark.parametrize("lambda_max, lattice", [
+    ("3/4", ["-1/2", "0", "1/2"]),
+    ("7/3", ["-2", "-3/2", "-1", "-1/2", "0", "1/2", "1", "3/2", "2"]),
+])
+def test_atlas_sl2r_grid_off_lattice_bound(capsys, lambda_max, lattice):
+    # The grid is the half-integer lattice within the bound, wherever the bound falls.
+    code, data = run_json(capsys, "atlas", "--group", "sl2r", "--lambda-max", lambda_max)
+    assert code == 0
+    for sigma in "+-":
+        points = [p for p in data["points"] if p["sigma"] == sigma]
+        assert [p["lambda"] for p in points] == lattice
+    reducible = {(p["sigma"], p["lambda"]) for p in data["points"] if p["reducible"]}
+    assert {("+", "-1/2"), ("+", "1/2"), ("-", "0")} <= reducible
+
+
 def test_decompose_synthesize_cycle(capsys):
     coords = {"m": 1, "h": [{"coeffs": ["-1", "1"]}, {"coeffs": ["3"]}]}
     code, as_map = run_json(capsys, "synthesize", "--coords", json.dumps(coords))
@@ -137,6 +154,22 @@ def test_usage_error_exit_1(capsys):
     assert main(["q", "--group", "sl2r", "-n", "3"]) == 1
     assert main(["nonsense"]) == 1
     assert main(["check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", "not json"]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":[1.5]}'),
+    ("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":["1/0"]}'),
+    ("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":[true]}'),
+    ("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":"12"}'),
+    ("check3", "--group", "sl2c", "--phi", '{"n":2,"m":2,"components":[]}'),
+    ("check3-product", "-n", "1", "-m", "1",
+     "--phi", '{"arity":1,"terms":[{"exps":[0],"coeff":0.5}]}'),
+])
+def test_malformed_input_is_one_error_line(capsys, args):
+    assert main(list(args)) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("pw: error: ")
 
 
 def test_phi_from_file(tmp_path, capsys):

@@ -18,11 +18,7 @@ from pwcert.gammaprod import gamma_reduce
 from pwcert.poly import Poly
 from pwcert.ratfunc import RationalFunction
 from pwcert.sl2c import (
-    AlgebraAccept,
-    AlgebraReject,
     GeneratorCoords,
-    Level3AcceptC,
-    Level3RejectC,
     SwapWitness,
     SymmetryWitness,
     WeightRootWitness,
@@ -48,6 +44,7 @@ from pwcert.sl2c import (
     weights,
     zero_map,
 )
+from pwcert.verdict import Accept, Reject
 
 LAM = Poly.variable()
 MU = Poly.variable()
@@ -236,12 +233,12 @@ def test_q_nm_chain_consistency():
 
 def test_algebra_accept_casimir():
     phi = WeightedDiagMap(4, 4, {k: Poly([k * k, 0, 1]) for k in weights(4)})
-    assert isinstance(algebra_check(phi), AlgebraAccept)
+    assert isinstance(algebra_check(phi), Accept)
 
 
 def test_algebra_accept_asymmetric_example():
     phi = WeightedDiagMap(1, 1, {1: LAM**2 + 3 * LAM, -1: LAM**2 - 3 * LAM})
-    assert isinstance(algebra_check(phi), AlgebraAccept)
+    assert isinstance(algebra_check(phi), Accept)
     # direct evaluation oracle for the swap condition
     assert (LAM**2 + 3 * LAM)(Fraction(-1)) == (LAM**2 - 3 * LAM)(Fraction(1))
 
@@ -249,14 +246,14 @@ def test_algebra_accept_asymmetric_example():
 def test_algebra_reject_odd():
     phi = WeightedDiagMap(1, 1, {1: LAM, -1: LAM})
     verdict = algebra_check(phi)
-    assert isinstance(verdict, AlgebraReject)
+    assert isinstance(verdict, Reject)
     assert verdict.witness == SymmetryWitness(weight=1)
 
 
 def test_algebra_reject_swap():
     phi = WeightedDiagMap(2, 2, {-2: LAM**2, 0: Poly.one(), 2: LAM**2})
     verdict = algebra_check(phi)
-    assert isinstance(verdict, AlgebraReject)
+    assert isinstance(verdict, Reject)
     assert isinstance(verdict.witness, SwapWitness)
 
 
@@ -312,7 +309,7 @@ def test_round_trip_hypothesis(m, data):
 
 def test_level3_zero_map_accepted():
     result = level3_check_c(zero_map(2, 6))
-    assert isinstance(result, Level3AcceptC)
+    assert isinstance(result, Accept)
     assert result.h.is_zero
     assert all(p.is_zero for p in result.coords.h)
 
@@ -321,7 +318,7 @@ def test_synthesize_always_in_algebra():
     rng = random.Random(7)
     for _ in range(100):
         phi = synthesize(rand_coords(rng, rng.randint(0, 8)))
-        assert isinstance(algebra_check(phi), AlgebraAccept)
+        assert isinstance(algebra_check(phi), Accept)
 
 
 def test_decompose_linear():
@@ -346,7 +343,7 @@ def test_level3_round_trip_example():
     chain = q_nm_c(1, 3)
     phi = WeightedDiagMap(1, 3, {k: h[k] * chain[k] for k in weights(1)})
     result = level3_check_c(phi)
-    assert isinstance(result, Level3AcceptC)
+    assert isinstance(result, Accept)
     assert result.h == h
     assert result.coords == coords
 
@@ -354,20 +351,33 @@ def test_level3_round_trip_example():
 def test_level3_division_reject():
     phi = WeightedDiagMap(0, 2, {0: LAM + 3})
     result = level3_check_c(phi)
-    assert isinstance(result, Level3RejectC)
+    assert isinstance(result, Reject)
     assert result.witness == WeightRootWitness(weight=0, root=Fraction(-2), value=Fraction(1))
 
 
 def test_level3_identity_case():
     phi = WeightedDiagMap(2, 2, {k: Poly([k * k, 0, 1]) for k in weights(2)})
     result = level3_check_c(phi)
-    assert isinstance(result, Level3AcceptC)
+    assert isinstance(result, Accept)
     assert result.h == phi
 
 
 def test_level3_parity_error():
     with pytest.raises(ParityMismatch):
         level3_check_c(WeightedDiagMap(0, 1, {}))
+
+
+@pytest.mark.parametrize("n, m", [(1, 5), (4, 4), (6, 2)])
+def test_level3_checks_the_algebra_once_per_accept(monkeypatch, n, m):
+    import pwcert.sl2c
+
+    calls = []
+    original = pwcert.sl2c.algebra_check
+    monkeypatch.setattr(pwcert.sl2c, "algebra_check", lambda phi: calls.append(phi) or original(phi))
+    phi, h, coords = member_map(random.Random(n + 10 * m), n, m)
+    result = level3_check_c(phi)
+    assert isinstance(result, Accept) and result.h == h and result.coords == coords
+    assert len(calls) == 1
 
 
 def test_level3_random_members_and_functional_equation():
@@ -378,7 +388,7 @@ def test_level3_random_members_and_functional_equation():
             m = m + 1 if m < 8 else m - 1
         phi, h, coords = member_map(rng, n, m)
         result = level3_check_c(phi)
-        assert isinstance(result, Level3AcceptC)
+        assert isinstance(result, Accept)
         assert result.h == h and result.coords == coords
         # cleared-denominator c-quotient identity on every weight
         quotient = c_quotient_c(m, n)
@@ -394,7 +404,7 @@ def test_level3_polynomial_h_degree_bookkeeping():
         n, m = 2 * rng.randint(0, 4), 2 * rng.randint(0, 4)
         phi, h, _ = member_map(rng, n, m)
         result = level3_check_c(phi)
-        assert isinstance(result, Level3AcceptC)
+        assert isinstance(result, Accept)
         steps = abs(n - m) // 2
         for k in weights(min(n, m)):
             if not phi[k].is_zero:
@@ -408,7 +418,7 @@ def test_extend_casimir():
     cas = WeightedDiagMap(1, 1, {k: Poly([k * k, 0, 1]) for k in weights(1)})
     ext = extend_interpolate(cas, 3)
     assert ext.restrict(1) == cas.components
-    assert isinstance(algebra_check(ext), AlgebraAccept)
+    assert isinstance(algebra_check(ext), Accept)
     # the new component interpolates (i, h_i(3)) over i in {-1, 1}
     assert ext[3](Fraction(1)) == cas[1](Fraction(3))
     assert ext[3](Fraction(-1)) == cas[-1](Fraction(3))
@@ -437,7 +447,7 @@ def test_extend_random_restriction_and_membership():
         target = m + 2 * rng.randint(1, 3)
         ext = extend_interpolate(phi, target)
         assert ext.restrict(m) == phi.components
-        assert isinstance(algebra_check(ext), AlgebraAccept)
+        assert isinstance(algebra_check(ext), Accept)
 
 
 def test_freeness_on_non_synthesized_elements():

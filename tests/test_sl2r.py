@@ -12,8 +12,6 @@ from pwcert.ratfunc import RationalFunction
 from pwcert.sl2r import (
     FULL,
     IrreducibleR,
-    Level3AcceptR,
-    Level3RejectR,
     OddQuotientWitness,
     RootWitness,
     SigmaR,
@@ -28,6 +26,7 @@ from pwcert.sl2r import (
     reducibility_points_r,
     smallest_submodule_r,
 )
+from pwcert.verdict import Accept, Reject
 
 HALF = Fraction(1, 2)
 LAM = Poly.variable()
@@ -189,28 +188,28 @@ def test_smallest_submodule_against_enumeration():
 
 def test_level3_accept_example():
     result = level3_check_r((LAM**2 + 1) * (LAM + 1), 3, 1)
-    assert isinstance(result, Level3AcceptR)
+    assert isinstance(result, Accept)
     assert result.h == LAM**2 + 1
 
 
 def test_level3_odd_quotient_reject():
     result = level3_check_r(LAM * (LAM + 1), 3, 1)
-    assert isinstance(result, Level3RejectR)
+    assert isinstance(result, Reject)
     assert isinstance(result.witness, OddQuotientWitness)
     assert result.witness.degree == 1
 
 
 def test_level3_scalar_case():
     result = level3_check_r(Poly.one(), 0, 0)
-    assert isinstance(result, Level3AcceptR)
+    assert isinstance(result, Accept)
     assert result.h == Poly.one()
     # odd scalar data is rejected: the constant-K-type condition is evenness
-    assert isinstance(level3_check_r(LAM, 0, 0), Level3RejectR)
+    assert isinstance(level3_check_r(LAM, 0, 0), Reject)
 
 
 def test_level3_root_witness():
     result = level3_check_r(LAM**2 + 1, 3, 1)  # q = x + 1 does not divide
-    assert isinstance(result, Level3RejectR)
+    assert isinstance(result, Reject)
     assert isinstance(result.witness, RootWitness)
     assert result.witness.root == -1
     assert result.witness.value == 2
@@ -224,13 +223,13 @@ def test_level3_round_trip_random():
             m += 1 if m < 8 else -1
         h = Poly([rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(11)])
         result = level3_check_r(h * q_poly_r(n, m), n, m)
-        assert isinstance(result, Level3AcceptR)
+        assert isinstance(result, Accept)
         assert result.h == h
 
 
 def test_level3_zero_accepted():
     result = level3_check_r(Poly.zero(), -5, 3)
-    assert isinstance(result, Level3AcceptR)
+    assert isinstance(result, Accept)
     assert result.h == Poly.zero()
 
 

@@ -11,13 +11,12 @@ from pwcert.multipoly import MultiPoly
 from pwcert.poly import Poly
 from pwcert.sl2r import level3_check_r, q_poly_r
 from pwcert.sl2r_product import (
-    Level3AcceptProduct,
-    Level3RejectProduct,
     ProductOddWitness,
     ProductRootWitness,
     level3_check_product,
     q_product,
 )
+from pwcert.verdict import Accept, Reject
 
 
 def inject(p: Poly, d: int, var: int) -> MultiPoly:
@@ -52,27 +51,27 @@ def test_check_accept_example():
     phi = (inject(Poly([0, 0, 1]), d2, 0) + inject(Poly([0, 0, 1]), d2, 1)) \
         * inject(Poly([1, 1]), d2, 0) * inject(Poly([1, 1]), d2, 1)
     result = level3_check_product(phi, (3, 3), (1, 1))
-    assert isinstance(result, Level3AcceptProduct)
+    assert isinstance(result, Accept)
     assert result.h == inject(Poly([0, 0, 1]), d2, 0) + inject(Poly([0, 0, 1]), d2, 1)
 
 
 def test_check_odd_quotient_reject():
     phi = inject(Poly([0, 1]), 2, 0) * inject(Poly([1, 1]), 2, 0) * inject(Poly([1, 1]), 2, 1)
     result = level3_check_product(phi, (3, 3), (1, 1))
-    assert isinstance(result, Level3RejectProduct)
+    assert isinstance(result, Reject)
     assert result.witness == ProductOddWitness(var=0, exponent=1)
 
 
 def test_check_zero_accepted():
     result = level3_check_product(MultiPoly.zero(2), (3, 3), (1, 1))
-    assert isinstance(result, Level3AcceptProduct)
+    assert isinstance(result, Accept)
     assert result.h.is_zero
 
 
 def test_check_root_witness_localized():
     phi = inject(Poly([1, 1]), 2, 1)  # divisible in var 1, not in var 0
     result = level3_check_product(phi, (3, 3), (1, 1))
-    assert isinstance(result, Level3RejectProduct)
+    assert isinstance(result, Reject)
     assert result.witness == ProductRootWitness(var=0, root=Fraction(-1))
 
 
@@ -85,7 +84,7 @@ def test_round_trip_random_d_up_to_3():
         h = random_even_mpoly(rng, d)
         phi = h * q_product(l, n)
         result = level3_check_product(phi, l, n)
-        assert isinstance(result, Level3AcceptProduct), (l, n)
+        assert isinstance(result, Accept), (l, n)
         assert result.h == h
 
 
@@ -116,7 +115,7 @@ def test_tensor_consistency():
         g = hg * q_poly_r(n2, m2)
         phi = inject(f, 2, 0) * inject(g, 2, 1)
         result = level3_check_product(phi, (n1, n2), (m1, m2))
-        assert isinstance(result, Level3AcceptProduct)
+        assert isinstance(result, Accept)
         assert result.h == inject(hf, 2, 0) * inject(hg, 2, 1)
 
 
@@ -137,7 +136,7 @@ def test_order_independence_by_variable_permutation():
             n_p = tuple(n[perm[i]] for i in range(d))
             result = level3_check_product(phi_p, l_p, n_p)
             assert result.accepted == base.accepted
-            assert isinstance(result, Level3AcceptProduct)
+            assert isinstance(result, Accept)
             back = MultiPoly(d, {tuple(e[perm.index(i)] for i in range(d)): c
                                  for e, c in result.h.terms.items()})
             assert back == base.h
