@@ -16,7 +16,6 @@ import sys
 from . import atlas as atlas_mod
 from . import jsonio
 from .errors import PwError
-from .poly import Poly
 from .rationals import rat
 from .render import box_ascii, box_dot
 from .sl2c import (
@@ -101,10 +100,6 @@ def _sigma_r(value: str) -> SigmaR:
     if value in ("-", "minus", "Minus"):
         return SigmaR.MINUS
     raise argparse.ArgumentTypeError(f"sigma for sl2r must be + or -, got {value!r}")
-
-
-def _psi_map(data: dict) -> dict[int, Poly]:
-    return {int(k): jsonio.poly_from_json(v) for k, v in data.items()}
 
 
 def build_parser() -> _Parser:
@@ -215,7 +210,7 @@ def _cmd_check3_product(args) -> int:
 
 
 def _cmd_check2(args) -> int:
-    psi = _psi_map(_load_json_arg(args.psi))
+    psi = jsonio.psi_from_json(_load_json_arg(args.psi))
     if args.group == "sl2r":
         if args.m is None or args.truncation is None:
             raise _UsageError("check2 --group sl2r needs -m and --truncation")

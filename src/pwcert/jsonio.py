@@ -36,6 +36,13 @@ def _rat_from_json(value: Any) -> Fraction:
     return rat(value)
 
 
+def _int_from_json(value: Any) -> int:
+    """A JSON integer, or a string holding one; never a float, a bool or null."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def poly_from_json(data: dict) -> Poly:
     coeffs = data.get("coeffs") if isinstance(data, dict) else None
     if not isinstance(coeffs, list):
@@ -53,10 +60,14 @@ def mpoly_to_json(p: MultiPoly) -> dict:
 
 
 def mpoly_from_json(data: dict) -> MultiPoly:
-    if not isinstance(data, dict) or "arity" not in data or "terms" not in data:
-        raise ValueError("multivariate polynomial JSON needs 'arity' and 'terms'")
-    terms = {tuple(t["exps"]): _rat_from_json(t["coeff"]) for t in data["terms"]}
-    return MultiPoly(int(data["arity"]), terms)
+    terms = data.get("terms") if isinstance(data, dict) else None
+    if not isinstance(terms, list) or not all(
+        isinstance(t, dict) and isinstance(t.get("exps"), list) for t in terms
+    ):
+        raise ValueError("multivariate polynomial JSON needs a 'terms' list of objects with an 'exps' list")
+    return MultiPoly(_int_from_json(data.get("arity")),
+                     {tuple(_int_from_json(e) for e in t["exps"]): _rat_from_json(t["coeff"])
+                      for t in terms})
 
 
 def ratfunc_to_json(f: RationalFunction) -> dict:
@@ -80,7 +91,7 @@ def diag_map_from_json(data: dict) -> WeightedDiagMap:
     if not isinstance(comps, dict):
         raise ValueError("weighted map JSON needs a 'components' object")
     comps = {int(k): poly_from_json(v) for k, v in comps.items()}
-    return WeightedDiagMap(int(data["n"]), int(data["m"]), comps)
+    return WeightedDiagMap(_int_from_json(data["n"]), _int_from_json(data["m"]), comps)
 
 
 def coords_to_json(c: GeneratorCoords) -> dict:
@@ -89,7 +100,17 @@ def coords_to_json(c: GeneratorCoords) -> dict:
 
 
 def coords_from_json(data: dict) -> GeneratorCoords:
-    return GeneratorCoords(int(data["m"]), tuple(poly_from_json(h) for h in data["h"]))
+    h = data.get("h") if isinstance(data, dict) else None
+    if not isinstance(h, list):
+        raise ValueError("generator coordinates JSON needs an 'h' list")
+    return GeneratorCoords(_int_from_json(data["m"]), tuple(poly_from_json(p) for p in h))
+
+
+def psi_from_json(data: dict) -> dict[int, Poly]:
+    """K-picture data: an object from K-type (or weight) to polynomial."""
+    if not isinstance(data, dict):
+        raise ValueError("psi JSON must be an object of polynomials")
+    return {int(k): poly_from_json(v) for k, v in data.items()}
 
 
 def ktype_vec_from_json(data: dict | list | str) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
 from .errors import ArityMismatch, DivisionByZeroPoly
-from .poly import Poly
+from .poly import Poly, poly_div_rem
 from .rationals import RatLike, rat
 
 Exponents = tuple[int, ...]
@@ -91,6 +91,16 @@ class MultiPoly:
         if not self._terms:
             return -1
         return max(e[var] for e in self._terms)
+
+    def fibers(self, var: int) -> dict[Exponents, Poly]:
+        """Split into univariate polynomials in variable ``var``, keyed by the
+        exponents of the other variables (with the ``var`` slot removed)."""
+        self._check_var(var)
+        rows: dict[Exponents, dict[int, Fraction]] = {}
+        for exps, c in self._terms.items():
+            rows.setdefault(exps[:var] + exps[var + 1 :], {})[exps[var]] = c
+        return {rest: Poly([row.get(e, 0) for e in range(max(row) + 1)])
+                for rest, row in rows.items()}
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
@@ -190,50 +200,20 @@ class MultiPoly:
 def mpoly_div_in_var(f: MultiPoly, g: Poly, var: int) -> tuple[MultiPoly, MultiPoly]:
     """Divide f by a univariate polynomial applied to one of its variables.
 
-    Treats f as a polynomial in variable ``var`` with coefficients that are
-    polynomials in the remaining variables, and runs exact long division by
-    g(x_var): f = q * g(x_var) + r with deg_var(r) < deg(g).
+    g(x_var) has coefficients that are constants in the other variables, so
+    the division acts on each fiber of f in ``var`` separately: every fiber
+    goes through poly_div_rem, and f = q * g(x_var) + r with deg_var(r) < deg(g).
     """
-    f._check_var(var)
     if g.is_zero:
         raise DivisionByZeroPoly("division by zero polynomial")
-    d = g.degree
-    if d == 0:
-        return f * (Fraction(1) / g.leading), MultiPoly.zero(f.arity)
-    # Bucket terms of f by their exponent in `var`, zeroing that slot.
-    buckets: dict[int, dict[Exponents, Fraction]] = {}
-    for exps, c in f.terms.items():
-        e = exps[var]
-        rest = exps[:var] + (0,) + exps[var + 1 :]
-        row = buckets.setdefault(e, {})
-        row[rest] = row.get(rest, Fraction(0)) + c
-    if not buckets:
-        return MultiPoly.zero(f.arity), MultiPoly.zero(f.arity)
-    glead = g.leading
-    quo_terms: dict[Exponents, Fraction] = {}
-    for e in range(max(buckets), d - 1, -1):
-        row = buckets.get(e)
-        if not row:
-            continue
-        for rest, c in list(row.items()):
-            if c == 0:
-                continue
-            q = c / glead
-            qexps = rest[:var] + (e - d,) + rest[var + 1 :]
-            quo_terms[qexps] = quo_terms.get(qexps, Fraction(0)) + q
-            for j, gc in enumerate(g.coeffs):
-                if gc:
-                    tgt = buckets.setdefault(e - d + j, {})
-                    tgt[rest] = tgt.get(rest, Fraction(0)) - q * gc
-    rem_terms: dict[Exponents, Fraction] = {}
-    for e, row in buckets.items():
-        if e >= d:
-            continue
-        for rest, c in row.items():
-            if c:
-                exps = rest[:var] + (e,) + rest[var + 1 :]
-                rem_terms[exps] = rem_terms.get(exps, Fraction(0)) + c
-    return MultiPoly(f.arity, quo_terms), MultiPoly(f.arity, rem_terms)
+    quo: dict[Exponents, Fraction] = {}
+    rem: dict[Exponents, Fraction] = {}
+    for rest, fiber in f.fibers(var).items():
+        for out, p in zip((quo, rem), poly_div_rem(fiber, g)):
+            for e, c in enumerate(p.coeffs):
+                if c:
+                    out[rest[:var] + (e,) + rest[var:]] = c
+    return MultiPoly(f.arity, quo), MultiPoly(f.arity, rem)
 
 
 def mpoly_even_in_var(f: MultiPoly, var: int) -> bool:

@@ -12,10 +12,10 @@ same type also carries polynomials in the Casimir parameter mu = lambda^2 + k^2
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
 
-from .errors import DivisionByZeroPoly
+from .errors import DivisionByZeroPoly, InternalNonDivisibility
 from .rationals import RatLike, rat, rat_str
 
 
@@ -244,6 +244,22 @@ def poly_div_rem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         for j, gc in enumerate(gcs):
             rem[shift + j] -= q * gc
     return Poly(quo), Poly(rem[: max(g.degree, 0)])
+
+
+def first_root_not_vanishing(remainders: Collection[Poly], roots: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+    """The first root, in the given order, at which some remainder is nonzero,
+    with that remainder's value there.
+
+    The remainders come from dividing by the monic polynomial with these simple
+    roots, so each one equals its dividend at every root, and a nonzero one
+    (degree below the number of roots) cannot vanish at all of them.
+    """
+    for root in roots:
+        for r in remainders:
+            value = r(root)
+            if value != 0:
+                return root, value
+    raise InternalNonDivisibility("nonzero remainder vanishing at every simple root")
 
 
 def parity_split(f: Poly) -> tuple[Poly, Poly]:

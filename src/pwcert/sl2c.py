@@ -24,6 +24,8 @@ followed by the diagonal-algebra test on the quotient.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -41,6 +43,7 @@ from .poly import (
     Poly,
     compose,
     even_part_in,
+    first_root_not_vanishing,
     lagrange_interpolate,
     parity_split,
     poly_div_rem,
@@ -447,17 +450,18 @@ class GeneratorCoords:
 
 def synthesize(coords: GeneratorCoords) -> WeightedDiagMap:
     """Assemble phi_k(x) = sum_l h_l(x^2 + k^2) (k x)^l over all weights of m."""
-    m = coords.m
-    comps = {}
-    for k in weights(m):
-        mu = Poly((k * k, 0, 1))  # x^2 + k^2
-        total = Poly.zero()
-        for l, h in enumerate(coords.h):
-            if h.is_zero:
-                continue
-            total = total + compose(h, mu) * Poly.monomial(l, Fraction(k) ** l)
-        comps[k] = total
-    return WeightedDiagMap(m, m, comps)
+    return WeightedDiagMap(coords.m, coords.m,
+                           {k: _component(coords.h, k) for k in weights(coords.m)})
+
+
+def _component(h: Sequence[Poly], k: int) -> Poly:
+    """The weight-k component sum_l h_l(x^2 + k^2) (k x)^l of the coordinates h."""
+    mu = Poly((k * k, 0, 1))  # x^2 + k^2
+    total = Poly.zero()
+    for l, hl in enumerate(h):
+        if not hl.is_zero:
+            total = total + compose(hl, mu) * Poly.monomial(l, Fraction(k) ** l)
+    return total
 
 
 def _casimir_expansion(m: int) -> dict[int, Poly]:
@@ -466,10 +470,8 @@ def _casimir_expansion(m: int) -> dict[int, Poly]:
     p_m(x,k) = prod over weights |l| <= m-2 of parity m of (k - l)(x - l);
     pairing +/-l gives (kx)^2 - l^2 (x^2 + k^2) + l^4, so p_m is a polynomial
     in t = kx with coefficients in mu = x^2 + k^2, monic of degree m - 1 in t.
-    Returned as {power of t: coefficient polynomial in mu}.
+    Returned as {power of t: coefficient polynomial in mu}; called for m >= 2.
     """
-    if m < 2:
-        return {0: Poly.one()}
     expansion: dict[int, Poly] = {1: Poly.one()} if m % 2 == 0 else {0: Poly.one()}
     top = m - 2
     first_positive = 2 if m % 2 == 0 else 1
@@ -483,16 +485,13 @@ def _casimir_expansion(m: int) -> dict[int, Poly]:
     return expansion
 
 
-def _pinning_constant(m: int) -> Fraction:
-    """p_m(x, m) = c_m * prod (x - l); this is c_m = prod (m - l) over the index set."""
-    c = Fraction(1)
-    for l in range(-(m - 2), m - 1, 2):
-        c *= m - l
-    return c
-
-
 def _pinning_roots(m: int) -> list[int]:
     return list(range(-(m - 2), m - 1, 2))
+
+
+def _pinning_constant(m: int) -> int:
+    """p_m(x, m) = c_m * prod (x - l); this is c_m = prod (m - l) over the pinning roots."""
+    return math.prod(m - l for l in _pinning_roots(m))
 
 
 def free_module_decompose(phi: WeightedDiagMap) -> GeneratorCoords:
@@ -513,40 +512,31 @@ def free_module_decompose(phi: WeightedDiagMap) -> GeneratorCoords:
 
 
 def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly]:
-    if m == 0:
-        return [even_part_in(comps[0], 0)]
-    if m == 1:
+    """Coordinates of an algebra element, built upward from the base level m % 2."""
+    if m % 2 == 0:
+        h = [even_part_in(comps[0], 0)]
+    else:
         even, odd = parity_split(comps[1])
-        h0 = even_part_in(even, 1)
-        h1 = even_part_in(Poly(odd.coeffs[1:]) if odd else Poly.zero(), 1)
-        return [h0, h1]
-    lower = _decompose_components({k: comps[k] for k in weights(m - 2)}, m - 2)
-    mu_m = Poly((m * m, 0, 1))
-    synth_top = Poly.zero()
-    for l, hl in enumerate(lower):
-        if not hl.is_zero:
-            synth_top = synth_top + compose(hl, mu_m) * Poly.monomial(l, Fraction(m) ** l)
-    defect = comps[m] - synth_top
-    h_full = list(lower) + [Poly.zero(), Poly.zero()]
-    if defect.is_zero:
-        return h_full
-    divisor = Poly.from_roots(_pinning_roots(m))
-    cofactor, remainder = poly_div_rem(defect, divisor)
-    if not remainder.is_zero:
-        raise InternalNonDivisibility(
-            f"defect at weight {m} not divisible by the pinning polynomial (m = {m})"
-        )
-    cofactor = cofactor / _pinning_constant(m)
-    even, odd = parity_split(cofactor)
-    h0p = even_part_in(even, m * m)
-    odd_reduced = Poly(odd.coeffs[1:]) if odd else Poly.zero()
-    h1p = even_part_in(odd_reduced, m * m) / m
-    for power, coeff_mu in _casimir_expansion(m).items():
-        if not h0p.is_zero:
-            h_full[power] = h_full[power] + h0p * coeff_mu
-        if not h1p.is_zero:
-            h_full[power + 1] = h_full[power + 1] + h1p * coeff_mu
-    return h_full
+        h = [even_part_in(even, 1), even_part_in(Poly(odd.coeffs[1:]), 1)]
+    for level in range(m % 2 + 2, m + 1, 2):
+        defect = comps[level] - _component(h, level)
+        h += [Poly.zero(), Poly.zero()]
+        if defect.is_zero:
+            continue
+        cofactor, remainder = poly_div_rem(defect, Poly.from_roots(_pinning_roots(level)))
+        if not remainder.is_zero:
+            raise InternalNonDivisibility(
+                f"defect at weight {level} not divisible by the pinning polynomial (m = {level})"
+            )
+        even, odd = parity_split(cofactor / _pinning_constant(level))
+        h0p = even_part_in(even, level * level)
+        h1p = even_part_in(Poly(odd.coeffs[1:]), level * level) / level
+        for power, coeff_mu in _casimir_expansion(level).items():
+            if not h0p.is_zero:
+                h[power] = h[power] + h0p * coeff_mu
+            if not h1p.is_zero:
+                h[power + 1] = h[power + 1] + h1p * coeff_mu
+    return h
 
 
 # -- Level-3 membership ---------------------------------------------------------------
@@ -580,11 +570,8 @@ def level3_check_c(phi: WeightedDiagMap) -> Accept | Reject:
     for k in weights(level):
         quotient, remainder = poly_div_rem(phi[k], chain)
         if not remainder.is_zero:
-            for root in roots:
-                value = phi[k](root)
-                if value != 0:
-                    return Reject(WeightRootWitness(weight=k, root=root, value=value))
-            raise InternalNonDivisibility("nonzero remainder despite vanishing at all chain roots")
+            root, value = first_root_not_vanishing([remainder], roots)
+            return Reject(WeightRootWitness(weight=k, root=root, value=value))
         comps[k] = quotient / _weight_scalar(n, m, k)
     h = WeightedDiagMap(level, level, comps)
     verdict = algebra_check(h)

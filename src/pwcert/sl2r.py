@@ -25,9 +25,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalNonDivisibility, TruncationTooSmall, check_parity
+from .errors import TruncationTooSmall, check_parity
 from .gammaprod import GammaProduct
-from .poly import Poly, parity_split, poly_div_rem
+from .poly import Poly, first_root_not_vanishing, parity_split, poly_div_rem
 from .ratfunc import RationalFunction
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
 from .verdict import Accept, Reject
@@ -335,11 +335,8 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
     roots = q_roots_r(n, m)
     quotient, remainder = poly_div_rem(phi, q)
     if not remainder.is_zero:
-        for r in roots:
-            value = phi(r)
-            if value != 0:
-                return Reject(RootWitness(root=r, value=value))
-        raise InternalNonDivisibility("nonzero remainder with phi vanishing at all simple roots")
+        root, value = first_root_not_vanishing([remainder], roots)
+        return Reject(RootWitness(root=root, value=value))
     _, odd = parity_split(quotient)
     if not odd.is_zero:
         degree = next(i for i, c in enumerate(odd.coeffs) if c != 0)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import ArityMismatch, ParityMismatch
 from .multipoly import MultiPoly, mpoly_div_in_var, mpoly_even_in_var
-from .poly import Poly
+from .poly import Poly, first_root_not_vanishing
 from .sl2r import q_poly_r, q_roots_r
 from .verdict import Accept, Reject
 
@@ -64,19 +64,20 @@ def level3_check_product(phi: MultiPoly, l: KTypeVec, n: KTypeVec) -> Accept | R
     """Certify phi = h * q_{l,n} with h even in every variable.
 
     Divides variable 0 upward (a fixed order; the result is order
-    independent) one linear ladder factor at a time, so a failure is
-    localized at a (variable, root) pair.
+    independent) by that variable's whole ladder factor, once per variable;
+    a failure is localized at the first ladder root, in q_roots_r order, at
+    which some fiber of the remainder does not vanish.
     """
     d = _check_pair(l, n)
     if phi.arity != d:
         raise ArityMismatch(f"phi has {phi.arity} variables, K-type vectors have {d}")
     h = phi
     for i, (li, ni) in enumerate(zip(l, n)):
-        for root in q_roots_r(li, ni):
-            quotient, remainder = mpoly_div_in_var(h, Poly((-root, 1)), i)
-            if not remainder.is_zero:
-                return Reject(ProductRootWitness(var=i, root=root))
-            h = quotient
+        roots = q_roots_r(li, ni)
+        h, remainder = mpoly_div_in_var(h, Poly.from_roots(roots), i)
+        if not remainder.is_zero:
+            root, _ = first_root_not_vanishing(remainder.fibers(i).values(), roots)
+            return Reject(ProductRootWitness(var=i, root=root))
     for i in range(d):
         if not mpoly_even_in_var(h, i):
             exponent = min(e[i] for e in h.terms if e[i] % 2)

@@ -164,6 +164,14 @@ def test_usage_error_exit_1(capsys):
     ("check3", "--group", "sl2c", "--phi", '{"n":2,"m":2,"components":[]}'),
     ("check3-product", "-n", "1", "-m", "1",
      "--phi", '{"arity":1,"terms":[{"exps":[0],"coeff":0.5}]}'),
+    ("check3-product", "-n", "1", "-m", "1",
+     "--phi", '{"arity":1,"terms":[{"exps":5,"coeff":"1"}]}'),
+    ("check3-product", "-n", "1", "-m", "1", "--phi", '{"arity":1,"terms":[5]}'),
+    ("check3-product", "-n", "1", "-m", "1",
+     "--phi", '{"arity":1,"terms":[{"exps":[1.5],"coeff":"1"}]}'),
+    ("check2", "--group", "sl2c", "-n", "2", "--psi", "[1]"),
+    ("synthesize", "--coords", '{"m":1,"h":5}'),
+    ("decompose", "--phi", '{"n":null,"m":0,"components":{"0":{"coeffs":["1"]}}}'),
 ])
 def test_malformed_input_is_one_error_line(capsys, args):
     assert main(list(args)) == 1

@@ -34,6 +34,10 @@ def test_div_in_var_examples():
     f = (mp(2, {(1, 0): 1, (0, 0): 1})) * mp(2, {(0, 1): 1, (0, 0): Fraction(-1, 2)})
     q, r = mpoly_div_in_var(f, Poly([Fraction(-1, 2), 1]), 1)
     assert q == mp(2, {(1, 0): 1, (0, 0): 1}) and r.is_zero
+    # constant divisor: exact scaling, zero remainder
+    f = mp(2, {(2, 1): 3, (0, 0): 1})
+    q, r = mpoly_div_in_var(f, Poly([3]), 0)
+    assert q == mp(2, {(2, 1): 1, (0, 0): Fraction(1, 3)}) and r.is_zero
 
 
 def test_div_by_zero_poly():

@@ -23,6 +23,7 @@ from pwcert.sl2c import (
     SymmetryWitness,
     WeightRootWitness,
     WeightedDiagMap,
+    _decompose_components,
     algebra_check,
     c_gamma_c,
     c_quotient_c,
@@ -274,6 +275,12 @@ def test_decompose_examples():
     assert coords.h == (MU - 1, Poly.const(3))
 
     assert free_module_decompose(zero_map(3, 3)).h == (Poly.zero(),) * 4
+
+
+def test_decompose_deep_level_is_iterative():
+    # About 1000 inductive steps: deeper than the default recursion limit.
+    h = _decompose_components({k: Poly.zero() for k in weights(2001)}, 2001)
+    assert len(h) == 2002 and all(p.is_zero for p in h)
 
 
 def test_synthesize_examples():

@@ -75,6 +75,15 @@ def test_check_root_witness_localized():
     assert result.witness == ProductRootWitness(var=0, root=Fraction(-1))
 
 
+def test_reject_at_first_ladder_root_any_fiber_fails():
+    # Ladder roots in x0 are [-2, -1]: the x1^0 fiber x0 + 2 fails at -1, the
+    # x1^1 fiber x0 + 1 fails at -2, so the witness is the earlier root -2.
+    phi = MultiPoly(2, {(1, 0): 1, (0, 0): 2, (1, 1): 1, (0, 1): 1})
+    result = level3_check_product(phi, (5, 0), (1, 0))
+    assert isinstance(result, Reject)
+    assert result.witness == ProductRootWitness(var=0, root=Fraction(-2))
+
+
 def test_round_trip_random_d_up_to_3():
     rng = random.Random(29)
     for _ in range(60):
