@@ -24,6 +24,8 @@ from .sl2c import (
 )
 from .sl2r import BoxPictureR, CompositionSeriesR, IrreducibleR, Level2ReportR
 
+MAX_EXPONENT = 10_000  # each fiber of a multipoly is a dense Poly of up to this degree
+
 
 def poly_to_json(p: Poly) -> dict:
     return {"coeffs": [rat_str(c) for c in p.coeffs]}
@@ -65,9 +67,12 @@ def mpoly_from_json(data: dict) -> MultiPoly:
         isinstance(t, dict) and isinstance(t.get("exps"), list) for t in terms
     ):
         raise ValueError("multivariate polynomial JSON needs a 'terms' list of objects with an 'exps' list")
-    return MultiPoly(_int_from_json(data.get("arity")),
-                     {tuple(_int_from_json(e) for e in t["exps"]): _rat_from_json(t["coeff"])
-                      for t in terms})
+    arity = _int_from_json(data.get("arity"))
+    parsed = {tuple(_int_from_json(e) for e in t["exps"]): _rat_from_json(t["coeff"]) for t in terms}
+    top = max((e for exps in parsed for e in exps), default=0)
+    if top > MAX_EXPONENT:
+        raise ValueError(f"exponents must be at most {MAX_EXPONENT}, got {top}")
+    return MultiPoly(arity, parsed)
 
 
 def ratfunc_to_json(f: RationalFunction) -> dict:

@@ -131,7 +131,6 @@ class QuadratureSpec:
 
     half_width: float
     points: int = 64
-    scheme: str = "gauss-legendre-composite"
 
     def __post_init__(self) -> None:
         if self.half_width <= 0:

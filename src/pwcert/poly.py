@@ -301,21 +301,16 @@ def even_part_in(f: Poly, shift: RatLike) -> Poly:
 
 
 def lagrange_interpolate(points: Sequence[tuple[RatLike, RatLike]]) -> Poly:
-    """Exact Lagrange interpolant through distinct nodes."""
+    """Exact interpolant through distinct nodes (unique, of degree below their
+    number), by Newton's divided differences expanded from the nested form."""
     xs = [rat(x) for x, _ in points]
-    ys = [rat(y) for _, y in points]
+    diffs = [rat(y) for _, y in points]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must be distinct")
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
     total = Poly.zero()
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if yi == 0:
-            continue
-        basis = Poly.one()
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = basis * Poly((-xj, 1))
-            denom *= xi - xj
-        total = total + basis * (yi / denom)
+    for d, x in zip(reversed(diffs), reversed(xs)):
+        total = total * Poly((-x, 1)) + d
     return total

@@ -24,7 +24,6 @@ followed by the diagonal-algebra test on the quotient.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,7 +40,6 @@ from .errors import (
 from .gammaprod import GammaProduct
 from .poly import (
     Poly,
-    compose,
     even_part_in,
     first_root_not_vanishing,
     lagrange_interpolate,
@@ -455,54 +453,28 @@ def synthesize(coords: GeneratorCoords) -> WeightedDiagMap:
 
 
 def _component(h: Sequence[Poly], k: int) -> Poly:
-    """The weight-k component sum_l h_l(x^2 + k^2) (k x)^l of the coordinates h."""
-    mu = Poly((k * k, 0, 1))  # x^2 + k^2
-    total = Poly.zero()
-    for l, hl in enumerate(h):
-        if not hl.is_zero:
-            total = total + compose(hl, mu) * Poly.monomial(l, Fraction(k) ** l)
-    return total
+    """The weight-k component sum_l h_l(x^2 + k^2) (k x)^l of the coordinates h.
 
-
-def _casimir_expansion(m: int) -> dict[int, Poly]:
-    """Expansion of the pinning polynomial p_m(x, k) in the basis (k x)^l.
-
-    p_m(x,k) = prod over weights |l| <= m-2 of parity m of (k - l)(x - l);
-    pairing +/-l gives (kx)^2 - l^2 (x^2 + k^2) + l^4, so p_m is a polynomial
-    in t = kx with coefficients in mu = x^2 + k^2, monic of degree m - 1 in t.
-    Returned as {power of t: coefficient polynomial in mu}; called for m >= 2.
+    Regrouped as sum_j mu^j g_j with g_j = sum_l [mu^j]h_l (k x)^l, read off the
+    coefficients of h, and summed by Horner's rule in mu = x^2 + k^2.
     """
-    expansion: dict[int, Poly] = {1: Poly.one()} if m % 2 == 0 else {0: Poly.one()}
-    top = m - 2
-    first_positive = 2 if m % 2 == 0 else 1
-    for l in range(first_positive, top + 1, 2):
-        factor_const = Poly((Fraction(l**4), -Fraction(l**2)))  # l^4 - l^2 mu
-        new: dict[int, Poly] = {}
-        for e, coeff in expansion.items():
-            new[e + 2] = new.get(e + 2, Poly.zero()) + coeff
-            new[e] = new.get(e, Poly.zero()) + coeff * factor_const
-        expansion = new
-    return expansion
-
-
-def _pinning_roots(m: int) -> list[int]:
-    return list(range(-(m - 2), m - 1, 2))
-
-
-def _pinning_constant(m: int) -> int:
-    """p_m(x, m) = c_m * prod (x - l); this is c_m = prod (m - l) over the pinning roots."""
-    return math.prod(m - l for l in _pinning_roots(m))
+    mu = Poly((k * k, 0, 1))
+    powers = [k**l if hl else 0 for l, hl in enumerate(h)]
+    total = Poly.zero()
+    for j in range(max(hl.degree for hl in h), -1, -1):
+        total = total * mu + Poly([hl[j] * p for hl, p in zip(h, powers)])
+    return total
 
 
 def free_module_decompose(phi: WeightedDiagMap) -> GeneratorCoords:
     """Unique generator coordinates of an algebra element.
 
     Two-step induction on m: the base cases invert an even substitution
-    (m = 0) or an even/odd split (m = 1); the inductive step decomposes the
-    restriction to weights |k| <= m-2, synthesizes it back at the extreme
-    weights, divides the defect exactly by p_m(x, m) (divisibility is
-    guaranteed for algebra elements; failure means a library bug), splits the
-    cofactor, and redistributes through the (k x)-expansion of p_m.
+    (m = 0) or an even/odd split (m = 1); each step up to level L adds the
+    defect at weight L between phi and the coordinates so far, divided
+    exactly by the pinning polynomial p_L(x, L) (divisibility is guaranteed
+    for algebra elements; failure means a library bug) and redistributed
+    through the (k x)-expansion of p_L.
     """
     result = algebra_check(phi)
     if not result.accepted:
@@ -512,26 +484,44 @@ def free_module_decompose(phi: WeightedDiagMap) -> GeneratorCoords:
 
 
 def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly]:
-    """Coordinates of an algebra element, built upward from the base level m % 2."""
+    """Coordinates of an algebra element, built upward from the base level m % 2.
+
+    Level L adds the defect at weight L divided by the pinning polynomial
+    p_L(x, k) = prod (k - l)(x - l) over the weights |l| <= L - 2 of parity L.
+    Pairing +/-l gives (kx)^2 - l^2 (x^2 + k^2) + l^4, so p_L is a polynomial in
+    t = kx with coefficients in mu = x^2 + k^2, monic of degree L - 1 in t.  The
+    loop carries prod (x - l) = p_L(x, L) / c_L as ``pinning`` and the list of
+    t-coefficients as ``expansion``, one pairing factor at a time.
+    """
     if m % 2 == 0:
         h = [even_part_in(comps[0], 0)]
     else:
         even, odd = parity_split(comps[1])
         h = [even_part_in(even, 1), even_part_in(Poly(odd.coeffs[1:]), 1)]
+    # The weight l = 0 (even m) is unpaired: its factor is (k - 0)(x - 0) = t.
+    top = -(m % 2)
+    pinning = Poly.monomial(1 - m % 2)
+    expansion = [Poly.zero()] * (1 - m % 2) + [Poly.one()]
+    zeros = [Poly.zero()] * 2
     for level in range(m % 2 + 2, m + 1, 2):
         defect = comps[level] - _component(h, level)
-        h += [Poly.zero(), Poly.zero()]
+        h += zeros
         if defect.is_zero:
             continue
-        cofactor, remainder = poly_div_rem(defect, Poly.from_roots(_pinning_roots(level)))
+        while top < level - 2:
+            top += 2
+            pinning = pinning * Poly((-top * top, 0, 1))
+            pairing = Poly((top**4, -top * top))  # l^4 - l^2 mu
+            expansion = [c * pairing + s for c, s in zip(expansion + zeros, zeros + expansion)]
+        cofactor, remainder = poly_div_rem(defect, pinning)
         if not remainder.is_zero:
             raise InternalNonDivisibility(
                 f"defect at weight {level} not divisible by the pinning polynomial (m = {level})"
             )
-        even, odd = parity_split(cofactor / _pinning_constant(level))
+        even, odd = parity_split(cofactor / pinning(level))
         h0p = even_part_in(even, level * level)
         h1p = even_part_in(Poly(odd.coeffs[1:]), level * level) / level
-        for power, coeff_mu in _casimir_expansion(level).items():
+        for power, coeff_mu in enumerate(expansion):
             if not h0p.is_zero:
                 h[power] = h[power] + h0p * coeff_mu
             if not h1p.is_zero:

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import TruncationTooSmall, check_parity
 from .gammaprod import GammaProduct
-from .poly import Poly, first_root_not_vanishing, parity_split, poly_div_rem
+from .poly import Poly, first_root_not_vanishing, poly_div_rem
 from .ratfunc import RationalFunction
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
 from .verdict import Accept, Reject
@@ -331,16 +331,14 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
     exact division decides divisibility; a nonzero remainder is localized at
     a root where phi does not vanish.
     """
-    q = q_poly_r(n, m)
     roots = q_roots_r(n, m)
-    quotient, remainder = poly_div_rem(phi, q)
+    quotient, remainder = poly_div_rem(phi, Poly.from_roots(roots))
     if not remainder.is_zero:
         root, value = first_root_not_vanishing([remainder], roots)
         return Reject(RootWitness(root=root, value=value))
-    _, odd = parity_split(quotient)
-    if not odd.is_zero:
-        degree = next(i for i, c in enumerate(odd.coeffs) if c != 0)
-        return Reject(OddQuotientWitness(degree=degree, coeff=odd[degree]))
+    degree = next((i for i in range(1, quotient.degree + 1, 2) if quotient[i]), None)
+    if degree is not None:
+        return Reject(OddQuotientWitness(degree=degree, coeff=quotient[degree]))
     return Accept(h=quotient)
 
 

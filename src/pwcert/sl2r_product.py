@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, ParityMismatch
-from .multipoly import MultiPoly, mpoly_div_in_var, mpoly_even_in_var
+from .multipoly import MultiPoly, mpoly_div_in_var
 from .poly import Poly, first_root_not_vanishing
 from .sl2r import q_poly_r, q_roots_r
 from .verdict import Accept, Reject
@@ -79,7 +79,7 @@ def level3_check_product(phi: MultiPoly, l: KTypeVec, n: KTypeVec) -> Accept | R
             root, _ = first_root_not_vanishing(remainder.fibers(i).values(), roots)
             return Reject(ProductRootWitness(var=i, root=root))
     for i in range(d):
-        if not mpoly_even_in_var(h, i):
-            exponent = min(e[i] for e in h.terms if e[i] % 2)
+        exponent = min((e[i] for e in h.terms if e[i] % 2), default=None)
+        if exponent is not None:
             return Reject(ProductOddWitness(var=i, exponent=exponent))
     return Accept(h=h)

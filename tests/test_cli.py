@@ -172,6 +172,8 @@ def test_usage_error_exit_1(capsys):
     ("check2", "--group", "sl2c", "-n", "2", "--psi", "[1]"),
     ("synthesize", "--coords", '{"m":1,"h":5}'),
     ("decompose", "--phi", '{"n":null,"m":0,"components":{"0":{"coeffs":["1"]}}}'),
+    ("check3-product", "-n", "3", "-m", "1",
+     "--phi", '{"arity":1,"terms":[{"exps":[10001],"coeff":"1"}]}'),
 ])
 def test_malformed_input_is_one_error_line(capsys, args):
     assert main(list(args)) == 1

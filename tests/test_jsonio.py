@@ -12,6 +12,16 @@ from pwcert.sl2c import GeneratorCoords, q_nm_c
 from pwcert.sl2r import SigmaR, box_picture_r, composition_series_r, level2_check_r
 
 
+def test_mpoly_exponent_bound():
+    def term(e):
+        return {"arity": 2, "terms": [{"exps": [0, e], "coeff": "1"}]}
+
+    bound = jsonio.MAX_EXPONENT
+    assert jsonio.mpoly_from_json(term(bound)) == MultiPoly(2, {(0, bound): 1})
+    with pytest.raises(ValueError, match="at most"):
+        jsonio.mpoly_from_json(term(bound + 1))
+
+
 def test_poly_round_trip():
     p = Poly([Fraction(1, 2), -3, 0, 7])
     data = jsonio.poly_to_json(p)

@@ -102,11 +102,13 @@ def test_gcd_monic():
 
 
 def test_lagrange_exact():
-    pts = [(-2, 5), (0, 1), (1, 4), (3, -2)]
-    p = lagrange_interpolate(pts)
-    assert p.degree <= 3
-    for x, y in pts:
-        assert p(Fraction(x)) == y
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for pts in ([(-2, 5), (0, 1), (1, 4), (3, -2)],
+                [(half, -3 * half), (-5 * third, 2), (7 * half, 0), (0, third), (2 * third, 6)]):
+        p = lagrange_interpolate(pts)
+        assert p.degree <= len(pts) - 1
+        for x, y in pts:
+            assert p(Fraction(x)) == y
 
 
 def test_scale_and_reflect():

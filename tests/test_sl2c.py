@@ -283,6 +283,21 @@ def test_decompose_deep_level_is_iterative():
     assert len(h) == 2002 and all(p.is_zero for p in h)
 
 
+@pytest.mark.parametrize("level", [9, 10])
+def test_decompose_pinning_polynomial(level):
+    # phi_k = p_L(x, k) vanishes at every weight |k| <= L - 2, so the defect is
+    # zero below level L and the pinning polynomial advances several pairings
+    # at once.  p_L is monic of degree L - 1 in t = kx, so h_{L-1} = 1.
+    roots = range(-(level - 2), level - 1, 2)
+    pin = Poly.from_roots(roots)
+    m = level + 4
+    phi = WeightedDiagMap(m, m, {k: pin * pin(Fraction(k)) for k in weights(m)})
+    coords = free_module_decompose(phi)
+    assert synthesize(coords) == phi
+    assert coords.h[level - 1] == Poly.one()
+    assert all(p.is_zero for p in coords.h[level:])
+
+
 def test_synthesize_examples():
     assert synthesize(GeneratorCoords(0, (Poly.one(),))) == diag_map(0, 0, Poly.one())
     phi = synthesize(GeneratorCoords(1, (MU - 1, Poly.const(3))))
@@ -435,6 +450,7 @@ def test_extend_constant():
     const = diag_map(0, 0, Poly.const(5))
     ext = extend_interpolate(const, 4)
     assert all(p == Poly.const(5) for p in ext.components.values())
+    assert extend_interpolate(identity_map(0), 40) == identity_map(40)
 
 
 def test_extend_identity_and_errors():
@@ -527,3 +543,9 @@ def test_round_trip_beyond_acceptance_bound():
         14, tuple(rand_poly(rng, 6) for _ in range(15))
     )
     assert free_module_decompose(synthesize(coords)) == coords
+    for m in (30, 31):  # both parities, every coordinate a cubic
+        coords = GeneratorCoords(m, tuple(
+            Poly([rng.randint(-9, 9) for _ in range(3)] + [rng.choice([-2, -1, 1, 2])])
+            for _ in range(m + 1)
+        ))
+        assert free_module_decompose(synthesize(coords)) == coords
