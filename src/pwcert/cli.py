@@ -94,6 +94,10 @@ def _emit_verdict(result, h_to_json, out: str | None) -> int:
     return 0
 
 
+def _ktypes(*values) -> tuple[int, ...]:
+    return tuple(jsonio.ktype_from_json(v) for v in values)
+
+
 def _sigma_r(value: str) -> SigmaR:
     if value in ("+", "plus", "Plus"):
         return SigmaR.PLUS
@@ -173,17 +177,18 @@ def build_parser() -> _Parser:
 
 def _cmd_q(args) -> int:
     if args.group == "sl2r":
-        _emit(jsonio.poly_to_json(q_poly_r(int(args.n), int(args.m))), args.out)
+        _emit(jsonio.poly_to_json(q_poly_r(*_ktypes(args.n, args.m))), args.out)
     elif args.group == "sl2r-product":
         l, n = jsonio.ktype_vec_from_json(args.n), jsonio.ktype_vec_from_json(args.m)
         _emit(jsonio.mpoly_to_json(q_product(l, n)), args.out)
     else:
-        _emit(jsonio.diag_map_to_json(q_nm_c(int(args.n), int(args.m))), args.out)
+        _emit(jsonio.diag_map_to_json(q_nm_c(*_ktypes(args.n, args.m))), args.out)
     return 0
 
 
 def _cmd_cquot(args) -> int:
-    quotient = c_quotient_r(args.n, args.m) if args.group == "sl2r" else c_quotient_c(args.n, args.m)
+    n, m = _ktypes(args.n, args.m)
+    quotient = c_quotient_r(n, m) if args.group == "sl2r" else c_quotient_c(n, m)
     _emit(jsonio.ratfunc_to_json(quotient), args.out)
     return 0
 
@@ -193,7 +198,8 @@ def _cmd_check3(args) -> int:
         if args.n is None or args.m is None:
             raise _UsageError("check3 --group sl2r needs -n and -m")
         phi = jsonio.poly_from_json(_load_json_arg(args.phi))
-        return _emit_verdict(level3_check_r(phi, args.n, args.m), jsonio.poly_to_json, args.out)
+        result = level3_check_r(phi, *_ktypes(args.n, args.m))
+        return _emit_verdict(result, jsonio.poly_to_json, args.out)
     phi_map = jsonio.diag_map_from_json(_load_json_arg(args.phi))
     if args.n is not None and phi_map.src != args.n:
         raise _UsageError(f"-n {args.n} does not match phi (n = {phi_map.src})")
@@ -214,12 +220,12 @@ def _cmd_check2(args) -> int:
     if args.group == "sl2r":
         if args.m is None or args.truncation is None:
             raise _UsageError("check2 --group sl2r needs -m and --truncation")
-        report = level2_check_r(psi, args.m, args.truncation)
+        report = level2_check_r(psi, jsonio.ktype_from_json(args.m), args.truncation)
         _emit(jsonio.level2_report_r_to_json(report), args.out)
         return 0 if report.passed else 2
     if args.n is None:
         raise _UsageError("check2 --group sl2c needs -n")
-    report_c = level2_functional_check_c(psi, args.n)
+    report_c = level2_functional_check_c(psi, jsonio.ktype_from_json(args.n))
     _emit(jsonio.level2_report_c_to_json(report_c), args.out)
     return 0 if report_c.passed else 2
 
@@ -285,22 +291,10 @@ def _cmd_extend(args) -> int:
     return 0
 
 
-_VERIFY_THRESHOLDS = {
-    "gamma-recurrence": 1e-11,
-    "sl2r-c-quotient": 1e-9,
-    "sl2c-c-quotient": 1e-9,
-    "sl2r-c-integral-ratio": 1e-6,
-}
-
-
 def _cmd_verify_numeric(args) -> int:
     from .numeric import verification_report
 
     report = verification_report(seed=args.seed)
-    for check in report["checks"]:
-        check["threshold"] = _VERIFY_THRESHOLDS[check["formula"]]
-        check["passed"] = check["max_relative_error"] < check["threshold"]
-    report["passed"] = all(c["passed"] for c in report["checks"])
     _emit(report, args.out)
     return 0 if report["passed"] else 2
 

@@ -25,6 +25,7 @@ from .sl2c import (
 from .sl2r import BoxPictureR, CompositionSeriesR, IrreducibleR, Level2ReportR
 
 MAX_EXPONENT = 10_000  # each fiber of a multipoly is a dense Poly of up to this degree
+MAX_KTYPE = 1_000  # q_{-1000,1000} prints 2,567 digits; 2,000 would pass Python's 4,300
 
 
 def poly_to_json(p: Poly) -> dict:
@@ -43,6 +44,14 @@ def _int_from_json(value: Any) -> int:
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def ktype_from_json(value: Any) -> int:
+    """A K-type (or weight): a JSON integer of absolute value at most MAX_KTYPE."""
+    n = _int_from_json(value)
+    if abs(n) > MAX_KTYPE:
+        raise ValueError(f"K-types must be at most {MAX_KTYPE} in absolute value, got {n}")
+    return n
 
 
 def poly_from_json(data: dict) -> Poly:
@@ -96,7 +105,7 @@ def diag_map_from_json(data: dict) -> WeightedDiagMap:
     if not isinstance(comps, dict):
         raise ValueError("weighted map JSON needs a 'components' object")
     comps = {int(k): poly_from_json(v) for k, v in comps.items()}
-    return WeightedDiagMap(_int_from_json(data["n"]), _int_from_json(data["m"]), comps)
+    return WeightedDiagMap(ktype_from_json(data["n"]), ktype_from_json(data["m"]), comps)
 
 
 def coords_to_json(c: GeneratorCoords) -> dict:
@@ -115,15 +124,15 @@ def psi_from_json(data: dict) -> dict[int, Poly]:
     """K-picture data: an object from K-type (or weight) to polynomial."""
     if not isinstance(data, dict):
         raise ValueError("psi JSON must be an object of polynomials")
-    return {int(k): poly_from_json(v) for k, v in data.items()}
+    return {ktype_from_json(k): poly_from_json(v) for k, v in data.items()}
 
 
 def ktype_vec_from_json(data: dict | list | str) -> tuple[int, ...]:
     if isinstance(data, dict):
-        return tuple(int(x) for x in data["ktypes"])
-    if isinstance(data, str):
-        return tuple(int(x) for x in data.split(","))
-    return tuple(int(x) for x in data)
+        data = data["ktypes"]
+    elif isinstance(data, str):
+        data = data.split(",")
+    return tuple(ktype_from_json(x) for x in data)
 
 
 def composition_series_to_json(s: CompositionSeriesR | IrreducibleR) -> dict:

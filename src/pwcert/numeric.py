@@ -201,12 +201,21 @@ def c_integral_sl2r(n: int, lam: complex, quad: QuadratureSpec | None = None,
     return fine
 
 
+VERIFY_THRESHOLDS = {
+    "gamma-recurrence": 1e-11,
+    "sl2r-c-quotient": 1e-9,
+    "sl2c-c-quotient": 1e-9,
+    "sl2r-c-integral-ratio": 1e-6,
+}
+
+
 def verification_report(seed: int = 20240801) -> dict:
     """Cross-check every exact formula numerically; returns a JSON-able report.
 
     Covers the Gamma recurrence, closed-form c-functions against exact
     quotients for both groups, and integral ratios against exact quotients
-    for SL(2,R).
+    for SL(2,R).  Each check passes when its worst relative error is below
+    its threshold in VERIFY_THRESHOLDS; the report passes when all do.
     """
     import random
     from fractions import Fraction
@@ -219,8 +228,9 @@ def verification_report(seed: int = 20240801) -> dict:
     report = []
 
     def add(formula: str, count: int, worst: float) -> None:
-        report.append({"formula": formula, "points_tested": count,
-                       "max_relative_error": worst})
+        threshold = VERIFY_THRESHOLDS[formula]
+        report.append({"formula": formula, "points_tested": count, "max_relative_error": worst,
+                       "threshold": threshold, "passed": worst < threshold})
 
     # Gamma recurrence |Gamma(z+1) - z Gamma(z)| / |Gamma(z+1)|.
     worst, count = 0.0, 0
@@ -233,12 +243,12 @@ def verification_report(seed: int = 20240801) -> dict:
     add("gamma-recurrence", count, worst)
 
     def sample_clear_of(quotient: RationalFunction) -> complex:
-        # Zeros and poles of the ladder quotients sit on half-integers.
-        singular = [Fraction(j, 2) for j in range(-40, 41)
-                    if quotient.num(Fraction(j, 2)) == 0 or quotient.den(Fraction(j, 2)) == 0]
+        # Zeros and poles of the ladder quotients sit on half-integers, so only
+        # the nearest half-integer can lie within 5e-2 of a sample.
         while True:
             lam = complex(rng.uniform(0.5, 4.0), rng.uniform(-3.0, 3.0))
-            if all(abs(lam - complex(float(r))) > 5e-2 for r in singular):
+            r = Fraction(round(2 * lam.real), 2)
+            if abs(lam - complex(float(r))) > 5e-2 or quotient.num(r) * quotient.den(r) != 0:
                 return lam
 
     def relerr(numeric: complex, exact: complex) -> float:
@@ -278,4 +288,5 @@ def verification_report(seed: int = 20240801) -> dict:
             worst = max(worst, relerr(ratio, exact))
             count += 1
     add("sl2r-c-integral-ratio", count, worst)
-    return {"checks": report, "max_relative_error": max(r["max_relative_error"] for r in report)}
+    return {"checks": report, "max_relative_error": max(r["max_relative_error"] for r in report),
+            "passed": all(r["passed"] for r in report)}

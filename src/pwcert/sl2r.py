@@ -14,9 +14,13 @@ sets partition one parity class of Z, which pins down the F_k convention.
 
 Membership certification: phi in Hom(E_n, E_m)-valued data satisfies the
 spherical (Level-3) intertwining condition iff the ladder polynomial
-q_{n,m} divides phi with even quotient; K-picture (Level-2) data must vanish
-where its K-type leaves the minimal invariant submodule, and must satisfy
-the c-function quotient equation with sign (-1)^{(m-n)/2}.
+q_{n,m} divides phi with even quotient.  K-picture (Level-2) data reads the
+same ladder.  Its component psi_n must vanish at the roots of q_{n,m}, which
+are exactly the reducibility points where n leaves the minimal invariant
+submodule containing m (acceptance criterion 03).  It must also satisfy
+psi_n(-x) q_{n,m}(x) = q_{n,m}(-x) psi_n(x), which is the c-function
+quotient equation with sign (-1)^{(m-n)/2}, because
+q_{n,m}(-x) / q_{n,m}(x) = (-1)^{(m-n)/2} c_n / c_m (criterion 02).
 """
 
 from __future__ import annotations
@@ -120,59 +124,32 @@ def q_poly_r(n: int, m: int) -> Poly:
 # -- composition series -------------------------------------------------------------
 
 
-class FactorKind(enum.Enum):
-    FINITE = "finite"
-    DISCRETE = "discrete"
-    LIMIT = "limit"
-
-
 @dataclass(frozen=True)
 class CompFactorR:
-    """One composition factor, as a predicate on K-types.
+    """One composition factor: the K-types from lo to hi in steps of 2.
 
-    kind FINITE: param = k >= 1, the dimension; K-types {-(k-1), ..., k-1}.
-    kind DISCRETE: param = +/-k, k >= 1; K-types {sgn(k+1), step 2, outward}.
-    kind LIMIT: param = +/-1; K-types {+/-1, +/-3, ...}.
+    None is an unbounded end.  F_k runs from -(k-1) to k-1; D_{+k} starts
+    at k+1 and D_{-k} ends at -(k+1); the limits D+/- are the case k = 0.
     """
 
-    kind: FactorKind
-    param: int
-
-    @property
-    def label(self) -> str:
-        if self.kind is FactorKind.FINITE:
-            return f"F{self.param}"
-        if self.kind is FactorKind.DISCRETE:
-            return f"D{self.param:+d}"
-        return "D+" if self.param > 0 else "D-"
+    label: str
+    lo: int | None
+    hi: int | None
 
     def contains(self, n: int) -> bool:
-        if self.kind is FactorKind.FINITE:
-            k = self.param
-            return abs(n) <= k - 1 and (n - (k - 1)) % 2 == 0
-        if self.kind is FactorKind.DISCRETE:
-            k = abs(self.param)
-            if (n - (k + 1)) % 2 != 0:
-                return False
-            return n >= k + 1 if self.param > 0 else n <= -(k + 1)
-        if n % 2 == 0:
-            return False
-        return n >= 1 if self.param > 0 else n <= -1
+        end = self.lo if self.lo is not None else self.hi
+        return ((self.lo is None or n >= self.lo) and (self.hi is None or n <= self.hi)
+                and (n - end) % 2 == 0)
 
     def ktypes_upto(self, bound: int) -> set[int]:
         return {n for n in range(-bound, bound + 1) if self.contains(n)}
 
 
-def finite_factor(k: int) -> CompFactorR:
-    return CompFactorR(FactorKind.FINITE, k)
-
-
-def discrete_factor(signed_k: int) -> CompFactorR:
-    return CompFactorR(FactorKind.DISCRETE, signed_k)
-
-
-def limit_factor(sign: int) -> CompFactorR:
-    return CompFactorR(FactorKind.LIMIT, 1 if sign > 0 else -1)
+def _discrete(k: int, sign: int) -> CompFactorR:
+    """D_{sign*k}, or the limit D+/- when k = 0."""
+    label = f"D{sign * k:+d}" if k else ("D+" if sign > 0 else "D-")
+    edge = sign * (k + 1)
+    return CompFactorR(label, edge, None) if sign > 0 else CompFactorR(label, None, edge)
 
 
 @dataclass(frozen=True)
@@ -241,37 +218,17 @@ def composition_series_r(sigma: SigmaR, lam: RatLike) -> CompositionSeriesR | Ir
     if not is_reducible_r(sigma, lam):
         return IrreducibleR(sigma, lam)
     if lam == 0:
-        dm, dp = limit_factor(-1), limit_factor(+1)
-        return CompositionSeriesR(
-            sigma,
-            lam,
-            layers=((dm, dp),),
-            proper_submodules=(SubmoduleR((dp,)), SubmoduleR((dm,))),
-        )
-    k = int(2 * abs(lam))
-    fk = finite_factor(k)
-    dneg, dpos = discrete_factor(-k), discrete_factor(k)
-    if lam > 0:
-        return CompositionSeriesR(
-            sigma,
-            lam,
-            layers=((dneg, dpos), (fk,)),
-            proper_submodules=(
-                SubmoduleR((dneg,)),
-                SubmoduleR((dpos,)),
-                SubmoduleR((dneg, dpos)),
-            ),
-        )
-    return CompositionSeriesR(
-        sigma,
-        lam,
-        layers=((fk,), (dneg, dpos)),
-        proper_submodules=(
-            SubmoduleR((fk,)),
-            SubmoduleR((fk, dneg)),
-            SubmoduleR((fk, dpos)),
-        ),
-    )
+        dm, dp = _discrete(0, -1), _discrete(0, +1)
+        layers, submodules = ((dm, dp),), ((dp,), (dm,))
+    else:
+        k = int(2 * abs(lam))
+        fk = CompFactorR(f"F{k}", -(k - 1), k - 1)
+        dneg, dpos = _discrete(k, -1), _discrete(k, +1)
+        if lam > 0:
+            layers, submodules = ((dneg, dpos), (fk,)), ((dneg,), (dpos,), (dneg, dpos))
+        else:
+            layers, submodules = ((fk,), (dneg, dpos)), ((fk,), (fk, dneg), (fk, dpos))
+    return CompositionSeriesR(sigma, lam, layers, tuple(SubmoduleR(w) for w in submodules))
 
 
 def smallest_submodule_r(m: int, lam: RatLike) -> SubmoduleR | _Full:
@@ -385,43 +342,35 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> Level2Repor
     """Check K-picture data psi (one polynomial per K-type) against both
     intertwining conditions for the bundle K-type m.
 
-    Vanishing condition: at every reducibility point lambda with
-    |lambda| <= (N+1)/2 and every component K-type n outside the smallest
-    invariant submodule containing m, psi_n(lambda) = 0.
+    Both conditions read the ladder q = q_{n,m} of each component n.
 
-    Functional equation: for every component,
-    psi_n(-x) * den = sign * num * psi_n(x) exactly, where num/den is the
-    c-quotient c_n/c_m and sign = (-1)^((m-n)/2).
+    Vanishing condition: psi_n(lambda) = 0 at every reducibility point with
+    |lambda| <= (N+1)/2 where n lies outside the smallest invariant
+    submodule containing m.  Those points are exactly the roots of q
+    (acceptance criterion 03), so only the roots are visited.
+
+    Functional equation: psi_n(-x) * q(x) = q(-x) * psi_n(x) exactly.  Since
+    q(-x)/q(x) = sign * c_n/c_m with sign = (-1)^((m-n)/2) (criterion 02),
+    this is the cleared c-quotient equation psi_n(-x) * den = sign * num * psi_n(x).
     """
     for n in psi:
         check_parity(n, m)
         if abs(n) > truncation:
             raise TruncationTooSmall(f"K-type {n} exceeds truncation {truncation}")
-    sigma = SigmaR.of_ktype(m)
     bound = Fraction(truncation + 1, 2)
-
-    vanishing = []
-    for lam in reducibility_points_r(sigma, bound):
-        submodule = smallest_submodule_r(m, lam)
-        if isinstance(submodule, _Full):
-            continue
-        for n in sorted(psi):
-            if submodule.contains(n):
-                continue
-            value = psi[n](lam)
-            vanishing.append(
-                VanishingCheck(lam=lam, ktype=n, submodule=submodule.label,
-                               value=value, ok=(value == 0))
-            )
-
-    functional = []
+    vanishing, functional = [], []
     for n in sorted(psi):
-        quotient = c_quotient_r(n, m)
-        sign = _ks_sign(n, m)
-        lhs = psi[n].reflect() * quotient.den
-        rhs = quotient.num * psi[n] * sign
-        functional.append(FunctionalCheck(ktype=n, sign=sign, ok=(lhs == rhs)))
-
+        roots = q_roots_r(n, m)
+        for lam in roots:
+            if abs(lam) <= bound:
+                value = psi[n](lam)
+                vanishing.append(VanishingCheck(
+                    lam=lam, ktype=n, submodule=smallest_submodule_r(m, lam).label,
+                    value=value, ok=(value == 0)))
+        q = Poly.from_roots(roots)
+        functional.append(FunctionalCheck(ktype=n, sign=_ks_sign(n, m),
+                                          ok=(psi[n].reflect() * q == q.reflect() * psi[n])))
+    vanishing.sort(key=lambda c: (c.lam, c.ktype))
     return Level2ReportR(m=m, truncation=truncation,
                          vanishing=tuple(vanishing), functional=tuple(functional))
 

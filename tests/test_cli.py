@@ -174,6 +174,15 @@ def test_usage_error_exit_1(capsys):
     ("decompose", "--phi", '{"n":null,"m":0,"components":{"0":{"coeffs":["1"]}}}'),
     ("check3-product", "-n", "3", "-m", "1",
      "--phi", '{"arity":1,"terms":[{"exps":[10001],"coeff":"1"}]}'),
+    ("q", "--group", "sl2r", "-n", "1001", "-m", "1"),
+    ("check2", "--group", "sl2r", "-m", "1", "--truncation", "1001",
+     "--psi", '{"1001":{"coeffs":["1"]}}'),
+    ("cquot", "--group", "sl2c", "-n", "0", "-m", "1002"),
+    ("check3", "--group", "sl2r", "-n", "1", "-m", "1003", "--phi", '{"coeffs":["1"]}'),
+    ("check3", "--group", "sl2c",
+     "--phi", '{"n":1001,"m":1,"components":{"-1":{"coeffs":["1"]},"1":{"coeffs":["1"]}}}'),
+    ("check3-product", "-n", "1,1001", "-m", "1,1", "--phi", '{"arity":2,"terms":[]}'),
+    ("check2", "--group", "sl2c", "-n", "1002", "--psi", "{}"),
 ])
 def test_malformed_input_is_one_error_line(capsys, args):
     assert main(list(args)) == 1

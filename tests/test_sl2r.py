@@ -1,6 +1,7 @@
 """SL(2,R): c-functions, ladder polynomials, classification, both checkers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,10 +12,13 @@ from pwcert.poly import Poly
 from pwcert.ratfunc import RationalFunction
 from pwcert.sl2r import (
     FULL,
+    FunctionalCheck,
     IrreducibleR,
+    Level2ReportR,
     OddQuotientWitness,
     RootWitness,
     SigmaR,
+    VanishingCheck,
     box_picture_r,
     c_gamma_r,
     c_quotient_r,
@@ -271,6 +275,60 @@ def test_level2_even_members_with_h():
             h = Poly([rng.randint(-5, 5) if i % 2 == 0 else 0 for i in range(5)])
             psi[n] = h * q_poly_r(n, m)
         assert level2_check_r(psi, m, 7).passed
+
+
+def _level2_by_definition(psi, m, truncation):
+    """Level-2 report from the definition: sweep every reducibility point up to
+    (N+1)/2 for the submodule condition, and clear the c-quotient for the
+    functional equation."""
+    vanishing = []
+    for lam in reducibility_points_r(SigmaR.of_ktype(m), Fraction(truncation + 1, 2)):
+        submodule = smallest_submodule_r(m, lam)
+        if submodule is FULL:
+            continue
+        for n in sorted(psi):
+            if not submodule.contains(n):
+                value = psi[n](lam)
+                vanishing.append(VanishingCheck(lam, n, submodule.label, value, value == 0))
+    functional = []
+    for n in sorted(psi):
+        quotient = c_quotient_r(n, m)
+        sign = 1 - 2 * (((m - n) // 2) % 2)
+        ok = psi[n].reflect() * quotient.den == quotient.num * psi[n] * sign
+        functional.append(FunctionalCheck(n, sign, ok))
+    return Level2ReportR(m, truncation, tuple(vanishing), tuple(functional))
+
+
+def test_level2_matches_definition_randomized():
+    # Ladder multiples pass, ladder times an arbitrary polynomial fails only the
+    # functional equation, random polynomials usually fail both; |m| > N included.
+    rng = random.Random(2203)
+    for m in range(-12, 13):
+        for truncation in range(max(0, abs(m) - 3), abs(m) + 7):
+            ktypes = [n for n in range(-truncation, truncation + 1) if (n - m) % 2 == 0]
+            if not ktypes:
+                continue
+            psi = {}
+            for n in rng.sample(ktypes, min(len(ktypes), rng.randint(1, 4))):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    psi[n] = Poly([rng.randint(-3, 3) if i % 2 == 0 else 0 for i in range(5)])
+                elif kind == 1:
+                    psi[n] = Poly([rng.randint(-3, 3) for _ in range(3)])
+                elif kind == 2:
+                    psi[n] = Poly.zero()
+                else:
+                    psi[n] = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
+                if kind < 2:
+                    psi[n] = psi[n] * q_poly_r(n, m)
+            assert level2_check_r(psi, m, truncation) == _level2_by_definition(psi, m, truncation)
+
+
+def test_level2_work_grows_with_roots_not_truncation():
+    start = time.perf_counter()
+    report = level2_check_r({4: Poly([1, 0, 1])}, 0, 200_000)
+    assert time.perf_counter() - start < 1.0
+    assert [c.lam for c in report.vanishing] == [Fraction(-3, 2), Fraction(-1, 2)]
 
 
 # -- box pictures -----------------------------------------------------------------------
