@@ -103,7 +103,7 @@ def _sigma_r(value: str) -> SigmaR:
         return SigmaR.PLUS
     if value in ("-", "minus", "Minus"):
         return SigmaR.MINUS
-    raise argparse.ArgumentTypeError(f"sigma for sl2r must be + or -, got {value!r}")
+    raise ValueError(f"sigma for sl2r must be + or -, got {value!r}")
 
 
 def build_parser() -> _Parser:
@@ -286,6 +286,8 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_extend(args) -> int:
+    if args.target > jsonio.MAX_EXTEND_TARGET:
+        raise ValueError(f"extend --target must be at most {jsonio.MAX_EXTEND_TARGET}, got {args.target}")
     h = jsonio.diag_map_from_json(_load_json_arg(args.h))
     _emit(jsonio.diag_map_to_json(extend_interpolate(h, args.target)), args.out)
     return 0

@@ -26,6 +26,7 @@ from .sl2r import BoxPictureR, CompositionSeriesR, IrreducibleR, Level2ReportR
 
 MAX_EXPONENT = 10_000  # each fiber of a multipoly is a dense Poly of up to this degree
 MAX_KTYPE = 1_000  # q_{-1000,1000} prints 2,567 digits; 2,000 would pass Python's 4,300
+MAX_EXTEND_TARGET = 200  # extend_interpolate takes about 2.5 s at 200 and 42 s at 400
 
 
 def poly_to_json(p: Poly) -> dict:

@@ -27,9 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
+from functools import cache, lru_cache
 
 from .errors import ConvergenceNotReached, OutsideConvergenceRegion, PoleProximity
 
@@ -105,24 +103,18 @@ def iwasawa_nbar(x: float) -> tuple[float, float, float]:
 def _iwasawa_residual(x: float) -> float:
     """Max entrywise error of k_theta * a_t * n_u against [[1,0],[x,1]]."""
     theta, t, u = iwasawa_nbar(x)
-    k = np.array([[math.cos(theta), math.sin(theta)], [-math.sin(theta), math.cos(theta)]])
-    a = np.array([[math.exp(t), 0.0], [0.0, math.exp(-t)]])
-    n = np.array([[1.0, u], [0.0, 1.0]])
-    target = np.array([[1.0, 0.0], [x, 1.0]])
-    return float(np.max(np.abs(k @ a @ n - target)))
+    c, s, e, f = math.cos(theta), math.sin(theta), math.exp(t), math.exp(-t)
+    # [[c, s], [-s, c]] @ [[e, 0], [0, f]] @ [[1, u], [0, 1]], row by row.
+    kan = (c * e, c * e * u + s * f, -s * e, -s * e * u + c * f)
+    return max(abs(got - want) for got, want in zip(kan, (1.0, 0.0, x, 1.0)))
 
 
-_iwasawa_validated = False
-
-
+@cache
 def _ensure_iwasawa() -> None:
-    global _iwasawa_validated
-    if _iwasawa_validated:
-        return
+    """Raise unless the Iwasawa data reproduces nbar_x; a pass is cached, a failure is not."""
     worst = max(_iwasawa_residual(x) for x in (-25.0, -3.0, -0.7, 0.0, 0.4, 1.0, 12.0))
     if worst > 1e-12:
         raise RuntimeError(f"Iwasawa factorization self-check failed ({worst:.3e})")
-    _iwasawa_validated = True
 
 
 @dataclass(frozen=True)
@@ -153,8 +145,28 @@ class QuadratureSpec:
 
 
 @lru_cache(maxsize=32)
-def _leggauss(points: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(points)
+def _leggauss(points: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n, evaluated by the three-term recurrence, from the
+    start cos(pi (i + 3/4) / (n + 1/2)) near the i-th largest root (the
+    classic gauleg).  The weight is 2 / ((1 - x^2) P_n'(x)^2); each root x
+    gives its mirror -x.
+    """
+    n = points
+    nodes, wts = [0.0] * n, [0.0] * n
+    for i in range((n + 1) // 2):
+        x, dx = math.cos(math.pi * (i + 0.75) / (n + 0.5)), 1.0
+        while abs(dx) > 1e-15:
+            p0, p1 = 1.0, x
+            for k in range(2, n + 1):
+                p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            dx = p1 / dp
+            x -= dx
+        nodes[i], nodes[n - 1 - i] = -x, x
+        wts[i] = wts[n - 1 - i] = 2.0 / ((1.0 - x * x) * dp * dp)
+    return tuple(nodes), tuple(wts)
 
 
 def _panel_edges(half_width: float) -> list[float]:
@@ -167,15 +179,17 @@ def _panel_edges(half_width: float) -> list[float]:
 
 def _integrate(n: int, lam: complex, half_width: float, points: int) -> complex:
     nodes, wts = _leggauss(points)
+    power = -lam - 0.5 - n / 2.0
     total = 0.0 + 0.0j
     edges = _panel_edges(half_width)
     for a, b in zip(edges, edges[1:]):
         mid, half = (a + b) / 2.0, (b - a) / 2.0
-        x = mid + half * nodes
-        log_base = np.log1p(x * x)
-        values = np.exp((-lam - 0.5 - n / 2.0) * log_base) * (1.0 - 1j * x) ** n
-        total += half * np.sum(wts * values)
-    return complex(total)
+        panel = 0.0 + 0.0j
+        for node, w in zip(nodes, wts):
+            x = mid + half * node
+            panel += w * cmath.exp(power * math.log1p(x * x)) * (1.0 - 1j * x) ** n
+        total += half * panel
+    return total
 
 
 def c_integral_sl2r(n: int, lam: complex, quad: QuadratureSpec | None = None,

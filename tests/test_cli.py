@@ -183,6 +183,9 @@ def test_usage_error_exit_1(capsys):
      "--phi", '{"n":1001,"m":1,"components":{"-1":{"coeffs":["1"]},"1":{"coeffs":["1"]}}}'),
     ("check3-product", "-n", "1,1001", "-m", "1,1", "--phi", '{"arity":2,"terms":[]}'),
     ("check2", "--group", "sl2c", "-n", "1002", "--psi", "{}"),
+    ("classify", "--group", "sl2r", "--sigma", "x", "--lambda", "1"),
+    ("extend", "--h", '{"n":1,"m":1,"components":{"-1":{"coeffs":["1"]},"1":{"coeffs":["1"]}}}',
+     "--target", "201"),
 ])
 def test_malformed_input_is_one_error_line(capsys, args):
     assert main(list(args)) == 1

@@ -6,10 +6,12 @@ import random
 import mpmath
 import pytest
 
+from pwcert import numeric
 from pwcert.errors import ConvergenceNotReached, OutsideConvergenceRegion, PoleProximity
 from pwcert.numeric import (
     QuadratureSpec,
     _iwasawa_residual,
+    _leggauss,
     c_integral_sl2r,
     c_numeric,
     gamma_complex,
@@ -108,6 +110,31 @@ def test_iwasawa_self_check():
     assert (theta, t, u) == (0.0, 0.0, 0.0)
     for x in (-7.3, -1.0, 0.25, 2.0, 40.0):
         assert _iwasawa_residual(x) < 1e-12
+
+
+def test_iwasawa_failure_is_not_cached(monkeypatch):
+    monkeypatch.setattr(numeric, "_iwasawa_residual", lambda x: 1.0)
+    numeric._ensure_iwasawa.cache_clear()
+    for _ in range(2):
+        with pytest.raises(RuntimeError):
+            c_integral_sl2r(0, 1.0)
+    monkeypatch.undo()
+    numeric._ensure_iwasawa()
+
+
+@pytest.mark.parametrize("points", [64, 128])
+def test_leggauss_against_mpmath(points):
+    nodes, wts = _leggauss(points)
+    assert len(nodes) == len(wts) == points
+    assert all(a == -b for a, b in zip(nodes, reversed(nodes)))
+    assert abs(sum(wts) - 2.0) < 1e-14
+    with mpmath.workdps(30):
+        for x, w in zip(nodes, wts):
+            # tol is the reference solver's own stopping rule at 30 digits.
+            root = mpmath.findroot(lambda t: mpmath.legendre(points, t), mpmath.mpf(x), tol=1e-25)
+            assert abs(x - root) < 1e-15
+            dp = points * (root * mpmath.legendre(points, root) - mpmath.legendre(points - 1, root)) / (root**2 - 1)
+            assert abs(w - 2 / ((1 - root**2) * dp**2)) < 1e-14
 
 
 def test_integral_ratio_example():

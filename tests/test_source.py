@@ -1,6 +1,7 @@
 """Source-level rules for the package itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pwcert
@@ -16,4 +17,20 @@ def test_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)
     ]
+    assert SOURCES and not found
+
+
+def test_runtime_imports_are_stdlib():
+    # pyproject.toml declares no runtime dependency, so every absolute import is stdlib.
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names]
     assert SOURCES and not found
