@@ -236,6 +236,8 @@ def _cmd_classify(args) -> int:
         series = composition_series_r(_sigma_r(args.sigma), lam)
         _emit(jsonio.composition_series_to_json(series), args.out)
         return 0
+    if abs(lam) > jsonio.MAX_KTYPE:  # its K-types run up to |lambda|
+        raise ValueError(f"classify --group sl2c needs |lambda| <= {jsonio.MAX_KTYPE}, got {args.lam}")
     verdict = reducibility_c(int(args.sigma), lam)
     payload = jsonio.reducibility_to_json(verdict)
     if args.diamond and verdict.reducible:
@@ -258,6 +260,8 @@ def _cmd_box(args) -> int:
 def _cmd_atlas(args) -> int:
     lam_max = rat(args.lambda_max)
     if args.group == "sl2r":
+        if lam_max > jsonio.MAX_ATLAS_R:
+            raise ValueError(f"atlas --group sl2r needs --lambda-max <= {jsonio.MAX_ATLAS_R}")
         if args.format == "json":
             _emit(atlas_mod.atlas_sl2r_json(lam_max), args.out)
         else:
@@ -265,6 +269,8 @@ def _cmd_atlas(args) -> int:
         return 0
     if lam_max.denominator != 1:
         raise _UsageError("sl2c atlas needs an integer --lambda-max")
+    if max(args.sigma_max, lam_max) > jsonio.MAX_ATLAS_C:
+        raise ValueError(f"atlas --group sl2c needs --sigma-max and --lambda-max <= {jsonio.MAX_ATLAS_C}")
     if args.format == "json":
         _emit(atlas_mod.atlas_sl2c_json(args.sigma_max, int(lam_max)), args.out)
     else:

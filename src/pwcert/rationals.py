@@ -15,6 +15,15 @@ Rat = Fraction
 
 RatLike = Fraction | int | str
 
+MAX_DIGITS = 10_000  # pw prints "p/q" with each part within Python's 4,300-digit limit
+
+
+def _size(text: str) -> int:
+    """Length of a rational string with its decimal exponent written out as zeros."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")[:9]  # 9 digits: over the limit
+    return len(mantissa) + (int(exponent) if exponent.isdecimal() else 0)
+
 
 def rat(value: RatLike) -> Fraction:
     """Coerce an int, Fraction or ``"p/q"`` string to an exact rational."""
@@ -23,6 +32,8 @@ def rat(value: RatLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _size(value) > MAX_DIGITS:
+            raise ValueError(f"rational strings must be at most {MAX_DIGITS} characters, exponent as zeros")
         try:
             return Fraction(value.strip())
         except ZeroDivisionError:

@@ -14,7 +14,8 @@ constraints phi_k(x) = phi_{-k}(-x) and phi_k(l) = phi_l(k); it is a free
 module over polynomials in the Casimir parameter mu = x^2 + k^2 with the
 m + 1 generators (k*x)^l, and the decomposition here follows the two-step
 weight-restriction induction that proves freeness, so coordinates are exact
-and unique.
+and unique.  The same pass decides membership: for a symmetric map every
+division of the induction is exact exactly when the swap condition holds.
 
 Membership at distinct K-types is certified by componentwise exact division
 by the ladder chain q_{n,m} (products of the first-order operators
@@ -411,11 +412,14 @@ class SwapWitness:
 
 
 def algebra_check(phi: WeightedDiagMap) -> Accept | Reject:
-    """Test both diagonal-algebra conditions on an endomorphism-valued map.
+    """Decide the diagonal-algebra conditions on an endomorphism-valued map.
 
     (i) phi_k(x) = phi_{-k}(-x) as exact polynomial identities;
     (ii) phi_k(l) = phi_l(k) for all weight pairs.
-    Acceptance carries phi itself as h.
+    Given (i), (ii) holds exactly when each division of the decomposition is
+    exact: at a root l of the level-L pinning polynomial the defect is
+    phi_L(l) - phi_l(L).  Acceptance carries phi as h with its coordinates;
+    only a remainder scans the weight pairs, for the first failing one.
     """
     if phi.src != phi.dst:
         raise SrcDstMismatch("algebra membership is defined for src = dst")
@@ -425,13 +429,16 @@ def algebra_check(phi: WeightedDiagMap) -> Accept | Reject:
             continue
         if phi[k] != phi[-k].reflect():
             return Reject(SymmetryWitness(weight=k))
+    h = _decompose_components(phi.components, phi.src)
+    if h is not None:
+        return Accept(h=phi, coords=GeneratorCoords(m=phi.src, h=tuple(h)))
     for i, k in enumerate(wts):
         for l in wts[i + 1 :]:
             vkl, vlk = phi[k](Fraction(l)), phi[l](Fraction(k))
             if vkl != vlk:
                 return Reject(SwapWitness(weight_k=k, weight_l=l,
                                           value_kl=vkl, value_lk=vlk))
-    return Accept(h=phi)
+    raise InternalNonDivisibility("a pinning division left a remainder, yet every weight pair swaps")
 
 
 @dataclass(frozen=True)
@@ -467,24 +474,24 @@ def _component(h: Sequence[Poly], k: int) -> Poly:
 
 
 def free_module_decompose(phi: WeightedDiagMap) -> GeneratorCoords:
-    """Unique generator coordinates of an algebra element.
+    """Unique generator coordinates of an algebra element (NotInAlgebra otherwise).
 
     Two-step induction on m: the base cases invert an even substitution
     (m = 0) or an even/odd split (m = 1); each step up to level L adds the
     defect at weight L between phi and the coordinates so far, divided
-    exactly by the pinning polynomial p_L(x, L) (divisibility is guaranteed
-    for algebra elements; failure means a library bug) and redistributed
-    through the (k x)-expansion of p_L.
+    exactly by the pinning polynomial p_L(x, L) and redistributed through
+    the (k x)-expansion of p_L.  algebra_check runs this induction as its
+    decision, and its acceptance carries the coordinates.
     """
     result = algebra_check(phi)
     if not result.accepted:
         raise NotInAlgebra(f"input fails the diagonal-algebra conditions: {result.witness}")
-    h = _decompose_components(phi.components, phi.src)
-    return GeneratorCoords(m=phi.src, h=tuple(h))
+    return result.coords
 
 
-def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly]:
-    """Coordinates of an algebra element, built upward from the base level m % 2.
+def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly] | None:
+    """Coordinates of a symmetric map, built upward from the base level m % 2,
+    or None at the first defect the pinning polynomial does not divide.
 
     Level L adds the defect at weight L divided by the pinning polynomial
     p_L(x, k) = prod (k - l)(x - l) over the weights |l| <= L - 2 of parity L.
@@ -515,9 +522,7 @@ def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly]:
             expansion = [c * pairing + s for c, s in zip(expansion + zeros, zeros + expansion)]
         cofactor, remainder = poly_div_rem(defect, pinning)
         if not remainder.is_zero:
-            raise InternalNonDivisibility(
-                f"defect at weight {level} not divisible by the pinning polynomial (m = {level})"
-            )
+            return None
         even, odd = parity_split(cofactor / pinning(level))
         h0p = even_part_in(even, level * level)
         h1p = even_part_in(Poly(odd.coeffs[1:]), level * level) / level
@@ -545,8 +550,8 @@ def level3_check_c(phi: WeightedDiagMap) -> Accept | Reject:
     """Certify phi = (quotient in the diagonal algebra) * q_{src,dst}.
 
     Each component is divided exactly by the monic chain shared by all weights,
-    then by its weight scalar; the algebra test runs once on the quotient, and
-    acceptance also returns the quotient's generator coordinates.
+    then by its weight scalar; algebra_check then decides the quotient, and its
+    acceptance carries the quotient's generator coordinates.
     """
     if phi.is_zero_hom:
         raise ParityMismatch(
@@ -563,11 +568,7 @@ def level3_check_c(phi: WeightedDiagMap) -> Accept | Reject:
             root, value = first_root_not_vanishing([remainder], roots)
             return Reject(WeightRootWitness(weight=k, root=root, value=value))
         comps[k] = quotient / _weight_scalar(n, m, k)
-    h = WeightedDiagMap(level, level, comps)
-    verdict = algebra_check(h)
-    if not verdict.accepted:
-        return verdict
-    return Accept(h=h, coords=GeneratorCoords(m=level, h=tuple(_decompose_components(comps, level))))
+    return algebra_check(WeightedDiagMap(level, level, comps))
 
 
 # -- interpolation extension -------------------------------------------------------------
@@ -587,9 +588,7 @@ def extend_interpolate(h: WeightedDiagMap, target: int) -> WeightedDiagMap:
     check_parity(h.src, target)
     if target < h.src:
         raise ValueError("target K-type must be >= the source level")
-    verdict = algebra_check(h)
-    if not verdict.accepted:
-        raise NotInAlgebra(f"input fails the diagonal-algebra conditions: {verdict.witness}")
+    free_module_decompose(h)  # NotInAlgebra unless h is in the algebra
     if target == h.src:
         return h
     comps = dict(h.components)

@@ -53,6 +53,39 @@ def _algebra_element(rng: random.Random, m: int):
     return diag_map(m, m, comps)
 
 
+def _swap_break(rng: random.Random, m: int, j: int, l0: int):
+    """A symmetric map at level m whose first failing weight pair is (-j, l0), -j < l0 < j.
+
+    A member is bumped by b(x) at weight j and b(-x) at weight -j, where b
+    vanishes at the weights beyond +-j and at those strictly between -l0 and j:
+    every pair before (-j, l0) keeps its values, and b(-l0) != 0 breaks that one.
+    """
+    roots = [w for w in weights(m) if abs(w) > j or -l0 < w < j]
+    b = Poly.from_roots(roots) * rng.choice([-2, -1, 1, 2])
+    comps = dict(_algebra_element(rng, m).components)
+    comps[j] = comps[j] + b
+    comps[-j] = comps[-j] + b.reflect()
+    return diag_map(m, m, comps)
+
+
+def _first_failing_pairs() -> list[list[str]]:
+    """check3 (sl2c) and decompose calls whose first failing pair has its second
+    weight negative, zero or positive, at every level m = 2..9 that has one."""
+    rng = random.Random(7)
+    out: list[list[str]] = []
+    for m in range(2, 10):
+        for sign in (-1, 0, 1):
+            pairs = [(j, l) for j in weights(m) if j > 0
+                     for l in weights(m) if -j < l < j and (l > 0) - (l < 0) == sign]
+            if not pairs:
+                continue
+            phi = _swap_break(rng, m, *rng.choice(pairs))
+            out.append(["decompose", "--phi", json.dumps(jsonio.diag_map_to_json(phi))])
+            phi = phi.then(q_nm_c(m, m + 2)) if rng.random() < 0.5 else q_nm_c(m + 2, m).then(phi)
+            out.append(["check3", "--group", "sl2c", "--phi", json.dumps(jsonio.diag_map_to_json(phi))])
+    return out
+
+
 def calls() -> list[list[str]]:
     rng = random.Random(20240801)
     out: list[list[str]] = []
@@ -200,7 +233,7 @@ def calls() -> list[list[str]]:
         ["synthesize", "--coords", '{"m":1,"h":5}'],
         ["extend", "--h", '{"n":2,"m":2,"components":{"2":{"coeffs":["1"]}}}', "--target", "1"],
     ]
-    return out
+    return out + _first_failing_pairs()
 
 
 def run(args: list[str]) -> dict:

@@ -186,6 +186,17 @@ def test_usage_error_exit_1(capsys):
     ("classify", "--group", "sl2r", "--sigma", "x", "--lambda", "1"),
     ("extend", "--h", '{"n":1,"m":1,"components":{"-1":{"coeffs":["1"]},"1":{"coeffs":["1"]}}}',
      "--target", "201"),
+    ("classify", "--group", "sl2r", "--sigma", "+", "--lambda", "1e100000000"),
+    ("classify", "--group", "sl2r", "--sigma", "+", "--lambda", "1e1_00000000"),
+    ("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":["1e100000000"]}'),
+    ("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":["1e1000000"]}'),
+    ("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":["1/%s"]}' % ("9" * 9999)),
+    ("atlas", "--group", "sl2c", "--sigma-max", "300", "--lambda-max", "300"),
+    ("atlas", "--group", "sl2c", "--sigma-max", "1", "--lambda-max", "101"),
+    ("atlas", "--group", "sl2r", "--lambda-max", "100000"),
+    ("atlas", "--group", "sl2r", "--lambda-max", "2001/2"),
+    ("classify", "--group", "sl2c", "--sigma", "0", "--lambda", "1e7"),
+    ("classify", "--group", "sl2c", "--sigma", "0", "--lambda", "-1001"),
 ])
 def test_malformed_input_is_one_error_line(capsys, args):
     assert main(list(args)) == 1

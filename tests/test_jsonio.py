@@ -22,6 +22,16 @@ def test_mpoly_exponent_bound():
         jsonio.mpoly_from_json(term(bound + 1))
 
 
+def test_rational_size_bound():
+    # The widest rational pw can print: both parts at Python's 4,300-digit str limit.
+    widest = Fraction(-int("9" * 4300), int("7" * 4300))
+    assert jsonio.poly_from_json(jsonio.poly_to_json(Poly([widest]))) == Poly([widest])
+    assert jsonio.poly_from_json({"coeffs": ["1e9990"]}) == Poly([10**9990])
+    for text in ("1e10000", "1e+00000000000000000123456", "1E-1_0000", "1" * 10001):
+        with pytest.raises(ValueError, match="at most"):
+            jsonio.poly_from_json({"coeffs": [text]})
+
+
 def test_poly_round_trip():
     p = Poly([Fraction(1, 2), -3, 0, 7])
     data = jsonio.poly_to_json(p)

@@ -1,6 +1,7 @@
 """SL(2,C): weights, classification, ladder chains, algebra, checkers."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwcert.errors import (
+    InternalNonDivisibility,
     NotInAlgebra,
     NotReduciblePoint,
     ParityMismatch,
@@ -261,6 +263,59 @@ def test_algebra_reject_swap():
 def test_algebra_src_dst_error():
     with pytest.raises(SrcDstMismatch):
         algebra_check(q_plus(2))
+
+
+def reference_algebra_check(phi):
+    """The definition: phi_k(x) = phi_{-k}(-x) at each weight k >= 0, then
+    phi_k(l) = phi_l(k) for every weight pair k < l, in order."""
+    wts = weights(phi.src)
+    for k in wts:
+        if k >= 0 and phi[k] != phi[-k].reflect():
+            return Reject(SymmetryWitness(weight=k))
+    for i, k in enumerate(wts):
+        for l in wts[i + 1:]:
+            vkl, vlk = phi[k](Fraction(l)), phi[l](Fraction(k))
+            if vkl != vlk:
+                return Reject(SwapWitness(weight_k=k, weight_l=l, value_kl=vkl, value_lk=vlk))
+    return Accept(h=phi)
+
+
+def test_algebra_check_matches_the_definition():
+    # Members, symmetry breaks, and symmetric bumps (vanishing at random weights)
+    # that break the swap condition somewhere.
+    rng = random.Random(7)
+    verdicts = Counter()
+    for _ in range(300):
+        m = rng.randint(0, 9)
+        comps = synthesize(rand_coords(rng, m, 2)).components
+        kind = rng.choice(["member", "symmetry", "bump"])
+        if kind == "symmetry":
+            k = rng.choice(weights(m))
+            comps[k] = comps[k] + rand_poly(rng, 3)
+        elif kind == "bump":
+            j = rng.choice([k for k in weights(m) if k >= 0])
+            bump = Poly.from_roots(rng.sample(weights(m), rng.randint(0, m))) * rng.choice([-2, 1, 3])
+            if j == 0:
+                comps[0] = comps[0] + bump * bump.reflect()
+            else:
+                comps[j], comps[-j] = comps[j] + bump, comps[-j] + bump.reflect()
+        phi = WeightedDiagMap(m, m, comps)
+        verdict, expected = algebra_check(phi), reference_algebra_check(phi)
+        assert verdict.accepted == expected.accepted
+        if verdict.accepted:
+            assert verdict.h == phi and synthesize(verdict.coords) == phi
+        else:
+            assert verdict.witness == expected.witness
+        verdicts[type(verdict.witness).__name__ if not verdict.accepted else "accept"] += 1
+    assert min(verdicts[v] for v in ("accept", "SymmetryWitness", "SwapWitness")) >= 50, verdicts
+
+
+def test_algebra_check_raises_when_a_remainder_has_no_failing_pair(monkeypatch):
+    import pwcert.sl2c
+
+    monkeypatch.setattr(pwcert.sl2c, "_decompose_components", lambda comps, m: None)
+    with pytest.raises(InternalNonDivisibility):
+        algebra_check(synthesize(rand_coords(random.Random(5), 4)))
 
 
 # -- free module decomposition ------------------------------------------------------------
