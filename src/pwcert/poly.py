@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import DivisionByZeroPoly, InternalNonDivisibility
 from .rationals import RatLike, rat, rat_str
@@ -48,11 +49,17 @@ class Poly:
 
     @staticmethod
     def from_roots(roots: Iterable[RatLike]) -> Poly:
-        """Monic product of (x - r) over the given roots."""
-        p = Poly.one()
-        for r in roots:
-            p = p * Poly((-rat(r), 1))
-        return p
+        """Monic product of (x - r) over the given roots.
+
+        The integer factors b*x - a, one per root a/b, multiply up a balanced
+        product tree (a subproduct tree, von zur Gathen & Gerhard, Modern
+        Computer Algebra, 10.1); the product of the b divides out once.
+        """
+        level = [[-r.numerator, r.denominator] for r in map(rat, roots)] or [[1]]
+        while len(level) > 1:
+            level = [_int_mul(a, b) for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
+        lead = level[0][-1]
+        return Poly(Fraction(c, lead) for c in level[0])
 
     @staticmethod
     def zero() -> Poly:
@@ -222,28 +229,55 @@ def _coerce(value: Poly | RatLike) -> Poly:
     return value if isinstance(value, Poly) else Poly.const(rat(value))
 
 
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Schoolbook product of two ascending integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _integer_vector(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators over one common denominator d: coeffs = nums / d."""
+    d = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (d // c.denominator) for c in coeffs], d
+
+
 # -- free functions: the operation surface -------------------------------------
 
 
 def poly_div_rem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division: f = q*g + r with deg r < deg g, all exact."""
+    """Euclidean division: f = q*g + r with deg r < deg g, all exact.
+
+    The long division runs in ints: f = F/a and g = G/b over integer vectors
+    F and G, and the remainder is carried as R/s.  When G's leading
+    coefficient L does not divide R's top coefficient t, R and s are scaled
+    by |L| / gcd(t, L) first.  Each quotient coefficient keeps the s of its
+    step, and the Fractions are built once, at the end.
+    """
     if g.is_zero:
         raise DivisionByZeroPoly("polynomial division by zero")
     if f.degree < g.degree:
         return Poly.zero(), f
-    rem = list(f.coeffs)
-    quo = [Fraction(0)] * (f.degree - g.degree + 1)
-    glead = g.leading
-    gcs = g.coeffs
-    for shift in range(len(quo) - 1, -1, -1):
-        c = rem[shift + g.degree]
-        if c == 0:
-            continue
-        q = c / glead
-        quo[shift] = q
-        for j, gc in enumerate(gcs):
-            rem[shift + j] -= q * gc
-    return Poly(quo), Poly(rem[: max(g.degree, 0)])
+    rem, fden = _integer_vector(f.coeffs)
+    gcs, gden = _integer_vector(g.coeffs)
+    glead = gcs.pop()
+    steps, scale = [], 1
+    for shift in range(f.degree - g.degree, -1, -1):
+        top = rem.pop()
+        if top % glead:
+            k = abs(glead) // gcd(top, glead)
+            scale *= k
+            top *= k
+            rem = [k * c for c in rem]
+        q = top // glead
+        steps.append((q, scale))
+        if q:
+            rem[shift:] = [c - q * gc for c, gc in zip(rem[shift:], gcs)]
+    quotient = Poly(Fraction(q * gden, s * fden) for q, s in reversed(steps))
+    return quotient, Poly(Fraction(c, scale * fden) for c in rem)
 
 
 def first_root_not_vanishing(remainders: Collection[Poly], roots: Sequence[Fraction]) -> tuple[Fraction, Fraction]:

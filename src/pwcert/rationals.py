@@ -9,13 +9,14 @@ denominator is 1.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 Rat = Fraction
 
 RatLike = Fraction | int | str
 
-MAX_DIGITS = 10_000  # pw prints "p/q" with each part within Python's 4,300-digit limit
+MAX_DIGITS = 10_000  # read limit; rat_str rejects a part over Python's 4,300-digit str limit
 
 
 def _size(text: str) -> int:
@@ -42,10 +43,17 @@ def rat(value: RatLike) -> Fraction:
 
 
 def rat_str(value: Fraction) -> str:
-    """Format a rational as ``"p/q"``, or ``"p"`` for integers."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Format a rational as ``"p/q"``, or ``"p"`` for integers.
+
+    A part longer than Python's int-to-str digit limit is an error of pw's own.
+    """
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"output limit: a rational to print has a part over {limit} digits") from None
 
 
 def is_integer(value: Fraction) -> bool:

@@ -205,6 +205,14 @@ def test_malformed_input_is_one_error_line(capsys, args):
     assert len(err.splitlines()) == 1 and err.startswith("pw: error: ")
 
 
+def test_unprintable_rational_is_our_error_line(capsys):
+    # 1e9000 passes the 10,000-character read bound but has 9,001 digits to print.
+    assert main(["classify", "--group", "sl2r", "--sigma", "+", "--lambda", "1e9000"]) == 1
+    err = capsys.readouterr().err
+    assert err == "pw: error: output limit: a rational to print has a part over 4300 digits\n"
+    assert "set_int_max_str_digits" not in err
+
+
 def test_phi_from_file(tmp_path, capsys):
     path = tmp_path / "phi.json"
     path.write_text('{"coeffs":["1","1","1","1"]}')

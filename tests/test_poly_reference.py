@@ -1,0 +1,189 @@
+"""Differential test of the integer ladder build and long division.
+
+``Poly.from_roots`` multiplies integer linear factors up a product tree and
+``poly_div_rem`` runs its long division over Python ints.  Both must return
+exactly the coefficient tuples of the plain ``Fraction`` loops frozen below,
+which are the kernel they replaced, on seeded random inputs and through the
+SL(2,R) Level-3 checker.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+import pwcert.sl2r
+from pwcert.poly import Poly, poly_div_rem
+from pwcert.sl2r import level3_check_r, q_roots_r
+
+CASES = 3000
+
+
+# -- the frozen Fraction kernel ------------------------------------------------------
+
+
+def _strip(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def reference_mul(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return _strip(out)
+
+
+def reference_from_roots(roots) -> tuple[Fraction, ...]:
+    p = (Fraction(1),)
+    for r in roots:
+        p = reference_mul(p, (-Fraction(r), Fraction(1)))
+    return p
+
+
+def reference_div_rem(f: tuple[Fraction, ...], g: tuple[Fraction, ...]):
+    fdeg, gdeg = len(f) - 1, len(g) - 1
+    if fdeg < gdeg:
+        return (), f
+    rem = list(f)
+    quo = [Fraction(0)] * (fdeg - gdeg + 1)
+    glead = g[-1]
+    for shift in range(len(quo) - 1, -1, -1):
+        c = rem[shift + gdeg]
+        if c == 0:
+            continue
+        q = c / glead
+        quo[shift] = q
+        for j, gc in enumerate(g):
+            rem[shift + j] -= q * gc
+    return _strip(quo), _strip(rem[: max(gdeg, 0)])
+
+
+# -- seeded inputs -----------------------------------------------------------------
+
+
+def _coeff(rng: random.Random, kind: str) -> Fraction:
+    if kind == "integer":
+        return Fraction(rng.choice((rng.randint(-9, 9), rng.randint(-(10**30), 10**30))))
+    if kind == "dyadic":
+        return Fraction(rng.randint(-99, 99), 2 ** rng.randint(0, 12))
+    return Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**25))
+
+
+def _poly(rng: random.Random, kind: str, degree: int) -> tuple[Fraction, ...]:
+    return _strip([_coeff(rng, kind) for _ in range(degree + 1)])
+
+
+def _nonzero(rng: random.Random, kind: str) -> Fraction:
+    while True:
+        c = _coeff(rng, kind)
+        if c:
+            return c
+
+
+def _divisor(rng: random.Random, kind: str) -> tuple[Fraction, ...]:
+    shape = rng.choice(("monic", "three-sevenths", "random-lead", "constant", "ladder"))
+    if shape == "constant":
+        return (_nonzero(rng, kind),)
+    if shape == "ladder":
+        return reference_from_roots(Fraction(rng.randint(-20, 20), 2) for _ in range(rng.randint(1, 8)))
+    lead = {"monic": Fraction(1), "three-sevenths": Fraction(3, 7)}.get(shape) or _nonzero(rng, kind)
+    return tuple(_coeff(rng, kind) for _ in range(rng.randint(1, 8))) + (lead,)
+
+
+def _dividend(rng: random.Random, kind: str, g: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    shape = rng.choice(("random", "random", "multiple", "short", "zero"))
+    if shape == "zero":
+        return ()
+    if shape == "short":
+        return _poly(rng, kind, rng.randint(0, max(len(g) - 2, 0)))
+    if shape == "multiple":
+        return reference_mul(_poly(rng, kind, rng.randint(0, 10)), g)
+    return _poly(rng, kind, rng.randint(0, 20))
+
+
+def _roots(rng: random.Random) -> list[Fraction]:
+    kind = rng.choice(("none", "integer", "half-integer", "rational", "mixed"))
+    count = 0 if kind == "none" else rng.randint(1, 14)
+    if kind == "integer":
+        return [Fraction(rng.randint(-30, 30)) for _ in range(count)]
+    if kind == "half-integer":
+        return [Fraction(rng.randint(-60, 60), 2) for _ in range(count)]
+    if kind == "rational":
+        return [Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**25)) for _ in range(count)]
+    return [Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 7, 12))) for _ in range(count)]
+
+
+def _assert_fraction_tuple(p: Poly, expected: tuple[Fraction, ...]) -> None:
+    assert p.coeffs == expected
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+# -- the differential tests ----------------------------------------------------------
+
+
+def test_div_rem_matches_fraction_kernel():
+    rng = random.Random(8001)
+    for _ in range(CASES):
+        kind = rng.choice(("integer", "dyadic", "rational"))
+        g = _divisor(rng, kind)
+        f = _dividend(rng, kind, g)
+        quotient, remainder = poly_div_rem(Poly(f), Poly(g))
+        ref_quotient, ref_remainder = reference_div_rem(f, g)
+        _assert_fraction_tuple(quotient, ref_quotient)
+        _assert_fraction_tuple(remainder, ref_remainder)
+
+
+def test_from_roots_matches_fraction_kernel():
+    rng = random.Random(8002)
+    for _ in range(CASES):
+        roots = _roots(rng)
+        _assert_fraction_tuple(Poly.from_roots(roots), reference_from_roots(roots))
+
+
+def test_from_roots_accepts_every_rational_form():
+    assert Poly.from_roots([]) == Poly.one()
+    assert Poly.from_roots([1, "1/2", Fraction(-2, 3)]).coeffs == reference_from_roots(
+        [1, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def _reference_level3_check_r(monkeypatch: pytest.MonkeyPatch, phi: Poly, n: int, m: int):
+    with monkeypatch.context() as patch:
+        patch.setattr(Poly, "from_roots", staticmethod(lambda roots: Poly(reference_from_roots(roots))))
+        patch.setattr(pwcert.sl2r, "poly_div_rem",
+                      lambda f, g: tuple(map(Poly, reference_div_rem(f.coeffs, g.coeffs))))
+        return level3_check_r(phi, n, m)
+
+
+def test_level3_check_r_matches_fraction_kernel(monkeypatch):
+    # sl2r-highdeg's shape at small ladder degrees: members, an odd bump of h,
+    # a constant added to phi, and phi built on a ladder with one root moved.
+    rng = random.Random(8003)
+    verdicts = set()
+    for _ in range(200):
+        n = rng.choice((-1, 1)) * rng.randint(0, 12)
+        m = rng.randint(-12, 12)
+        if (n - m) % 2:
+            m += 1
+        roots = q_roots_r(n, m)
+        degree = len(roots)
+        h = tuple(Fraction(rng.randint(-9, 9)) if i % 2 == 0 else Fraction(0) for i in range(2 * degree + 1))
+        shape = rng.choice(("member", "odd", "constant", "moved-root"))
+        if shape == "odd" and degree:
+            j = 2 * rng.randint(0, degree - 1) + 1
+            h = h[:j] + (h[j] + rng.randint(1, 9),) + h[j + 1 :]
+        if shape == "moved-root" and degree:
+            roots = list(roots)
+            roots[rng.randrange(degree)] += Fraction(1, rng.choice((2, 3)))
+        phi = Poly(reference_mul(h, reference_from_roots(roots)))
+        if shape == "constant":
+            phi = phi + rng.randint(1, 9)
+        result = level3_check_r(phi, n, m)
+        assert result == _reference_level3_check_r(monkeypatch, phi, n, m)
+        verdicts.add(type(result.witness).__name__ if not result.accepted else "Accept")
+    assert verdicts == {"Accept", "RootWitness", "OddQuotientWitness"}

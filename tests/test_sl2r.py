@@ -331,6 +331,20 @@ def test_level2_work_grows_with_roots_not_truncation():
     assert [c.lam for c in report.vanishing] == [Fraction(-3, 2), Fraction(-1, 2)]
 
 
+def test_level3_degree_1200_within_budget():
+    # A degree-400 ladder and phi of degree 1,200: one ladder build and one
+    # exact division each, for an accept and for a constant-bumped reject.
+    rng = random.Random(400)
+    h = Poly([rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(801)])
+    phi = h * q_poly_r(-400, 400)
+    for candidate, accepted in ((phi, True), (phi + 5, False)):
+        start = time.perf_counter()
+        result = level3_check_r(candidate, -400, 400)
+        assert time.perf_counter() - start < 0.6
+        assert result.accepted is accepted
+    assert result.witness == RootWitness(root=Fraction(-399, 2), value=Fraction(5))
+
+
 # -- box pictures -----------------------------------------------------------------------
 
 
