@@ -1,9 +1,13 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored ascending (index = power of the variable) with no
-trailing zeros, so structural equality is semantic equality and a remainder
-is zero exactly when its coefficient list is empty.  The degree of the zero
-polynomial is the sentinel ``-1``.
+A polynomial is stored as integer numerators over one denominator: the
+ascending tuple ``_num`` (index = power of the variable) with no trailing
+zeros, and ``_den > 0`` with gcd(_den, *_num) == 1.  The form is unique, so
+structural equality is semantic equality, and a remainder is zero exactly
+when its numerator tuple is empty.  Every operation runs on Python ints;
+``Fraction``s are built only at the boundary (``coeffs``, indexing, the
+leading coefficient and values).  The degree of the zero polynomial is the
+sentinel ``-1``.
 
 The single formal variable plays the role of the spectral parameter; the
 same type also carries polynomials in the Casimir parameter mu = lambda^2 + k^2
@@ -14,7 +18,9 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate, repeat, zip_longest
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DivisionByZeroPoly, InternalNonDivisibility
 from .rationals import RatLike, rat, rat_str
@@ -23,29 +29,28 @@ from .rationals import RatLike, rat, rat_str
 class Poly:
     """Immutable dense univariate polynomial over the rationals."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, coeffs: Iterable[RatLike] = ()) -> None:
-        cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self._coeffs = tuple(cs)
+        cs = [c if type(c) is int else rat(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        self._num, self._den = _normal([c.numerator * (den // c.denominator) for c in cs], den)
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def const(c: RatLike) -> Poly:
-        return Poly((rat(c),))
+        return Poly((c,))
 
     @staticmethod
     def variable() -> Poly:
-        return Poly((0, 1))
+        return _make([0, 1])
 
     @staticmethod
     def monomial(degree: int, c: RatLike = 1) -> Poly:
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
-        return Poly((0,) * degree + (rat(c),))
+        return Poly((0,) * degree + (c,))
 
     @staticmethod
     def from_roots(roots: Iterable[RatLike]) -> Poly:
@@ -53,104 +58,94 @@ class Poly:
 
         The integer factors b*x - a, one per root a/b, multiply up a balanced
         product tree (a subproduct tree, von zur Gathen & Gerhard, Modern
-        Computer Algebra, 10.1); the product of the b divides out once.
+        Computer Algebra, 10.1); the product of the b is the denominator.
         """
-        level = [[-r.numerator, r.denominator] for r in map(rat, roots)] or [[1]]
+        level = [[-a, b] for a, b in map(_ratio, roots)] or [[1]]
         while len(level) > 1:
             level = [_int_mul(a, b) for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
-        lead = level[0][-1]
-        return Poly(Fraction(c, lead) for c in level[0])
+        return _make(level[0], level[0][-1])
 
     @staticmethod
     def zero() -> Poly:
-        return Poly(())
+        return _make([])
 
     @staticmethod
     def one() -> Poly:
-        return Poly((1,))
+        return _make([1])
 
     # -- structure ------------------------------------------------------------
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return self._coeffs
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     @property
     def degree(self) -> int:
         """Degree, with -1 as the zero-polynomial sentinel."""
-        return len(self._coeffs) - 1
+        return len(self._num) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._num)
 
     def __getitem__(self, power: int) -> Fraction:
-        if 0 <= power < len(self._coeffs):
-            return self._coeffs[power]
+        if 0 <= power < len(self._num):
+            return Fraction(self._num[power], self._den)
         return Fraction(0)
 
     @property
     def leading(self) -> Fraction:
-        if not self._coeffs:
+        if not self._num:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
+        return Fraction(self._num[-1], self._den)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Poly):
-            return self._coeffs == other._coeffs
+            return self._num == other._num and self._den == other._den
         if isinstance(other, (int, Fraction)):
             return self == Poly.const(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._coeffs)
+        return hash((self._num, self._den))
 
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other: Poly | RatLike) -> Poly:
-        other = _coerce(other)
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return _add(self, _coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Poly:
-        return Poly(tuple(-c for c in self._coeffs))
+        return _make([-c for c in self._num], self._den)
 
     def __sub__(self, other: Poly | RatLike) -> Poly:
-        return self + (-_coerce(other))
+        return _add(self, _coerce(other), -1)
 
     def __rsub__(self, other: Poly | RatLike) -> Poly:
-        return _coerce(other) + (-self)
+        return _add(_coerce(other), self, -1)
 
     def __mul__(self, other: Poly | RatLike) -> Poly:
+        if isinstance(other, Poly):
+            if not self._num or not other._num:
+                return Poly.zero()
+            return _make(_int_mul(self._num, other._num), self._den * other._den)
         if isinstance(other, (int, Fraction, str)):
-            c = rat(other)
-            return Poly(tuple(c * a for a in self._coeffs))
-        if self.is_zero or other.is_zero:
-            return Poly.zero()
-        out = [Fraction(0)] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a:
-                for j, b in enumerate(other._coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
+            a, b = _ratio(other)
+            return _make([a * c for c in self._num], self._den * b)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: RatLike) -> Poly:
-        c = rat(scalar)
-        if c == 0:
+        a, b = _ratio(scalar)
+        if a == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        return Poly(tuple(a / c for a in self._coeffs))
+        return _make([b * c for c in self._num], self._den * a)
 
     def __pow__(self, n: int) -> Poly:
         if n < 0:
@@ -167,36 +162,64 @@ class Poly:
     # -- evaluation and substitution -------------------------------------------
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; exact for Fraction/int, numeric otherwise."""
-        if isinstance(x, (int, Fraction)):
-            acc = Fraction(0)
-        else:
+        """Evaluate by Horner's rule; exact for Fraction/int, numeric otherwise.
+
+        At x = a/b the integer Horner sum is b^d times the numerator
+        polynomial's value, so one Fraction is built, at the end.
+        """
+        if not isinstance(x, (int, Fraction)):
             acc = 0 * x
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        a, b = x.numerator, x.denominator
+        acc, power = 0, 1
+        for c in reversed(self._num):
+            acc = acc * a + c * power
+            power *= b
+        return Fraction(acc * b, self._den * power)
 
     def reflect(self) -> Poly:
         """The polynomial x -> p(-x) (negate odd coefficients)."""
-        return Poly(tuple(-c if i % 2 else c for i, c in enumerate(self._coeffs)))
+        num = list(self._num)
+        num[1::2] = [-c for c in num[1::2]]
+        return _make(num, self._den)
 
     def shift_constant(self, c: RatLike) -> Poly:
-        """The polynomial x -> p(x + c), expanded exactly."""
-        return compose(self, Poly((rat(c), 1)))
+        """The polynomial x -> p(x + c), expanded exactly.
+
+        For c = a/b the numerator N becomes P(y) = b^d N(y/b), P is shifted
+        in place to P(y + a) over the ints (von zur Gathen & Gerhard, ISSAC
+        1997), and y = b x gives N(x + c) = P(b x + a) / b^d.
+        """
+        a, b = _ratio(c)
+        num, d = list(self._num), len(self._num) - 1
+        if a == 0 or d < 1:
+            return self
+        powers = _powers(b, d)
+        if b != 1:
+            num = [n * p for n, p in zip(num, reversed(powers))]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                num[j] += a * num[j + 1]
+        if b != 1:
+            num = [n * p for n, p in zip(num, powers)]
+        return _make(num, self._den * powers[-1])
 
     def monic(self) -> Poly:
         if self.is_zero:
             raise ValueError("cannot normalize the zero polynomial")
-        return self / self.leading
+        return _make(list(self._num), self._num[-1])
 
     def scale_variable(self, s: RatLike) -> Poly:
         """The polynomial x -> p(s*x)."""
-        s = rat(s)
-        out, power = [], Fraction(1)
-        for c in self._coeffs:
-            out.append(c * power)
-            power *= s
-        return Poly(out)
+        a, b = _ratio(s)
+        d = len(self._num) - 1
+        num = [c * p for c, p in zip(self._num, _powers(a, d))]
+        powers = _powers(b, d)
+        if b != 1:
+            num = [c * p for c, p in zip(num, reversed(powers))]
+        return _make(num, self._den * powers[-1])
 
     # -- display ----------------------------------------------------------------
 
@@ -204,8 +227,9 @@ class Poly:
         if self.is_zero:
             return "0"
         out = ""
+        coeffs = self.coeffs
         for i in range(self.degree, -1, -1):
-            c = self._coeffs[i]
+            c = coeffs[i]
             if c == 0:
                 continue
             sign = "-" if c < 0 else "+"
@@ -225,24 +249,72 @@ class Poly:
         return f"Poly({self.format()})"
 
 
+def _normal(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """The canonical form of num / den: no trailing zeros, den > 0, gcd(den, *num) == 1."""
+    while num and not num[-1]:
+        num.pop()
+    if not num:
+        return (), 1
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return tuple(num), den
+
+
+def _make(num: list[int], den: int = 1) -> Poly:
+    """The Poly num / den, from integer numerators and a nonzero int denominator."""
+    p = object.__new__(Poly)
+    p._num, p._den = _normal(num, den)
+    return p
+
+
+def _ratio(c: RatLike) -> tuple[int, int]:
+    """Numerator and (positive) denominator of an exact rational."""
+    if type(c) is not int:
+        c = rat(c)
+    return c.numerator, c.denominator
+
+
 def _coerce(value: Poly | RatLike) -> Poly:
-    return value if isinstance(value, Poly) else Poly.const(rat(value))
+    return value if isinstance(value, Poly) else Poly((value,))
 
 
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    """Schoolbook product of two ascending integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+def _add(p: Poly, q: Poly, sign: int) -> Poly:
+    """p + sign * q over the lcm of the two denominators."""
+    den = lcm(p._den, q._den)
+    a, fa = p._num, den // p._den
+    b, fb = q._num, sign * (den // q._den)
+    if fa != 1:
+        a = [fa * c for c in a]
+    if fb != 1:
+        b = [fb * c for c in b]
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)]
+    out += a[len(b) :]
+    return _make(out, den)
+
+
+def _powers(base: int, d: int) -> list[int]:
+    """[1, base, base^2, ..., base^d] ([1] for d < 1)."""
+    return list(accumulate(repeat(base, max(d, 0)), mul, initial=1))
+
+
+def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Schoolbook product of two ascending integer coefficient lists, one row
+    per nonzero entry of the shorter."""
+    if len(a) < len(b):
+        a, b = b, a
+    n = len(a)
+    out = [0] * (n + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j : j + n] = [o + y * x for o, x in zip(out[j : j + n], a)]
     return out
-
-
-def _integer_vector(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Integer numerators over one common denominator d: coeffs = nums / d."""
-    d = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (d // c.denominator) for c in coeffs], d
 
 
 # -- free functions: the operation surface -------------------------------------
@@ -251,18 +323,17 @@ def _integer_vector(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
 def poly_div_rem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     """Euclidean division: f = q*g + r with deg r < deg g, all exact.
 
-    The long division runs in ints: f = F/a and g = G/b over integer vectors
-    F and G, and the remainder is carried as R/s.  When G's leading
-    coefficient L does not divide R's top coefficient t, R and s are scaled
-    by |L| / gcd(t, L) first.  Each quotient coefficient keeps the s of its
-    step, and the Fractions are built once, at the end.
+    The long division runs on the numerators: f = F/a and g = G/b, and the
+    remainder is carried as R/s.  When G's leading coefficient L does not
+    divide R's top coefficient t, R and s are scaled by |L| / gcd(t, L)
+    first.  Each quotient coefficient keeps the s of its step, which divides
+    the final s.
     """
     if g.is_zero:
         raise DivisionByZeroPoly("polynomial division by zero")
     if f.degree < g.degree:
         return Poly.zero(), f
-    rem, fden = _integer_vector(f.coeffs)
-    gcs, gden = _integer_vector(g.coeffs)
+    rem, gcs = list(f._num), list(g._num)
     glead = gcs.pop()
     steps, scale = [], 1
     for shift in range(f.degree - g.degree, -1, -1):
@@ -276,8 +347,8 @@ def poly_div_rem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         steps.append((q, scale))
         if q:
             rem[shift:] = [c - q * gc for c, gc in zip(rem[shift:], gcs)]
-    quotient = Poly(Fraction(q * gden, s * fden) for q, s in reversed(steps))
-    return quotient, Poly(Fraction(c, scale * fden) for c in rem)
+    quotient = [q * g._den * (scale // s) for q, s in reversed(steps)]
+    return _make(quotient, scale * f._den), _make(rem, scale * f._den)
 
 
 def first_root_not_vanishing(remainders: Collection[Poly], roots: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
@@ -298,17 +369,23 @@ def first_root_not_vanishing(remainders: Collection[Poly], roots: Sequence[Fract
 
 def parity_split(f: Poly) -> tuple[Poly, Poly]:
     """Split f into even and odd parts: f = e + o, e(-x)=e(x), o(-x)=-o(x)."""
-    even = [c if i % 2 == 0 else Fraction(0) for i, c in enumerate(f.coeffs)]
-    odd = [c if i % 2 == 1 else Fraction(0) for i, c in enumerate(f.coeffs)]
-    return Poly(even), Poly(odd)
+    even = [0 if i % 2 else c for i, c in enumerate(f._num)]
+    odd = [c if i % 2 else 0 for i, c in enumerate(f._num)]
+    return _make(even, f._den), _make(odd, f._den)
 
 
-def compose(h: Poly, p: Poly) -> Poly:
-    """Exact polynomial composition (h o p), by Horner over polynomials."""
-    acc = Poly.zero()
-    for c in reversed(h.coeffs):
-        acc = acc * p + Poly.const(c)
-    return acc
+def square_parts(f: Poly, shift: RatLike = 0) -> tuple[Poly, Poly]:
+    """The polynomials e and o with f(x) = e(x^2 + shift) + x o(x^2 + shift)."""
+    back = -(shift if type(shift) is int else rat(shift))
+    return (_make(list(f._num[0::2]), f._den).shift_constant(back),
+            _make(list(f._num[1::2]), f._den).shift_constant(back))
+
+
+def transpose(rows: Sequence[Poly]) -> list[Poly]:
+    """The polynomials t_0, ..., t_d with [x^l] t_j = [x^j] rows[l], d the top degree."""
+    den = lcm(*(p._den for p in rows))
+    nums = [[c * (den // p._den) for c in p._num] for p in rows]
+    return [_make(list(column), den) for column in zip_longest(*nums, fillvalue=0)]
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -320,18 +397,6 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if a.is_zero:
         return Poly.zero()
     return a.monic()
-
-
-def even_part_in(f: Poly, shift: RatLike) -> Poly:
-    """Invert an even polynomial through t = x^2 + shift.
-
-    Given f with only even powers, returns h with h(x^2 + shift) = f(x).
-    """
-    shift = rat(shift)
-    if any(c for i, c in enumerate(f.coeffs) if i % 2):
-        raise ValueError("polynomial has odd-degree terms")
-    in_square = Poly(f.coeffs[0::2])
-    return in_square.shift_constant(-shift)
 
 
 def lagrange_interpolate(points: Sequence[tuple[RatLike, RatLike]]) -> Poly:

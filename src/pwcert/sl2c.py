@@ -41,11 +41,11 @@ from .errors import (
 from .gammaprod import GammaProduct
 from .poly import (
     Poly,
-    even_part_in,
     first_root_not_vanishing,
     lagrange_interpolate,
-    parity_split,
     poly_div_rem,
+    square_parts,
+    transpose,
 )
 from .ratfunc import RationalFunction
 from .rationals import RatLike, is_integer, rat
@@ -434,7 +434,7 @@ def algebra_check(phi: WeightedDiagMap) -> Accept | Reject:
         return Accept(h=phi, coords=GeneratorCoords(m=phi.src, h=tuple(h)))
     for i, k in enumerate(wts):
         for l in wts[i + 1 :]:
-            vkl, vlk = phi[k](Fraction(l)), phi[l](Fraction(k))
+            vkl, vlk = phi[k](l), phi[l](k)
             if vkl != vlk:
                 return Reject(SwapWitness(weight_k=k, weight_l=l,
                                           value_kl=vkl, value_lk=vlk))
@@ -462,14 +462,13 @@ def synthesize(coords: GeneratorCoords) -> WeightedDiagMap:
 def _component(h: Sequence[Poly], k: int) -> Poly:
     """The weight-k component sum_l h_l(x^2 + k^2) (k x)^l of the coordinates h.
 
-    Regrouped as sum_j mu^j g_j with g_j = sum_l [mu^j]h_l (k x)^l, read off the
-    coefficients of h, and summed by Horner's rule in mu = x^2 + k^2.
+    Regrouped as sum_j mu^j g_j(k x), where g_j carries the mu^j coefficients of
+    h (the transpose), and summed by Horner's rule in mu = x^2 + k^2.
     """
     mu = Poly((k * k, 0, 1))
-    powers = [k**l if hl else 0 for l, hl in enumerate(h)]
     total = Poly.zero()
-    for j in range(max(hl.degree for hl in h), -1, -1):
-        total = total * mu + Poly([hl[j] * p for hl, p in zip(h, powers)])
+    for g in reversed(transpose(h)):
+        total = total * mu + g.scale_variable(k)
     return total
 
 
@@ -500,11 +499,10 @@ def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly] | None:
     loop carries prod (x - l) = p_L(x, L) / c_L as ``pinning`` and the list of
     t-coefficients as ``expansion``, one pairing factor at a time.
     """
-    if m % 2 == 0:
-        h = [even_part_in(comps[0], 0)]
-    else:
-        even, odd = parity_split(comps[1])
-        h = [even_part_in(even, 1), even_part_in(Poly(odd.coeffs[1:]), 1)]
+    # Base level: phi_0(x) = h_0(x^2) (even m, phi_0 even), or
+    # phi_1(x) = h_0(x^2 + 1) + x h_1(x^2 + 1) (odd m).
+    h0, h1 = square_parts(comps[m % 2], m % 2)
+    h = [h0, h1] if m % 2 else [h0]
     # The weight l = 0 (even m) is unpaired: its factor is (k - 0)(x - 0) = t.
     top = -(m % 2)
     pinning = Poly.monomial(1 - m % 2)
@@ -523,9 +521,8 @@ def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly] | None:
         cofactor, remainder = poly_div_rem(defect, pinning)
         if not remainder.is_zero:
             return None
-        even, odd = parity_split(cofactor / pinning(level))
-        h0p = even_part_in(even, level * level)
-        h1p = even_part_in(Poly(odd.coeffs[1:]), level * level) / level
+        h0p, h1p = square_parts(cofactor / pinning(level), level * level)
+        h1p = h1p / level
         for power, coeff_mu in enumerate(expansion):
             if not h0p.is_zero:
                 h[power] = h[power] + h0p * coeff_mu

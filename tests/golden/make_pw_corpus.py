@@ -22,10 +22,13 @@ from pathlib import Path
 from pwcert import jsonio
 from pwcert.cli import main
 from pwcert.multipoly import MultiPoly
-from pwcert.poly import Poly, compose
+from pwcert.poly import Poly
 from pwcert.sl2c import diag_map, identity_map, q_nm_c, weights
 from pwcert.sl2r import q_poly_r
 from pwcert.sl2r_product import q_product
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from poly_helpers import compose  # noqa: E402  (tests/poly_helpers.py)
 
 OUT = Path(__file__).with_name("pw_corpus.jsonl")
 

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from pwcert.errors import DivisionByZeroPoly
 from pwcert.poly import (
     Poly,
-    compose,
-    even_part_in,
     lagrange_interpolate,
     parity_split,
     poly_div_rem,
     poly_gcd,
+    square_parts,
+    transpose,
 )
+from poly_helpers import compose
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=13)
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -90,8 +91,25 @@ def test_compose_evaluates(hc, pc, x):
 def test_even_part_inversion():
     lam = Poly.variable()
     f = 3 * lam**4 - 2 * lam**2 + 7
-    h = even_part_in(f, Fraction(4))
+    h, odd = square_parts(f, Fraction(4))
+    assert odd.is_zero
     assert compose(h, lam**2 + 4) == f
+
+
+@given(coeffs, rationals)
+@settings(max_examples=150)
+def test_square_parts_reassemble(fc, shift):
+    lam = Poly.variable()
+    f = Poly(fc)
+    even, odd = square_parts(f, shift)
+    assert compose(even, lam**2 + shift) + lam * compose(odd, lam**2 + shift) == f
+
+
+def test_transpose_examples():
+    lam = Poly.variable()
+    rows = [1 + 2 * lam, Poly.zero(), Fraction(1, 3) * lam**2]
+    assert transpose(rows) == [Poly.one(), Poly.const(2), Poly([0, 0, Fraction(1, 3)])]
+    assert transpose([Poly.zero()]) == []
 
 
 def test_gcd_monic():

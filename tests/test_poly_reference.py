@@ -1,10 +1,10 @@
-"""Differential test of the integer ladder build and long division.
+"""Differential test of the integer polynomial kernel.
 
-``Poly.from_roots`` multiplies integer linear factors up a product tree and
-``poly_div_rem`` runs its long division over Python ints.  Both must return
-exactly the coefficient tuples of the plain ``Fraction`` loops frozen below,
-which are the kernel they replaced, on seeded random inputs and through the
-SL(2,R) Level-3 checker.
+``Poly`` stores integer numerators over one denominator, and every operation
+runs on Python ints.  Each must return exactly the coefficient tuples (and the
+equality, hash and repr) of the plain ``Fraction`` loops frozen below, which
+are the kernel they replaced, on seeded random inputs and, for the ladder
+build and the long division, through the SL(2,R) Level-3 checker.
 """
 
 import random
@@ -13,7 +13,8 @@ from fractions import Fraction
 import pytest
 
 import pwcert.sl2r
-from pwcert.poly import Poly, poly_div_rem
+from pwcert.poly import Poly, parity_split, poly_div_rem
+from pwcert.rationals import rat_str
 from pwcert.sl2r import level3_check_r, q_roots_r
 
 CASES = 3000
@@ -62,6 +63,77 @@ def reference_div_rem(f: tuple[Fraction, ...], g: tuple[Fraction, ...]):
         for j, gc in enumerate(g):
             rem[shift + j] -= q * gc
     return _strip(quo), _strip(rem[: max(gdeg, 0)])
+
+
+def reference_add(a: tuple[Fraction, ...], b: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return _strip(out)
+
+
+def reference_scalar_mul(a: tuple[Fraction, ...], c: Fraction) -> tuple[Fraction, ...]:
+    return _strip([c * x for x in a])
+
+
+def reference_scalar_div(a: tuple[Fraction, ...], c: Fraction) -> tuple[Fraction, ...]:
+    return _strip([x / c for x in a])
+
+
+def reference_eval(a: tuple[Fraction, ...], x):
+    acc = Fraction(0) if isinstance(x, (int, Fraction)) else 0 * x
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def reference_reflect(a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+    return tuple(-c if i % 2 else c for i, c in enumerate(a))
+
+
+def reference_parity_split(a: tuple[Fraction, ...]):
+    even = [c if i % 2 == 0 else Fraction(0) for i, c in enumerate(a)]
+    odd = [c if i % 2 == 1 else Fraction(0) for i, c in enumerate(a)]
+    return _strip(even), _strip(odd)
+
+
+def reference_shift(a: tuple[Fraction, ...], c: Fraction) -> tuple[Fraction, ...]:
+    """a(x + c) by Horner over polynomials (the composition a o (x + c))."""
+    acc: tuple[Fraction, ...] = ()
+    for coeff in reversed(a):
+        acc = reference_add(reference_mul(acc, (c, Fraction(1))), (coeff,))
+    return acc
+
+
+def reference_scale_variable(a: tuple[Fraction, ...], s: Fraction) -> tuple[Fraction, ...]:
+    out, power = [], Fraction(1)
+    for c in a:
+        out.append(c * power)
+        power *= s
+    return _strip(out)
+
+
+def reference_format(a: tuple[Fraction, ...]) -> str:
+    if not a:
+        return "0"
+    out = ""
+    for i in range(len(a) - 1, -1, -1):
+        c = a[i]
+        if c == 0:
+            continue
+        mag = abs(c)
+        if i == 0:
+            body = rat_str(mag)
+        else:
+            coeff = "" if mag == 1 else rat_str(mag) + "*"
+            body = f"{coeff}x" if i == 1 else f"{coeff}x^{i}"
+        if not out:
+            out = ("-" if c < 0 else "") + body
+        else:
+            out += f" {'-' if c < 0 else '+'} {body}"
+    return out
 
 
 # -- seeded inputs -----------------------------------------------------------------
@@ -122,6 +194,27 @@ def _roots(rng: random.Random) -> list[Fraction]:
 def _assert_fraction_tuple(p: Poly, expected: tuple[Fraction, ...]) -> None:
     assert p.coeffs == expected
     assert all(type(c) is Fraction for c in p.coeffs)
+
+
+def _assert_same_poly(p: Poly, expected: tuple[Fraction, ...]) -> None:
+    _assert_fraction_tuple(p, expected)
+    reference = Poly(expected)
+    assert p == reference and hash(p) == hash(reference)
+    assert repr(p) == f"Poly({reference_format(expected)})"
+
+
+def _operand(rng: random.Random, kind: str) -> tuple[Fraction, ...]:
+    shape = rng.choice(("zero", "constant", "short", "long"))
+    if shape == "zero":
+        return ()
+    if shape == "constant":
+        return (_nonzero(rng, kind),)
+    return _poly(rng, kind, rng.randint(1, 4) if shape == "short" else rng.randint(5, 14))
+
+
+def _scalar(rng: random.Random, kind: str) -> Fraction:
+    return rng.choice((Fraction(-1), Fraction(rng.randint(-9, -2)), Fraction(rng.randint(2, 9)),
+                       _nonzero(rng, kind), Fraction(-1, rng.randint(2, 10**25))))
 
 
 # -- the differential tests ----------------------------------------------------------
@@ -187,3 +280,57 @@ def test_level3_check_r_matches_fraction_kernel(monkeypatch):
         assert result == _reference_level3_check_r(monkeypatch, phi, n, m)
         verdicts.add(type(result.witness).__name__ if not result.accepted else "Accept")
     assert verdicts == {"Accept", "RootWitness", "OddQuotientWitness"}
+
+
+def test_arithmetic_matches_fraction_kernel():
+    # Sums, products, scalar multiples and quotients of zero, constant and
+    # longer polys with integer, dyadic and large rational (denominators up to
+    # 10^25) coefficients; the scalars include -1 and other negatives.
+    rng = random.Random(9001)
+    for _ in range(CASES):
+        kind = rng.choice(("integer", "dyadic", "rational"))
+        a, b = _operand(rng, kind), _operand(rng, rng.choice(("integer", "dyadic", "rational")))
+        c = _scalar(rng, kind)
+        p, q = Poly(a), Poly(b)
+        _assert_same_poly(p + q, reference_add(a, b))
+        _assert_same_poly(p - q, reference_add(a, reference_scalar_mul(b, Fraction(-1))))
+        _assert_same_poly(-p, reference_scalar_mul(a, Fraction(-1)))
+        _assert_same_poly(p * q, reference_mul(a, b))
+        _assert_same_poly(p * c, reference_scalar_mul(a, c))
+        _assert_same_poly(c * p, reference_scalar_mul(a, c))
+        _assert_same_poly(p / c, reference_scalar_div(a, c))
+        _assert_same_poly(p + c, reference_add(a, (c,)))
+        _assert_same_poly(c - p, reference_add((c,), reference_scalar_mul(a, Fraction(-1))))
+
+
+def test_substitutions_match_fraction_kernel():
+    # Evaluation, reflection, the parity split, x -> s*x and the shift
+    # x -> x + c, at integer and rational points (denominators up to 10^25).
+    rng = random.Random(9002)
+    for _ in range(CASES):
+        kind = rng.choice(("integer", "dyadic", "rational"))
+        a = _operand(rng, kind)
+        p = Poly(a)
+        x = rng.choice((Fraction(0), Fraction(rng.randint(-40, 40)), _coeff(rng, "dyadic"), _coeff(rng, "rational")))
+        value = p(x)
+        assert value == reference_eval(a, x) and type(value) is Fraction
+        assert p(int(x)) == reference_eval(a, Fraction(int(x)))
+        _assert_same_poly(p.reflect(), reference_reflect(a))
+        even, odd = parity_split(p)
+        ref_even, ref_odd = reference_parity_split(a)
+        _assert_same_poly(even, ref_even)
+        _assert_same_poly(odd, ref_odd)
+        _assert_same_poly(p.scale_variable(x), reference_scale_variable(a, x))
+        _assert_same_poly(p.shift_constant(x), reference_shift(a, x))
+        if a:
+            _assert_same_poly(p.monic(), reference_scalar_div(a, a[-1]))
+
+
+def test_numeric_evaluation_unchanged():
+    # Off the rationals the value is Horner's rule on the Fraction
+    # coefficients, so floats and complex values come out bit for bit.
+    rng = random.Random(9003)
+    for _ in range(300):
+        a = _operand(rng, rng.choice(("integer", "dyadic", "rational")))
+        for x in (rng.uniform(-3, 3), complex(rng.uniform(-3, 3), rng.uniform(-3, 3))):
+            assert Poly(a)(x) == reference_eval(a, x)

@@ -310,6 +310,25 @@ def test_algebra_check_matches_the_definition():
     assert min(verdicts[v] for v in ("accept", "SymmetryWitness", "SwapWitness")) >= 50, verdicts
 
 
+def test_algebra_check_top_weight_swap_break():
+    # A dense member (every h_l of degree 2) at m = 32 with +1 added at the
+    # weights m and -m stays symmetric.  By the definition the pairs (k, l),
+    # k < l, are scanned in weight order and the member swaps exactly, so the
+    # first failing pair is (-m, -m + 2): only phi_{-m} moved, by the constant 1.
+    m = 32
+    rng = random.Random(32)
+    member = synthesize(GeneratorCoords(m, tuple(
+        Poly([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(3)]) for _ in range(m + 1))))
+    comps = member.components
+    comps[m], comps[-m] = comps[m] + 1, comps[-m] + 1
+    phi = WeightedDiagMap(m, m, comps)
+    k, l = -m, -m + 2
+    expected = Reject(SwapWitness(weight_k=k, weight_l=l,
+                                  value_kl=member[k](Fraction(l)) + 1, value_lk=member[l](Fraction(k))))
+    assert reference_algebra_check(phi) == expected
+    assert algebra_check(phi) == expected
+
+
 def test_algebra_check_raises_when_a_remainder_has_no_failing_pair(monkeypatch):
     import pwcert.sl2c
 
