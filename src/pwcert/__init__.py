@@ -27,7 +27,7 @@ from .errors import (
 )
 from .gammaprod import GammaProduct, gamma_reduce
 from .multipoly import MultiPoly, mpoly_div_in_var, mpoly_even_in_var
-from .poly import Poly, lagrange_interpolate, parity_split, poly_div_rem
+from .poly import Poly, parity_split, poly_div_rem
 from .ratfunc import RationalFunction
 from .rationals import Rat, rat, rat_str
 

@@ -1,18 +1,23 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-Terms live in a map from exponent vectors (one entry per variable) to nonzero
-rational coefficients; the zero polynomial is the empty map.  Multivariate
-data in the product checkers is sparse by construction, hence the sparse
-representation, in contrast to the dense univariate carrier.
+A polynomial is stored, like ``Poly``, as integer numerators over one
+denominator: ``_num`` maps exponent vectors (one entry per variable) to
+nonzero ints, and ``_den > 0`` with gcd(_den, *_num.values()) == 1.  The form
+is unique, so structural equality is semantic equality; the zero polynomial
+is the empty map over 1.  Every operation runs on Python ints; ``Fraction``s
+are built only by ``terms``, ``sorted_terms``, the display and values.
+Multivariate data in the product checkers is sparse by construction, hence
+the sparse representation, in contrast to the dense univariate carrier.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, KeysView, Mapping
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .errors import ArityMismatch, DivisionByZeroPoly
-from .poly import Poly, poly_div_rem
+from .poly import Poly, _make as _make_poly, _powers, _ratio, poly_div_rem
 from .rationals import RatLike, rat
 
 Exponents = tuple[int, ...]
@@ -21,29 +26,28 @@ Exponents = tuple[int, ...]
 class MultiPoly:
     """Immutable sparse polynomial in a fixed number d >= 1 of variables."""
 
-    __slots__ = ("_arity", "_terms")
+    __slots__ = ("_arity", "_num", "_den")
 
     def __init__(self, arity: int, terms: Mapping[Exponents, RatLike] | Iterable[tuple[Exponents, RatLike]] = ()) -> None:
         if arity < 1:
             raise ValueError("arity must be >= 1")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        clean: dict[Exponents, Fraction] = {}
+        parsed: list[tuple[Exponents, int, int]] = []
         for exps, c in items:
             exps = tuple(int(e) for e in exps)
             if len(exps) != arity:
                 raise ArityMismatch(f"exponent vector {exps} has length != {arity}")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
-            c = rat(c)
-            if c == 0:
-                continue
-            acc = clean.get(exps, Fraction(0)) + c
-            if acc == 0:
-                clean.pop(exps, None)
-            else:
-                clean[exps] = acc
+            if type(c) is not int:
+                c = rat(c)
+            parsed.append((exps, c.numerator, c.denominator))
+        den = lcm(*(b for _, _, b in parsed))
+        num: dict[Exponents, int] = {}
+        for exps, a, b in parsed:
+            num[exps] = num.get(exps, 0) + a * (den // b)
         self._arity = arity
-        self._terms = dict(clean)
+        self._num, self._den = _normal(num, den)
 
     # -- construction ----------------------------------------------------------
 
@@ -53,20 +57,15 @@ class MultiPoly:
 
     @staticmethod
     def const(arity: int, c: RatLike) -> MultiPoly:
-        return MultiPoly(arity, {(0,) * arity: rat(c)})
+        return MultiPoly(arity, {(0,) * arity: c})
 
     @staticmethod
     def from_univariate(p: Poly, arity: int, var: int) -> MultiPoly:
         """Inject a univariate polynomial into variable ``var`` of d variables."""
         if not 0 <= var < arity:
             raise ValueError(f"variable index {var} out of range for arity {arity}")
-        terms = {}
-        for i, c in enumerate(p.coeffs):
-            if c:
-                exps = [0] * arity
-                exps[var] = i
-                terms[tuple(exps)] = c
-        return MultiPoly(arity, terms)
+        before, after = (0,) * var, (0,) * (arity - var - 1)
+        return _make(arity, {before + (i,) + after: c for i, c in enumerate(p._num)}, p._den)
 
     # -- structure ---------------------------------------------------------------
 
@@ -76,41 +75,46 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict[Exponents, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {exps: Fraction(c, den) for exps, c in self._num.items()}
+
+    @property
+    def exponents(self) -> KeysView[Exponents]:
+        """The exponent vectors of the nonzero terms."""
+        return self._num.keys()
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     def degree_in(self, var: int) -> int:
         """Degree in one variable (-1 for the zero polynomial)."""
         self._check_var(var)
-        if not self._terms:
-            return -1
-        return max(e[var] for e in self._terms)
+        return max((e[var] for e in self._num), default=-1)
 
     def fibers(self, var: int) -> dict[Exponents, Poly]:
         """Split into univariate polynomials in variable ``var``, keyed by the
         exponents of the other variables (with the ``var`` slot removed)."""
         self._check_var(var)
-        rows: dict[Exponents, dict[int, Fraction]] = {}
-        for exps, c in self._terms.items():
+        rows: dict[Exponents, dict[int, int]] = {}
+        for exps, c in self._num.items():
             rows.setdefault(exps[:var] + exps[var + 1 :], {})[exps[var]] = c
-        return {rest: Poly([row.get(e, 0) for e in range(max(row) + 1)])
+        den = self._den
+        return {rest: _make_poly([row.get(e, 0) for e in range(max(row) + 1)], den)
                 for rest, row in rows.items()}
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
-            return self._arity == other._arity and self._terms == other._terms
+            return self._arity == other._arity and self._den == other._den and self._num == other._num
         if isinstance(other, (int, Fraction)):
             return self == MultiPoly.const(self._arity, other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self._arity, frozenset(self._terms.items())))
+        return hash((self._arity, self._den, frozenset(self._num.items())))
 
     def _check_var(self, var: int) -> None:
         if not 0 <= var < self._arity:
@@ -123,62 +127,74 @@ class MultiPoly:
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, other: MultiPoly | RatLike) -> MultiPoly:
-        other = self._coerce(other)
-        self._check_arity(other)
-        out = dict(self._terms)
-        for exps, c in other._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + c
-        return MultiPoly(self._arity, out)
+        return self._add(self._coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> MultiPoly:
-        return MultiPoly(self._arity, {e: -c for e, c in self._terms.items()})
+        return _make(self._arity, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other: MultiPoly | RatLike) -> MultiPoly:
-        return self + (-self._coerce(other))
+        return self._add(self._coerce(other), -1)
 
     def __mul__(self, other: MultiPoly | RatLike) -> MultiPoly:
         if isinstance(other, (int, Fraction, str)):
-            c = rat(other)
-            return MultiPoly(self._arity, {e: c * v for e, v in self._terms.items()})
+            a, b = _ratio(other)
+            return _make(self._arity, {e: a * c for e, c in self._num.items()}, self._den * b)
         self._check_arity(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
+        out: dict[Exponents, int] = {}
+        for e1, c1 in self._num.items():
+            for e2, c2 in other._num.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self._arity, out)
+                out[e] = out.get(e, 0) + c1 * c2
+        return _make(self._arity, out, self._den * other._den)
 
     __rmul__ = __mul__
 
     def __call__(self, point: Iterable[RatLike]) -> Fraction:
-        xs = [rat(x) for x in point]
+        """Exact value at a rational point.
+
+        At x_i = a_i/b_i, with D_i the degree in x_i, each term is scaled by
+        the product of the b_i^D_i, so the sum runs on ints and one Fraction
+        is built, at the end.
+        """
+        xs = [_ratio(x) for x in point]
         if len(xs) != self._arity:
             raise ArityMismatch(f"evaluation point has length != {self._arity}")
-        total = Fraction(0)
-        for exps, c in self._terms.items():
-            val = c
-            for x, e in zip(xs, exps):
-                val *= x**e
-            total += val
-        return total
+        tables, scale = [], 1
+        for var, (a, b) in enumerate(xs):
+            d = max((e[var] for e in self._num), default=0)
+            downs = _powers(b, d)
+            tables.append([x * y for x, y in zip(_powers(a, d), reversed(downs))])
+            scale *= downs[-1]
+        total = sum(c * prod(t[e] for t, e in zip(tables, exps)) for exps, c in self._num.items())
+        return Fraction(total, self._den * scale)
 
     def substitute_negated(self, var: int) -> MultiPoly:
         """Replace variable ``var`` by its negative."""
         self._check_var(var)
-        return MultiPoly(self._arity, {e: (-c if e[var] % 2 else c) for e, c in self._terms.items()})
+        return _make(self._arity, {e: (-c if e[var] % 2 else c) for e, c in self._num.items()}, self._den)
 
     def _coerce(self, value: MultiPoly | RatLike) -> MultiPoly:
         if isinstance(value, MultiPoly):
             return value
         return MultiPoly.const(self._arity, rat(value))
 
+    def _add(self, other: MultiPoly, sign: int) -> MultiPoly:
+        """self + sign * other over the lcm of the two denominators."""
+        self._check_arity(other)
+        den = lcm(self._den, other._den)
+        fa, fb = den // self._den, sign * (den // other._den)
+        out = {e: fa * c for e, c in self._num.items()}
+        for e, c in other._num.items():
+            out[e] = out.get(e, 0) + fb * c
+        return _make(self._arity, out, den)
+
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        return sorted(self._terms.items())
+        return sorted(self.terms.items())
 
     def format(self, names: tuple[str, ...] | None = None) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         names = names or tuple(f"x{i}" for i in range(self._arity))
         parts = []
@@ -197,6 +213,42 @@ class MultiPoly:
         return f"MultiPoly({self._arity}, {self.format()})"
 
 
+def _normal(num: dict[Exponents, int], den: int) -> tuple[dict[Exponents, int], int]:
+    """The canonical form of num / den: no zero terms, den > 0, gcd(den, *num) == 1."""
+    num = {e: c for e, c in num.items() if c}
+    if not num:
+        return num, 1
+    if den != 1:
+        g = gcd(den, *num.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = {e: c // g for e, c in num.items()}
+            den //= g
+    return num, den
+
+
+def _make(arity: int, num: dict[Exponents, int], den: int = 1) -> MultiPoly:
+    """The MultiPoly num / den, from integer numerators and a nonzero int denominator."""
+    p = object.__new__(MultiPoly)
+    p._arity = arity
+    p._num, p._den = _normal(num, den)
+    return p
+
+
+def _assemble(arity: int, var: int, fibers: list[tuple[Exponents, Poly]]) -> MultiPoly:
+    """The MultiPoly whose fibers in variable ``var`` are the given polys,
+    each keyed by the exponents of the other variables, over their lcm."""
+    den = lcm(*(p._den for _, p in fibers))
+    num: dict[Exponents, int] = {}
+    for rest, p in fibers:
+        scale = den // p._den
+        head, tail = rest[:var], rest[var:]
+        for e, c in enumerate(p._num):
+            num[head + (e,) + tail] = c * scale
+    return _make(arity, num, den)
+
+
 def mpoly_div_in_var(f: MultiPoly, g: Poly, var: int) -> tuple[MultiPoly, MultiPoly]:
     """Divide f by a univariate polynomial applied to one of its variables.
 
@@ -206,17 +258,16 @@ def mpoly_div_in_var(f: MultiPoly, g: Poly, var: int) -> tuple[MultiPoly, MultiP
     """
     if g.is_zero:
         raise DivisionByZeroPoly("division by zero polynomial")
-    quo: dict[Exponents, Fraction] = {}
-    rem: dict[Exponents, Fraction] = {}
+    quo: list[tuple[Exponents, Poly]] = []
+    rem: list[tuple[Exponents, Poly]] = []
     for rest, fiber in f.fibers(var).items():
-        for out, p in zip((quo, rem), poly_div_rem(fiber, g)):
-            for e, c in enumerate(p.coeffs):
-                if c:
-                    out[rest[:var] + (e,) + rest[var:]] = c
-    return MultiPoly(f.arity, quo), MultiPoly(f.arity, rem)
+        q, r = poly_div_rem(fiber, g)
+        quo.append((rest, q))
+        rem.append((rest, r))
+    return _assemble(f.arity, var, quo), _assemble(f.arity, var, rem)
 
 
 def mpoly_even_in_var(f: MultiPoly, var: int) -> bool:
     """True iff every stored term has even exponent in the given variable."""
     f._check_var(var)
-    return all(exps[var] % 2 == 0 for exps in f.terms)
+    return all(exps[var] % 2 == 0 for exps in f.exponents)

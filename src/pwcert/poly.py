@@ -399,17 +399,29 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return a.monic()
 
 
-def lagrange_interpolate(points: Sequence[tuple[RatLike, RatLike]]) -> Poly:
-    """Exact interpolant through distinct nodes (unique, of degree below their
-    number), by Newton's divided differences expanded from the nested form."""
-    xs = [rat(x) for x, _ in points]
-    diffs = [rat(y) for _, y in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
-    total = Poly.zero()
-    for d, x in zip(reversed(diffs), reversed(xs)):
-        total = total * Poly((-x, 1)) + d
-    return total
+def interpolate_equispaced(first: int, step: int, values: Sequence[RatLike]) -> Poly:
+    """The polynomial of degree below len(values) that takes values[i] at
+    first + i * step, for a positive int step.
+
+    Over the common denominator D of the values the forward differences
+    D * Delta^j y_0 are ints, and the Newton coefficients are those divided
+    by j! step^j (Knuth, TAOCP vol. 2, 4.6.4).  Scaled by W = (n-1)! step^(n-1),
+    the coefficient j becomes an int times the weight W / (j! step^j) =
+    prod of i * step over j < i < n, and the nested form expands in ints.
+    """
+    nums = [_ratio(v) for v in values]
+    den = lcm(*(b for _, b in nums))
+    row = [a * (den // b) for a, b in nums]
+    diffs = []
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    acc: list[int] = []
+    weight = 1
+    for j in range(len(diffs) - 1, -1, -1):
+        node = first + j * step
+        acc = [s - node * c for s, c in zip([0, *acc], [*acc, 0])]
+        acc[0] += diffs[j] * weight
+        if j:
+            weight *= j * step
+    return _make(acc, den * weight)

@@ -42,7 +42,7 @@ from .gammaprod import GammaProduct
 from .poly import (
     Poly,
     first_root_not_vanishing,
-    lagrange_interpolate,
+    interpolate_equispaced,
     poly_div_rem,
     square_parts,
     transpose,
@@ -574,9 +574,10 @@ def level3_check_c(phi: WeightedDiagMap) -> Accept | Reject:
 def extend_interpolate(h: WeightedDiagMap, target: int) -> WeightedDiagMap:
     """Extend an algebra element from level m to level target > m.
 
-    Each new top component is the Lagrange interpolant, in the spectral
-    variable, through the values of the previous stage's components at the
-    new weight; the opposite weight is filled by reflection.  The output
+    Each new top component is the interpolant, in the spectral variable,
+    through the values of the previous stage's components at the new weight,
+    taken at the previous stage's weights (spaced 2 apart, so by integer
+    finite differences); the opposite weight is filled by reflection.  The output
     restricts back to the input and satisfies the algebra conditions at the
     target level.
     """
@@ -590,9 +591,7 @@ def extend_interpolate(h: WeightedDiagMap, target: int) -> WeightedDiagMap:
         return h
     comps = dict(h.components)
     for new in range(h.src + 2, target + 1, 2):
-        nodes = weights(new - 2)
-        points = [(Fraction(i), comps[i](Fraction(new))) for i in nodes]
-        top = lagrange_interpolate(points)
+        top = interpolate_equispaced(2 - new, 2, [comps[i](new) for i in weights(new - 2)])
         comps[new] = top
         comps[-new] = top.reflect()
     return WeightedDiagMap(target, target, comps)

@@ -79,7 +79,7 @@ def level3_check_product(phi: MultiPoly, l: KTypeVec, n: KTypeVec) -> Accept | R
             root, _ = first_root_not_vanishing(remainder.fibers(i).values(), roots)
             return Reject(ProductRootWitness(var=i, root=root))
     for i in range(d):
-        exponent = min((e[i] for e in h.terms if e[i] % 2), default=None)
+        exponent = min((e[i] for e in h.exponents if e[i] % 2), default=None)
         if exponent is not None:
             return Reject(ProductOddWitness(var=i, exponent=exponent))
     return Accept(h=h)

@@ -1,6 +1,9 @@
 """Polynomial helpers that only tests and the corpus generator use."""
 
+from collections.abc import Sequence
+
 from pwcert.poly import Poly
+from pwcert.rationals import RatLike, rat
 
 
 def compose(h: Poly, p: Poly) -> Poly:
@@ -9,3 +12,19 @@ def compose(h: Poly, p: Poly) -> Poly:
     for c in reversed(h.coeffs):
         acc = acc * p + Poly.const(c)
     return acc
+
+
+def lagrange_interpolate(points: Sequence[tuple[RatLike, RatLike]]) -> Poly:
+    """Exact interpolant through distinct nodes (unique, of degree below their
+    number), by Newton's divided differences expanded from the nested form."""
+    xs = [rat(x) for x, _ in points]
+    diffs = [rat(y) for _, y in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    total = Poly.zero()
+    for d, x in zip(reversed(diffs), reversed(xs)):
+        total = total * Poly((-x, 1)) + d
+    return total

@@ -1,5 +1,6 @@
 """Univariate polynomial core: division, parity, composition, interpolation."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,14 +10,14 @@ from hypothesis import strategies as st
 from pwcert.errors import DivisionByZeroPoly
 from pwcert.poly import (
     Poly,
-    lagrange_interpolate,
+    interpolate_equispaced,
     parity_split,
     poly_div_rem,
     poly_gcd,
     square_parts,
     transpose,
 )
-from poly_helpers import compose
+from poly_helpers import compose, lagrange_interpolate
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=13)
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -127,6 +128,20 @@ def test_lagrange_exact():
         assert p.degree <= len(pts) - 1
         for x, y in pts:
             assert p(Fraction(x)) == y
+
+
+def test_interpolate_equispaced_matches_lagrange():
+    # Integer and rational values, steps 1 to 3, one node and none.
+    assert interpolate_equispaced(0, 2, []) == Poly.zero()
+    assert interpolate_equispaced(7, 2, [Fraction(3, 4)]) == Poly.const(Fraction(3, 4))
+    rng = random.Random(11)
+    for _ in range(200):
+        first, step, count = rng.randint(-20, 20), rng.randint(1, 3), rng.randint(1, 12)
+        values = [Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 10**12))) for _ in range(count)]
+        nodes = [first + i * step for i in range(count)]
+        p = interpolate_equispaced(first, step, values)
+        assert p == lagrange_interpolate(list(zip(nodes, values)))
+        assert [p(x) for x in nodes] == values
 
 
 def test_scale_and_reflect():

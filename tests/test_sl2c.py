@@ -1,6 +1,7 @@
 """SL(2,C): weights, classification, ladder chains, algebra, checkers."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -48,6 +49,7 @@ from pwcert.sl2c import (
     zero_map,
 )
 from pwcert.verdict import Accept, Reject
+from poly_helpers import lagrange_interpolate
 
 LAM = Poly.variable()
 MU = Poly.variable()
@@ -545,6 +547,37 @@ def test_extend_random_restriction_and_membership():
         ext = extend_interpolate(phi, target)
         assert ext.restrict(m) == phi.components
         assert isinstance(algebra_check(ext), Accept)
+
+
+def reference_extend(h: WeightedDiagMap, target: int) -> WeightedDiagMap:
+    """The extension by exact Lagrange interpolation at the previous weights."""
+    comps = dict(h.components)
+    for new in range(h.src + 2, target + 1, 2):
+        top = lagrange_interpolate([(Fraction(i), comps[i](Fraction(new))) for i in weights(new - 2)])
+        comps[new] = top
+        comps[-new] = top.reflect()
+    return WeightedDiagMap(target, target, comps)
+
+
+def test_extend_matches_lagrange_reference():
+    # Members at levels 0-6 with rational generator coordinates, to targets up to 30.
+    rng = random.Random(1101)
+    for _ in range(100):
+        m = rng.randint(0, 6)
+        coords = GeneratorCoords(m, tuple(
+            Poly([Fraction(rng.randint(-99, 99), rng.choice((1, 2, 3, 7, 10**12))) for _ in range(rng.randint(1, 4))])
+            for _ in range(m + 1)))
+        phi = synthesize(coords)
+        target = m + 2 * rng.randint(1, (30 - m) // 2)
+        assert extend_interpolate(phi, target) == reference_extend(phi, target)
+
+
+def test_extend_target_200_within_budget():
+    h = WeightedDiagMap(0, 0, {0: Poly([5, 0, 1])})
+    start = time.perf_counter()
+    ext = extend_interpolate(h, 200)
+    assert time.perf_counter() - start < 1.0
+    assert ext.restrict(0) == h.components
 
 
 def test_freeness_on_non_synthesized_elements():
