@@ -7,28 +7,10 @@ tests with witnesses, and the free-module decomposition of the diagonal
 spherical-function algebra, for SL(2,R), finite products SL(2,R)^d, and
 SL(2,C).  All certification paths use exact rational arithmetic; floats
 appear only in the numeric cross-validation module.
-"""
 
-from .errors import (
-    ArityMismatch,
-    ConvergenceNotReached,
-    DivisionByZeroPoly,
-    InternalNonDivisibility,
-    IrreducibleGammaQuotient,
-    NotInAlgebra,
-    NotReduciblePoint,
-    OutsideConvergenceRegion,
-    ParityMismatch,
-    PoleProximity,
-    PwError,
-    SrcDstMismatch,
-    TruncationTooSmall,
-    WeightNotInKType,
-)
-from .gammaprod import GammaProduct, gamma_reduce
-from .multipoly import MultiPoly, mpoly_div_in_var, mpoly_even_in_var
-from .poly import Poly, parity_split, poly_div_rem
-from .ratfunc import RationalFunction
-from .rationals import Rat, rat, rat_str
+The package exports nothing at top level: import from its modules
+(``pwcert.poly``, ``pwcert.sl2r``, ...), so that ``pw`` and each caller load
+only the modules they use.
+"""
 
 __version__ = "0.1.0"

@@ -4,6 +4,9 @@ One subcommand per operation, JSON in/out for scripting.  Exit codes:
 0 for success or Accept, 2 for Reject (with the witness JSON on stdout),
 1 for usage or I/O errors.  Polynomial arguments are inline JSON or
 @filename; rationals are strings like "-3/2" so nothing is parsed as float.
+
+Each handler imports the checker modules of its own branch, so a call
+loads only what it runs: start-up is most of a short call's time.
 """
 
 from __future__ import annotations
@@ -12,34 +15,14 @@ import argparse
 import json
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import atlas as atlas_mod
 from . import jsonio
 from .errors import PwError
 from .rationals import rat
-from .render import box_ascii, box_dot
-from .sl2c import (
-    WeightedDiagMap,
-    c_quotient_c,
-    diamond,
-    extend_interpolate,
-    free_module_decompose,
-    level2_functional_check_c,
-    level3_check_c,
-    q_nm_c,
-    reducibility_c,
-    synthesize,
-)
-from .sl2r import (
-    SigmaR,
-    box_picture_r,
-    c_quotient_r,
-    composition_series_r,
-    level2_check_r,
-    level3_check_r,
-    q_poly_r,
-)
-from .sl2r_product import level3_check_product, q_product
+
+if TYPE_CHECKING:
+    from .sl2r import SigmaR
 
 
 class _UsageError(Exception):
@@ -99,6 +82,8 @@ def _ktypes(*values) -> tuple[int, ...]:
 
 
 def _sigma_r(value: str) -> SigmaR:
+    from .sl2r import SigmaR
+
     if value in ("+", "plus", "Plus"):
         return SigmaR.PLUS
     if value in ("-", "minus", "Minus"):
@@ -177,29 +162,42 @@ def build_parser() -> _Parser:
 
 def _cmd_q(args) -> int:
     if args.group == "sl2r":
+        from .sl2r import q_poly_r
+
         _emit(jsonio.poly_to_json(q_poly_r(*_ktypes(args.n, args.m))), args.out)
     elif args.group == "sl2r-product":
+        from .sl2r_product import q_product
+
         l, n = jsonio.ktype_vec_from_json(args.n), jsonio.ktype_vec_from_json(args.m)
         _emit(jsonio.mpoly_to_json(q_product(l, n)), args.out)
     else:
+        from .sl2c import q_nm_c
+
         _emit(jsonio.diag_map_to_json(q_nm_c(*_ktypes(args.n, args.m))), args.out)
     return 0
 
 
 def _cmd_cquot(args) -> int:
     n, m = _ktypes(args.n, args.m)
-    quotient = c_quotient_r(n, m) if args.group == "sl2r" else c_quotient_c(n, m)
-    _emit(jsonio.ratfunc_to_json(quotient), args.out)
+    if args.group == "sl2r":
+        from .sl2r import c_quotient_r as c_quotient
+    else:
+        from .sl2c import c_quotient_c as c_quotient
+    _emit(jsonio.ratfunc_to_json(c_quotient(n, m)), args.out)
     return 0
 
 
 def _cmd_check3(args) -> int:
     if args.group == "sl2r":
+        from .sl2r import level3_check_r
+
         if args.n is None or args.m is None:
             raise _UsageError("check3 --group sl2r needs -n and -m")
         phi = jsonio.poly_from_json(_load_json_arg(args.phi))
         result = level3_check_r(phi, *_ktypes(args.n, args.m))
         return _emit_verdict(result, jsonio.poly_to_json, args.out)
+    from .sl2c import level3_check_c
+
     phi_map = jsonio.diag_map_from_json(_load_json_arg(args.phi))
     if args.n is not None and phi_map.src != args.n:
         raise _UsageError(f"-n {args.n} does not match phi (n = {phi_map.src})")
@@ -209,6 +207,8 @@ def _cmd_check3(args) -> int:
 
 
 def _cmd_check3_product(args) -> int:
+    from .sl2r_product import level3_check_product
+
     phi = jsonio.mpoly_from_json(_load_json_arg(args.phi))
     result = level3_check_product(phi, jsonio.ktype_vec_from_json(args.n),
                                   jsonio.ktype_vec_from_json(args.m))
@@ -218,11 +218,15 @@ def _cmd_check3_product(args) -> int:
 def _cmd_check2(args) -> int:
     psi = jsonio.psi_from_json(_load_json_arg(args.psi))
     if args.group == "sl2r":
+        from .sl2r import level2_check_r
+
         if args.m is None or args.truncation is None:
             raise _UsageError("check2 --group sl2r needs -m and --truncation")
         report = level2_check_r(psi, jsonio.ktype_from_json(args.m), args.truncation)
         _emit(jsonio.level2_report_r_to_json(report), args.out)
         return 0 if report.passed else 2
+    from .sl2c import level2_functional_check_c
+
     if args.n is None:
         raise _UsageError("check2 --group sl2c needs -n")
     report_c = level2_functional_check_c(psi, jsonio.ktype_from_json(args.n))
@@ -233,9 +237,13 @@ def _cmd_check2(args) -> int:
 def _cmd_classify(args) -> int:
     lam = rat(args.lam)
     if args.group == "sl2r":
+        from .sl2r import composition_series_r
+
         series = composition_series_r(_sigma_r(args.sigma), lam)
         _emit(jsonio.composition_series_to_json(series), args.out)
         return 0
+    from .sl2c import diamond, reducibility_c
+
     if abs(lam) > jsonio.MAX_KTYPE:  # its K-types run up to |lambda|
         raise ValueError(f"classify --group sl2c needs |lambda| <= {jsonio.MAX_KTYPE}, got {args.lam}")
     verdict = reducibility_c(int(args.sigma), lam)
@@ -247,17 +255,25 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_box(args) -> int:
+    from .sl2r import box_picture_r
+
     picture = box_picture_r(args.m, rat(args.lam))
     if args.format == "json":
         _emit(jsonio.box_picture_to_json(picture), args.out)
     elif args.format == "dot":
+        from .render import box_dot
+
         _emit(box_dot(picture), args.out, raw=True)
     else:
+        from .render import box_ascii
+
         _emit(box_ascii(picture), args.out, raw=True)
     return 0
 
 
 def _cmd_atlas(args) -> int:
+    from . import atlas as atlas_mod
+
     lam_max = rat(args.lambda_max)
     if args.group == "sl2r":
         if lam_max > jsonio.MAX_ATLAS_R:
@@ -279,6 +295,8 @@ def _cmd_atlas(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    from .sl2c import free_module_decompose
+
     phi = jsonio.diag_map_from_json(_load_json_arg(args.phi))
     coords = free_module_decompose(phi)
     _emit(jsonio.coords_to_json(coords), args.out)
@@ -286,12 +304,16 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_synthesize(args) -> int:
+    from .sl2c import synthesize
+
     coords = jsonio.coords_from_json(_load_json_arg(args.coords))
     _emit(jsonio.diag_map_to_json(synthesize(coords)), args.out)
     return 0
 
 
 def _cmd_extend(args) -> int:
+    from .sl2c import extend_interpolate
+
     if args.target > jsonio.MAX_EXTEND_TARGET:
         raise ValueError(f"extend --target must be at most {jsonio.MAX_EXTEND_TARGET}, got {args.target}")
     h = jsonio.diag_map_from_json(_load_json_arg(args.h))
@@ -339,3 +361,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

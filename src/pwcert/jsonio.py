@@ -9,20 +9,22 @@ from __future__ import annotations
 
 from dataclasses import asdict, is_dataclass
 from fractions import Fraction
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .multipoly import MultiPoly
 from .poly import Poly
-from .ratfunc import RationalFunction
 from .rationals import rat, rat_str
-from .sl2c import (
-    GeneratorCoords,
-    IntertwinerDiamond,
-    Level2ReportC,
-    ReducibilityC,
-    WeightedDiagMap,
-)
-from .sl2r import BoxPictureR, CompositionSeriesR, IrreducibleR, Level2ReportR
+
+if TYPE_CHECKING:  # annotations only: a function that needs one of these at run time imports it
+    from .multipoly import MultiPoly
+    from .ratfunc import RationalFunction
+    from .sl2c import (
+        GeneratorCoords,
+        IntertwinerDiamond,
+        Level2ReportC,
+        ReducibilityC,
+        WeightedDiagMap,
+    )
+    from .sl2r import BoxPictureR, CompositionSeriesR, IrreducibleR, Level2ReportR
 
 MAX_EXPONENT = 10_000  # each fiber of a multipoly is a dense Poly of up to this degree
 MAX_KTYPE = 1_000  # q_{-1000,1000} prints 2,567 digits; 2,000 would pass Python's 4,300
@@ -74,13 +76,20 @@ def mpoly_to_json(p: MultiPoly) -> dict:
 
 
 def mpoly_from_json(data: dict) -> MultiPoly:
+    from .multipoly import MultiPoly
+
     terms = data.get("terms") if isinstance(data, dict) else None
     if not isinstance(terms, list) or not all(
         isinstance(t, dict) and isinstance(t.get("exps"), list) for t in terms
     ):
         raise ValueError("multivariate polynomial JSON needs a 'terms' list of objects with an 'exps' list")
     arity = _int_from_json(data.get("arity"))
-    parsed = {tuple(_int_from_json(e) for e in t["exps"]): _rat_from_json(t["coeff"]) for t in terms}
+    parsed = {}
+    for t in terms:
+        exps = tuple(_int_from_json(e) for e in t["exps"])
+        if exps in parsed:
+            raise ValueError(f"multivariate polynomial JSON repeats the exponent vector {list(exps)}")
+        parsed[exps] = _rat_from_json(t["coeff"])
     top = max((e for exps in parsed for e in exps), default=0)
     if top > MAX_EXPONENT:
         raise ValueError(f"exponents must be at most {MAX_EXPONENT}, got {top}")
@@ -92,6 +101,8 @@ def ratfunc_to_json(f: RationalFunction) -> dict:
 
 
 def ratfunc_from_json(data: dict) -> RationalFunction:
+    from .ratfunc import RationalFunction
+
     return RationalFunction(poly_from_json(data["num"]), poly_from_json(data["den"]))
 
 
@@ -104,6 +115,8 @@ def diag_map_to_json(m: WeightedDiagMap) -> dict:
 
 
 def diag_map_from_json(data: dict) -> WeightedDiagMap:
+    from .sl2c import WeightedDiagMap
+
     comps = data.get("components") if isinstance(data, dict) else None
     if not isinstance(comps, dict):
         raise ValueError("weighted map JSON needs a 'components' object")
@@ -117,6 +130,8 @@ def coords_to_json(c: GeneratorCoords) -> dict:
 
 
 def coords_from_json(data: dict) -> GeneratorCoords:
+    from .sl2c import GeneratorCoords
+
     h = data.get("h") if isinstance(data, dict) else None
     if not isinstance(h, list):
         raise ValueError("generator coordinates JSON needs an 'h' list")
@@ -139,6 +154,8 @@ def ktype_vec_from_json(data: dict | list | str) -> tuple[int, ...]:
 
 
 def composition_series_to_json(s: CompositionSeriesR | IrreducibleR) -> dict:
+    from .sl2r import IrreducibleR
+
     if isinstance(s, IrreducibleR):
         return {"sigma": s.sigma.value, "lambda": rat_str(s.lam), "reducible": False}
     return {

@@ -8,8 +8,12 @@ for composition series throughout; highlighted boxes are starred.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .rationals import rat_str
-from .sl2r import BoxPictureR
+
+if TYPE_CHECKING:
+    from .sl2r import BoxPictureR
 
 
 def _cell(text: str, width: int) -> str:

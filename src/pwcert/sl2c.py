@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import (
     InternalNonDivisibility,
@@ -38,7 +39,6 @@ from .errors import (
     WeightNotInKType,
     check_parity,
 )
-from .gammaprod import GammaProduct
 from .poly import (
     Poly,
     first_root_not_vanishing,
@@ -47,9 +47,12 @@ from .poly import (
     square_parts,
     transpose,
 )
-from .ratfunc import RationalFunction
 from .rationals import RatLike, is_integer, rat
 from .verdict import Accept, Reject
+
+if TYPE_CHECKING:
+    from .gammaprod import GammaProduct
+    from .ratfunc import RationalFunction
 
 
 # -- weights and tensor products ------------------------------------------------
@@ -81,6 +84,8 @@ def c_gamma_c(n: int, sigma: int) -> GammaProduct:
     """
     if abs(sigma) > n or (n - sigma) % 2 != 0:
         raise WeightNotInKType(f"weight {sigma} does not occur in K-type {n}")
+    from .gammaprod import GammaProduct
+
     half = Fraction(1, 2)
     return GammaProduct(
         [
@@ -98,6 +103,8 @@ def c_quotient_c(n: int, m: int) -> RationalFunction:
     For n > m: prod (x - j) / prod (x + j) over j = m+2, m+4, ..., n;
     inverted for n < m; 1 for n = m.
     """
+    from .ratfunc import RationalFunction
+
     if n < 0 or m < 0:
         raise ValueError("K-types are nonnegative integers")
     check_parity(n, m)
@@ -639,6 +646,8 @@ def level2_functional_check_c(psi: dict[int, Poly], n: int) -> Level2ReportC:
     quotient ladder based at n (the identity every ladder image satisfies).
     Missing weights count as zero components.
     """
+    from .ratfunc import RationalFunction
+
     wts = weights(n)
     for k in psi:
         if k not in wts:

@@ -28,13 +28,16 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import TruncationTooSmall, check_parity
-from .gammaprod import GammaProduct
 from .poly import Poly, first_root_not_vanishing, poly_div_rem
-from .ratfunc import RationalFunction
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
 from .verdict import Accept, Reject
+
+if TYPE_CHECKING:
+    from .gammaprod import GammaProduct
+    from .ratfunc import RationalFunction
 
 
 class SigmaR(enum.Enum):
@@ -61,6 +64,8 @@ def c_gamma_r(n: int) -> GammaProduct:
     (1/sqrt(pi)) * Gamma(x)Gamma(x + 1/2) / (Gamma(x + (1+n)/2) Gamma(x + (1-n)/2));
     invariant under n -> -n since the two denominator shifts swap.
     """
+    from .gammaprod import GammaProduct
+
     half = Fraction(1, 2)
     return GammaProduct(
         [
@@ -80,6 +85,8 @@ def c_quotient_r(n: int, m: int) -> RationalFunction:
     prod (x - t) / prod (x + t) over half-integers t from (|m|+1)/2 to
     (|n|-1)/2; inverted for |n| < |m|; and 1 for |n| = |m|.
     """
+    from .ratfunc import RationalFunction
+
     check_parity(n, m)
     a, b = abs(n), abs(m)
     if a == b:

@@ -1,6 +1,10 @@
 """CLI surface: subcommand contracts, exit codes, golden DOT determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +209,15 @@ def test_malformed_input_is_one_error_line(capsys, args):
     assert len(err.splitlines()) == 1 and err.startswith("pw: error: ")
 
 
+def test_repeated_multipoly_exponents_are_an_error(capsys):
+    # A repeated exponent vector is ambiguous input, not a term to overwrite or sum.
+    phi = '{"arity":1,"terms":[{"exps":[2],"coeff":"1"},{"exps":[2],"coeff":"2"}]}'
+    assert main(["check3-product", "-n", "1", "-m", "1", "--phi", phi]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "pw: error: multivariate polynomial JSON repeats the exponent vector [2]\n"
+
+
 def test_unprintable_rational_is_our_error_line(capsys):
     # 1e9000 passes the 10,000-character read bound but has 9,001 digits to print.
     assert main(["classify", "--group", "sl2r", "--sigma", "+", "--lambda", "1e9000"]) == 1
@@ -268,3 +281,16 @@ def test_exit_codes_on_corpus(capsys):
         code, _ = run(capsys, "check3", "--group", "sl2r", "-n", str(n), "-m", str(m),
                       "--phi", json.dumps(jsonio.poly_to_json(phi)))
         assert code == (0 if expected.accepted else 2)
+
+
+def test_module_runs_as_a_script():
+    # `python -m pwcert.cli` runs the subcommand, the same as `pw`.
+    corpus = Path(__file__).parent / "golden" / "pw_corpus.jsonl"
+    args = ["q", "--group", "sl2r", "-n", "1", "-m", "3"]
+    record = next(r for r in map(json.loads, corpus.read_text(encoding="utf-8").splitlines())
+                  if r["args"] == args)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "pwcert.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (record["code"], record["stdout"], record["stderr"])

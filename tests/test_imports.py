@@ -1,0 +1,54 @@
+"""Start-up: a pw call imports only the pwcert modules its subcommand runs.
+
+Each case runs in a fresh interpreter and reads sys.modules after the call.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+CHILD = """
+import contextlib, io, json, sys
+import pwcert.cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = pwcert.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "pwcert")]))
+"""
+
+
+def loaded(*argv):
+    """Exit code of `pw argv` (None for no call) and the pwcert modules loaded, short names."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    code, modules = json.loads(proc.stdout)
+    return code, {m.removeprefix("pwcert.") for m in modules}
+
+
+def test_import_cli_loads_only_the_parsing_layer():
+    assert loaded() == (None, {"pwcert", "cli", "errors", "jsonio", "poly", "rationals"})
+
+
+PHI_PRODUCT = '{"arity":2,"terms":[{"exps":[1,0],"coeff":"1"},{"exps":[0,0],"coeff":"1"}]}'
+
+
+@pytest.mark.parametrize("argv, code, ran, absent", [
+    (("q", "--group", "sl2r", "-n", "1", "-m", "3"), 0, "sl2r",
+     {"sl2c", "multipoly", "atlas", "gammaprod"}),
+    (("q", "--group", "sl2c", "-n", "1", "-m", "3"), 0, "sl2c",
+     {"sl2r", "sl2r_product", "multipoly"}),
+    (("check3-product", "-n", "3,1", "-m", "1,1", "--phi", PHI_PRODUCT), 0, "sl2r_product",
+     {"sl2c", "atlas"}),
+], ids=["q-sl2r", "q-sl2c", "check3-product"])
+def test_subcommand_loads_only_its_modules(argv, code, ran, absent):
+    got_code, modules = loaded(*argv)
+    assert got_code == code and ran in modules
+    assert not modules & absent, sorted(modules & absent)

@@ -22,6 +22,13 @@ def test_mpoly_exponent_bound():
         jsonio.mpoly_from_json(term(bound + 1))
 
 
+def test_mpoly_repeated_exponents_rejected():
+    data = {"arity": 2, "terms": [{"exps": [1, 0], "coeff": "1"}, {"exps": [0, 3], "coeff": "1"},
+                                  {"exps": [1, 0], "coeff": "-1"}]}
+    with pytest.raises(ValueError, match=r"repeats the exponent vector \[1, 0\]"):
+        jsonio.mpoly_from_json(data)
+
+
 def test_rational_size_bound():
     # The widest rational pw can print: both parts at Python's 4,300-digit str limit.
     widest = Fraction(-int("9" * 4300), int("7" * 4300))
