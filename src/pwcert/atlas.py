@@ -13,10 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .rationals import rat_str
-from .sl2c import diamond_orbit, reducibility_c
-from .sl2r import IrreducibleR, SigmaR, composition_series_r
+
+if TYPE_CHECKING:
+    from .sl2r import SigmaR
 
 _PALETTE = (
     "blue", "green", "orange", "red", "purple", "cyan",
@@ -34,6 +36,8 @@ class AtlasPointR:
 
 def atlas_sl2r(lambda_max: Fraction) -> list[AtlasPointR]:
     """Verdicts on the half-integer grid |lambda| <= lambda_max, both parities."""
+    from .sl2r import IrreducibleR, SigmaR, composition_series_r
+
     points = []
     for sigma in (SigmaR.PLUS, SigmaR.MINUS):
         lam = Fraction(-math.floor(2 * lambda_max), 2)
@@ -79,6 +83,8 @@ def _orbit_id(orbit: frozenset[tuple[int, int]]) -> str:
 
 def atlas_sl2c(sigma_max: int, lambda_max: int) -> list[AtlasPointC]:
     """Verdicts and orbit grouping on the integer grid |sigma|, |lambda| <= bounds."""
+    from .sl2c import diamond_orbit, reducibility_c
+
     orbit_of: dict[tuple[int, int], str] = {}
     for sigma in range(-sigma_max, sigma_max + 1):
         for lam in range(-lambda_max, lambda_max + 1):
@@ -144,6 +150,8 @@ def atlas_sl2c_dot(sigma_max: int, lambda_max: int) -> str:
 
 def atlas_sl2r_dot(lambda_max: Fraction) -> str:
     """DOT graph of the SL(2,R) grid, reducible points filled."""
+    from .sl2r import SigmaR
+
     lines = [
         "graph atlas {",
         f'  label="sl2r atlas |lambda|<={rat_str(lambda_max)}";',

@@ -56,14 +56,14 @@ class Poly:
     def from_roots(roots: Iterable[RatLike]) -> Poly:
         """Monic product of (x - r) over the given roots.
 
-        The integer factors b*x - a, one per root a/b, multiply up a balanced
-        product tree (a subproduct tree, von zur Gathen & Gerhard, Modern
-        Computer Algebra, 10.1); the product of the b is the denominator.
+        The integer numerator gains one factor b*x - a per root a/b, so each step
+        scales coefficients only by the small a and b: no big x big product, which
+        a product tree needs at its top (von zur Gathen & Gerhard, MCA 10.1).
         """
-        level = [[-a, b] for a, b in map(_ratio, roots)] or [[1]]
-        while len(level) > 1:
-            level = [_int_mul(a, b) for a, b in zip(level[::2], level[1::2])] + level[len(level) & ~1 :]
-        return _make(level[0], level[0][-1])
+        num = [1]
+        for a, b in map(_ratio, roots):
+            num = [b * lo - a * hi for lo, hi in zip([0, *num], [*num, 0])]
+        return _make(num, num[-1])
 
     @staticmethod
     def zero() -> Poly:

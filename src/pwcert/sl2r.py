@@ -300,8 +300,8 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
     if not remainder.is_zero:
         root, value = first_root_not_vanishing([remainder], roots)
         return Reject(RootWitness(root=root, value=value))
-    degree = next((i for i in range(1, quotient.degree + 1, 2) if quotient[i]), None)
-    if degree is not None:
+    if quotient.reflect() != quotient:
+        degree = next(i for i in range(1, quotient.degree + 1, 2) if quotient[i])
         return Reject(OddQuotientWitness(degree=degree, coeff=quotient[degree]))
     return Accept(h=quotient)
 

@@ -47,7 +47,9 @@ PHI_PRODUCT = '{"arity":2,"terms":[{"exps":[1,0],"coeff":"1"},{"exps":[0,0],"coe
      {"sl2r", "sl2r_product", "multipoly"}),
     (("check3-product", "-n", "3,1", "-m", "1,1", "--phi", PHI_PRODUCT), 0, "sl2r_product",
      {"sl2c", "atlas"}),
-], ids=["q-sl2r", "q-sl2c", "check3-product"])
+    (("atlas", "--group", "sl2r", "--lambda-max", "2"), 0, "atlas", {"sl2c"}),
+    (("atlas", "--group", "sl2c", "--sigma-max", "2", "--lambda-max", "2"), 0, "atlas", {"sl2r"}),
+], ids=["q-sl2r", "q-sl2c", "check3-product", "atlas-sl2r", "atlas-sl2c"])
 def test_subcommand_loads_only_its_modules(argv, code, ran, absent):
     got_code, modules = loaded(*argv)
     assert got_code == code and ran in modules

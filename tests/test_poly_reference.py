@@ -15,6 +15,7 @@ import pytest
 import pwcert.sl2r
 from pwcert.poly import Poly, parity_split, poly_div_rem
 from pwcert.rationals import rat_str
+from pwcert.sl2c import q_roots_c
 from pwcert.sl2r import level3_check_r, q_roots_r
 
 CASES = 3000
@@ -243,6 +244,23 @@ def test_from_roots_accepts_every_rational_form():
     assert Poly.from_roots([]) == Poly.one()
     assert Poly.from_roots([1, "1/2", Fraction(-2, 3)]).coeffs == reference_from_roots(
         [1, Fraction(1, 2), Fraction(-2, 3)])
+
+
+def test_from_roots_matches_fraction_kernel_on_ladders():
+    # 0-40 roots with denominators 1, 2, 3, 5 and 6 mixed in one list, drawn
+    # from a small pool that holds 0, so zero and repeated roots occur; then
+    # every SL(2,R) ladder with |n|, |m| <= 40 and every SL(2,C) chain with
+    # n, m <= 40.
+    rng = random.Random(8004)
+    mixed = [[0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(-5, 6), 7]]
+    for _ in range(300):
+        pool = [Fraction(0)] + [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 6))) for _ in range(6)]
+        mixed.append([rng.choice(pool) for _ in range(rng.randint(0, 40))])
+    ladders = {tuple(q_roots_r(n, m)) for n in range(-40, 41) for m in range(-40, 41) if (n - m) % 2 == 0}
+    chains = {tuple(q_roots_c(n, m)) for n in range(41) for m in range(41) if (n - m) % 2 == 0}
+    assert max(map(len, ladders)) == 40 and max(map(len, chains)) == 20
+    for roots in [*mixed, *ladders, *chains]:
+        _assert_fraction_tuple(Poly.from_roots(roots), reference_from_roots(roots))
 
 
 def _reference_level3_check_r(monkeypatch: pytest.MonkeyPatch, phi: Poly, n: int, m: int):

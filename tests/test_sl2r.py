@@ -1,5 +1,6 @@
 """SL(2,R): c-functions, ladder polynomials, classification, both checkers."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -118,6 +119,17 @@ def test_ratio_identity_up_to_12():
 def test_adjoint_symmetry_of_roots():
     for n, m in equal_parity_pairs(9):
         assert sorted(q_roots_r(m, n)) == sorted(-r for r in q_roots_r(n, m))
+
+
+def test_q_poly_at_the_ktype_bound_within_budget():
+    # q_{-1000,1000} is the largest ladder the CLI accepts: 1,000 roots -999/2, ..., 999/2.
+    start = time.perf_counter()
+    q = q_poly_r(-1000, 1000)
+    assert time.perf_counter() - start < 1.5
+    assert q.degree == 1000 and q.leading == 1
+    assert q.reflect() == q
+    assert q(Fraction(-999, 2)) == 0 and q(HALF) == 0
+    assert q[0] == math.prod(Fraction(2 * i + 1, 2) ** 2 for i in range(500))
 
 
 # -- composition series --------------------------------------------------------------
