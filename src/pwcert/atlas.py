@@ -11,11 +11,11 @@ therefore byte-stable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .rationals import rat_str
+from .verdict import record
 
 if TYPE_CHECKING:
     from .sl2r import SigmaR
@@ -26,7 +26,7 @@ _PALETTE = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class AtlasPointR:
     sigma: SigmaR
     lam: Fraction
@@ -68,7 +68,7 @@ def atlas_sl2r_json(lambda_max: Fraction) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@record
 class AtlasPointC:
     sigma: int
     lam: int

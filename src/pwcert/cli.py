@@ -26,9 +26,7 @@ if TYPE_CHECKING:
 
 
 class _UsageError(Exception):
-    def __init__(self, message: str = "") -> None:
-        super().__init__(message)
-        self.message = message
+    """An argparse usage error, worded `pw <command>: error: ...`."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,10 +35,11 @@ class _Parser(argparse.ArgumentParser):
     Values like "-3/2" (rationals) and "-3,1" (K-type vectors) must parse as
     option values, so the negative-number matcher is widened accordingly
     (argparse sets it per instance, hence the override in __init__).
+    No option may be abbreviated (`--ph` is not `--phi`), here or in a subparser.
     """
 
     def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d+([,/.]-?\d+)*$")
 
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -192,7 +191,7 @@ def _cmd_check3(args) -> int:
         from .sl2r import level3_check_r
 
         if args.n is None or args.m is None:
-            raise _UsageError("check3 --group sl2r needs -n and -m")
+            raise ValueError("check3 --group sl2r needs -n and -m")
         phi = jsonio.poly_from_json(_load_json_arg(args.phi))
         result = level3_check_r(phi, *_ktypes(args.n, args.m))
         return _emit_verdict(result, jsonio.poly_to_json, args.out)
@@ -200,9 +199,9 @@ def _cmd_check3(args) -> int:
 
     phi_map = jsonio.diag_map_from_json(_load_json_arg(args.phi))
     if args.n is not None and phi_map.src != args.n:
-        raise _UsageError(f"-n {args.n} does not match phi (n = {phi_map.src})")
+        raise ValueError(f"-n {args.n} does not match phi (n = {phi_map.src})")
     if args.m is not None and phi_map.dst != args.m:
-        raise _UsageError(f"-m {args.m} does not match phi (m = {phi_map.dst})")
+        raise ValueError(f"-m {args.m} does not match phi (m = {phi_map.dst})")
     return _emit_verdict(level3_check_c(phi_map), jsonio.diag_map_to_json, args.out)
 
 
@@ -221,14 +220,14 @@ def _cmd_check2(args) -> int:
         from .sl2r import level2_check_r
 
         if args.m is None or args.truncation is None:
-            raise _UsageError("check2 --group sl2r needs -m and --truncation")
+            raise ValueError("check2 --group sl2r needs -m and --truncation")
         report = level2_check_r(psi, jsonio.ktype_from_json(args.m), args.truncation)
         _emit(jsonio.level2_report_r_to_json(report), args.out)
         return 0 if report.passed else 2
     from .sl2c import level2_functional_check_c
 
     if args.n is None:
-        raise _UsageError("check2 --group sl2c needs -n")
+        raise ValueError("check2 --group sl2c needs -n")
     report_c = level2_functional_check_c(psi, jsonio.ktype_from_json(args.n))
     _emit(jsonio.level2_report_c_to_json(report_c), args.out)
     return 0 if report_c.passed else 2
@@ -284,7 +283,7 @@ def _cmd_atlas(args) -> int:
             _emit(atlas_mod.atlas_sl2r_dot(lam_max), args.out, raw=True)
         return 0
     if lam_max.denominator != 1:
-        raise _UsageError("sl2c atlas needs an integer --lambda-max")
+        raise ValueError("sl2c atlas needs an integer --lambda-max")
     if max(args.sigma_max, lam_max) > jsonio.MAX_ATLAS_C:
         raise ValueError(f"atlas --group sl2c needs --sigma-max and --lambda-max <= {jsonio.MAX_ATLAS_C}")
     if args.format == "json":
@@ -351,8 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
-        if exc.message:
-            print(exc.message, file=sys.stderr)
+        print(exc, file=sys.stderr)
         return 1
     except (PwError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"pw: error: {exc}", file=sys.stderr)

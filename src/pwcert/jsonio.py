@@ -7,7 +7,6 @@ ascending.  All emitters sort keys, so serialized output is deterministic.
 
 from __future__ import annotations
 
-from dataclasses import asdict, is_dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -244,13 +243,11 @@ def level2_report_c_to_json(r: Level2ReportC) -> dict:
 
 def witness_to_json(witness: Any) -> dict:
     """Encoder for the witness of the shared Reject (pwcert.verdict), from any checker."""
-    if is_dataclass(witness):
-        raw = asdict(witness)
-        out = {"kind": type(witness).__name__}
-        for key, value in raw.items():
-            if isinstance(value, Fraction):
-                out[key] = rat_str(value)
-            else:
-                out[key] = value
-        return out
-    raise TypeError(f"cannot encode witness {witness!r}")
+    names = getattr(type(witness), "__record_fields__", None)
+    if names is None:
+        raise TypeError(f"cannot encode witness {witness!r}")
+    out = {"kind": type(witness).__name__}
+    for key in names:
+        value = getattr(witness, key)
+        out[key] = rat_str(value) if isinstance(value, Fraction) else value
+    return out

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import ConvergenceNotReached, OutsideConvergenceRegion, PoleProximity
+from .verdict import record
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -117,7 +117,7 @@ def _ensure_iwasawa() -> None:
         raise RuntimeError(f"Iwasawa factorization self-check failed ({worst:.3e})")
 
 
-@dataclass(frozen=True)
+@record
 class QuadratureSpec:
     """Composite Gauss-Legendre plan on [-half_width, half_width]."""
 

@@ -26,7 +26,6 @@ followed by the diagonal-algebra test on the quotient.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -48,7 +47,7 @@ from .poly import (
     transpose,
 )
 from .rationals import RatLike, is_integer, rat
-from .verdict import Accept, Reject
+from .verdict import Accept, Reject, record
 
 if TYPE_CHECKING:
     from .gammaprod import GammaProduct
@@ -122,7 +121,7 @@ def c_quotient_c(n: int, m: int) -> RationalFunction:
 # -- reducibility and the intertwiner diamond ----------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ReducibilityC:
     """Classification of the principal series at (sigma, lambda).
 
@@ -140,7 +139,7 @@ class ReducibilityC:
     fm: int | None = None
     fn: int | None = None
     socle_is_R: bool | None = None
-    finite_dim_ktypes: tuple[int, ...] = field(default_factory=tuple)
+    finite_dim_ktypes: tuple[int, ...] = ()
 
     def h_contains(self, t: int) -> bool:
         return t >= abs(self.sigma) and (t - self.sigma) % 2 == 0
@@ -188,14 +187,14 @@ def reducibility_c_complex(sigma: int, lam: complex) -> ReducibilityC:
 Vertex = tuple[int, int]  # (sigma, lambda) with integral lambda
 
 
-@dataclass(frozen=True)
+@record
 class DiamondArrow:
     name: str
     src: Vertex
     dst: Vertex
 
 
-@dataclass(frozen=True)
+@record
 class IntertwinerDiamond:
     """The four-series parameter orbit and its six intertwiners.
 
@@ -401,14 +400,14 @@ def q_nm_c(n: int, m: int) -> WeightedDiagMap:
 # -- the diagonal algebra --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class SymmetryWitness:
     """phi_k(x) != phi_{-k}(-x) for this weight."""
 
     weight: int
 
 
-@dataclass(frozen=True)
+@record
 class SwapWitness:
     """phi_k(l) != phi_l(k) for this pair of weights."""
 
@@ -448,7 +447,7 @@ def algebra_check(phi: WeightedDiagMap) -> Accept | Reject:
     raise InternalNonDivisibility("a pinning division left a remainder, yet every weight pair swaps")
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorCoords:
     """Coordinates h_0..h_m (polynomials in mu = x^2 + k^2) over the generators (k x)^l."""
 
@@ -541,7 +540,7 @@ def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly] | None:
 # -- Level-3 membership ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class WeightRootWitness:
     """At this weight, the component fails to vanish at a chain root."""
 
@@ -607,14 +606,14 @@ def extend_interpolate(h: WeightedDiagMap, target: int) -> WeightedDiagMap:
 # -- Level-2 scalar shadow ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class WeightPairCheck:
     weight: int
     ok: bool
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@record
 class Level2ReportC:
     n: int
     partner: int | None

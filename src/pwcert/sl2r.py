@@ -26,14 +26,13 @@ q_{n,m}(-x) / q_{n,m}(x) = (-1)^{(m-n)/2} c_n / c_m (criterion 02).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import TruncationTooSmall, check_parity
 from .poly import Poly, first_root_not_vanishing, poly_div_rem
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
-from .verdict import Accept, Reject
+from .verdict import Accept, Reject, record
 
 if TYPE_CHECKING:
     from .gammaprod import GammaProduct
@@ -131,7 +130,7 @@ def q_poly_r(n: int, m: int) -> Poly:
 # -- composition series -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class CompFactorR:
     """One composition factor: the K-types from lo to hi in steps of 2.
 
@@ -159,7 +158,7 @@ def _discrete(k: int, sign: int) -> CompFactorR:
     return CompFactorR(label, edge, None) if sign > 0 else CompFactorR(label, None, edge)
 
 
-@dataclass(frozen=True)
+@record
 class SubmoduleR:
     """A proper closed invariant submodule, as a union of composition factors."""
 
@@ -188,7 +187,7 @@ class _Full:
 FULL = _Full()
 
 
-@dataclass(frozen=True)
+@record
 class IrreducibleR:
     """Verdict value for parameters where the principal series is irreducible."""
 
@@ -196,7 +195,7 @@ class IrreducibleR:
     lam: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class CompositionSeriesR:
     """Layered composition series (socle first) plus all proper submodules."""
 
@@ -272,7 +271,7 @@ def reducibility_points_r(sigma: SigmaR, bound: Fraction) -> list[Fraction]:
 # -- Level-3 membership -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class RootWitness:
     """phi fails to vanish at a root of the intertwining polynomial."""
 
@@ -280,7 +279,7 @@ class RootWitness:
     value: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class OddQuotientWitness:
     """The quotient phi / q has a nonzero odd-degree coefficient."""
 
@@ -309,7 +308,7 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
 # -- Level-2 membership ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class VanishingCheck:
     """Condition at one reducibility point: psi_n(lambda) must vanish."""
 
@@ -320,7 +319,7 @@ class VanishingCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class FunctionalCheck:
     """Cleared c-quotient functional equation for one K-type component."""
 
@@ -329,7 +328,7 @@ class FunctionalCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
+@record
 class Level2ReportR:
     m: int
     truncation: int
@@ -385,13 +384,13 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> Level2Repor
 # -- box pictures ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class BoxR:
     label: str
     highlighted: bool
 
 
-@dataclass(frozen=True)
+@record
 class BoxPictureR:
     """Layered factor layout with the minimal submodule containing m marked."""
 

@@ -10,14 +10,13 @@ univariate checker, d = 2 is the motivating case).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, ParityMismatch
 from .multipoly import MultiPoly, mpoly_div_in_var
 from .poly import Poly, first_root_not_vanishing
 from .sl2r import q_poly_r, q_roots_r
-from .verdict import Accept, Reject
+from .verdict import Accept, Reject, record
 
 KTypeVec = tuple[int, ...]
 
@@ -44,7 +43,7 @@ def q_product(l: KTypeVec, n: KTypeVec) -> MultiPoly:
     return result
 
 
-@dataclass(frozen=True)
+@record
 class ProductRootWitness:
     """phi is not divisible by the ladder factor (x_var - root)."""
 
@@ -52,7 +51,7 @@ class ProductRootWitness:
     root: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class ProductOddWitness:
     """The full quotient has a term of odd exponent in the named variable."""
 

@@ -161,6 +161,17 @@ def test_usage_error_exit_1(capsys):
 
 
 @pytest.mark.parametrize("args", [
+    # --h belongs to extend: argparse would read it as --help here and exit 0.
+    ("decompose", "--h", '{"n":0,"m":0,"components":{"0":{"coeffs":["1"]}}}'),
+    # argparse would read --ph as --phi.
+    ("check3", "--group", "sl2r", "-n", "1", "-m", "3", "--ph", '{"coeffs":["1"]}'),
+])
+def test_abbreviated_options_are_refused(capsys, args):
+    assert main(list(args)) == 1
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args", [
     ("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":[1.5]}'),
     ("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":["1/0"]}'),
     ("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":[true]}'),

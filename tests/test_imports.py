@@ -1,6 +1,7 @@
 """Start-up: a pw call imports only the pwcert modules its subcommand runs.
 
 Each case runs in a fresh interpreter and reads sys.modules after the call.
+No call loads `dataclasses` or `inspect` (about 10 ms of import on their own).
 """
 
 import json
@@ -20,16 +21,22 @@ code = None
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         code = pwcert.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "pwcert")]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] == "pwcert" or m in ("dataclasses", "inspect"))]))
 """
+SLOW_STDLIB = {"dataclasses", "inspect"}
 
 
 def loaded(*argv):
-    """Exit code of `pw argv` (None for no call) and the pwcert modules loaded, short names."""
+    """Exit code of `pw argv` (None for no call) and the pwcert modules loaded, short names.
+
+    Fails if the call loaded `dataclasses` or `inspect`.
+    """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     code, modules = json.loads(proc.stdout)
+    assert not SLOW_STDLIB & set(modules), sorted(SLOW_STDLIB & set(modules))
     return code, {m.removeprefix("pwcert.") for m in modules}
 
 
@@ -49,7 +56,9 @@ PHI_PRODUCT = '{"arity":2,"terms":[{"exps":[1,0],"coeff":"1"},{"exps":[0,0],"coe
      {"sl2c", "atlas"}),
     (("atlas", "--group", "sl2r", "--lambda-max", "2"), 0, "atlas", {"sl2c"}),
     (("atlas", "--group", "sl2c", "--sigma-max", "2", "--lambda-max", "2"), 0, "atlas", {"sl2r"}),
-], ids=["q-sl2r", "q-sl2c", "check3-product", "atlas-sl2r", "atlas-sl2c"])
+    (("check3", "--group", "sl2r", "-n", "1", "-m", "3", "--phi", '{"coeffs":["1"]}'), 2, "sl2r",
+     {"sl2c", "multipoly"}),
+], ids=["q-sl2r", "q-sl2c", "check3-product", "atlas-sl2r", "atlas-sl2c", "reject-witness-sl2r"])
 def test_subcommand_loads_only_its_modules(argv, code, ran, absent):
     got_code, modules = loaded(*argv)
     assert got_code == code and ran in modules
