@@ -71,7 +71,7 @@ def _emit_verdict(result, h_to_json, out: str | None) -> int:
         return 2
     payload = {"accept": True, "h": h_to_json(result.h)}
     if result.coords is not None:
-        payload["coords"] = jsonio.coords_to_json(result.coords)
+        payload["coords"] = jsonio.record_to_json(result.coords)
     _emit(payload, out)
     return 0
 
@@ -229,7 +229,7 @@ def _cmd_check2(args) -> int:
     if args.n is None:
         raise ValueError("check2 --group sl2c needs -n")
     report_c = level2_functional_check_c(psi, jsonio.ktype_from_json(args.n))
-    _emit(jsonio.level2_report_c_to_json(report_c), args.out)
+    _emit(jsonio.record_to_json(report_c), args.out)
     return 0 if report_c.passed else 2
 
 
@@ -245,10 +245,11 @@ def _cmd_classify(args) -> int:
 
     if abs(lam) > jsonio.MAX_KTYPE:  # its K-types run up to |lambda|
         raise ValueError(f"classify --group sl2c needs |lambda| <= {jsonio.MAX_KTYPE}, got {args.lam}")
-    verdict = reducibility_c(int(args.sigma), lam)
+    sigma = jsonio.int_from_json(args.sigma)
+    verdict = reducibility_c(sigma, lam)
     payload = jsonio.reducibility_to_json(verdict)
     if args.diamond and verdict.reducible:
-        payload["diamond"] = jsonio.diamond_to_json(diamond(int(args.sigma), lam))
+        payload["diamond"] = jsonio.diamond_to_json(diamond(sigma, lam))
     _emit(payload, args.out)
     return 0
 
@@ -258,7 +259,7 @@ def _cmd_box(args) -> int:
 
     picture = box_picture_r(args.m, rat(args.lam))
     if args.format == "json":
-        _emit(jsonio.box_picture_to_json(picture), args.out)
+        _emit(jsonio.record_to_json(picture), args.out)
     elif args.format == "dot":
         from .render import box_dot
 
@@ -297,8 +298,7 @@ def _cmd_decompose(args) -> int:
     from .sl2c import free_module_decompose
 
     phi = jsonio.diag_map_from_json(_load_json_arg(args.phi))
-    coords = free_module_decompose(phi)
-    _emit(jsonio.coords_to_json(coords), args.out)
+    _emit(jsonio.record_to_json(free_module_decompose(phi)), args.out)
     return 0
 
 

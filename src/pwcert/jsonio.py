@@ -3,10 +3,26 @@
 Rationals are strings ("p/q", or "p" when the denominator is 1) so that no
 reader is tempted to parse them as floats.  Polynomial coefficients are
 ascending.  All emitters sort keys, so serialized output is deterministic.
+
+Result records (pwcert.verdict.record) are written by one rule,
+`record_to_json`: a record is an object of its fields in __record_fields__
+order, the field `lam` under the key "lambda" (which cannot be a field name).
+By exact type, a Fraction is its rat_str, a tuple a list, a Poly its
+poly_to_json, and int, str, bool and None are written as they are; an enum
+member is its value, a nested record the same rule again, and anything else
+is a TypeError.  The other encoders add to the rule or pick from it.  The
+atlas (pwcert.atlas) writes its points as dict literals instead, because one
+call encodes up to 40,401 of them: on the 40,401 points of the SL(2,C) atlas
+at 100 x 100 the rule took 76-82 ms against 22-24 ms for the literals, in a
+0.7 s atlas_sl2c_json (2-vCPU host).
+
+A decoder reads each member through `_member`, so a missing or mistyped one is
+a ValueError that names the JSON kind and the key.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -16,14 +32,8 @@ from .rationals import rat, rat_str
 if TYPE_CHECKING:  # annotations only: a function that needs one of these at run time imports it
     from .multipoly import MultiPoly
     from .ratfunc import RationalFunction
-    from .sl2c import (
-        GeneratorCoords,
-        IntertwinerDiamond,
-        Level2ReportC,
-        ReducibilityC,
-        WeightedDiagMap,
-    )
-    from .sl2r import BoxPictureR, CompositionSeriesR, IrreducibleR, Level2ReportR
+    from .sl2c import GeneratorCoords, IntertwinerDiamond, ReducibilityC, WeightedDiagMap
+    from .sl2r import CompositionSeriesR, IrreducibleR, Level2ReportR
 
 MAX_EXPONENT = 10_000  # each fiber of a multipoly is a dense Poly of up to this degree
 MAX_KTYPE = 1_000  # q_{-1000,1000} prints 2,567 digits, 2,000 would pass Python's 4,300; pw q takes 0.6 s for it (2-vCPU host)
@@ -36,6 +46,39 @@ def poly_to_json(p: Poly) -> dict:
     return {"coeffs": [rat_str(c) for c in p.coeffs]}
 
 
+def record_to_json(value: Any) -> dict:
+    """The one rule for result records (see the module docstring)."""
+    names = getattr(type(value), "__record_fields__", None)
+    if names is None:
+        raise TypeError(f"cannot encode {value!r}: not a record")
+    return {"lambda" if name == "lam" else name: _value_to_json(getattr(value, name)) for name in names}
+
+
+_AS_IS = frozenset({bool, int, str, type(None)})
+
+
+def _value_to_json(value: Any) -> Any:
+    kind = type(value)  # exact types: isinstance on Fraction, an ABC, is slow when it fails
+    if kind in _AS_IS:
+        return value
+    if kind is Fraction:
+        return rat_str(value)
+    if kind is tuple:
+        return [_value_to_json(v) for v in value]
+    if kind is Poly:
+        return poly_to_json(value)
+    if isinstance(value, Enum):
+        return value.value
+    return record_to_json(value)
+
+
+def _member(data: Any, key: str, kind: str, of_type: type = object, what: str = "") -> Any:
+    """data[key] of a JSON object, else ValueError("<kind> JSON needs <what or the member 'key'>")."""
+    if isinstance(data, dict) and key in data and isinstance(data[key], of_type):
+        return data[key]
+    raise ValueError(f"{kind} JSON needs {what or f'the member {key!r}'}")
+
+
 def _rat_from_json(value: Any) -> Fraction:
     """A JSON rational: a "p/q" string or an integer, never a float or a bool."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
@@ -43,25 +86,26 @@ def _rat_from_json(value: Any) -> Fraction:
     return rat(value)
 
 
-def _int_from_json(value: Any) -> int:
+def int_from_json(value: Any) -> int:
     """A JSON integer, or a string holding one; never a float, a bool or null."""
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
+    if not isinstance(value, bool) and isinstance(value, (str, int)):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def ktype_from_json(value: Any) -> int:
     """A K-type (or weight): a JSON integer of absolute value at most MAX_KTYPE."""
-    n = _int_from_json(value)
+    n = int_from_json(value)
     if abs(n) > MAX_KTYPE:
         raise ValueError(f"K-types must be at most {MAX_KTYPE} in absolute value, got {n}")
     return n
 
 
 def poly_from_json(data: dict) -> Poly:
-    coeffs = data.get("coeffs") if isinstance(data, dict) else None
-    if not isinstance(coeffs, list):
-        raise ValueError("polynomial JSON needs a 'coeffs' list")
+    coeffs = _member(data, "coeffs", "polynomial", list, "a 'coeffs' list")
     return Poly([_rat_from_json(c) for c in coeffs])
 
 
@@ -77,18 +121,16 @@ def mpoly_to_json(p: MultiPoly) -> dict:
 def mpoly_from_json(data: dict) -> MultiPoly:
     from .multipoly import MultiPoly
 
-    terms = data.get("terms") if isinstance(data, dict) else None
-    if not isinstance(terms, list) or not all(
-        isinstance(t, dict) and isinstance(t.get("exps"), list) for t in terms
-    ):
-        raise ValueError("multivariate polynomial JSON needs a 'terms' list of objects with an 'exps' list")
-    arity = _int_from_json(data.get("arity"))
+    kind, shape = "multivariate polynomial", "a 'terms' list of objects with an 'exps' list"
+    terms = _member(data, "terms", kind, list, shape)
+    exps_lists = [_member(t, "exps", kind, list, shape) for t in terms]
+    arity = int_from_json(_member(data, "arity", kind))
     parsed = {}
-    for t in terms:
-        exps = tuple(_int_from_json(e) for e in t["exps"])
+    for t, exps_list in zip(terms, exps_lists):
+        exps = tuple(int_from_json(e) for e in exps_list)
         if exps in parsed:
             raise ValueError(f"multivariate polynomial JSON repeats the exponent vector {list(exps)}")
-        parsed[exps] = _rat_from_json(t["coeff"])
+        parsed[exps] = _rat_from_json(_member(t, "coeff", "multivariate polynomial term"))
     top = max((e for exps in parsed for e in exps), default=0)
     if top > MAX_EXPONENT:
         raise ValueError(f"exponents must be at most {MAX_EXPONENT}, got {top}")
@@ -102,7 +144,8 @@ def ratfunc_to_json(f: RationalFunction) -> dict:
 def ratfunc_from_json(data: dict) -> RationalFunction:
     from .ratfunc import RationalFunction
 
-    return RationalFunction(poly_from_json(data["num"]), poly_from_json(data["den"]))
+    return RationalFunction(poly_from_json(_member(data, "num", "rational function")),
+                            poly_from_json(_member(data, "den", "rational function")))
 
 
 def diag_map_to_json(m: WeightedDiagMap) -> dict:
@@ -116,25 +159,18 @@ def diag_map_to_json(m: WeightedDiagMap) -> dict:
 def diag_map_from_json(data: dict) -> WeightedDiagMap:
     from .sl2c import WeightedDiagMap
 
-    comps = data.get("components") if isinstance(data, dict) else None
-    if not isinstance(comps, dict):
-        raise ValueError("weighted map JSON needs a 'components' object")
-    comps = {int(k): poly_from_json(v) for k, v in comps.items()}
-    return WeightedDiagMap(ktype_from_json(data["n"]), ktype_from_json(data["m"]), comps)
-
-
-def coords_to_json(c: GeneratorCoords) -> dict:
-    # Coordinate polynomials are in the Casimir variable mu = lambda^2 + k^2.
-    return {"m": c.m, "h": [poly_to_json(h) for h in c.h]}
+    comps = _member(data, "components", "weighted map", dict, "a 'components' object")
+    comps = {int_from_json(k): poly_from_json(v) for k, v in comps.items()}
+    return WeightedDiagMap(ktype_from_json(_member(data, "n", "weighted map")),
+                           ktype_from_json(_member(data, "m", "weighted map")), comps)
 
 
 def coords_from_json(data: dict) -> GeneratorCoords:
     from .sl2c import GeneratorCoords
 
-    h = data.get("h") if isinstance(data, dict) else None
-    if not isinstance(h, list):
-        raise ValueError("generator coordinates JSON needs an 'h' list")
-    return GeneratorCoords(_int_from_json(data["m"]), tuple(poly_from_json(p) for p in h))
+    h = _member(data, "h", "generator coordinates", list, "an 'h' list")
+    m = int_from_json(_member(data, "m", "generator coordinates"))
+    return GeneratorCoords(m, tuple(poly_from_json(p) for p in h))
 
 
 def psi_from_json(data: dict) -> dict[int, Poly]:
@@ -146,7 +182,7 @@ def psi_from_json(data: dict) -> dict[int, Poly]:
 
 def ktype_vec_from_json(data: dict | list | str) -> tuple[int, ...]:
     if isinstance(data, dict):
-        data = data["ktypes"]
+        data = _member(data, "ktypes", "K-type vector")
     elif isinstance(data, str):
         data = data.split(",")
     return tuple(ktype_from_json(x) for x in data)
@@ -156,7 +192,7 @@ def composition_series_to_json(s: CompositionSeriesR | IrreducibleR) -> dict:
     from .sl2r import IrreducibleR
 
     if isinstance(s, IrreducibleR):
-        return {"sigma": s.sigma.value, "lambda": rat_str(s.lam), "reducible": False}
+        return {**record_to_json(s), "reducible": False}
     return {
         "sigma": s.sigma.value,
         "lambda": rat_str(s.lam),
@@ -167,87 +203,21 @@ def composition_series_to_json(s: CompositionSeriesR | IrreducibleR) -> dict:
 
 
 def reducibility_to_json(r: ReducibilityC) -> dict:
-    out: dict[str, Any] = {
-        "sigma": r.sigma,
-        "lambda": rat_str(r.lam),
-        "reducible": r.reducible,
-    }
-    if r.reducible:
-        out.update(
-            fm=r.fm,
-            fn=r.fn,
-            socle_is_R=r.socle_is_R,
-            finite_dim_ktypes=list(r.finite_dim_ktypes),
-            r_ktype_min=abs(int(r.lam)),
-        )
-    return out
+    if not r.reducible:
+        return {"sigma": r.sigma, "lambda": rat_str(r.lam), "reducible": False}
+    return {**record_to_json(r), "r_ktype_min": abs(int(r.lam))}
 
 
 def diamond_to_json(d: IntertwinerDiamond) -> dict:
-    return {
-        "vertices": {
-            "right": list(d.right),
-            "left": list(d.left),
-            "top": list(d.top),
-            "bottom": list(d.bottom),
-        },
-        "arrows": [
-            {"name": a.name, "src": list(a.src), "dst": list(a.dst)} for a in d.arrows
-        ],
-    }
-
-
-def box_picture_to_json(b: BoxPictureR) -> dict:
-    return {
-        "m": b.m,
-        "lambda": rat_str(b.lam),
-        "full": b.full,
-        "layers": [
-            [{"label": box.label, "highlighted": box.highlighted} for box in layer]
-            for layer in b.layers
-        ],
-    }
+    vertices = record_to_json(d)
+    arrows = vertices.pop("arrows")
+    return {"vertices": vertices, "arrows": arrows}
 
 
 def level2_report_r_to_json(r: Level2ReportR) -> dict:
-    return {
-        "m": r.m,
-        "truncation": r.truncation,
-        "passed": r.passed,
-        "vanishing": [
-            {
-                "lambda": rat_str(c.lam),
-                "ktype": c.ktype,
-                "submodule": c.submodule,
-                "value": rat_str(c.value),
-                "ok": c.ok,
-            }
-            for c in r.vanishing
-        ],
-        "functional": [
-            {"ktype": c.ktype, "sign": c.sign, "ok": c.ok} for c in r.functional
-        ],
-    }
-
-
-def level2_report_c_to_json(r: Level2ReportC) -> dict:
-    return {
-        "n": r.n,
-        "passed": r.passed,
-        "partner": r.partner,
-        "checks": [
-            {"weight": c.weight, "ok": c.ok, "reason": c.reason} for c in r.checks
-        ],
-    }
+    return {**record_to_json(r), "passed": r.passed}
 
 
 def witness_to_json(witness: Any) -> dict:
     """Encoder for the witness of the shared Reject (pwcert.verdict), from any checker."""
-    names = getattr(type(witness), "__record_fields__", None)
-    if names is None:
-        raise TypeError(f"cannot encode witness {witness!r}")
-    out = {"kind": type(witness).__name__}
-    for key in names:
-        value = getattr(witness, key)
-        out[key] = rat_str(value) if isinstance(value, Fraction) else value
-    return out
+    return {"kind": type(witness).__name__, **record_to_json(witness)}

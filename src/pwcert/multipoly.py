@@ -265,9 +265,3 @@ def mpoly_div_in_var(f: MultiPoly, g: Poly, var: int) -> tuple[MultiPoly, MultiP
         quo.append((rest, q))
         rem.append((rest, r))
     return _assemble(f.arity, var, quo), _assemble(f.arity, var, rem)
-
-
-def mpoly_even_in_var(f: MultiPoly, var: int) -> bool:
-    """True iff every stored term has even exponent in the given variable."""
-    f._check_var(var)
-    return all(exps[var] % 2 == 0 for exps in f.exponents)

@@ -220,6 +220,33 @@ def test_malformed_input_is_one_error_line(capsys, args):
     assert len(err.splitlines()) == 1 and err.startswith("pw: error: ")
 
 
+@pytest.mark.parametrize("args, message", [
+    (("q", "--group", "sl2r", "-n", "x", "-m", "1"), "expected an integer, got 'x'"),
+    (("classify", "--group", "sl2c", "--sigma", "x", "--lambda", "1"), "expected an integer, got 'x'"),
+    (("check3", "--group", "sl2c", "--phi", '{"components":{"0":{"coeffs":["1"]}}}'),
+     "weighted map JSON needs the member 'n'"),
+    (("decompose", "--phi", '{"n":0,"components":{"0":{"coeffs":["1"]}}}'),
+     "weighted map JSON needs the member 'm'"),
+    (("extend", "--h", '{"n":0,"m":0,"components":{"zero":{"coeffs":["1"]}}}', "--target", "2"),
+     "expected an integer, got 'zero'"),
+    (("check2", "--group", "sl2c", "-n", "2", "--psi", '{"coeffs":"12"}'),
+     "expected an integer, got 'coeffs'"),
+    (("synthesize", "--coords", '{"h":[{"coeffs":["1"]}]}'),
+     "generator coordinates JSON needs the member 'm'"),
+    (("check3-product", "-n", "1", "-m", "1", "--phi", '{"terms":[]}'),
+     "multivariate polynomial JSON needs the member 'arity'"),
+    (("check3-product", "-n", "1", "-m", "1", "--phi", '{"arity":1,"terms":[{"exps":[0]}]}'),
+     "multivariate polynomial term JSON needs the member 'coeff'"),
+    (("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", "[]"),
+     "polynomial JSON needs a 'coeffs' list"),
+])
+def test_malformed_json_names_what_is_wrong(capsys, args, message):
+    assert main(list(args)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"pw: error: {message}\n"
+
+
 def test_repeated_multipoly_exponents_are_an_error(capsys):
     # A repeated exponent vector is ambiguous input, not a term to overwrite or sum.
     phi = '{"arity":1,"terms":[{"exps":[2],"coeff":"1"},{"exps":[2],"coeff":"2"}]}'

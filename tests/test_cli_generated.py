@@ -170,7 +170,7 @@ def decompose_args(draw):
 def synthesize_args(draw):
     m = draw(st.integers(0, 3))
     coords = GeneratorCoords(m, tuple(poly(draw) for _ in range(m + 1)))
-    return {"--coords": json_value(draw, jsonio.coords_to_json(coords))}
+    return {"--coords": json_value(draw, jsonio.record_to_json(coords))}
 
 
 @st.composite

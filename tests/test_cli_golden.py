@@ -2,9 +2,11 @@
 
 The corpus is tests/golden/pw_corpus.jsonl, written by
 tests/golden/make_pw_corpus.py; a refactor that keeps behaviour leaves it
-byte-identical.
+byte-identical.  On a mismatch the failure shows the first differing call in
+full: its argv, both exit codes and a unified diff of stdout and stderr.
 """
 
+import difflib
 import json
 from pathlib import Path
 
@@ -13,13 +15,24 @@ from pwcert.cli import main
 CORPUS = Path(__file__).parent / "golden" / "pw_corpus.jsonl"
 
 
+def _explain(record: dict, code: int, out: str, err: str) -> str:
+    lines = [f"argv: {record['args']}", f"exit code: expected {record['code']}, got {code}"]
+    for stream, expected, actual in (("stdout", record["stdout"], out), ("stderr", record["stderr"], err)):
+        lines += difflib.unified_diff(expected.splitlines(), actual.splitlines(),
+                                      f"expected {stream}", f"actual {stream}", lineterm="")
+    return "\n".join(lines)
+
+
 def test_corpus_replays_byte_identical(capsys):
     records = [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
     assert len(records) >= 200
     mismatches = []
+    first = ""
     for i, record in enumerate(records):
         code = main(list(record["args"]))
         captured = capsys.readouterr()
         if (code, captured.out, captured.err) != (record["code"], record["stdout"], record["stderr"]):
             mismatches.append((i, record["args"][:3]))
-    assert not mismatches, f"{len(mismatches)} calls differ from the corpus: {mismatches[:10]}"
+            first = first or f"call {i}:\n" + _explain(record, code, captured.out, captured.err)
+    assert not mismatches, (f"{len(mismatches)} calls differ from the corpus: {mismatches[:10]}\n"
+                            f"first difference, {first}")

@@ -73,7 +73,7 @@ def test_diag_map_round_trip():
 
 def test_coords_round_trip():
     c = GeneratorCoords(2, (Poly([1]), Poly([0, 1]), Poly.zero()))
-    assert jsonio.coords_from_json(jsonio.coords_to_json(c)) == c
+    assert jsonio.coords_from_json(jsonio.record_to_json(c)) == c
 
 
 def test_ktype_vec_forms():
@@ -90,7 +90,7 @@ def test_composition_series_json():
 
 
 def test_box_picture_json():
-    data = jsonio.box_picture_to_json(box_picture_r(0, Fraction(-1, 2)))
+    data = jsonio.record_to_json(box_picture_r(0, Fraction(-1, 2)))
     assert data["layers"][0] == [{"label": "F1", "highlighted": True}]
     assert not data["full"]
 
@@ -107,3 +107,122 @@ def test_witness_json():
 
     data = jsonio.witness_to_json(RootWitness(root=Fraction(-3, 2), value=Fraction(2)))
     assert data == {"kind": "RootWitness", "root": "-3/2", "value": "2"}
+
+
+# -- the record rule ------------------------------------------------------------------
+
+
+def test_record_to_json_coords_with_polys():
+    c = GeneratorCoords(2, (Poly([1]), Poly([Fraction(-1, 2), 1]), Poly.zero()))
+    assert jsonio.record_to_json(c) == {
+        "m": 2, "h": [{"coeffs": ["1"]}, {"coeffs": ["-1/2", "1"]}, {"coeffs": []}]}
+
+
+def test_record_to_json_level2_report_c():
+    from pwcert.sl2c import Level2ReportC, WeightPairCheck
+
+    report = Level2ReportC(n=2, partner=None, passed=False,
+                           checks=(WeightPairCheck(-2, True), WeightPairCheck(0, False, "ratio")))
+    assert jsonio.record_to_json(report) == {
+        "n": 2, "partner": None, "passed": False,
+        "checks": [{"weight": -2, "ok": True, "reason": ""},
+                   {"weight": 0, "ok": False, "reason": "ratio"}]}
+
+
+def test_record_to_json_reducibility_c():
+    from pwcert.sl2c import reducibility_c
+
+    reducible = reducibility_c(1, 5)
+    assert jsonio.record_to_json(reducible) == {
+        "sigma": 1, "lambda": "5", "reducible": True, "fm": 2, "fn": 1,
+        "socle_is_R": True, "finite_dim_ktypes": [3, 1]}
+    assert jsonio.reducibility_to_json(reducible) == {
+        **jsonio.record_to_json(reducible), "r_ktype_min": 5}
+    irreducible = reducibility_c(0, Fraction(1, 2))
+    assert jsonio.record_to_json(irreducible) == {
+        "sigma": 0, "lambda": "1/2", "reducible": False, "fm": None, "fn": None,
+        "socle_is_R": None, "finite_dim_ktypes": []}
+    assert jsonio.reducibility_to_json(irreducible) == {
+        "sigma": 0, "lambda": "1/2", "reducible": False}
+
+
+def test_record_to_json_box_picture():
+    assert jsonio.record_to_json(box_picture_r(0, Fraction(-1, 2))) == {
+        "m": 0, "lambda": "-1/2", "full": False,
+        "layers": [[{"label": "F1", "highlighted": True}],
+                   [{"label": "D-1", "highlighted": False}, {"label": "D+1", "highlighted": False}]]}
+
+
+def test_record_to_json_irreducible_with_enum():
+    from pwcert.sl2r import IrreducibleR
+
+    assert jsonio.record_to_json(IrreducibleR(SigmaR.MINUS, Fraction(1, 3))) == {
+        "sigma": "-", "lambda": "1/3"}
+
+
+def _witnesses():
+    from pwcert.sl2c import SwapWitness, SymmetryWitness, WeightRootWitness
+    from pwcert.sl2r import OddQuotientWitness, RootWitness
+    from pwcert.sl2r_product import ProductOddWitness, ProductRootWitness
+
+    half = Fraction(-3, 2)
+    return [
+        (RootWitness(half, Fraction(2)), {"root": "-3/2", "value": "2"}),
+        (OddQuotientWitness(3, half), {"degree": 3, "coeff": "-3/2"}),
+        (WeightRootWitness(-1, half, Fraction(0)), {"weight": -1, "root": "-3/2", "value": "0"}),
+        (SymmetryWitness(4), {"weight": 4}),
+        (SwapWitness(-2, 0, Fraction(7), half),
+         {"weight_k": -2, "weight_l": 0, "value_kl": "7", "value_lk": "-3/2"}),
+        (ProductRootWitness(1, half), {"var": 1, "root": "-3/2"}),
+        (ProductOddWitness(0, 5), {"var": 0, "exponent": 5}),
+    ]
+
+
+@pytest.mark.parametrize("witness, fields", _witnesses(), ids=lambda w: type(w).__name__)
+def test_witness_json_is_kind_plus_fields(witness, fields):
+    assert jsonio.witness_to_json(witness) == {"kind": type(witness).__name__, **fields}
+    assert jsonio.record_to_json(witness) == fields
+
+
+def test_record_to_json_rejects_unsupported_values():
+    from pwcert.numeric import QuadratureSpec
+    from pwcert.sl2r import VanishingCheck
+
+    for value in (5, Fraction(1), Poly.one(), {"m": 1}):
+        with pytest.raises(TypeError, match="not a record"):
+            jsonio.record_to_json(value)
+    with pytest.raises(TypeError):
+        jsonio.record_to_json(QuadratureSpec(half_width=1.5))  # a float field
+    with pytest.raises(TypeError):
+        jsonio.record_to_json(VanishingCheck(Fraction(1), 0, "F1", [1], True))  # a list field
+    with pytest.raises(TypeError):
+        jsonio.witness_to_json(("root", 1))
+
+
+# -- decoders name the member they miss -----------------------------------------------
+
+
+@pytest.mark.parametrize("decode, data, message", [
+    (jsonio.ratfunc_from_json, {"num": {"coeffs": ["1"]}}, "rational function JSON needs the member 'den'"),
+    (jsonio.ratfunc_from_json, [1], "rational function JSON needs the member 'num'"),
+    (jsonio.ktype_vec_from_json, {"k": [1]}, "K-type vector JSON needs the member 'ktypes'"),
+    (jsonio.diag_map_from_json, {"m": 0, "components": {}}, "weighted map JSON needs the member 'n'"),
+    (jsonio.diag_map_from_json, {"n": 0, "m": 0, "components": {"0x": {"coeffs": []}}},
+     "expected an integer, got '0x'"),
+    (jsonio.coords_from_json, {"h": []}, "generator coordinates JSON needs the member 'm'"),
+    (jsonio.mpoly_from_json, {"terms": []}, "multivariate polynomial JSON needs the member 'arity'"),
+    (jsonio.mpoly_from_json, {"arity": 1, "terms": [{"exps": [1]}]},
+     "multivariate polynomial term JSON needs the member 'coeff'"),
+    (jsonio.poly_from_json, None, "polynomial JSON needs a 'coeffs' list"),
+])
+def test_missing_members_are_named(decode, data, message):
+    with pytest.raises(ValueError) as err:
+        decode(data)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("value", ["x", "1.5", "", None, True, 1.0, [1]])
+def test_int_from_json_rejects(value):
+    with pytest.raises(ValueError) as err:
+        jsonio.int_from_json(value)
+    assert str(err.value) == f"expected an integer, got {value!r}"

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials: division in one variable, parity tests."""
+"""Sparse multivariate polynomials: division in one variable, arity checks."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pwcert.errors import ArityMismatch, DivisionByZeroPoly
-from pwcert.multipoly import MultiPoly, mpoly_div_in_var, mpoly_even_in_var
+from pwcert.multipoly import MultiPoly, mpoly_div_in_var
 from pwcert.poly import Poly
 
 
@@ -43,12 +43,6 @@ def test_div_in_var_examples():
 def test_div_by_zero_poly():
     with pytest.raises(DivisionByZeroPoly):
         mpoly_div_in_var(mp(1, {(1,): 1}), Poly.zero(), 0)
-
-
-def test_even_in_var():
-    assert mpoly_even_in_var(mp(2, {(2, 4): 1}), 0)
-    assert not mpoly_even_in_var(mp(2, {(1, 2): 1}), 0)
-    assert mpoly_even_in_var(MultiPoly.zero(3), 2)
 
 
 def test_arity_checks():
