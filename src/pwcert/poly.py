@@ -351,6 +351,19 @@ def poly_div_rem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return _make(quotient, scale * f._den), _make(rem, scale * f._den)
 
 
+def poly_div_linear(f: Poly, c: int, scale: int) -> Poly | None:
+    """The quotient f / (scale * (x - c)) for ints c and scale != 0, or None when
+    x - c leaves a remainder: synthetic division of the integer numerator, with
+    the scale going into the denominator."""
+    acc, quotient = 0, []
+    for n in reversed(f._num):
+        acc = acc * c + n
+        quotient.append(acc)
+    if acc:
+        return None
+    return _make(quotient[-2::-1], f._den * scale)
+
+
 def first_root_not_vanishing(remainders: Collection[Poly], roots: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
     """The first root, in the given order, at which some remainder is nonzero,
     with that remainder's value there.

@@ -12,10 +12,12 @@ weight -> polynomial map (WeightedDiagMap).  Endomorphism-valued data that
 satisfies the intertwining conditions forms the diagonal algebra with the
 constraints phi_k(x) = phi_{-k}(-x) and phi_k(l) = phi_l(k); it is a free
 module over polynomials in the Casimir parameter mu = x^2 + k^2 with the
-m + 1 generators (k*x)^l, and the decomposition here follows the two-step
-weight-restriction induction that proves freeness, so coordinates are exact
-and unique.  The same pass decides membership: for a symmetric map every
-division of the induction is exact exactly when the swap condition holds.
+m + 1 generators (k*x)^l.  The decomposition interpolates over the weights
+in Newton (divided-difference) form, one exact division by a linear
+polynomial in mu per weight pair, and rebuilds the coordinates by Horner's
+rule, so coordinates are exact and unique.  The same pass decides
+membership: for a symmetric map every division is exact exactly when the
+swap condition holds.
 
 Membership at distinct K-types is certified by componentwise exact division
 by the ladder chain q_{n,m} (products of the first-order operators
@@ -42,6 +44,7 @@ from .poly import (
     Poly,
     first_root_not_vanishing,
     interpolate_equispaced,
+    poly_div_linear,
     poly_div_rem,
     square_parts,
     transpose,
@@ -423,9 +426,10 @@ def algebra_check(phi: WeightedDiagMap) -> Accept | Reject:
     (i) phi_k(x) = phi_{-k}(-x) as exact polynomial identities;
     (ii) phi_k(l) = phi_l(k) for all weight pairs.
     Given (i), (ii) holds exactly when each division of the decomposition is
-    exact: at a root l of the level-L pinning polynomial the defect is
-    phi_L(l) - phi_l(L).  Acceptance carries phi as h with its coordinates;
-    only a remainder scans the weight pairs, for the first failing one.
+    exact: the division of the weight K past level L leaves a remainder
+    exactly when phi_K(+/-L) != phi_{+/-L}(K), given the pairs before it.
+    Acceptance carries phi as h with its coordinates; only a remainder scans
+    the weight pairs, for the first failing one.
     """
     if phi.src != phi.dst:
         raise SrcDstMismatch("algebra membership is defined for src = dst")
@@ -444,7 +448,7 @@ def algebra_check(phi: WeightedDiagMap) -> Accept | Reject:
             if vkl != vlk:
                 return Reject(SwapWitness(weight_k=k, weight_l=l,
                                           value_kl=vkl, value_lk=vlk))
-    raise InternalNonDivisibility("a pinning division left a remainder, yet every weight pair swaps")
+    raise InternalNonDivisibility("a divided difference left a remainder, yet every weight pair swaps")
 
 
 @record
@@ -481,12 +485,11 @@ def _component(h: Sequence[Poly], k: int) -> Poly:
 def free_module_decompose(phi: WeightedDiagMap) -> GeneratorCoords:
     """Unique generator coordinates of an algebra element (NotInAlgebra otherwise).
 
-    Two-step induction on m: the base cases invert an even substitution
-    (m = 0) or an even/odd split (m = 1); each step up to level L adds the
-    defect at weight L between phi and the coordinates so far, divided
-    exactly by the pinning polynomial p_L(x, L) and redistributed through
-    the (k x)-expansion of p_L.  algebra_check runs this induction as its
-    decision, and its acceptance carries the coordinates.
+    Divided differences over the weights of the parity of m: level L fixes
+    the Newton term G_L of the coordinates, every later weight takes one exact
+    linear division in mu, and Horner's rule over the pairing factors then
+    gives the coordinates.  algebra_check runs this as its decision, and its
+    acceptance carries the coordinates.
     """
     result = algebra_check(phi)
     if not result.accepted:
@@ -495,46 +498,55 @@ def free_module_decompose(phi: WeightedDiagMap) -> GeneratorCoords:
 
 
 def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly] | None:
-    """Coordinates of a symmetric map, built upward from the base level m % 2,
-    or None at the first defect the pinning polynomial does not divide.
+    """Coordinates of a symmetric map by divided differences over the weights
+    K = b, b + 2, ..., m of the parity b = m % 2, or None at the first remainder.
 
-    Level L adds the defect at weight L divided by the pinning polynomial
-    p_L(x, k) = prod (k - l)(x - l) over the weights |l| <= L - 2 of parity L.
-    Pairing +/-l gives (kx)^2 - l^2 (x^2 + k^2) + l^4, so p_L is a polynomial in
-    t = kx with coefficients in mu = x^2 + k^2, monic of degree L - 1 in t.  The
-    loop carries prod (x - l) = p_L(x, L) / c_L as ``pinning`` and the list of
-    t-coefficients as ``expansion``, one pairing factor at a time.
+    With mu = x^2 + K^2 and t = Kx, phi_K = X_K + t Y_K for polynomials X_K, Y_K
+    in mu (square_parts), and t^2 acts at weight K as K^2 (mu - K^2).  So the
+    pairing factor f_L = t^2 - L^2 mu + L^4 acts as (K^2 - L^2)(mu - K^2 - L^2),
+    and dividing by the unpaired f_0 = t swaps X and Y, one divided by
+    K^2 (mu - K^2).  Level L fixes G_L = X_L + t Y_L, and every later weight K
+    divides its residual by f_L, one exact linear division per pair (Knuth,
+    TAOCP vol. 2, 4.6.4); a remainder is a swap break between K and +/-L.  The
+    coordinates are the t-coefficients of
+    H = G_b + f_b (G_{b+2} + f_{b+2} (... + f_{m-2} G_m)), by Horner's rule.
     """
-    # Base level: phi_0(x) = h_0(x^2) (even m, phi_0 even), or
-    # phi_1(x) = h_0(x^2 + 1) + x h_1(x^2 + 1) (odd m).
-    h0, h1 = square_parts(comps[m % 2], m % 2)
-    h = [h0, h1] if m % 2 else [h0]
-    # The weight l = 0 (even m) is unpaired: its factor is (k - 0)(x - 0) = t.
-    top = -(m % 2)
-    pinning = Poly.monomial(1 - m % 2)
-    expansion = [Poly.zero()] * (1 - m % 2) + [Poly.one()]
-    zeros = [Poly.zero()] * 2
-    for level in range(m % 2 + 2, m + 1, 2):
-        defect = comps[level] - _component(h, level)
-        h += zeros
-        if defect.is_zero:
-            continue
-        while top < level - 2:
-            top += 2
-            pinning = pinning * Poly((-top * top, 0, 1))
-            pairing = Poly((top**4, -top * top))  # l^4 - l^2 mu
-            expansion = [c * pairing + s for c, s in zip(expansion + zeros, zeros + expansion)]
-        cofactor, remainder = poly_div_rem(defect, pinning)
-        if not remainder.is_zero:
-            return None
-        h0p, h1p = square_parts(cofactor / pinning(level), level * level)
-        h1p = h1p / level
-        for power, coeff_mu in enumerate(expansion):
-            if not h0p.is_zero:
-                h[power] = h[power] + h0p * coeff_mu
-            if not h1p.is_zero:
-                h[power + 1] = h[power + 1] + h1p * coeff_mu
-    return h
+    b, zero = m % 2, Poly.zero()
+    rows = []  # (X_K, Y_K) per weight K, and G_K once level K is reached
+    for k in range(b, m + 1, 2):
+        x, y = square_parts(comps[k], k * k)
+        rows.append((x, y / k if k else y))  # Y_0 = 0, as phi_0 is even
+    for i, base in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            k, row = b + 2 * j, rows[j]  # a zero residual skips the step
+            rows[j] = (zero, zero) if row == base else _divided_step(row, base, k, b + 2 * i)
+            if rows[j] is None:
+                return None
+    h: list[Poly] = []  # the t-coefficients of H, less its zero top ones
+    for level in range(m, b - 1, -2):
+        x, y = rows[(level - b) // 2]
+        if level:
+            pairing = Poly((level**4, -level * level))  # L^4 - L^2 mu = f_L - t^2
+            h = [c * pairing + g for c, g in zip([*h, zero, zero], [x, y, *h])]
+        else:  # f_0 = t, and Y_0 = 0
+            h = [x, *h]
+        while h and not h[-1]:
+            h.pop()
+    return h + [zero] * (m + 1 - len(h))
+
+
+def _divided_step(row: tuple[Poly, Poly], base: tuple[Poly, Poly], k: int,
+                  level: int) -> tuple[Poly, Poly] | None:
+    """The pair (X_k, Y_k) less G_level, divided by f_level at weight k, or None."""
+    (x, y), (xl, yl) = row, base
+    c, scale = k * k + level * level, k * k - level * level
+    dx = poly_div_linear(x - xl, c, scale)
+    if dx is None:
+        return None
+    if not level:
+        return y, dx
+    dy = poly_div_linear(y - yl, c, scale)
+    return None if dy is None else (dx, dy)
 
 
 # -- Level-3 membership ---------------------------------------------------------------

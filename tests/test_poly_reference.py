@@ -8,12 +8,13 @@ build and the long division, through the SL(2,R) Level-3 checker.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import pwcert.sl2r
-from pwcert.poly import Poly, parity_split, poly_div_rem
+from pwcert.poly import Poly, parity_split, poly_div_linear, poly_div_rem
 from pwcert.rationals import rat_str
 from pwcert.sl2c import q_roots_c
 from pwcert.sl2r import level3_check_r, q_roots_r
@@ -231,6 +232,27 @@ def test_div_rem_matches_fraction_kernel():
         ref_quotient, ref_remainder = reference_div_rem(f, g)
         _assert_fraction_tuple(quotient, ref_quotient)
         _assert_fraction_tuple(remainder, ref_remainder)
+
+
+def test_div_linear_matches_long_division():
+    # poly_div_linear(f, c, s) is the quotient f / (s (x - c)) when x - c
+    # divides f, and None exactly when the long division leaves a remainder.
+    rng = random.Random(8009)
+    outcomes = Counter()
+    for _ in range(CASES):
+        kind = rng.choice(("integer", "dyadic", "rational"))
+        c = rng.choice((0, rng.randint(-9, 9), rng.randint(-(10**6), 10**6)))
+        scale = rng.choice((1, -1, rng.randint(-99, -2), rng.randint(2, 10**12)))
+        divisor = Poly((-c, 1)) * scale
+        f = Poly(_dividend(rng, kind, divisor.coeffs))
+        quotient, remainder = poly_div_rem(f, divisor)
+        result = poly_div_linear(f, c, scale)
+        if remainder.is_zero:
+            _assert_same_poly(result, quotient.coeffs)
+        else:
+            assert result is None
+        outcomes["exact" if remainder.is_zero else "remainder"] += 1
+    assert min(outcomes.values()) >= CASES // 5, outcomes
 
 
 def test_from_roots_matches_fraction_kernel():

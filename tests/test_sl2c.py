@@ -49,6 +49,7 @@ from pwcert.sl2c import (
     zero_map,
 )
 from pwcert.verdict import Accept, Reject
+from pinning_induction import pinning_decompose
 from poly_helpers import lagrange_interpolate
 
 LAM = Poly.variable()
@@ -359,11 +360,65 @@ def test_decompose_deep_level_is_iterative():
     assert len(h) == 2002 and all(p.is_zero for p in h)
 
 
+def dense_member(m):
+    """The member whose coordinates are all of degree 2 in mu, seeded by m."""
+    rng = random.Random(m)
+    coords = GeneratorCoords(m, tuple(
+        Poly([rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(3)]) for _ in range(m + 1)))
+    return synthesize(coords), coords
+
+
+def test_decompose_matches_the_pinning_induction():
+    # Members and symmetric bumps at one weight pair +/-j, which break the swap
+    # condition unless the bump vanishes at every other weight.
+    rng = random.Random(16)
+    outcomes = Counter()
+    for _ in range(320):
+        m = rng.randint(0, 40)
+        comps = synthesize(rand_coords(rng, m, rng.randint(0, 4))).components
+        if rng.random() < 0.55:
+            j = rng.choice([k for k in weights(m) if k >= 0])
+            bump = Poly.from_roots(rng.sample(weights(m), rng.randint(0, m))) * rng.choice([-2, 1, 3])
+            if j == 0:
+                comps[0] = comps[0] + bump * bump.reflect()
+            else:
+                comps[j], comps[-j] = comps[j] + bump, comps[-j] + bump.reflect()
+        h = _decompose_components(comps, m)
+        assert h == pinning_decompose(comps, m), m
+        outcomes["member" if h is not None else "none"] += 1
+    assert min(outcomes["member"], outcomes["none"]) >= 100, outcomes
+
+
+def test_decompose_stops_at_a_top_weight_swap_break(monkeypatch):
+    # A +1 bump at the weights +/-m leaves a remainder in the first step of the
+    # weight m, so the divided differences stop within the first level.
+    import pwcert.sl2c
+
+    m = 64
+    member, _ = dense_member(m)
+    comps = member.components
+    comps[m], comps[-m] = comps[m] + 1, comps[-m] + 1
+    steps = []
+    step = pwcert.sl2c._divided_step
+    monkeypatch.setattr(pwcert.sl2c, "_divided_step", lambda *args: steps.append(args) or step(*args))
+    assert _decompose_components(comps, m) is None
+    assert 1 <= len(steps) <= m // 2
+
+
+def test_decompose_dense_member_within_budget():
+    member, coords = dense_member(128)
+    comps = member.components
+    start = time.perf_counter()
+    h = _decompose_components(comps, 128)
+    assert time.perf_counter() - start < 1.2
+    assert tuple(h) == coords.h
+
+
 @pytest.mark.parametrize("level", [9, 10])
 def test_decompose_pinning_polynomial(level):
-    # phi_k = p_L(x, k) vanishes at every weight |k| <= L - 2, so the defect is
-    # zero below level L and the pinning polynomial advances several pairings
-    # at once.  p_L is monic of degree L - 1 in t = kx, so h_{L-1} = 1.
+    # phi_k = p_L(x, k) vanishes at every weight |k| <= L - 2, so the divided
+    # differences G_l vanish below level L.  p_L is monic of degree L - 1 in
+    # t = kx, so h_{L-1} = 1.
     roots = range(-(level - 2), level - 1, 2)
     pin = Poly.from_roots(roots)
     m = level + 4
