@@ -257,7 +257,7 @@ def _cmd_classify(args) -> int:
 def _cmd_box(args) -> int:
     from .sl2r import box_picture_r
 
-    picture = box_picture_r(args.m, rat(args.lam))
+    picture = box_picture_r(jsonio.ktype_from_json(args.m), rat(args.lam))
     if args.format == "json":
         _emit(jsonio.record_to_json(picture), args.out)
     elif args.format == "dot":
@@ -276,6 +276,8 @@ def _cmd_atlas(args) -> int:
 
     lam_max = rat(args.lambda_max)
     if args.group == "sl2r":
+        if lam_max < 0:
+            raise ValueError(f"atlas --group sl2r needs --lambda-max >= 0, got {args.lambda_max}")
         if lam_max > jsonio.MAX_ATLAS_R:
             raise ValueError(f"atlas --group sl2r needs --lambda-max <= {jsonio.MAX_ATLAS_R}")
         if args.format == "json":
@@ -285,6 +287,8 @@ def _cmd_atlas(args) -> int:
         return 0
     if lam_max.denominator != 1:
         raise ValueError("sl2c atlas needs an integer --lambda-max")
+    if min(args.sigma_max, lam_max) < 0:
+        raise ValueError("atlas --group sl2c needs --sigma-max and --lambda-max >= 0")
     if max(args.sigma_max, lam_max) > jsonio.MAX_ATLAS_C:
         raise ValueError(f"atlas --group sl2c needs --sigma-max and --lambda-max <= {jsonio.MAX_ATLAS_C}")
     if args.format == "json":

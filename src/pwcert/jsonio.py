@@ -141,13 +141,6 @@ def ratfunc_to_json(f: RationalFunction) -> dict:
     return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
 
 
-def ratfunc_from_json(data: dict) -> RationalFunction:
-    from .ratfunc import RationalFunction
-
-    return RationalFunction(poly_from_json(_member(data, "num", "rational function")),
-                            poly_from_json(_member(data, "den", "rational function")))
-
-
 def diag_map_to_json(m: WeightedDiagMap) -> dict:
     return {
         "n": m.src,

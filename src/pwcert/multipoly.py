@@ -52,10 +52,6 @@ class MultiPoly:
     # -- construction ----------------------------------------------------------
 
     @staticmethod
-    def zero(arity: int) -> MultiPoly:
-        return MultiPoly(arity)
-
-    @staticmethod
     def const(arity: int, c: RatLike) -> MultiPoly:
         return MultiPoly(arity, {(0,) * arity: c})
 
@@ -89,11 +85,6 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         return bool(self._num)
-
-    def degree_in(self, var: int) -> int:
-        """Degree in one variable (-1 for the zero polynomial)."""
-        self._check_var(var)
-        return max((e[var] for e in self._num), default=-1)
 
     def fibers(self, var: int) -> dict[Exponents, Poly]:
         """Split into univariate polynomials in variable ``var``, keyed by the

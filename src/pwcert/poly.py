@@ -43,16 +43,6 @@ class Poly:
         return Poly((c,))
 
     @staticmethod
-    def variable() -> Poly:
-        return _make([0, 1])
-
-    @staticmethod
-    def monomial(degree: int, c: RatLike = 1) -> Poly:
-        if degree < 0:
-            raise ValueError("monomial degree must be >= 0")
-        return Poly((0,) * degree + (c,))
-
-    @staticmethod
     def from_roots(roots: Iterable[RatLike]) -> Poly:
         """Monic product of (x - r) over the given roots.
 
@@ -378,13 +368,6 @@ def first_root_not_vanishing(remainders: Collection[Poly], roots: Sequence[Fract
             if value != 0:
                 return root, value
     raise InternalNonDivisibility("nonzero remainder vanishing at every simple root")
-
-
-def parity_split(f: Poly) -> tuple[Poly, Poly]:
-    """Split f into even and odd parts: f = e + o, e(-x)=e(x), o(-x)=-o(x)."""
-    even = [0 if i % 2 else c for i, c in enumerate(f._num)]
-    odd = [c if i % 2 else 0 for i, c in enumerate(f._num)]
-    return _make(even, f._den), _make(odd, f._den)
 
 
 def square_parts(f: Poly, shift: RatLike = 0) -> tuple[Poly, Poly]:

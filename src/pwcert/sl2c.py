@@ -144,17 +144,6 @@ class ReducibilityC:
     socle_is_R: bool | None = None
     finite_dim_ktypes: tuple[int, ...] = ()
 
-    def h_contains(self, t: int) -> bool:
-        return t >= abs(self.sigma) and (t - self.sigma) % 2 == 0
-
-    def f_contains(self, t: int) -> bool:
-        return t in self.finite_dim_ktypes
-
-    def r_contains(self, t: int) -> bool:
-        if not self.reducible:
-            return False
-        return t >= abs(int(self.lam)) and (t - self.sigma) % 2 == 0
-
 
 def reducibility_c(sigma: int, lam: RatLike) -> ReducibilityC:
     """Classify (sigma, lambda); total on rational lambda."""
@@ -178,13 +167,6 @@ def reducibility_c(sigma: int, lam: RatLike) -> ReducibilityC:
         socle_is_R=lam > 0,
         finite_dim_ktypes=tuple(clebsch_gordan(fm, fn)),
     )
-
-
-def reducibility_c_complex(sigma: int, lam: complex) -> ReducibilityC:
-    """Entry point for non-real parameters: anything off the real axis is irreducible."""
-    if lam.imag != 0:
-        return ReducibilityC(sigma=sigma, lam=Fraction(0), reducible=False)
-    return reducibility_c(sigma, Fraction(lam.real))
 
 
 Vertex = tuple[int, int]  # (sigma, lambda) with integral lambda
@@ -213,10 +195,6 @@ class IntertwinerDiamond:
     top: Vertex
     bottom: Vertex
     arrows: tuple[DiamondArrow, ...]
-
-    @property
-    def vertices(self) -> tuple[Vertex, Vertex, Vertex, Vertex]:
-        return (self.right, self.left, self.top, self.bottom)
 
 
 def diamond(sigma: int, lam: RatLike) -> IntertwinerDiamond:
@@ -282,42 +260,8 @@ class WeightedDiagMap:
     def is_zero_hom(self) -> bool:
         return (self.src - self.dst) % 2 != 0
 
-    @property
-    def is_zero(self) -> bool:
-        return all(p.is_zero for p in self._components.values())
-
     def __getitem__(self, k: int) -> Poly:
         return self._components[k]
-
-    def restrict(self, m: int) -> dict[int, Poly]:
-        """Component dict restricted to the weights of the K-type m."""
-        return {k: self._components[k] for k in weights(m)}
-
-    def then(self, outer: "WeightedDiagMap") -> "WeightedDiagMap":
-        """Composition outer o self (self first); zero where weights drop out."""
-        if outer.src != self.dst:
-            raise SrcDstMismatch(f"cannot compose: {self.dst} -> expected {outer.src}")
-        comps = {}
-        for k in common_weights(self.src, outer.dst):
-            if k in self._components and k in outer._components:
-                comps[k] = self._components[k] * outer._components[k]
-            else:
-                comps[k] = Poly.zero()
-        return WeightedDiagMap(self.src, outer.dst, comps)
-
-    def __add__(self, other: "WeightedDiagMap") -> "WeightedDiagMap":
-        if (self.src, self.dst) != (other.src, other.dst):
-            raise SrcDstMismatch("can only add maps with equal source and target")
-        return WeightedDiagMap(
-            self.src, self.dst,
-            {k: self._components[k] + other._components[k] for k in self._components},
-        )
-
-    def scale(self, c: RatLike) -> "WeightedDiagMap":
-        c = rat(c)
-        return WeightedDiagMap(
-            self.src, self.dst, {k: p * c for k, p in self._components.items()}
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedDiagMap):
@@ -346,28 +290,7 @@ def diag_map(src: int, dst: int, component: Poly | dict[int, Poly]) -> WeightedD
     return WeightedDiagMap(src, dst, dict(component))
 
 
-def zero_map(src: int, dst: int) -> WeightedDiagMap:
-    return WeightedDiagMap(src, dst, {k: Poly.zero() for k in common_weights(src, dst)})
-
-
-def identity_map(m: int) -> WeightedDiagMap:
-    return diag_map(m, m, Poly.one())
-
-
-# -- ladder operators -------------------------------------------------------------------
-
-
-def q_plus(m: int) -> WeightedDiagMap:
-    """First-order raising operator m -> m+2: every component x + (m + 2)."""
-    return diag_map(m, m + 2, Poly((m + 2, 1)))
-
-
-def q_minus(m: int) -> WeightedDiagMap:
-    """First-order lowering operator m+2 -> m: ((m+2)^2 - k^2) (x - (m+2)) at weight k."""
-    comps = {
-        k: Poly((-(m + 2), 1)) * ((m + 2) ** 2 - k * k) for k in weights(m)
-    }
-    return WeightedDiagMap(m + 2, m, comps)
+# -- ladder chains ------------------------------------------------------------------------
 
 
 def q_roots_c(n: int, m: int) -> list[Fraction]:

@@ -49,10 +49,6 @@ class SigmaR(enum.Enum):
     def of_ktype(n: int) -> "SigmaR":
         return SigmaR.PLUS if n % 2 == 0 else SigmaR.MINUS
 
-    @property
-    def ktype_parity(self) -> int:
-        return 0 if self is SigmaR.PLUS else 1
-
 
 # -- c-functions ----------------------------------------------------------------
 
@@ -146,9 +142,6 @@ class CompFactorR:
         end = self.lo if self.lo is not None else self.hi
         return ((self.lo is None or n >= self.lo) and (self.hi is None or n <= self.hi)
                 and (n - end) % 2 == 0)
-
-    def ktypes_upto(self, bound: int) -> set[int]:
-        return {n for n in range(-bound, bound + 1) if self.contains(n)}
 
 
 def _discrete(k: int, sign: int) -> CompFactorR:
@@ -254,20 +247,6 @@ def smallest_submodule_r(m: int, lam: RatLike) -> SubmoduleR | _Full:
     return min(containing, key=lambda w: len(w.factors))
 
 
-def reducibility_points_r(sigma: SigmaR, bound: Fraction) -> list[Fraction]:
-    """All reducibility points lambda with |lambda| <= bound, ascending."""
-    points = []
-    step = Fraction(1)
-    start = Fraction(1, 2) if sigma is SigmaR.PLUS else Fraction(0)
-    t = start
-    while t <= bound:
-        points.append(t)
-        if t != 0:
-            points.append(-t)
-        t += step
-    return sorted(points)
-
-
 # -- Level-3 membership -----------------------------------------------------------
 
 
@@ -359,6 +338,8 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> Level2Repor
     q(-x)/q(x) = sign * c_n/c_m with sign = (-1)^((m-n)/2) (criterion 02),
     this is the cleared c-quotient equation psi_n(-x) * den = sign * num * psi_n(x).
     """
+    if truncation < 0:
+        raise TruncationTooSmall(f"truncation must be >= 0, got {truncation}")
     for n in psi:
         check_parity(n, m)
         if abs(n) > truncation:
@@ -398,10 +379,6 @@ class BoxPictureR:
     lam: Fraction
     layers: tuple[tuple[BoxR, ...], ...]  # socle first
     full: bool
-
-    @property
-    def highlighted_labels(self) -> tuple[str, ...]:
-        return tuple(b.label for layer in self.layers for b in layer if b.highlighted)
 
 
 def box_picture_r(m: int, lam: RatLike) -> BoxPictureR:

@@ -23,11 +23,12 @@ from pwcert import jsonio
 from pwcert.cli import main
 from pwcert.multipoly import MultiPoly
 from pwcert.poly import Poly
-from pwcert.sl2c import diag_map, identity_map, q_nm_c, weights
+from pwcert.sl2c import diag_map, q_nm_c, weights
 from pwcert.sl2r import q_poly_r
 from pwcert.sl2r_product import q_product
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from ladder_oracle import then  # noqa: E402  (tests/ladder_oracle.py)
 from poly_helpers import compose  # noqa: E402  (tests/poly_helpers.py)
 
 OUT = Path(__file__).with_name("pw_corpus.jsonl")
@@ -84,7 +85,7 @@ def _first_failing_pairs() -> list[list[str]]:
                 continue
             phi = _swap_break(rng, m, *rng.choice(pairs))
             out.append(["decompose", "--phi", json.dumps(jsonio.diag_map_to_json(phi))])
-            phi = phi.then(q_nm_c(m, m + 2)) if rng.random() < 0.5 else q_nm_c(m + 2, m).then(phi)
+            phi = then(phi, q_nm_c(m, m + 2)) if rng.random() < 0.5 else then(q_nm_c(m + 2, m), phi)
             out.append(["check3", "--group", "sl2c", "--phi", json.dumps(jsonio.diag_map_to_json(phi))])
     return out
 
@@ -130,20 +131,20 @@ def calls() -> list[list[str]]:
         kind = rng.choice(["accept", "symmetry", "swap", "root"])
         h = _algebra_element(rng, level)
         if kind == "accept":
-            phi = h.then(q_nm_c(n, m)) if n <= m else q_nm_c(n, m).then(h)
+            phi = then(h, q_nm_c(n, m)) if n <= m else then(q_nm_c(n, m), h)
         elif kind == "symmetry":
             comps = dict(h.components)
             comps[max(weights(level))] = comps[max(weights(level))] + Poly([0, 1])
             phi = diag_map(level, level, comps)
-            phi = phi.then(q_nm_c(n, m)) if n <= m else q_nm_c(n, m).then(phi)
+            phi = then(phi, q_nm_c(n, m)) if n <= m else then(q_nm_c(n, m), phi)
         elif kind == "swap":
             phi = diag_map(level, level, {k: Poly([k * k + 1]) for k in weights(level)})
-            phi = phi.then(q_nm_c(n, m)) if n <= m else q_nm_c(n, m).then(phi)
+            phi = then(phi, q_nm_c(n, m)) if n <= m else then(q_nm_c(n, m), phi)
         else:
             phi = diag_map(n, m, {k: _random(rng, 3) for k in weights(level)})
         out.append(["check3", "--group", "sl2c", "--phi", json.dumps(jsonio.diag_map_to_json(phi))])
     out.append(["check3", "--group", "sl2c", "-n", "1", "--phi",
-                json.dumps(jsonio.diag_map_to_json(identity_map(2)))])
+                json.dumps(jsonio.diag_map_to_json(diag_map(2, 2, Poly.one())))])
 
     for l, n in [((3, 1), (1, 1)), ((1, 3), (1, -1)), ((2, 0), (0, 0)), ((3,), (1,)),
                  ((1, 1, 1), (3, -1, 1))]:

@@ -32,7 +32,7 @@ def pinning_decompose(comps: dict[int, Poly], m: int) -> list[Poly] | None:
     h = [h0, h1] if m % 2 else [h0]
     # The weight l = 0 (even m) is unpaired: its factor is (k - 0)(x - 0) = t.
     top = -(m % 2)
-    pinning = Poly.monomial(1 - m % 2)
+    pinning = Poly((0,) * (1 - m % 2) + (1,))
     expansion = [Poly.zero()] * (1 - m % 2) + [Poly.one()]
     zeros = [Poly.zero()] * 2
     for level in range(m % 2 + 2, m + 1, 2):

@@ -247,6 +247,41 @@ def test_malformed_json_names_what_is_wrong(capsys, args, message):
     assert captured.err == f"pw: error: {message}\n"
 
 
+def error_output(capsys, *args) -> str:
+    """stderr of a call that must fail with exit 1 and print nothing to stdout."""
+    assert main(list(args)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
+
+
+def test_box_takes_the_ktype_bound(capsys):
+    # -m is a K-type, at most 1,000 in absolute value as everywhere else.
+    code, data = run_json(capsys, "box", "-m", "1000", "--lambda", "1/2")
+    assert code == 0 and data["m"] == 1000
+    for m in ("1001", "-1001", "100000000000"):
+        assert error_output(capsys, "box", "-m", m, "--lambda", "1/2") == (
+            f"pw: error: K-types must be at most 1000 in absolute value, got {m}\n")
+
+
+def test_atlas_sl2c_negative_bound_is_an_error(capsys):
+    # Not an empty grid under "sigma_max": -3.
+    assert error_output(capsys, "atlas", "--group", "sl2c", "--sigma-max", "-3", "--lambda-max", "2") == (
+        "pw: error: atlas --group sl2c needs --sigma-max and --lambda-max >= 0\n")
+
+
+def test_atlas_sl2r_negative_bound_is_an_error(capsys):
+    # Not an empty list of points.
+    assert error_output(capsys, "atlas", "--group", "sl2r", "--lambda-max", "-3") == (
+        "pw: error: atlas --group sl2r needs --lambda-max >= 0, got -3\n")
+
+
+def test_check2_negative_truncation_is_an_error(capsys):
+    # Not a passed report with no checks.
+    assert error_output(capsys, "check2", "--group", "sl2r", "-m", "0", "--truncation", "-5",
+                        "--psi", "{}") == "pw: error: truncation must be >= 0, got -5\n"
+
+
 def test_repeated_multipoly_exponents_are_an_error(capsys):
     # A repeated exponent vector is ambiguous input, not a term to overwrite or sum.
     phi = '{"arity":1,"terms":[{"exps":[2],"coeff":"1"},{"exps":[2],"coeff":"2"}]}'
@@ -289,7 +324,8 @@ def test_outputs_round_trip_through_parsers(capsys):
     _, data = run_json(capsys, "q", "--group", "sl2c", "-n", "1", "-m", "5")
     jsonio.diag_map_from_json(data)
     _, data = run_json(capsys, "cquot", "--group", "sl2r", "-n", "4", "-m", "0")
-    jsonio.ratfunc_from_json(data)
+    jsonio.poly_from_json(data["num"])
+    jsonio.poly_from_json(data["den"])
     coords = {"m": 1, "h": [{"coeffs": ["0", "1"]}, {"coeffs": []}]}
     _, data = run_json(capsys, "synthesize", "--coords", json.dumps(coords))
     phi = jsonio.diag_map_from_json(data)

@@ -60,8 +60,11 @@ def test_mpoly_round_trip():
 
 
 def test_ratfunc_round_trip():
+    # The cquot output: numerator and denominator, each a polynomial that reads back.
     f = RationalFunction(Poly([1, 1]), Poly([-2, 1]))
-    assert jsonio.ratfunc_from_json(jsonio.ratfunc_to_json(f)) == f
+    data = jsonio.ratfunc_to_json(f)
+    assert data == {"num": {"coeffs": ["1", "1"]}, "den": {"coeffs": ["-2", "1"]}}
+    assert RationalFunction(jsonio.poly_from_json(data["num"]), jsonio.poly_from_json(data["den"])) == f
 
 
 def test_diag_map_round_trip():
@@ -203,8 +206,8 @@ def test_record_to_json_rejects_unsupported_values():
 
 
 @pytest.mark.parametrize("decode, data, message", [
-    (jsonio.ratfunc_from_json, {"num": {"coeffs": ["1"]}}, "rational function JSON needs the member 'den'"),
-    (jsonio.ratfunc_from_json, [1], "rational function JSON needs the member 'num'"),
+    (jsonio.coords_from_json, {"m": 1}, "generator coordinates JSON needs an 'h' list"),
+    (jsonio.diag_map_from_json, {"n": 0, "m": 0}, "weighted map JSON needs a 'components' object"),
     (jsonio.ktype_vec_from_json, {"k": [1]}, "K-type vector JSON needs the member 'ktypes'"),
     (jsonio.diag_map_from_json, {"m": 0, "components": {}}, "weighted map JSON needs the member 'n'"),
     (jsonio.diag_map_from_json, {"n": 0, "m": 0, "components": {"0x": {"coeffs": []}}},

@@ -112,12 +112,12 @@ def test_product_checker_matches_oracle():
         l = tuple(rng.randint(-5, 5) for _ in range(d))
         n = tuple(li - 2 * rng.randint(-2, 2) for li in l)
         kind = rng.random()
-        phi = MultiPoly.zero(d)
+        phi = MultiPoly(d)
         for _ in range(4):
             exps = tuple(rng.randint(0, 4) for _ in range(d))
             phi = phi + MultiPoly(d, {exps: rng.randint(-5, 5)})
         if kind < 0.4:
-            even = MultiPoly.zero(d)
+            even = MultiPoly(d)
             for _ in range(3):
                 exps = tuple(2 * rng.randint(0, 2) for _ in range(d))
                 even = even + MultiPoly(d, {exps: rng.randint(-5, 5)})

@@ -11,7 +11,6 @@ from pwcert.errors import DivisionByZeroPoly
 from pwcert.poly import (
     Poly,
     interpolate_equispaced,
-    parity_split,
     poly_div_rem,
     poly_gcd,
     square_parts,
@@ -30,7 +29,7 @@ def test_trailing_zeros_stripped():
 
 
 def test_div_rem_examples():
-    lam = Poly.variable()
+    lam = Poly((0, 1))
     q, r = poly_div_rem(lam**2 - 1, lam - 1)
     assert (q, r) == (lam + 1, Poly.zero())
     q, r = poly_div_rem(lam + 2, lam + 1)
@@ -58,25 +57,8 @@ def test_div_rem_reconstructs(fc, gc):
     assert r.degree < g.degree or r.is_zero
 
 
-def test_parity_split_examples():
-    lam = Poly.variable()
-    assert parity_split(lam**2 + 3 * lam) == (lam**2, 3 * lam)
-    assert parity_split(Poly.zero()) == (Poly.zero(), Poly.zero())
-    assert parity_split(Poly.const(5)) == (Poly.const(5), Poly.zero())
-
-
-@given(coeffs)
-def test_parity_split_is_projection(fc):
-    f = Poly(fc)
-    even, odd = parity_split(f)
-    assert even + odd == f
-    assert even.reflect() == even
-    assert odd.reflect() == -odd
-    assert parity_split(even) == (even, Poly.zero())
-
-
 def test_compose_examples():
-    mu, lam = Poly.variable(), Poly.variable()
+    mu, lam = Poly((0, 1)), Poly((0, 1))
     assert compose(mu**2, lam**2 + 1) == lam**4 + 2 * lam**2 + 1
     assert compose(mu - 1, lam**2 + 1) == lam**2
     assert compose(Poly.one(), lam**5 - 3) == Poly.one()
@@ -90,7 +72,7 @@ def test_compose_evaluates(hc, pc, x):
 
 
 def test_even_part_inversion():
-    lam = Poly.variable()
+    lam = Poly((0, 1))
     f = 3 * lam**4 - 2 * lam**2 + 7
     h, odd = square_parts(f, Fraction(4))
     assert odd.is_zero
@@ -100,21 +82,21 @@ def test_even_part_inversion():
 @given(coeffs, rationals)
 @settings(max_examples=150)
 def test_square_parts_reassemble(fc, shift):
-    lam = Poly.variable()
+    lam = Poly((0, 1))
     f = Poly(fc)
     even, odd = square_parts(f, shift)
     assert compose(even, lam**2 + shift) + lam * compose(odd, lam**2 + shift) == f
 
 
 def test_transpose_examples():
-    lam = Poly.variable()
+    lam = Poly((0, 1))
     rows = [1 + 2 * lam, Poly.zero(), Fraction(1, 3) * lam**2]
     assert transpose(rows) == [Poly.one(), Poly.const(2), Poly([0, 0, Fraction(1, 3)])]
     assert transpose([Poly.zero()]) == []
 
 
 def test_gcd_monic():
-    lam = Poly.variable()
+    lam = Poly((0, 1))
     f = (lam - 1) * (lam + 2) * 3
     g = (lam - 1) * (lam - 5) * 7
     assert poly_gcd(f, g) == lam - 1
@@ -145,7 +127,7 @@ def test_interpolate_equispaced_matches_lagrange():
 
 
 def test_scale_and_reflect():
-    lam = Poly.variable()
+    lam = Poly((0, 1))
     f = lam**3 - 2 * lam + 1
     assert f.reflect() == -(lam**3) + 2 * lam + 1
     assert f.scale_variable(2)(Fraction(1)) == f(Fraction(2))

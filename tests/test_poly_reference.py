@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import pwcert.sl2r
-from pwcert.poly import Poly, parity_split, poly_div_linear, poly_div_rem
+from pwcert.poly import Poly, poly_div_linear, poly_div_rem, square_parts
 from pwcert.rationals import rat_str
 from pwcert.sl2c import q_roots_c
 from pwcert.sl2r import level3_check_r, q_roots_r
@@ -93,12 +93,6 @@ def reference_eval(a: tuple[Fraction, ...], x):
 
 def reference_reflect(a: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
     return tuple(-c if i % 2 else c for i, c in enumerate(a))
-
-
-def reference_parity_split(a: tuple[Fraction, ...]):
-    even = [c if i % 2 == 0 else Fraction(0) for i, c in enumerate(a)]
-    odd = [c if i % 2 == 1 else Fraction(0) for i, c in enumerate(a)]
-    return _strip(even), _strip(odd)
 
 
 def reference_shift(a: tuple[Fraction, ...], c: Fraction) -> tuple[Fraction, ...]:
@@ -344,7 +338,7 @@ def test_arithmetic_matches_fraction_kernel():
 
 
 def test_substitutions_match_fraction_kernel():
-    # Evaluation, reflection, the parity split, x -> s*x and the shift
+    # Evaluation, reflection, the square parts, x -> s*x and the shift
     # x -> x + c, at integer and rational points (denominators up to 10^25).
     rng = random.Random(9002)
     for _ in range(CASES):
@@ -356,10 +350,9 @@ def test_substitutions_match_fraction_kernel():
         assert value == reference_eval(a, x) and type(value) is Fraction
         assert p(int(x)) == reference_eval(a, Fraction(int(x)))
         _assert_same_poly(p.reflect(), reference_reflect(a))
-        even, odd = parity_split(p)
-        ref_even, ref_odd = reference_parity_split(a)
-        _assert_same_poly(even, ref_even)
-        _assert_same_poly(odd, ref_odd)
+        even, odd = square_parts(p)  # p(x) = even(x^2) + x odd(x^2)
+        _assert_same_poly(even, _strip(list(a[0::2])))
+        _assert_same_poly(odd, _strip(list(a[1::2])))
         _assert_same_poly(p.scale_variable(x), reference_scale_variable(a, x))
         _assert_same_poly(p.shift_constant(x), reference_shift(a, x))
         if a:

@@ -24,7 +24,7 @@ def inject(p: Poly, d: int, var: int) -> MultiPoly:
 
 
 def random_even_mpoly(rng, d, per_var_degree=6, terms=4) -> MultiPoly:
-    out = MultiPoly.zero(d)
+    out = MultiPoly(d)
     for _ in range(terms):
         exps = tuple(2 * rng.randint(0, per_var_degree // 2) for _ in range(d))
         out = out + MultiPoly(d, {exps: rng.randint(-9, 9)})
@@ -63,7 +63,7 @@ def test_check_odd_quotient_reject():
 
 
 def test_check_zero_accepted():
-    result = level3_check_product(MultiPoly.zero(2), (3, 3), (1, 1))
+    result = level3_check_product(MultiPoly(2), (3, 3), (1, 1))
     assert isinstance(result, Accept)
     assert result.h.is_zero
 
