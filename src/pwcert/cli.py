@@ -22,6 +22,8 @@ from .errors import PwError
 from .rationals import rat
 
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .sl2r import SigmaR
 
 
@@ -88,6 +90,14 @@ def _sigma_r(value: str) -> SigmaR:
     if value in ("-", "minus", "Minus"):
         return SigmaR.MINUS
     raise ValueError(f"sigma for sl2r must be + or -, got {value!r}")
+
+
+def _lambda(value: str, command: str) -> Fraction:
+    """--lambda, at most MAX_KTYPE in absolute value: its factors' K-types grow with it."""
+    lam = rat(value)
+    if abs(lam) > jsonio.MAX_KTYPE:
+        raise ValueError(f"{command} needs |lambda| <= {jsonio.MAX_KTYPE}, got {value}")
+    return lam
 
 
 def build_parser() -> _Parser:
@@ -234,7 +244,7 @@ def _cmd_check2(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    lam = rat(args.lam)
+    lam = _lambda(args.lam, f"classify --group {args.group}")
     if args.group == "sl2r":
         from .sl2r import composition_series_r
 
@@ -243,8 +253,6 @@ def _cmd_classify(args) -> int:
         return 0
     from .sl2c import diamond, reducibility_c
 
-    if abs(lam) > jsonio.MAX_KTYPE:  # its K-types run up to |lambda|
-        raise ValueError(f"classify --group sl2c needs |lambda| <= {jsonio.MAX_KTYPE}, got {args.lam}")
     sigma = jsonio.int_from_json(args.sigma)
     verdict = reducibility_c(sigma, lam)
     payload = jsonio.reducibility_to_json(verdict)
@@ -257,7 +265,7 @@ def _cmd_classify(args) -> int:
 def _cmd_box(args) -> int:
     from .sl2r import box_picture_r
 
-    picture = box_picture_r(jsonio.ktype_from_json(args.m), rat(args.lam))
+    picture = box_picture_r(jsonio.ktype_from_json(args.m), _lambda(args.lam, "box"))
     if args.format == "json":
         _emit(jsonio.record_to_json(picture), args.out)
     elif args.format == "dot":

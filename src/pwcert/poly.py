@@ -354,16 +354,17 @@ def poly_div_linear(f: Poly, c: int, scale: int) -> Poly | None:
     return _make(quotient[-2::-1], f._den * scale)
 
 
-def first_root_not_vanishing(remainders: Collection[Poly], roots: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
-    """The first root, in the given order, at which some remainder is nonzero,
-    with that remainder's value there.
+def first_root_not_vanishing(polys: Collection[Poly], roots: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+    """The first root, in the given order, at which some polynomial is nonzero,
+    with its value there.
 
-    The remainders come from dividing by the monic polynomial with these simple
-    roots, so each one equals its dividend at every root, and a nonzero one
-    (degree below the number of roots) cannot vanish at all of them.
+    Each polynomial is a dividend that the monic polynomial with these simple
+    roots does not divide, or the nonzero remainder of such a division.  Both
+    equal the dividend at every root, so neither vanishes at all of them:
+    the monic polynomial would then divide the dividend.
     """
     for root in roots:
-        for r in remainders:
+        for r in polys:
             value = r(root)
             if value != 0:
                 return root, value

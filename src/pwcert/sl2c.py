@@ -21,8 +21,9 @@ swap condition holds.
 
 Membership at distinct K-types is certified by componentwise exact division
 by the ladder chain q_{n,m} (products of the first-order operators
-q^+ : component x + (m+2), and q^- : component ((m+2)^2 - k^2)(x - (m+2)))
-followed by the diagonal-algebra test on the quotient.
+q^+ : component x + (m+2), and q^- : component ((m+2)^2 - k^2)(x - (m+2))),
+one synthetic division by x - r per integer root r with the weight scalar
+taken out on the way, followed by the diagonal-algebra test on the quotient.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from .poly import (
     first_root_not_vanishing,
     interpolate_equispaced,
     poly_div_linear,
-    poly_div_rem,
     square_parts,
     transpose,
 )
@@ -487,9 +487,12 @@ class WeightRootWitness:
 def level3_check_c(phi: WeightedDiagMap) -> Accept | Reject:
     """Certify phi = (quotient in the diagonal algebra) * q_{src,dst}.
 
-    Each component is divided exactly by the monic chain shared by all weights,
-    then by its weight scalar; algebra_check then decides the quotient, and its
-    acceptance carries the quotient's generator coordinates.
+    Each component is divided by x - r for each integer root r of the chain,
+    one exact synthetic division per root (Knuth, TAOCP vol. 2, 4.6.4), the
+    first of them also by its weight scalar (1 unless n > m); for n = m the
+    chain is 1 and nothing is divided.  A remainder rejects at the first root
+    where the component is nonzero.  algebra_check then decides the quotient,
+    and its acceptance carries the quotient's generator coordinates.
     """
     if phi.is_zero_hom:
         raise ParityMismatch(
@@ -497,15 +500,16 @@ def level3_check_c(phi: WeightedDiagMap) -> Accept | Reject:
         )
     n, m = phi.src, phi.dst
     roots = q_roots_c(n, m)
-    chain = Poly.from_roots(roots)
     level = min(n, m)
     comps = {}
     for k in weights(level):
-        quotient, remainder = poly_div_rem(phi[k], chain)
-        if not remainder.is_zero:
-            root, value = first_root_not_vanishing([remainder], roots)
-            return Reject(WeightRootWitness(weight=k, root=root, value=value))
-        comps[k] = quotient / _weight_scalar(n, m, k)
+        quotient, scale = phi[k], _weight_scalar(n, m, k)
+        for r in roots:
+            quotient, scale = poly_div_linear(quotient, int(r), scale), 1
+            if quotient is None:
+                root, value = first_root_not_vanishing([phi[k]], roots)
+                return Reject(WeightRootWitness(weight=k, root=root, value=value))
+        comps[k] = quotient
     return algebra_check(WeightedDiagMap(level, level, comps))
 
 

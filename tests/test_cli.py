@@ -291,9 +291,24 @@ def test_repeated_multipoly_exponents_are_an_error(capsys):
     assert captured.err == "pw: error: multivariate polynomial JSON repeats the exponent vector [2]\n"
 
 
+def test_lambda_takes_the_ktype_bound(capsys):
+    # The K-types of the composition factors grow with |lambda|; past about
+    # 10^4299 an SL(2,R) factor label has more digits than Python prints.
+    for args in (("box", "-m", "1"), ("classify", "--group", "sl2r", "--sigma", "-"),
+                 ("classify", "--group", "sl2c", "--sigma", "0")):
+        command = " ".join(args[:3] if args[0] == "classify" else args[:1])
+        for lam in ("1000", "-1000"):
+            assert main([*args, "--lambda", lam]) == 0
+            assert capsys.readouterr().err == ""
+        for lam in ("1001", "-2003/2", "5e4299"):
+            assert error_output(capsys, *args, "--lambda", lam) == (
+                f"pw: error: {command} needs |lambda| <= 1000, got {lam}\n")
+
+
 def test_unprintable_rational_is_our_error_line(capsys):
     # 1e9000 passes the 10,000-character read bound but has 9,001 digits to print.
-    assert main(["classify", "--group", "sl2r", "--sigma", "+", "--lambda", "1e9000"]) == 1
+    phi = '{"coeffs":["1e9000","1e9000"]}'  # 10^9000 (x + 1), so h = 10^9000
+    assert main(["check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", phi]) == 1
     err = capsys.readouterr().err
     assert err == "pw: error: output limit: a rational to print has a part over 4300 digits\n"
     assert "set_int_max_str_digits" not in err

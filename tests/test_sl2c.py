@@ -44,6 +44,7 @@ from pwcert.sl2c import (
     weights,
 )
 from pwcert.verdict import Accept, Reject
+from chain_long_division import long_division_check
 from ladder_oracle import q_minus, q_plus, then
 from pinning_induction import pinning_decompose
 from poly_helpers import lagrange_interpolate
@@ -549,6 +550,59 @@ def test_level3_random_members_and_functional_equation():
         sign = -1 if ((m - n) // 2) % 2 else 1
         for k in weights(min(n, m)):
             assert phi[-k].reflect() * quotient.den == quotient.num * phi[k] * sign
+
+
+def test_level3_matches_the_long_division():
+    # Members, constant bumps (a remainder at that weight unless n = m), bumps
+    # by the chain times x at one weight (an asymmetric quotient), both at once,
+    # bumps by the chain at a pair +/-j (a swap break) and random maps, on
+    # n, m <= 24 with up to 12 steps either way and n = m.
+    rng = random.Random(18)
+    outcomes = Counter()
+    for _ in range(360):
+        level, kind = rng.randint(0, 24), rng.randrange(6)
+        steps = rng.randint(0, min(12, (24 - level) // 2)) if rng.random() < 0.85 else 0
+        n, m = (level, level + 2 * steps) if rng.random() < 0.5 else (level + 2 * steps, level)
+        chain, wts = q_nm_c(n, m), weights(level)
+        if kind == 5:
+            comps = {k: rand_poly(rng, rng.randint(0, abs(n - m) // 2 + 2)) for k in wts}
+        else:
+            h = synthesize(rand_coords(rng, level, 2))
+            comps = {k: h[k] * chain[k] for k in wts}
+        if kind == 1 or kind == 4 and level:  # kind 4 bumps a negative weight
+            k0 = rng.choice(wts[: (level + 1) // 2] if kind == 4 else wts)
+            comps[k0] = comps[k0] + rng.choice([-2, 1, 3])
+        if kind in (2, 4):
+            k0 = rng.choice([k for k in wts if k >= 0])
+            comps[k0] = comps[k0] + chain[k0] * LAM * rng.choice([-1, 2])
+        if kind == 3:
+            j = rng.choice([k for k in wts if k >= 0])
+            comps[j] = comps[j] + chain[j]
+            if j:
+                comps[-j] = comps[-j] + chain[-j]
+        phi = WeightedDiagMap(n, m, comps)
+        result = level3_check_c(phi)
+        assert result == long_division_check(phi), (n, m, kind)
+        outcomes["n = m"] += n == m
+        name = "Accept" if result.accepted else type(result.witness).__name__
+        outcomes[name] += 1
+        if kind == 4 and level and n != m:  # the negative weight comes first
+            assert isinstance(result.witness, WeightRootWitness) and result.witness.weight < 0
+            outcomes["root before symmetry"] += 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 6, outcomes
+
+
+@pytest.mark.parametrize("n, m", [(1, 999), (999, 1)])
+def test_level3_long_chain_within_budget(n, m):
+    # Level 1 with 499 raising or lowering steps, at the K-type bound: one
+    # synthetic division per root costs more than one long division here.
+    coords = GeneratorCoords(1, (Poly((1, -2, 1)), Poly((2, -2, 1))))
+    h, chain = synthesize(coords), q_nm_c(n, m)
+    phi = WeightedDiagMap(n, m, {k: h[k] * chain[k] for k in weights(1)})
+    start = time.perf_counter()
+    result = level3_check_c(phi)
+    assert time.perf_counter() - start < 1.0
+    assert result == Accept(h=h, coords=coords)
 
 
 def test_level3_polynomial_h_degree_bookkeeping():
