@@ -50,10 +50,7 @@ class Poly:
         scales coefficients only by the small a and b: no big x big product, which
         a product tree needs at its top (von zur Gathen & Gerhard, MCA 10.1).
         """
-        num = [1]
-        for a, b in map(_ratio, roots):
-            num = [b * lo - a * hi for lo, hi in zip([0, *num], [*num, 0])]
-        return _make(num, num[-1])
+        return _from_pairs(map(_ratio, roots))
 
     @staticmethod
     def zero() -> Poly:
@@ -269,6 +266,14 @@ def _ratio(c: RatLike) -> tuple[int, int]:
     return c.numerator, c.denominator
 
 
+def _from_pairs(roots: Iterable[tuple[int, int]]) -> Poly:
+    """The monic product of (x - a/b) over the int pairs (a, b), b > 0."""
+    num = [1]
+    for a, b in roots:
+        num = [b * lo - a * hi for lo, hi in zip([0, *num], [*num, 0])]
+    return _make(num, num[-1])
+
+
 def _coerce(value: Poly | RatLike) -> Poly:
     return value if isinstance(value, Poly) else Poly((value,))
 
@@ -354,7 +359,7 @@ def poly_div_linear(f: Poly, c: int, scale: int) -> Poly | None:
     return _make(quotient[-2::-1], f._den * scale)
 
 
-def first_root_not_vanishing(polys: Collection[Poly], roots: Sequence[Fraction]) -> tuple[Fraction, Fraction]:
+def first_root_not_vanishing(polys: Collection[Poly], roots: Iterable[Fraction]) -> tuple[Fraction, Fraction]:
     """The first root, in the given order, at which some polynomial is nonzero,
     with its value there.
 

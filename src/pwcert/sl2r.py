@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import starmap
 from typing import TYPE_CHECKING
 
 from .errors import TruncationTooSmall, check_parity
-from .poly import Poly, first_root_not_vanishing, poly_div_rem
+from .poly import Poly, _from_pairs, first_root_not_vanishing, poly_div_rem
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
 from .verdict import Accept, Reject, record
 
@@ -98,6 +99,20 @@ def c_quotient_r(n: int, m: int) -> RationalFunction:
 # -- intertwining polynomials ------------------------------------------------------
 
 
+def _ladder_pairs(n: int, m: int) -> list[tuple[int, int]]:
+    """The roots of q_{n,m} (see q_roots_r) as int pairs (a, b), a/b in
+    lowest terms, in increasing order; t is twice the root."""
+    check_parity(n, m)
+    a, b = abs(n), abs(m)
+    if n * m < 0:
+        ts = range(1 - a, b, 2)
+    elif a > b:
+        ts = range(1 - a, -b, 2)
+    else:
+        ts = range(a + 1, b, 2)
+    return [(t, 2) for t in ts] if a % 2 == 0 else [(t // 2, 1) for t in ts]
+
+
 def q_roots_r(n: int, m: int) -> list[Fraction]:
     """Roots of the intertwining polynomial q_{n,m}, in increasing order.
 
@@ -105,22 +120,12 @@ def q_roots_r(n: int, m: int) -> list[Fraction]:
     half-integers; strictly opposite signs give the full ladder from
     -(|n|-1)/2 up to (|m|-1)/2 in integer steps.
     """
-    check_parity(n, m)
-    if n == m:
-        return []
-    if n * m < 0:
-        start = -Fraction(abs(n) - 1, 2)
-        stop = Fraction(abs(m) - 1, 2)
-        return [start + j for j in range(int(stop - start) + 1)]
-    a, b = abs(n), abs(m)
-    if a > b:
-        return [-Fraction(j, 2) for j in range(a - 1, b, -2)]
-    return [Fraction(j, 2) for j in range(a + 1, b, 2)]
+    return list(starmap(Fraction, _ladder_pairs(n, m)))
 
 
 def q_poly_r(n: int, m: int) -> Poly:
-    """The monic intertwining polynomial q_{n,m} (equal to 1 when n = m)."""
-    return Poly.from_roots(q_roots_r(n, m))
+    """The monic intertwining polynomial q_{n,m} (1 when n = m), built from the root pairs."""
+    return _from_pairs(_ladder_pairs(n, m))
 
 
 # -- composition series -------------------------------------------------------------
@@ -273,10 +278,9 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
     exact division decides divisibility; a nonzero remainder is localized at
     a root where phi does not vanish.
     """
-    roots = q_roots_r(n, m)
-    quotient, remainder = poly_div_rem(phi, Poly.from_roots(roots))
+    quotient, remainder = poly_div_rem(phi, q_poly_r(n, m))
     if not remainder.is_zero:
-        root, value = first_root_not_vanishing([remainder], roots)
+        root, value = first_root_not_vanishing([remainder], starmap(Fraction, _ladder_pairs(n, m)))
         return Reject(RootWitness(root=root, value=value))
     if quotient.reflect() != quotient:
         degree = next(i for i in range(1, quotient.degree + 1, 2) if quotient[i])

@@ -1,5 +1,6 @@
 """Sparse multivariate polynomials: division in one variable, arity checks."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from pwcert.errors import ArityMismatch, DivisionByZeroPoly
 from pwcert.multipoly import MultiPoly, mpoly_div_in_var
 from pwcert.poly import Poly
+from pwcert.sl2r import q_poly_r
 
 
 def mp(arity, terms):
@@ -38,6 +40,24 @@ def test_div_in_var_examples():
     f = mp(2, {(2, 1): 3, (0, 0): 1})
     q, r = mpoly_div_in_var(f, Poly([3]), 0)
     assert q == mp(2, {(2, 1): 1, (0, 0): Fraction(1, 3)}) and r.is_zero
+
+
+def test_div_in_var_does_not_pad_fibers():
+    # One fiber of degree 10,000 and 1,999 constant fibers: dividing each
+    # group of one degree on its own keeps the peak near the size of the
+    # degree-10,000 quotient (about 30 MB); a 10,001 x 2,000 layout would
+    # add about 160 MB.
+    f = mp(2, {(10_000, 0): 1, **{(0, j): j + 1 for j in range(2000)}})
+    g = q_poly_r(1, 11)
+    tracemalloc.start()
+    try:
+        q, r = mpoly_div_in_var(f, g, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80 * 2**20
+    assert q * MultiPoly.from_univariate(g, 2, 0) + r == f
+    assert max(e[0] for e in r.exponents) < g.degree
 
 
 def test_div_by_zero_poly():

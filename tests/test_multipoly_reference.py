@@ -238,6 +238,19 @@ def _divisor(rng: random.Random) -> Poly:
     return Poly([_coeff(rng, kind) for _ in range(rng.randint(1, 5))] + [lead])
 
 
+def _fibered(rng: random.Random, arity: int, var: int, tops: list[int], kind: str) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Term pairs with one fiber in ``var`` per entry of ``tops``, of that
+    degree: its top term and up to two lower ones."""
+    rests: set[tuple[int, ...]] = set()
+    while len(rests) < len(tops):
+        rests.add(_exps(rng, arity - 1, 5))
+    items = []
+    for rest, top in zip(sorted(rests), tops):
+        for e in {top, rng.randint(0, top), rng.randint(0, top)}:
+            items.append((rest[:var] + (e,) + rest[var:], _nonzero(rng, kind)))
+    return items
+
+
 def _assert_same(p: MultiPoly, ref: ReferenceMultiPoly) -> None:
     assert p.terms == ref.terms
     assert all(type(c) is Fraction for c in p.terms.values())
@@ -309,45 +322,81 @@ def test_div_in_var_matches_fraction_kernel():
         ref = ReferenceMultiPoly(arity, items)
         if rng.random() < 0.4:
             ref = ref * ReferenceMultiPoly.from_univariate(g, arity, var)
-        f = MultiPoly(arity, ref.terms)
-        quotient, remainder = mpoly_div_in_var(f, g, var)
-        ref_quotient, ref_remainder = reference_div_in_var(ref, g, var)
-        _assert_same(quotient, ref_quotient)
-        _assert_same(remainder, ref_remainder)
+        _assert_div_same(MultiPoly(arity, ref.terms), ref, g, var)
+    # The fibers of one degree are divided together: many fibers of one
+    # degree, mixed degrees (fibers shorter than the divisor among them), and
+    # a non-unit leading numerator that only one fiber's top term forces a
+    # rescale for.
+    for _ in range(CASES // 4):
+        arity = rng.randint(3, 4)
+        var = rng.randrange(arity)
+        g = _divisor(rng)
+        kind = rng.choice(("integer", "dyadic", "rational"))
+        top = rng.randint(2, 8)
+        items = _fibered(rng, arity, var, [top] * rng.randint(10, 20), kind)
+        _assert_div_same(MultiPoly(arity, items), ReferenceMultiPoly(arity, items), g, var)
+        tops = [rng.randint(0, max(g.degree, 0) + 4) for _ in range(rng.randint(2, 12))]
+        items = _fibered(rng, arity, var, tops, kind)
+        _assert_div_same(MultiPoly(arity, items), ReferenceMultiPoly(arity, items), g, var)
+        lead = rng.randint(2, 9)
+        g = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [lead])
+        top = g.degree + rng.randint(0, 3)
+        items = _fibered(rng, arity, var, [top] * rng.randint(3, 8), "integer")
+        heads = [i for i, (exps, _) in enumerate(items) if exps[var] == top]
+        odd = rng.choice(heads)
+        for i in heads:
+            c = lead * rng.choice((-3, -1, 1, 2))
+            items[i] = (items[i][0], c + rng.randint(1, lead - 1) if i == odd else c)
+        _assert_div_same(MultiPoly(arity, items), ReferenceMultiPoly(arity, items), g, var)
+
+
+def _assert_div_same(f: MultiPoly, ref: ReferenceMultiPoly, g: Poly, var: int) -> None:
+    quotient, remainder = mpoly_div_in_var(f, g, var)
+    ref_quotient, ref_remainder = reference_div_in_var(ref, g, var)
+    _assert_same(quotient, ref_quotient)
+    _assert_same(remainder, ref_remainder)
 
 
 def test_level3_check_product_matches_fraction_kernel():
     # Members h * q_{l,n} with h even in every variable, an odd bump of h in
     # one variable, a constant added to phi, and rational coefficients.
+    # d = 4 takes ladders of degree at most 4 per variable, so that the
+    # Fraction kernel stays fast.
     rng = random.Random(11004)
     verdicts = set()
     for _ in range(200):
-        d = rng.randint(1, 3)
-        l, n = [], []
-        for _ in range(d):
-            li = rng.choice((-1, 1)) * rng.randint(0, 7)
-            ni = rng.randint(-7, 7)
-            l.append(li)
-            n.append(ni + (li - ni) % 2)
-        kind = rng.choice(("integer", "dyadic", "rational"))
-        h = ReferenceMultiPoly(d, {tuple(2 * rng.randint(0, 2) for _ in range(d)): _coeff(rng, kind)
-                                   for _ in range(rng.randint(1, 5))})
-        shape = rng.choice(("member", "member", "odd", "constant"))
-        if shape == "odd":
-            var = rng.randrange(d)
-            h = h + ReferenceMultiPoly(d, {tuple(int(i == var) for i in range(d)): rng.randint(1, 9)})
-        phi = h
-        for i, (li, ni) in enumerate(zip(l, n)):
-            phi = phi * ReferenceMultiPoly.from_univariate(Poly.from_roots(q_roots_r(li, ni)), d, i)
-        if shape == "constant":
-            phi = phi + rng.randint(1, 9)
-        result = level3_check_product(MultiPoly(d, phi.terms), tuple(l), tuple(n))
-        expected = reference_level3_check_product(phi, l, n)
-        assert result.accepted == expected.accepted
-        if result.accepted:
-            _assert_same(result.h, expected.h)
-            verdicts.add("Accept")
-        else:
-            assert result == expected
-            verdicts.add(type(result.witness).__name__)
+        _check_product_case(rng, rng.randint(1, 3), 7, verdicts)
+    rng = random.Random(11005)
+    for _ in range(30):
+        _check_product_case(rng, 4, 4, verdicts)
     assert verdicts == {"Accept", "ProductRootWitness", "ProductOddWitness"}
+
+
+def _check_product_case(rng: random.Random, d: int, bound: int, verdicts: set[str]) -> None:
+    l, n = [], []
+    for _ in range(d):
+        li = rng.choice((-1, 1)) * rng.randint(0, bound)
+        ni = rng.randint(-bound, bound)
+        l.append(li)
+        n.append(ni + (li - ni) % 2)
+    kind = rng.choice(("integer", "dyadic", "rational"))
+    h = ReferenceMultiPoly(d, {tuple(2 * rng.randint(0, 2) for _ in range(d)): _coeff(rng, kind)
+                               for _ in range(rng.randint(1, 5))})
+    shape = rng.choice(("member", "member", "odd", "constant"))
+    if shape == "odd":
+        var = rng.randrange(d)
+        h = h + ReferenceMultiPoly(d, {tuple(int(i == var) for i in range(d)): rng.randint(1, 9)})
+    phi = h
+    for i, (li, ni) in enumerate(zip(l, n)):
+        phi = phi * ReferenceMultiPoly.from_univariate(Poly.from_roots(q_roots_r(li, ni)), d, i)
+    if shape == "constant":
+        phi = phi + rng.randint(1, 9)
+    result = level3_check_product(MultiPoly(d, phi.terms), tuple(l), tuple(n))
+    expected = reference_level3_check_product(phi, l, n)
+    assert result.accepted == expected.accepted
+    if result.accepted:
+        _assert_same(result.h, expected.h)
+        verdicts.add("Accept")
+    else:
+        assert result == expected
+        verdicts.add(type(result.witness).__name__)

@@ -121,6 +121,13 @@ def test_adjoint_symmetry_of_roots():
         assert sorted(q_roots_r(m, n)) == sorted(-r for r in q_roots_r(n, m))
 
 
+def test_ladder_built_from_root_pairs_matches_from_roots():
+    # q_poly_r builds the ladder from integer root pairs; it is the monic
+    # polynomial with exactly the roots q_roots_r lists.
+    for n, m in [*equal_parity_pairs(41), (-1000, 1000)]:
+        assert q_poly_r(n, m) == Poly.from_roots(q_roots_r(n, m)), (n, m)
+
+
 def test_q_poly_at_the_ktype_bound_within_budget():
     # q_{-1000,1000} is the largest ladder the CLI accepts: 1,000 roots -999/2, ..., 999/2.
     start = time.perf_counter()

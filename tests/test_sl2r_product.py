@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,19 @@ def test_d1_degenerates_to_univariate():
         assert uni.accepted == multi.accepted
         if uni.accepted:
             assert MultiPoly.from_univariate(uni.h, 1, 0) == multi.h
+
+
+def test_long_single_fiber_within_budget():
+    # d = 1 with a 400-root ladder and phi of degree 1,200: one fiber, divided
+    # as a group of width 1.
+    rng = random.Random(400)
+    h = Poly([rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(801)])
+    phi = MultiPoly.from_univariate(h * q_poly_r(-400, 400), 1, 0)
+    start = time.perf_counter()
+    result = level3_check_product(phi, (-400,), (400,))
+    assert time.perf_counter() - start < 0.5
+    assert isinstance(result, Accept)
+    assert result.h == MultiPoly.from_univariate(h, 1, 0)
 
 
 def test_tensor_consistency():
