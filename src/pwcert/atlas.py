@@ -85,22 +85,17 @@ def atlas_sl2c(sigma_max: int, lambda_max: int) -> list[AtlasPointC]:
     """Verdicts and orbit grouping on the integer grid |sigma|, |lambda| <= bounds."""
     from .sl2c import diamond_orbit, reducibility_c
 
+    grid = [(sigma, lam) for sigma in range(-sigma_max, sigma_max + 1)
+            for lam in range(-lambda_max, lambda_max + 1)]
+    reducible = {(s, l) for s, l in grid if reducibility_c(s, Fraction(l)).reducible}
     orbit_of: dict[tuple[int, int], str] = {}
-    for sigma in range(-sigma_max, sigma_max + 1):
-        for lam in range(-lambda_max, lambda_max + 1):
-            if reducibility_c(sigma, Fraction(lam)).reducible:
-                orbit = diamond_orbit(sigma, lam)
-                oid = _orbit_id(orbit)
-                for vertex in orbit:
-                    orbit_of.setdefault(vertex, oid)
-    points = []
-    for sigma in range(-sigma_max, sigma_max + 1):
-        for lam in range(-lambda_max, lambda_max + 1):
-            reducible = reducibility_c(sigma, Fraction(lam)).reducible
-            points.append(
-                AtlasPointC(sigma, lam, reducible, orbit_of.get((sigma, lam)))
-            )
-    return points
+    for v in grid:
+        if v in reducible:
+            orbit = diamond_orbit(*v)
+            oid = _orbit_id(orbit)
+            for vertex in orbit:
+                orbit_of.setdefault(vertex, oid)
+    return [AtlasPointC(*v, v in reducible, orbit_of.get(v)) for v in grid]
 
 
 def atlas_sl2c_json(sigma_max: int, lambda_max: int) -> dict:

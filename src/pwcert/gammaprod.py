@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .errors import IrreducibleGammaQuotient
+from .errors import IrreducibleGammaQuotient, WeightNotInKType
 from .poly import Poly
 from .ratfunc import RationalFunction
 from .rationals import RatLike, rat, rat_str
@@ -149,3 +149,44 @@ def gamma_reduce(numerator: GammaProduct, denominator: GammaProduct) -> Rational
         for a, b in zip(ups, downs):
             result = result * _pair_contribution(scale, a, b)
     return result
+
+
+# -- Harish-Chandra c-functions ---------------------------------------------------
+
+
+def c_gamma_r(n: int) -> GammaProduct:
+    """Symbolic Harish-Chandra c-function of the SL(2,R) K-type n.
+
+    (1/sqrt(pi)) * Gamma(x)Gamma(x + 1/2) / (Gamma(x + (1+n)/2) Gamma(x + (1-n)/2));
+    invariant under n -> -n since the two denominator shifts swap.
+    """
+    half = Fraction(1, 2)
+    return GammaProduct(
+        [
+            (1, 0, 1),
+            (1, half, 1),
+            (1, Fraction(1 + n, 2), -1),
+            (1, Fraction(1 - n, 2), -1),
+        ],
+        sqrt_pi_power=-1,
+    )
+
+
+def c_gamma_c(n: int, sigma: int) -> GammaProduct:
+    """Symbolic c-function of the SL(2,C) K-type n at the M-weight sigma.
+
+    Gamma((x + sigma)/2) Gamma((x - sigma)/2)
+    / (Gamma((x + n + 2)/2) Gamma((x - n)/2)), defined for |sigma| <= n of
+    equal parity (the weight must occur in the K-type).
+    """
+    if abs(sigma) > n or (n - sigma) % 2 != 0:
+        raise WeightNotInKType(f"weight {sigma} does not occur in K-type {n}")
+    half = Fraction(1, 2)
+    return GammaProduct(
+        [
+            (half, Fraction(sigma, 2), 1),
+            (half, Fraction(-sigma, 2), 1),
+            (half, Fraction(n + 2, 2), -1),
+            (half, Fraction(-n, 2), -1),
+        ]
+    )

@@ -12,8 +12,6 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-Rat = Fraction
-
 RatLike = Fraction | int | str
 
 MAX_DIGITS = 10_000  # read limit; rat_str rejects a part over Python's 4,300-digit str limit

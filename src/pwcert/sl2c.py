@@ -53,7 +53,6 @@ from .rationals import RatLike, is_integer, rat
 from .verdict import Accept, Reject, record
 
 if TYPE_CHECKING:
-    from .gammaprod import GammaProduct
     from .ratfunc import RationalFunction
 
 
@@ -77,48 +76,19 @@ def clebsch_gordan(n: int, m: int) -> list[int]:
 # -- c-functions -------------------------------------------------------------------
 
 
-def c_gamma_c(n: int, sigma: int) -> GammaProduct:
-    """Symbolic c-function of K-type n at the M-weight sigma.
-
-    Gamma((x + sigma)/2) Gamma((x - sigma)/2)
-    / (Gamma((x + n + 2)/2) Gamma((x - n)/2)), defined for |sigma| <= n of
-    equal parity (the weight must occur in the K-type).
-    """
-    if abs(sigma) > n or (n - sigma) % 2 != 0:
-        raise WeightNotInKType(f"weight {sigma} does not occur in K-type {n}")
-    from .gammaprod import GammaProduct
-
-    half = Fraction(1, 2)
-    return GammaProduct(
-        [
-            (half, Fraction(sigma, 2), 1),
-            (half, Fraction(-sigma, 2), 1),
-            (half, Fraction(n + 2, 2), -1),
-            (half, Fraction(-n, 2), -1),
-        ]
-    )
-
-
 def c_quotient_c(n: int, m: int) -> RationalFunction:
-    """Exact c-function quotient c_n / c_m (independent of the M-weight).
-
-    For n > m: prod (x - j) / prod (x + j) over j = m+2, m+4, ..., n;
-    inverted for n < m; 1 for n = m.
+    """c_n / c_m (independent of the M-weight) read off the chain:
+    prod (x - r) / prod (x + r) over r in q_roots_c(n, m), q(x) over q(-x) up
+    to sign.  The roots are the -lambda where m lies in the socle at (sigma,
+    lambda) and n does not; SL(2,R)'s ladder vanishes at +lambda instead, so
+    sl2r.c_quotient_r reads q(-x) over q(x).
     """
     from .ratfunc import RationalFunction
 
     if n < 0 or m < 0:
         raise ValueError("K-types are nonnegative integers")
-    check_parity(n, m)
-    if n == m:
-        return RationalFunction.one()
-    lo, hi = min(n, m), max(n, m)
-    ladder = list(range(lo + 2, hi + 1, 2))
-    num = Poly.from_roots(ladder)
-    den = Poly.from_roots([-j for j in ladder])
-    if n > m:
-        return RationalFunction(num, den)
-    return RationalFunction(den, num)
+    q = Poly.from_roots(q_roots_c(n, m))
+    return RationalFunction(q, q.reflect() * (-1) ** q.degree)
 
 
 # -- reducibility and the intertwiner diamond ----------------------------------------

@@ -18,9 +18,9 @@ q_{n,m} divides phi with even quotient.  K-picture (Level-2) data reads the
 same ladder.  Its component psi_n must vanish at the roots of q_{n,m}, which
 are exactly the reducibility points where n leaves the minimal invariant
 submodule containing m (acceptance criterion 03).  It must also satisfy
-psi_n(-x) q_{n,m}(x) = q_{n,m}(-x) psi_n(x), which is the c-function
-quotient equation with sign (-1)^{(m-n)/2}, because
-q_{n,m}(-x) / q_{n,m}(x) = (-1)^{(m-n)/2} c_n / c_m (criterion 02).
+psi_n(-x) q_{n,m}(x) = q_{n,m}(-x) psi_n(x), the c-quotient equation with
+sign (-1)^{(m-n)/2}: the c-function quotient is defined by criterion 02, the
+Knapp-Stein equation q_{n,m}(-x) / q_{n,m}(x) = (-1)^{(m-n)/2} c_n / c_m.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
 from .verdict import Accept, Reject, record
 
 if TYPE_CHECKING:
-    from .gammaprod import GammaProduct
     from .ratfunc import RationalFunction
 
 
@@ -54,46 +53,17 @@ class SigmaR(enum.Enum):
 # -- c-functions ----------------------------------------------------------------
 
 
-def c_gamma_r(n: int) -> GammaProduct:
-    """Symbolic Harish-Chandra c-function of the K-type n.
-
-    (1/sqrt(pi)) * Gamma(x)Gamma(x + 1/2) / (Gamma(x + (1+n)/2) Gamma(x + (1-n)/2));
-    invariant under n -> -n since the two denominator shifts swap.
-    """
-    from .gammaprod import GammaProduct
-
-    half = Fraction(1, 2)
-    return GammaProduct(
-        [
-            (1, 0, 1),
-            (1, half, 1),
-            (1, Fraction(1 + n, 2), -1),
-            (1, Fraction(1 - n, 2), -1),
-        ],
-        sqrt_pi_power=-1,
-    )
-
-
 def c_quotient_r(n: int, m: int) -> RationalFunction:
-    """Exact c-function quotient c_n / c_m in closed form.
-
-    For |n| > |m| the quotient is the ladder
-    prod (x - t) / prod (x + t) over half-integers t from (|m|+1)/2 to
-    (|n|-1)/2; inverted for |n| < |m|; and 1 for |n| = |m|.
+    """c_n / c_m read off the ladder q = q_{|n|,|m|} (criterion 02):
+    (-1)^{deg q} q(-x) / q(x), with coprime parts.  q vanishes at the lambda
+    where |n| leaves the submodule generated by |m| (criterion 03); SL(2,C)'s
+    chain vanishes at -lambda, so sl2c.c_quotient_c reads q(x) over q(-x).
     """
     from .ratfunc import RationalFunction
 
     check_parity(n, m)
-    a, b = abs(n), abs(m)
-    if a == b:
-        return RationalFunction.one()
-    lo, hi = min(a, b), max(a, b)
-    ladder = [Fraction(j, 2) for j in range(lo + 1, hi, 2)]
-    num = Poly.from_roots(ladder)
-    den = Poly.from_roots([-t for t in ladder])
-    if a > b:
-        return RationalFunction(num, den)
-    return RationalFunction(den, num)
+    q = q_poly_r(abs(n), abs(m))
+    return RationalFunction(q.reflect() * (-1) ** q.degree, q)
 
 
 # -- intertwining polynomials ------------------------------------------------------
@@ -358,7 +328,7 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> Level2Repor
                 vanishing.append(VanishingCheck(
                     lam=lam, ktype=n, submodule=smallest_submodule_r(m, lam).label,
                     value=value, ok=(value == 0)))
-        q = Poly.from_roots(roots)
+        q = q_poly_r(n, m)
         functional.append(FunctionalCheck(ktype=n, sign=_ks_sign(n, m),
                                           ok=(psi[n].reflect() * q == q.reflect() * psi[n])))
     vanishing.sort(key=lambda c: (c.lam, c.ktype))

@@ -2,13 +2,19 @@
 
 The SL(2,C) first-order ladder operators q^+ and q^- and their composition,
 written out as the definitions, so that the closed-form chain q_nm_c is
-checked against a literal product of first-order steps; and the SL(2,R)
-reducibility grid that the box-picture and zero-set criteria range over.
+checked against a literal product of first-order steps; the SL(2,R)
+reducibility grid that the box-picture and zero-set criteria range over; and
+the c-function quotients of both groups as hand-written half-ladders, the
+closed forms that the library's quotients, read off q_{n,m}, are compared
+with through quotient_outcome.
 """
 
 from fractions import Fraction
 
+from pwcert.errors import check_parity
+from pwcert.jsonio import ratfunc_to_json
 from pwcert.poly import Poly
+from pwcert.ratfunc import RationalFunction
 from pwcert.sl2c import WeightedDiagMap, common_weights, weights
 from pwcert.sl2r import SigmaR
 
@@ -39,3 +45,46 @@ def reducibility_points_r(sigma: SigmaR, bound: Fraction) -> list[Fraction]:
     start = Fraction(1, 2) if sigma is SigmaR.PLUS else Fraction(0)
     positive = [start + j for j in range(int(bound - start) + 1) if start + j <= bound]
     return sorted({*positive, *(-t for t in positive)})
+
+
+def c_quotient_r_ladder(n: int, m: int) -> RationalFunction:
+    """SL(2,R) c_n / c_m: for |n| > |m| the ladder prod (x - t) / prod (x + t)
+    over half-integers t from (|m|+1)/2 to (|n|-1)/2; inverted for |n| < |m|;
+    and 1 for |n| = |m|."""
+    check_parity(n, m)
+    a, b = abs(n), abs(m)
+    if a == b:
+        return RationalFunction.one()
+    lo, hi = min(a, b), max(a, b)
+    ladder = [Fraction(j, 2) for j in range(lo + 1, hi, 2)]
+    num = Poly.from_roots(ladder)
+    den = Poly.from_roots([-t for t in ladder])
+    if a > b:
+        return RationalFunction(num, den)
+    return RationalFunction(den, num)
+
+
+def c_quotient_c_ladder(n: int, m: int) -> RationalFunction:
+    """SL(2,C) c_n / c_m: for n > m, prod (x - j) / prod (x + j) over
+    j = m+2, m+4, ..., n; inverted for n < m; 1 for n = m."""
+    if n < 0 or m < 0:
+        raise ValueError("K-types are nonnegative integers")
+    check_parity(n, m)
+    if n == m:
+        return RationalFunction.one()
+    lo, hi = min(n, m), max(n, m)
+    ladder = list(range(lo + 2, hi + 1, 2))
+    num = Poly.from_roots(ladder)
+    den = Poly.from_roots([-j for j in ladder])
+    if n > m:
+        return RationalFunction(num, den)
+    return RationalFunction(den, num)
+
+
+def quotient_outcome(fn, *args):
+    """fn(*args) as (num, den, JSON), or its error as (type, message)."""
+    try:
+        quotient = fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return quotient.num, quotient.den, ratfunc_to_json(quotient)

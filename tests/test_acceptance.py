@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from pwcert.gammaprod import gamma_reduce
+from pwcert.gammaprod import c_gamma_c, c_gamma_r, gamma_reduce
 from pwcert.multipoly import MultiPoly
 from pwcert.poly import Poly
 from pwcert.ratfunc import RationalFunction
@@ -21,7 +21,6 @@ from pwcert.sl2c import (
     WeightRootWitness,
     WeightedDiagMap,
     algebra_check,
-    c_gamma_c,
     c_quotient_c,
     free_module_decompose,
     level3_check_c,
@@ -35,7 +34,6 @@ from pwcert.sl2r import (
     RootWitness,
     SigmaR,
     box_picture_r,
-    c_gamma_r,
     c_quotient_r,
     level3_check_r,
     q_poly_r,

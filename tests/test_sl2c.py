@@ -17,7 +17,7 @@ from pwcert.errors import (
     SrcDstMismatch,
     WeightNotInKType,
 )
-from pwcert.gammaprod import gamma_reduce
+from pwcert.gammaprod import c_gamma_c, gamma_reduce
 from pwcert.poly import Poly
 from pwcert.ratfunc import RationalFunction
 from pwcert.sl2c import (
@@ -28,7 +28,6 @@ from pwcert.sl2c import (
     WeightedDiagMap,
     _decompose_components,
     algebra_check,
-    c_gamma_c,
     c_quotient_c,
     clebsch_gordan,
     diag_map,
@@ -45,7 +44,7 @@ from pwcert.sl2c import (
 )
 from pwcert.verdict import Accept, Reject
 from chain_long_division import long_division_check
-from ladder_oracle import q_minus, q_plus, then
+from ladder_oracle import c_quotient_c_ladder, q_minus, q_plus, quotient_outcome, then
 from pinning_induction import pinning_decompose
 from poly_helpers import lagrange_interpolate
 
@@ -125,6 +124,44 @@ def test_gamma_consistency_all_weights_up_to_12():
         for m in range(n % 2, 13, 2):
             for sigma in range(-min(n, m), min(n, m) + 1, 2):
                 assert gamma_reduce(c_gamma_c(n, sigma), c_gamma_c(m, sigma)) == c_quotient_c(n, m)
+
+
+def test_c_quotient_matches_the_half_ladder():
+    # The quotient read off the chain roots against the hand-written
+    # half-ladder, on every equal-parity pair n, m <= 60, and the errors.
+    for n in range(0, 61):
+        for m in range(n % 2, 61, 2):
+            expected = quotient_outcome(c_quotient_c_ladder, n, m)
+            assert quotient_outcome(c_quotient_c, n, m) == expected, (n, m)
+    for (n, m), error in {(2, 1): ParityMismatch, (0, 3): ParityMismatch,
+                          (-2, 0): ValueError, (0, -1): ValueError}.items():
+        assert quotient_outcome(c_quotient_c, n, m)[0] is error
+        assert quotient_outcome(c_quotient_c, n, m) == quotient_outcome(c_quotient_c_ladder, n, m)
+
+
+def test_chain_roots_are_minus_the_excluding_lambdas():
+    # Spectral convention: r is a root of q_{n,m} exactly when lambda = -r is
+    # a reducible point (sigma a weight of min(n, m)) whose socle holds the
+    # K-type m but not n.  The socle is R (K-types >= |lambda|) for lambda > 0
+    # and the finite-dimensional factor for lambda < 0.  Reading +lambda
+    # instead must fail somewhere, so the test tells the two conventions apart.
+    points = plus_mismatches = 0
+    for n in range(0, 13):
+        for m in range(n % 2, 13, 2):
+            roots = set(q_roots_c(n, m))
+            for sigma in weights(min(n, m)):
+                for lam in range(-14, 15):
+                    verdict = reducibility_c(sigma, lam)
+                    if not verdict.reducible:
+                        continue
+                    socle = (range(lam, 13) if verdict.socle_is_R
+                             else verdict.finite_dim_ktypes)
+                    excluded = m in socle and n not in socle
+                    assert (-lam in roots) == excluded, (n, m, sigma, lam)
+                    plus_mismatches += (lam in roots) != excluded
+                    points += 1
+    assert points == 4214
+    assert plus_mismatches == 1344
 
 
 # -- reducibility and diamonds ------------------------------------------------------------

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from pwcert.errors import ParityMismatch, TruncationTooSmall
-from pwcert.gammaprod import gamma_reduce
+from pwcert.gammaprod import c_gamma_r, gamma_reduce
 from pwcert.poly import Poly
 from pwcert.ratfunc import RationalFunction
 from pwcert.sl2r import (
@@ -21,7 +21,6 @@ from pwcert.sl2r import (
     SigmaR,
     VanishingCheck,
     box_picture_r,
-    c_gamma_r,
     c_quotient_r,
     composition_series_r,
     level2_check_r,
@@ -31,7 +30,7 @@ from pwcert.sl2r import (
     smallest_submodule_r,
 )
 from pwcert.verdict import Accept, Reject
-from ladder_oracle import reducibility_points_r
+from ladder_oracle import c_quotient_r_ladder, quotient_outcome, reducibility_points_r
 
 HALF = Fraction(1, 2)
 LAM = Poly((0, 1))
@@ -92,6 +91,17 @@ def test_c_quotient_zero_pole_pattern():
 def test_gamma_consistency_up_to_12():
     for n, m in equal_parity_pairs(12):
         assert gamma_reduce(c_gamma_r(n), c_gamma_r(m)) == c_quotient_r(n, m)
+
+
+def test_c_quotient_matches_the_half_ladder():
+    # The quotient read off q_{|n|,|m|} against the hand-written half-ladder,
+    # on every equal-parity pair |n|, |m| <= 60 and on mismatched parities.
+    for n, m in equal_parity_pairs(60):
+        expected = quotient_outcome(c_quotient_r_ladder, n, m)
+        assert quotient_outcome(c_quotient_r, n, m) == expected, (n, m)
+    for n, m in ((2, 1), (-3, 0), (0, -7), (-4, -1)):
+        assert quotient_outcome(c_quotient_r, n, m)[0] is ParityMismatch
+        assert quotient_outcome(c_quotient_r, n, m) == quotient_outcome(c_quotient_r_ladder, n, m)
 
 
 # -- ladder polynomials -----------------------------------------------------------

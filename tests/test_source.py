@@ -91,6 +91,6 @@ def test_public_names_have_a_caller():
     # pins c_gamma_r and c_gamma_c with it) and names the two methods as
     # strings; the set empties once the tracer stops holding them (ROADMAP item 3).
     assert BENCH and unused == {
-        "gammaprod.gamma_reduce", "sl2c.c_gamma_c", "sl2r.c_gamma_r",
+        "gammaprod.gamma_reduce", "gammaprod.c_gamma_c", "gammaprod.c_gamma_r",
         "RationalFunction.inverse", "MultiPoly.substitute_negated",
     }
