@@ -31,7 +31,6 @@ from .rationals import rat, rat_str
 
 if TYPE_CHECKING:  # annotations only: a function that needs one of these at run time imports it
     from .multipoly import MultiPoly
-    from .ratfunc import RationalFunction
     from .sl2c import GeneratorCoords, IntertwinerDiamond, ReducibilityC, WeightedDiagMap
     from .sl2r import CompositionSeriesR, IrreducibleR, Level2ReportR
 
@@ -137,8 +136,9 @@ def mpoly_from_json(data: dict) -> MultiPoly:
     return MultiPoly(arity, parsed)
 
 
-def ratfunc_to_json(f: RationalFunction) -> dict:
-    return {"num": poly_to_json(f.num), "den": poly_to_json(f.den)}
+def ratfunc_to_json(f: tuple[Poly, Poly]) -> dict:
+    num, den = f
+    return {"num": poly_to_json(num), "den": poly_to_json(den)}
 
 
 def diag_map_to_json(m: WeightedDiagMap) -> dict:

@@ -234,7 +234,7 @@ def verification_report(seed: int = 20240801) -> dict:
     import random
     from fractions import Fraction
 
-    from .ratfunc import RationalFunction
+    from .poly import Poly
     from .sl2c import c_quotient_c
     from .sl2r import c_quotient_r
 
@@ -256,48 +256,38 @@ def verification_report(seed: int = 20240801) -> dict:
         count += 1
     add("gamma-recurrence", count, worst)
 
-    def sample_clear_of(quotient: RationalFunction) -> complex:
+    def sample_clear_of(num: Poly, den: Poly) -> complex:
         # Zeros and poles of the ladder quotients sit on half-integers, so only
         # the nearest half-integer can lie within 5e-2 of a sample.
         while True:
             lam = complex(rng.uniform(0.5, 4.0), rng.uniform(-3.0, 3.0))
             r = Fraction(round(2 * lam.real), 2)
-            if abs(lam - complex(float(r))) > 5e-2 or quotient.num(r) * quotient.den(r) != 0:
+            if abs(lam - complex(float(r))) > 5e-2 or num(r) * den(r) != 0:
                 return lam
 
     def relerr(numeric: complex, exact: complex) -> float:
         return abs(numeric - exact) / max(1e-300, abs(exact))
 
-    worst, count = 0.0, 0
-    for n in range(-8, 9):
-        for m in range(-8, 9):
-            if (n - m) % 2:
-                continue
-            quotient = c_quotient_r(n, m)
+    sl2r_pairs = [(n, m) for n in range(-8, 9) for m in range(-8, 9) if (n - m) % 2 == 0]
+    sl2c_pairs = [(n, m) for n in range(0, 9) for m in range(n % 2, 9, 2)]
+    for group, c_quotient, pairs in (("sl2r", c_quotient_r, sl2r_pairs), ("sl2c", c_quotient_c, sl2c_pairs)):
+        worst, count = 0.0, 0
+        for n, m in pairs:
+            num, den = c_quotient(n, m)
+            sigma = n % 2 if group == "sl2c" else None
             for _ in range(2):
-                lam = sample_clear_of(quotient)
-                numeric = c_numeric("sl2r", n, lam) / c_numeric("sl2r", m, lam)
-                worst = max(worst, relerr(numeric, complex(quotient(lam))))
+                lam = sample_clear_of(num, den)
+                numeric = c_numeric(group, n, lam, sigma) / c_numeric(group, m, lam, sigma)
+                worst = max(worst, relerr(numeric, complex(num(lam) / den(lam))))
                 count += 1
-    add("sl2r-c-quotient", count, worst)
-
-    worst, count = 0.0, 0
-    for n in range(0, 9):
-        for m in range(n % 2, 9, 2):
-            quotient = c_quotient_c(n, m)
-            sigma = n % 2
-            for _ in range(2):
-                lam = sample_clear_of(quotient)
-                numeric = c_numeric("sl2c", n, lam, sigma=sigma) / c_numeric("sl2c", m, lam, sigma=sigma)
-                worst = max(worst, relerr(numeric, complex(quotient(lam))))
-                count += 1
-    add("sl2c-c-quotient", count, worst)
+        add(f"{group}-c-quotient", count, worst)
 
     worst, count = 0.0, 0
     for lam in (1.0, 2.0, 3.0, 2.0 + 1.0j):
         base = c_integral_sl2r(0, lam, tol=1e-8)
         for n in range(-6, 7, 2):
-            exact = complex(c_quotient_r(n, 0)(lam))
+            num, den = c_quotient_r(n, 0)
+            exact = complex(num(lam) / den(lam))
             ratio = c_integral_sl2r(n, lam, tol=1e-8) / base
             worst = max(worst, relerr(ratio, exact))
             count += 1

@@ -28,9 +28,8 @@ taken out on the way, followed by the diagonal-algebra test on the quotient.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import (
     InternalNonDivisibility,
@@ -46,14 +45,12 @@ from .poly import (
     first_root_not_vanishing,
     interpolate_equispaced,
     poly_div_linear,
+    poly_gcd,
     square_parts,
     transpose,
 )
 from .rationals import RatLike, is_integer, rat
 from .verdict import Accept, Reject, record
-
-if TYPE_CHECKING:
-    from .ratfunc import RationalFunction
 
 
 # -- weights and tensor products ------------------------------------------------
@@ -76,19 +73,18 @@ def clebsch_gordan(n: int, m: int) -> list[int]:
 # -- c-functions -------------------------------------------------------------------
 
 
-def c_quotient_c(n: int, m: int) -> RationalFunction:
-    """c_n / c_m (independent of the M-weight) read off the chain:
-    prod (x - r) / prod (x + r) over r in q_roots_c(n, m), q(x) over q(-x) up
-    to sign.  The roots are the -lambda where m lies in the socle at (sigma,
+def c_quotient_c(n: int, m: int) -> tuple[Poly, Poly]:
+    """c_n / c_m (independent of the M-weight) read off the chain as the pair
+    (prod (x - r), prod (x + r)) over r in q_roots_c(n, m), q(x) over q(-x)
+    up to sign: coprime with den monic and no gcd, as the roots all have one
+    sign.  The roots are the -lambda where m lies in the socle at (sigma,
     lambda) and n does not; SL(2,R)'s ladder vanishes at +lambda instead, so
     sl2r.c_quotient_r reads q(-x) over q(x).
     """
-    from .ratfunc import RationalFunction
-
     if n < 0 or m < 0:
         raise ValueError("K-types are nonnegative integers")
     q = Poly.from_roots(q_roots_c(n, m))
-    return RationalFunction(q, q.reflect() * (-1) ** q.degree)
+    return q, q.reflect() * (-1) ** q.degree
 
 
 # -- reducibility and the intertwiner diamond ----------------------------------------
@@ -530,8 +526,9 @@ class Level2ReportC:
     passed: bool
 
 
-def _candidate_ratios(n: int, j: int) -> list[tuple[int, RationalFunction]]:
-    """Admissible component ratios of ladder images with j chain steps.
+def _candidate_ratios(n: int, j: int) -> Iterator[tuple[int, Poly, Poly]]:
+    """Admissible component ratios (m, num, den) of ladder images with j
+    chain steps, built only as far as the caller iterates.
 
     An accepted morphism-valued map with source n and target m satisfies,
     on every weight, phi_{-k}(-x) = sign * (c_m / c_n)(x) * phi_k(x) with
@@ -540,10 +537,10 @@ def _candidate_ratios(n: int, j: int) -> list[tuple[int, RationalFunction]]:
     m = n - 2j.
     """
     sign = -1 if j % 2 else 1
-    candidates = [(n + 2 * j, sign * c_quotient_c(n + 2 * j, n))]
-    if n - 2 * j >= 0:
-        candidates.append((n - 2 * j, sign * c_quotient_c(n - 2 * j, n)))
-    return candidates
+    for m in (n + 2 * j, n - 2 * j):
+        if m >= 0:
+            num, den = c_quotient_c(m, n)
+            yield m, num * sign, den
 
 
 def level2_functional_check_c(psi: dict[int, Poly], n: int) -> Level2ReportC:
@@ -553,9 +550,12 @@ def level2_functional_check_c(psi: dict[int, Poly], n: int) -> Level2ReportC:
     psi_{-k}(-x) / psi_k(x) and that this ratio is a signed c-function
     quotient ladder based at n (the identity every ladder image satisfies).
     Missing weights count as zero components.
-    """
-    from .ratfunc import RationalFunction
 
+    The first nonzero pair (a, b) gives the ratio num / den = b(-x) / a(x),
+    kept unreduced: the other weights and the candidate c-quotients are
+    compared with it by cross-multiplication, it is 1 when num == den, and
+    one gcd gives its reduced degree, the step count j.
+    """
     wts = weights(n)
     for k in psi:
         if k not in wts:
@@ -563,7 +563,7 @@ def level2_functional_check_c(psi: dict[int, Poly], n: int) -> Level2ReportC:
     comp = {k: psi.get(k, Poly.zero()) for k in wts}
 
     checks: list[WeightPairCheck] = []
-    ratio: RationalFunction | None = None
+    num = den = None
     for k in wts:
         a, b = comp[k], comp[-k]
         if a.is_zero and b.is_zero:
@@ -572,24 +572,22 @@ def level2_functional_check_c(psi: dict[int, Poly], n: int) -> Level2ReportC:
             checks.append(WeightPairCheck(weight=k, ok=False,
                                           reason="component vanishes on one side only"))
             continue
-        if ratio is None:
-            ratio = RationalFunction(b.reflect(), a)
-        if b.reflect() * ratio.den != ratio.num * a:
+        if num is None:
+            num, den = b.reflect(), a
+        if b.reflect() * den != num * a:
             checks.append(WeightPairCheck(weight=k, ok=False,
                                           reason="component ratio differs across weights"))
         else:
             checks.append(WeightPairCheck(weight=k, ok=True))
 
     partner: int | None = None
-    if ratio is not None and all(c.ok for c in checks):
-        if ratio.is_one:
+    if num is not None and all(c.ok for c in checks):
+        if num == den:
             partner = n
         else:
-            j = max(ratio.num.degree, ratio.den.degree)
-            for m, candidate in _candidate_ratios(n, j):
-                if ratio == candidate:
-                    partner = m
-                    break
+            j = max(num.degree, den.degree) - poly_gcd(num, den).degree
+            partner = next((m for m, c_num, c_den in _candidate_ratios(n, j)
+                            if num * c_den == c_num * den), None)
             if partner is None:
                 checks.append(WeightPairCheck(weight=0, ok=False,
                                               reason="shared ratio is not a c-quotient ladder"))

@@ -28,15 +28,11 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from itertools import starmap
-from typing import TYPE_CHECKING
 
 from .errors import TruncationTooSmall, check_parity
 from .poly import Poly, _from_pairs, first_root_not_vanishing, poly_div_rem
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
 from .verdict import Accept, Reject, record
-
-if TYPE_CHECKING:
-    from .ratfunc import RationalFunction
 
 
 class SigmaR(enum.Enum):
@@ -53,17 +49,16 @@ class SigmaR(enum.Enum):
 # -- c-functions ----------------------------------------------------------------
 
 
-def c_quotient_r(n: int, m: int) -> RationalFunction:
-    """c_n / c_m read off the ladder q = q_{|n|,|m|} (criterion 02):
-    (-1)^{deg q} q(-x) / q(x), with coprime parts.  q vanishes at the lambda
-    where |n| leaves the submodule generated by |m| (criterion 03); SL(2,C)'s
-    chain vanishes at -lambda, so sl2c.c_quotient_c reads q(x) over q(-x).
+def c_quotient_r(n: int, m: int) -> tuple[Poly, Poly]:
+    """c_n / c_m read off the ladder q = q_{|n|,|m|} (criterion 02) as the
+    pair ((-1)^{deg q} q(-x), q): coprime with den monic and no gcd, as q's
+    roots all have one sign.  q vanishes at the lambda where |n| leaves the
+    submodule generated by |m| (criterion 03); SL(2,C)'s chain vanishes at
+    -lambda, so sl2c.c_quotient_c reads q(x) over q(-x).
     """
-    from .ratfunc import RationalFunction
-
     check_parity(n, m)
     q = q_poly_r(abs(n), abs(m))
-    return RationalFunction(q.reflect() * (-1) ** q.degree, q)
+    return q.reflect() * (-1) ** q.degree, q
 
 
 # -- intertwining polynomials ------------------------------------------------------

@@ -82,9 +82,15 @@ def c_quotient_c_ladder(n: int, m: int) -> RationalFunction:
 
 
 def quotient_outcome(fn, *args):
-    """fn(*args) as (num, den, JSON), or its error as (type, message)."""
+    """fn(*args) as (num, den, JSON), or its error as (type, message).
+
+    fn returns either a RationalFunction, whose constructor reduces by the
+    gcd (the half-ladders above), or the pair (num, den) as the library's
+    c-quotients do, so the pair must already be in that reduced form."""
     try:
         quotient = fn(*args)
     except ValueError as exc:
         return type(exc), str(exc)
-    return quotient.num, quotient.den, ratfunc_to_json(quotient)
+    if isinstance(quotient, RationalFunction):
+        quotient = quotient.num, quotient.den
+    return *quotient, ratfunc_to_json(quotient)

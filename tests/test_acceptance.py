@@ -12,7 +12,6 @@ from fractions import Fraction
 from pwcert.gammaprod import c_gamma_c, c_gamma_r, gamma_reduce
 from pwcert.multipoly import MultiPoly
 from pwcert.poly import Poly
-from pwcert.ratfunc import RationalFunction
 from pwcert.atlas import atlas_sl2c
 from pwcert.numeric import c_integral_sl2r, c_numeric
 from pwcert.sl2c import (
@@ -80,12 +79,14 @@ def test_criterion_01_gamma_reduction_oracle():
     start = time.perf_counter()
     failures = []
     for n, m in equal_parity_pairs(12):
-        if gamma_reduce(c_gamma_r(n), c_gamma_r(m)) != c_quotient_r(n, m):
+        g = gamma_reduce(c_gamma_r(n), c_gamma_r(m))
+        if (g.num, g.den) != c_quotient_r(n, m):
             failures.append(("sl2r", n, m))
     for n in range(0, 13):
         for m in range(n % 2, 13, 2):
             for sigma in range(-min(n, m), min(n, m) + 1, 2):
-                if gamma_reduce(c_gamma_c(n, sigma), c_gamma_c(m, sigma)) != c_quotient_c(n, m):
+                g = gamma_reduce(c_gamma_c(n, sigma), c_gamma_c(m, sigma))
+                if (g.num, g.den) != c_quotient_c(n, m):
                     failures.append(("sl2c", n, m, sigma))
     elapsed = time.perf_counter() - start
     if elapsed >= 5.0:
@@ -98,7 +99,8 @@ def test_criterion_02_ratio_identity():
     for n, m in equal_parity_pairs(12):
         q = q_poly_r(n, m)
         sign = -1 if ((m - n) // 2) % 2 else 1
-        if RationalFunction(q.reflect(), q) != c_quotient_r(n, m) * sign:
+        num, den = c_quotient_r(n, m)
+        if q.reflect() * den != num * q * sign:
             failures.append((n, m))
     _report(2, "ratio identity q(-x)/q(x) = (-1)^((m-n)/2) c_n/c_m, exact, |n|,|m| <= 12", failures)
 
@@ -284,10 +286,10 @@ def test_criterion_07_functional_equation_invariant():
         if not result.accepted:
             failures.append(("accept", n, m))
             continue
-        quotient = c_quotient_c(m, n)
+        num, den = c_quotient_c(m, n)
         sign = -1 if ((m - n) // 2) % 2 else 1
         for k in weights(level):
-            if phi[-k].reflect() * quotient.den != quotient.num * phi[k] * sign:
+            if phi[-k].reflect() * den != num * phi[k] * sign:
                 failures.append(("identity", n, m, k))
     _report(7, "cleared-denominator c-identity on 200 accepted maps, exact", failures)
 
@@ -298,7 +300,8 @@ def test_criterion_08_numeric_cross_checks():
     for lam in (1.0, 2.0, 3.0, 2.0 + 1.0j):
         base = c_integral_sl2r(0, lam, tol=1e-8)
         for n in range(-6, 7, 2):
-            exact = complex(c_quotient_r(n, 0)(lam))
+            num, den = c_quotient_r(n, 0)
+            exact = complex(num(lam) / den(lam))
             ratio = c_integral_sl2r(n, lam, tol=1e-8) / base
             err = abs(ratio - exact) / abs(exact)
             worst_ratio = max(worst_ratio, err)
@@ -308,29 +311,31 @@ def test_criterion_08_numeric_cross_checks():
     rng = random.Random(808)
     worst_closed = 0.0
 
-    def sample_points(quotient, count=20):
+    def sample_points(num, den, count=20):
         points = []
         while len(points) < count:
             lam = complex(rng.uniform(0.5, 4.0), rng.uniform(-3.0, 3.0))
-            if abs(complex(quotient.den(lam))) > 1e-3 and abs(complex(quotient.num(lam))) > 1e-3:
+            if abs(complex(den(lam))) > 1e-3 and abs(complex(num(lam))) > 1e-3:
                 points.append(lam)
         return points
 
     for n, m in equal_parity_pairs(8):
-        quotient = c_quotient_r(n, m)
-        for lam in sample_points(quotient):
+        num, den = c_quotient_r(n, m)
+        for lam in sample_points(num, den):
             numeric = c_numeric("sl2r", n, lam) / c_numeric("sl2r", m, lam)
-            err = abs(numeric - complex(quotient(lam))) / abs(complex(quotient(lam)))
+            exact = complex(num(lam) / den(lam))
+            err = abs(numeric - exact) / abs(exact)
             worst_closed = max(worst_closed, err)
             if err >= 1e-9:
                 failures.append(("sl2r", n, m, lam, err))
     for n in range(0, 9):
         for m in range(n % 2, 9, 2):
-            quotient = c_quotient_c(n, m)
-            for lam in sample_points(quotient):
+            num, den = c_quotient_c(n, m)
+            for lam in sample_points(num, den):
                 numeric = (c_numeric("sl2c", n, lam, sigma=n % 2)
                            / c_numeric("sl2c", m, lam, sigma=n % 2))
-                err = abs(numeric - complex(quotient(lam))) / abs(complex(quotient(lam)))
+                exact = complex(num(lam) / den(lam))
+                err = abs(numeric - exact) / abs(exact)
                 worst_closed = max(worst_closed, err)
                 if err >= 1e-9:
                     failures.append(("sl2c", n, m, lam, err))

@@ -49,16 +49,24 @@ PHI_PRODUCT = '{"arity":2,"terms":[{"exps":[1,0],"coeff":"1"},{"exps":[0,0],"coe
 
 @pytest.mark.parametrize("argv, code, ran, absent", [
     (("q", "--group", "sl2r", "-n", "1", "-m", "3"), 0, "sl2r",
-     {"sl2c", "multipoly", "atlas", "gammaprod"}),
+     {"sl2c", "multipoly", "atlas", "gammaprod", "ratfunc"}),
     (("q", "--group", "sl2c", "-n", "1", "-m", "3"), 0, "sl2c",
-     {"sl2r", "sl2r_product", "multipoly"}),
+     {"sl2r", "sl2r_product", "multipoly", "ratfunc"}),
     (("check3-product", "-n", "3,1", "-m", "1,1", "--phi", PHI_PRODUCT), 0, "sl2r_product",
-     {"sl2c", "atlas"}),
-    (("atlas", "--group", "sl2r", "--lambda-max", "2"), 0, "atlas", {"sl2c"}),
-    (("atlas", "--group", "sl2c", "--sigma-max", "2", "--lambda-max", "2"), 0, "atlas", {"sl2r"}),
+     {"sl2c", "atlas", "ratfunc"}),
+    (("atlas", "--group", "sl2r", "--lambda-max", "2"), 0, "atlas", {"sl2c", "ratfunc"}),
+    (("atlas", "--group", "sl2c", "--sigma-max", "2", "--lambda-max", "2"), 0, "atlas",
+     {"sl2r", "ratfunc"}),
     (("check3", "--group", "sl2r", "-n", "1", "-m", "3", "--phi", '{"coeffs":["1"]}'), 2, "sl2r",
-     {"sl2c", "multipoly"}),
-], ids=["q-sl2r", "q-sl2c", "check3-product", "atlas-sl2r", "atlas-sl2c", "reject-witness-sl2r"])
+     {"sl2c", "multipoly", "ratfunc"}),
+    # A c-quotient is a pair of ladder products: no call builds a RationalFunction.
+    (("cquot", "--group", "sl2r", "-n", "7", "-m", "-3"), 0, "sl2r", {"ratfunc", "gammaprod"}),
+    (("cquot", "--group", "sl2c", "-n", "6", "-m", "0"), 0, "sl2c", {"ratfunc", "gammaprod"}),
+    (("check2", "--group", "sl2c", "-n", "0", "--psi", '{"0":{"coeffs":["2","1"]}}'), 0, "sl2c",
+     {"ratfunc", "gammaprod"}),
+    (("verify-numeric",), 0, "numeric", {"ratfunc", "gammaprod"}),
+], ids=["q-sl2r", "q-sl2c", "check3-product", "atlas-sl2r", "atlas-sl2c", "reject-witness-sl2r",
+        "cquot-sl2r", "cquot-sl2c", "check2-sl2c", "verify-numeric"])
 def test_subcommand_loads_only_its_modules(argv, code, ran, absent):
     got_code, modules = loaded(*argv)
     assert got_code == code and ran in modules

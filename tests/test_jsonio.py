@@ -1,5 +1,6 @@
 """JSON schema round trips for every wire type."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,8 @@ import pytest
 from pwcert import jsonio
 from pwcert.multipoly import MultiPoly
 from pwcert.poly import Poly
-from pwcert.ratfunc import RationalFunction
-from pwcert.sl2c import GeneratorCoords, q_nm_c
-from pwcert.sl2r import SigmaR, box_picture_r, composition_series_r, level2_check_r
+from pwcert.sl2c import GeneratorCoords, c_quotient_c, q_nm_c
+from pwcert.sl2r import SigmaR, box_picture_r, c_quotient_r, composition_series_r, level2_check_r
 
 
 def test_mpoly_exponent_bound():
@@ -61,10 +61,20 @@ def test_mpoly_round_trip():
 
 def test_ratfunc_round_trip():
     # The cquot output: numerator and denominator, each a polynomial that reads back.
-    f = RationalFunction(Poly([1, 1]), Poly([-2, 1]))
+    f = (Poly([1, 1]), Poly([-2, 1]))
     data = jsonio.ratfunc_to_json(f)
     assert data == {"num": {"coeffs": ["1", "1"]}, "den": {"coeffs": ["-2", "1"]}}
-    assert RationalFunction(jsonio.poly_from_json(data["num"]), jsonio.poly_from_json(data["den"])) == f
+    assert (jsonio.poly_from_json(data["num"]), jsonio.poly_from_json(data["den"])) == f
+
+
+@pytest.mark.parametrize("c_quotient", [c_quotient_r, c_quotient_c])
+def test_cquot_at_the_ktype_bound_within_budget(c_quotient):
+    # pw cquot -n 1000 -m 0 in-process: 500 ladder factors each side, encoded,
+    # with no gcd of the two parts (about 0.1 s on a 2-vCPU host).
+    start = time.perf_counter()
+    data = jsonio.ratfunc_to_json(c_quotient(jsonio.MAX_KTYPE, 0))
+    assert time.perf_counter() - start < 0.5
+    assert len(data["num"]["coeffs"]) == len(data["den"]["coeffs"]) == jsonio.MAX_KTYPE // 2 + 1
 
 
 def test_diag_map_round_trip():

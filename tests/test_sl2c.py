@@ -19,7 +19,6 @@ from pwcert.errors import (
 )
 from pwcert.gammaprod import c_gamma_c, gamma_reduce
 from pwcert.poly import Poly
-from pwcert.ratfunc import RationalFunction
 from pwcert.sl2c import (
     GeneratorCoords,
     SwapWitness,
@@ -47,6 +46,7 @@ from chain_long_division import long_division_check
 from ladder_oracle import c_quotient_c_ladder, q_minus, q_plus, quotient_outcome, then
 from pinning_induction import pinning_decompose
 from poly_helpers import lagrange_interpolate
+from reduced_ratio_shadow import reduced_ratio_check
 
 LAM = Poly((0, 1))
 MU = Poly((0, 1))
@@ -98,12 +98,12 @@ def test_clebsch_gordan_dimension_oracle_random():
 
 
 def test_c_quotient_examples():
-    assert c_quotient_c(2, 0) == RationalFunction(LAM - 2, LAM + 2)
-    assert c_quotient_c(7, 7) == RationalFunction.one()
-    assert c_quotient_c(4, 0) == RationalFunction(
+    assert c_quotient_c(2, 0) == (LAM - 2, LAM + 2)
+    assert c_quotient_c(7, 7) == (Poly.one(), Poly.one())
+    assert c_quotient_c(4, 0) == (
         Poly.from_roots([4, 2]), Poly.from_roots([-4, -2])
     )
-    assert c_quotient_c(0, 4) == RationalFunction(
+    assert c_quotient_c(0, 4) == (
         Poly.from_roots([-4, -2]), Poly.from_roots([4, 2])
     )
 
@@ -123,7 +123,8 @@ def test_gamma_consistency_all_weights_up_to_12():
     for n in range(0, 13):
         for m in range(n % 2, 13, 2):
             for sigma in range(-min(n, m), min(n, m) + 1, 2):
-                assert gamma_reduce(c_gamma_c(n, sigma), c_gamma_c(m, sigma)) == c_quotient_c(n, m)
+                g = gamma_reduce(c_gamma_c(n, sigma), c_gamma_c(m, sigma))
+                assert (g.num, g.den) == c_quotient_c(n, m)
 
 
 def test_c_quotient_matches_the_half_ladder():
@@ -583,10 +584,10 @@ def test_level3_random_members_and_functional_equation():
         assert isinstance(result, Accept)
         assert result.h == h and result.coords == coords
         # cleared-denominator c-quotient identity on every weight
-        quotient = c_quotient_c(m, n)
+        num, den = c_quotient_c(m, n)
         sign = -1 if ((m - n) // 2) % 2 else 1
         for k in weights(min(n, m)):
-            assert phi[-k].reflect() * quotient.den == quotient.num * phi[k] * sign
+            assert phi[-k].reflect() * den == num * phi[k] * sign
 
 
 def test_level3_matches_the_long_division():
@@ -785,10 +786,61 @@ def test_level2_shadow_inconsistent_ratio_fails():
 
 def test_level2_shadow_sign_violation_fails():
     # Right ladder shape but an extra odd factor flips the required sign.
-    ladder = c_quotient_c(4, 0).den  # (x+2)(x+4)
+    _, ladder = c_quotient_c(4, 0)  # (x+2)(x+4)
     assert level2_functional_check_c({0: ladder}, 0).passed
     report = level2_functional_check_c({0: ladder * LAM}, 0)
     assert not report.passed
+
+
+def mirrored(rng, level, deg, c=1):
+    """Random components with psi_{-k}(-x) = c * psi_k(x) on the weights of
+    level: psi_0 is even for c = 1, odd for c = -1 and zero otherwise."""
+    psi = {}
+    for k in weights(level):
+        f = rand_poly(rng, rng.randint(0, deg))
+        if k > 0:
+            psi[k], psi[-k] = f, f.reflect() * c
+        elif k == 0:
+            psi[0] = f + f.reflect() * c if c in (1, -1) else Poly.zero()
+    return psi
+
+
+def test_level2_shadow_matches_the_reduced_ratio():
+    # Ladder images n -> m with up to 4 raising or lowering steps and mirrored
+    # cofactors, the same with one component bumped, scaled or zeroed (one
+    # side of its pair), a constant ratio other than 1, psi_{-k} = psi_k(-x)
+    # and random maps, on n <= 8: the cross-multiplied check reports exactly
+    # what the frozen check that reduces every ratio reports.
+    rng = random.Random(2021)
+    outcomes = Counter()
+    for _ in range(2400):
+        n, kind, steps = rng.randint(0, 8), rng.randrange(7), rng.randint(0, 4)
+        m = n - 2 * steps if rng.random() < 0.5 and 2 * steps <= n else n + 2 * steps
+        if kind <= 3:
+            chain, level = q_nm_c(n, m), min(n, m)
+            cofactor = mirrored(rng, level, 3)
+            psi = {k: cofactor[k] * chain[k] for k in weights(level)}
+            k0 = rng.choice(weights(level))
+            if kind == 1:
+                psi[k0] = psi[k0] + rand_poly(rng, rng.randint(0, 2))
+            elif kind == 2:
+                psi[k0] = psi[k0] * rng.choice([2, -1, Fraction(1, 3)])
+            elif kind == 3:
+                psi[k0] = Poly.zero()
+        elif kind == 4:
+            psi = mirrored(rng, n, 4, rng.choice([-1, 2, -3, Fraction(1, 2)]))
+        elif kind == 5:
+            psi = mirrored(rng, n, 4)
+        else:
+            psi = {k: rand_poly(rng, rng.randint(0, 4)) for k in weights(n)}
+        report = level2_functional_check_c(psi, n)
+        assert report == reduced_ratio_check(psi, n), (n, m, kind, psi)
+        if not report.passed:
+            outcomes[next(c.reason for c in report.checks if not c.ok)] += 1
+        else:
+            outcomes["partner n" if report.partner == n else "other partner"] += 1
+    assert len(outcomes) == 5 and min(outcomes.values()) >= 100, outcomes
+    assert outcomes["other partner"] >= 300, outcomes
 
 
 def test_round_trip_beyond_acceptance_bound():
