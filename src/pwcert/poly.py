@@ -44,13 +44,11 @@ class Poly:
 
     @staticmethod
     def from_roots(roots: Iterable[RatLike]) -> Poly:
-        """Monic product of (x - r) over the given roots.
-
-        The integer numerator gains one factor b*x - a per root a/b, so each step
-        scales coefficients only by the small a and b: no big x big product, which
-        a product tree needs at its top (von zur Gathen & Gerhard, MCA 10.1).
-        """
-        return _from_pairs(map(_ratio, roots))
+        """Monic product of (x - r) over the given roots, built by
+        ``_from_numerators`` over the lcm of the roots' denominators."""
+        pairs = [_ratio(r) for r in roots]
+        den = lcm(*(b for _, b in pairs))
+        return _from_numerators([a * (den // b) for a, b in pairs], den)
 
     @staticmethod
     def zero() -> Poly:
@@ -152,7 +150,8 @@ class Poly:
         """Evaluate by Horner's rule; exact for Fraction/int, numeric otherwise.
 
         At x = a/b the integer Horner sum is b^d times the numerator
-        polynomial's value, so one Fraction is built, at the end.
+        polynomial's value, so one Fraction is built, at the end; at an
+        integer x there are no powers of b to carry.
         """
         if not isinstance(x, (int, Fraction)):
             acc = 0 * x
@@ -160,7 +159,12 @@ class Poly:
                 acc = acc * x + c
             return acc
         a, b = x.numerator, x.denominator
-        acc, power = 0, 1
+        acc = 0
+        if b == 1:
+            for c in reversed(self._num):
+                acc = acc * a + c
+            return Fraction(acc, self._den)
+        power = 1
         for c in reversed(self._num):
             acc = acc * a + c * power
             power *= b
@@ -266,12 +270,22 @@ def _ratio(c: RatLike) -> tuple[int, int]:
     return c.numerator, c.denominator
 
 
-def _from_pairs(roots: Iterable[tuple[int, int]]) -> Poly:
-    """The monic product of (x - a/b) over the int pairs (a, b), b > 0."""
+def _from_numerators(nums: Iterable[int], den: int) -> Poly:
+    """The monic product of the k factors (x - a/den), for ints a and den > 0:
+    den^-k M(den x), coefficient i is M_i den^i over den^k, with M(y) =
+    prod (y - a) built on ints, one lo - a*hi per coefficient.  Each step
+    scales coefficients only by an a: no big x big product, which a product
+    tree needs at its top (von zur Gathen & Gerhard, MCA 10.1).
+    """
     num = [1]
-    for a, b in roots:
-        num = [b * lo - a * hi for lo, hi in zip([0, *num], [*num, 0])]
-    return _make(num, num[-1])
+    for a in nums:
+        num = [lo - a * hi for lo, hi in zip([0, *num], [*num, 0])]
+    power = 1
+    if den != 1:
+        for i in range(1, len(num)):
+            power *= den
+            num[i] *= power
+    return _make(num, power)
 
 
 def _coerce(value: Poly | RatLike) -> Poly:

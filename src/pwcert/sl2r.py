@@ -26,11 +26,11 @@ Knapp-Stein equation q_{n,m}(-x) / q_{n,m}(x) = (-1)^{(m-n)/2} c_n / c_m.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from fractions import Fraction
-from itertools import starmap
 
 from .errors import TruncationTooSmall, check_parity
-from .poly import Poly, _from_pairs, first_root_not_vanishing, poly_div_rem
+from .poly import Poly, _from_numerators, first_root_not_vanishing, poly_div_rem
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
 from .verdict import Accept, Reject, record
 
@@ -64,9 +64,14 @@ def c_quotient_r(n: int, m: int) -> tuple[Poly, Poly]:
 # -- intertwining polynomials ------------------------------------------------------
 
 
-def _ladder_pairs(n: int, m: int) -> list[tuple[int, int]]:
-    """The roots of q_{n,m} (see q_roots_r) as int pairs (a, b), a/b in
-    lowest terms, in increasing order; t is twice the root."""
+def _ladder_pairs(n: int, m: int) -> tuple[Sequence[int], int]:
+    """The roots of q_{n,m} in increasing order, as int numerators over one
+    denominator: 2 when n is even (half-integer roots), 1 when n is odd.
+
+    Same-sign K-types (0 counts as either sign) give a one-sided ladder;
+    strictly opposite signs give the full ladder from -(|n|-1)/2 up to
+    (|m|-1)/2 in integer steps.  t is twice the root.
+    """
     check_parity(n, m)
     a, b = abs(n), abs(m)
     if n * m < 0:
@@ -75,22 +80,13 @@ def _ladder_pairs(n: int, m: int) -> list[tuple[int, int]]:
         ts = range(1 - a, -b, 2)
     else:
         ts = range(a + 1, b, 2)
-    return [(t, 2) for t in ts] if a % 2 == 0 else [(t // 2, 1) for t in ts]
-
-
-def q_roots_r(n: int, m: int) -> list[Fraction]:
-    """Roots of the intertwining polynomial q_{n,m}, in increasing order.
-
-    Same-sign K-types (0 counts as either sign) give a one-sided ladder of
-    half-integers; strictly opposite signs give the full ladder from
-    -(|n|-1)/2 up to (|m|-1)/2 in integer steps.
-    """
-    return list(starmap(Fraction, _ladder_pairs(n, m)))
+    return (ts, 2) if a % 2 == 0 else ([t // 2 for t in ts], 1)
 
 
 def q_poly_r(n: int, m: int) -> Poly:
-    """The monic intertwining polynomial q_{n,m} (1 when n = m), built from the root pairs."""
-    return _from_pairs(_ladder_pairs(n, m))
+    """The monic intertwining polynomial q_{n,m} (1 when n = m), built from the
+    integer root numerators."""
+    return _from_numerators(*_ladder_pairs(n, m))
 
 
 # -- composition series -------------------------------------------------------------
@@ -241,11 +237,20 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
 
     q_{n,m} has simple roots (consecutive distinct half-integers), so a single
     exact division decides divisibility; a nonzero remainder is localized at
-    a root where phi does not vanish.
+    the first root, in increasing order, where phi does not vanish.  The
+    remainder equals phi at every root, so phi is first evaluated at the
+    smallest root, and a nonzero value there rejects before the ladder is
+    built or divided.
     """
-    quotient, remainder = poly_div_rem(phi, q_poly_r(n, m))
+    nums, den = _ladder_pairs(n, m)
+    if nums:
+        root = Fraction(nums[0], den)
+        value = phi(root)
+        if value:
+            return Reject(RootWitness(root=root, value=value))
+    quotient, remainder = poly_div_rem(phi, _from_numerators(nums, den))
     if not remainder.is_zero:
-        root, value = first_root_not_vanishing([remainder], starmap(Fraction, _ladder_pairs(n, m)))
+        root, value = first_root_not_vanishing([remainder], (Fraction(a, den) for a in nums[1:]))
         return Reject(RootWitness(root=root, value=value))
     if quotient.reflect() != quotient:
         degree = next(i for i in range(1, quotient.degree + 1, 2) if quotient[i])
@@ -316,14 +321,15 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> Level2Repor
     bound = Fraction(truncation + 1, 2)
     vanishing, functional = [], []
     for n in sorted(psi):
-        roots = q_roots_r(n, m)
-        for lam in roots:
+        nums, den = _ladder_pairs(n, m)
+        for a in nums:
+            lam = Fraction(a, den)
             if abs(lam) <= bound:
                 value = psi[n](lam)
                 vanishing.append(VanishingCheck(
                     lam=lam, ktype=n, submodule=smallest_submodule_r(m, lam).label,
                     value=value, ok=(value == 0)))
-        q = q_poly_r(n, m)
+        q = _from_numerators(nums, den)
         functional.append(FunctionalCheck(ktype=n, sign=_ks_sign(n, m),
                                           ok=(psi[n].reflect() * q == q.reflect() * psi[n])))
     vanishing.sort(key=lambda c: (c.lam, c.ktype))

@@ -11,11 +11,10 @@ univariate checker, d = 2 is the motivating case).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import starmap
 
 from .errors import ArityMismatch, ParityMismatch
 from .multipoly import MultiPoly, mpoly_div_in_var
-from .poly import first_root_not_vanishing
+from .poly import _from_numerators, first_root_not_vanishing
 from .sl2r import _ladder_pairs, q_poly_r
 from .verdict import Accept, Reject, record
 
@@ -64,19 +63,21 @@ def level3_check_product(phi: MultiPoly, l: KTypeVec, n: KTypeVec) -> Accept | R
     """Certify phi = h * q_{l,n} with h even in every variable.
 
     Divides variable 0 upward (a fixed order; the result is order
-    independent) by that variable's whole ladder factor q_poly_r, once per
-    variable, with mpoly_div_in_var; a failure is localized at the first
-    ladder root, in q_roots_r order, at which some fiber of the remainder
-    does not vanish.  The roots are made only then, one at a time.
+    independent) by that variable's whole ladder factor q_{l_i,n_i}, once
+    per variable, with mpoly_div_in_var; a failure is localized at the first
+    ladder root, in increasing order, at which some fiber of the remainder
+    does not vanish.  Divisor and roots come from one _ladder_pairs call per
+    variable, and the roots are made only on a remainder, one at a time.
     """
     d = _check_pair(l, n)
     if phi.arity != d:
         raise ArityMismatch(f"phi has {phi.arity} variables, K-type vectors have {d}")
     h = phi
     for i, (li, ni) in enumerate(zip(l, n)):
-        h, remainder = mpoly_div_in_var(h, q_poly_r(li, ni), i)
+        nums, den = _ladder_pairs(li, ni)
+        h, remainder = mpoly_div_in_var(h, _from_numerators(nums, den), i)
         if not remainder.is_zero:
-            roots = starmap(Fraction, _ladder_pairs(li, ni))
+            roots = (Fraction(a, den) for a in nums)
             root, _ = first_root_not_vanishing(remainder.fibers(i).values(), roots)
             return Reject(ProductRootWitness(var=i, root=root))
     for i in range(d):

@@ -3,7 +3,9 @@
 The SL(2,C) first-order ladder operators q^+ and q^- and their composition,
 written out as the definitions, so that the closed-form chain q_nm_c is
 checked against a literal product of first-order steps; the SL(2,R)
-reducibility grid that the box-picture and zero-set criteria range over; and
+ladder roots, which the library keeps only as the ladder's integer
+numerators; the SL(2,R) reducibility grid that the box-picture and zero-set
+criteria range over; and
 the c-function quotients of both groups as hand-written half-ladders, the
 closed forms that the library's quotients, read off q_{n,m}, are compared
 with through quotient_outcome.
@@ -45,6 +47,23 @@ def reducibility_points_r(sigma: SigmaR, bound: Fraction) -> list[Fraction]:
     start = Fraction(1, 2) if sigma is SigmaR.PLUS else Fraction(0)
     positive = [start + j for j in range(int(bound - start) + 1) if start + j <= bound]
     return sorted({*positive, *(-t for t in positive)})
+
+
+def q_roots_r(n: int, m: int) -> list[Fraction]:
+    """The roots of the SL(2,R) ladder q_{n,m}, ascending, in integer steps:
+    from -(|n|-1)/2 up to (|m|-1)/2 for K-types of strictly opposite signs;
+    otherwise (0 counts as either sign) from -(|n|-1)/2 up to -(|m|+1)/2 when
+    |n| > |m|, from (|n|+1)/2 up to (|m|-1)/2 when |n| < |m|, none when
+    |n| = |m|."""
+    check_parity(n, m)
+    a, b = abs(n), abs(m)
+    if n * m < 0:
+        first, last = -(a - 1), b - 1
+    elif a > b:
+        first, last = -(a - 1), -(b + 1)
+    else:
+        first, last = a + 1, b - 1
+    return [Fraction(t, 2) for t in range(first, last + 1, 2)]
 
 
 def c_quotient_r_ladder(n: int, m: int) -> RationalFunction:

@@ -36,7 +36,6 @@ from pwcert.sl2r import (
     c_quotient_r,
     level3_check_r,
     q_poly_r,
-    q_roots_r,
     smallest_submodule_r,
 )
 from pwcert.sl2r_product import (
@@ -46,7 +45,7 @@ from pwcert.sl2r_product import (
     q_product,
 )
 from pwcert.verdict import Accept
-from ladder_oracle import reducibility_points_r
+from ladder_oracle import q_roots_r, reducibility_points_r
 
 LAM = Poly((0, 1))
 

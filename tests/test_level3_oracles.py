@@ -26,8 +26,9 @@ from pwcert.sl2c import (
     q_roots_c,
     weights,
 )
-from pwcert.sl2r import level3_check_r, q_poly_r, q_roots_r
+from pwcert.sl2r import level3_check_r, q_poly_r
 from pwcert.sl2r_product import level3_check_product, q_product
+from ladder_oracle import q_roots_r
 
 
 def member_oracle_sl2r(phi: Poly, n: int, m: int) -> bool:

@@ -16,9 +16,9 @@ from pwcert.errors import ArityMismatch, DivisionByZeroPoly
 from pwcert.multipoly import MultiPoly, mpoly_div_in_var
 from pwcert.poly import Poly, first_root_not_vanishing, poly_div_rem
 from pwcert.rationals import rat
-from pwcert.sl2r import q_roots_r
 from pwcert.sl2r_product import ProductOddWitness, ProductRootWitness, level3_check_product
 from pwcert.verdict import Accept, Reject
+from ladder_oracle import q_roots_r
 
 CASES = 2000
 

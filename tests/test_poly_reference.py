@@ -17,7 +17,8 @@ import pwcert.sl2r
 from pwcert.poly import Poly, poly_div_linear, poly_div_rem, square_parts
 from pwcert.rationals import rat_str
 from pwcert.sl2c import q_roots_c
-from pwcert.sl2r import level3_check_r, q_roots_r
+from pwcert.sl2r import level3_check_r, q_poly_r
+from ladder_oracle import q_roots_r
 
 CASES = 3000
 
@@ -263,25 +264,35 @@ def test_from_roots_accepts_every_rational_form():
 
 
 def test_from_roots_matches_fraction_kernel_on_ladders():
-    # 0-40 roots with denominators 1, 2, 3, 5 and 6 mixed in one list, drawn
-    # from a small pool that holds 0, so zero and repeated roots occur; then
-    # every SL(2,R) ladder with |n|, |m| <= 40 and every SL(2,C) chain with
-    # n, m <= 40.
+    # Both ladder builds write the roots over one denominator L and expand
+    # L^-k M(L x), M monic on ints.  Poly.from_roots: 0-40 roots with
+    # denominators 1, 2, 3, 5 and 6 mixed in one list, so that L exceeds
+    # each denominator, drawn from a small pool that holds 0, so zero and
+    # repeated roots occur; no roots; then every SL(2,R) ladder with
+    # |n|, |m| <= 41 and every SL(2,C) chain with n, m <= 40.  q_poly_r:
+    # every equal-parity pair with |n|, |m| <= 41.
     rng = random.Random(8004)
-    mixed = [[0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(-5, 6), 7]]
+    mixed = [[0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(-5, 6), 7],
+             [Fraction(1, 3), Fraction(-2, 5), 7], [Fraction(-3, 4)] * 3 + [Fraction(1, 6)] * 2, []]
     for _ in range(300):
         pool = [Fraction(0)] + [Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 6))) for _ in range(6)]
         mixed.append([rng.choice(pool) for _ in range(rng.randint(0, 40))])
-    ladders = {tuple(q_roots_r(n, m)) for n in range(-40, 41) for m in range(-40, 41) if (n - m) % 2 == 0}
+    pairs = [(n, m) for n in range(-41, 42) for m in range(-41, 42) if (n - m) % 2 == 0]
+    ladders = {(n, m): tuple(q_roots_r(n, m)) for n, m in pairs}
     chains = {tuple(q_roots_c(n, m)) for n in range(41) for m in range(41) if (n - m) % 2 == 0}
-    assert max(map(len, ladders)) == 40 and max(map(len, chains)) == 20
-    for roots in [*mixed, *ladders, *chains]:
-        _assert_fraction_tuple(Poly.from_roots(roots), reference_from_roots(roots))
+    assert max(map(len, ladders.values())) == 41 and max(map(len, chains)) == 20
+    references = {}
+    for roots in [*mixed, *set(ladders.values()), *chains]:
+        references[tuple(roots)] = reference_from_roots(roots)
+        _assert_fraction_tuple(Poly.from_roots(roots), references[tuple(roots)])
+    for (n, m), roots in ladders.items():
+        _assert_fraction_tuple(q_poly_r(n, m), references[roots])
 
 
 def _reference_level3_check_r(monkeypatch: pytest.MonkeyPatch, phi: Poly, n: int, m: int):
     with monkeypatch.context() as patch:
-        patch.setattr(Poly, "from_roots", staticmethod(lambda roots: Poly(reference_from_roots(roots))))
+        patch.setattr(pwcert.sl2r, "_from_numerators",
+                      lambda nums, den: Poly(reference_from_roots(Fraction(a, den) for a in nums)))
         patch.setattr(pwcert.sl2r, "poly_div_rem",
                       lambda f, g: tuple(map(Poly, reference_div_rem(f.coeffs, g.coeffs))))
         return level3_check_r(phi, n, m)

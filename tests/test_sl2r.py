@@ -3,13 +3,14 @@
 import math
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from pwcert.errors import ParityMismatch, TruncationTooSmall
 from pwcert.gammaprod import c_gamma_r, gamma_reduce
-from pwcert.poly import Poly
+from pwcert.poly import Poly, first_root_not_vanishing, poly_div_rem
 from pwcert.sl2r import (
     FULL,
     FunctionalCheck,
@@ -25,11 +26,10 @@ from pwcert.sl2r import (
     level2_check_r,
     level3_check_r,
     q_poly_r,
-    q_roots_r,
     smallest_submodule_r,
 )
 from pwcert.verdict import Accept, Reject
-from ladder_oracle import c_quotient_r_ladder, quotient_outcome, reducibility_points_r
+from ladder_oracle import c_quotient_r_ladder, q_roots_r, quotient_outcome, reducibility_points_r
 
 HALF = Fraction(1, 2)
 LAM = Poly((0, 1))
@@ -128,13 +128,16 @@ def test_ratio_identity_up_to_12():
 
 
 def test_adjoint_symmetry_of_roots():
+    # q_{m,n} has the roots of q_{n,m} negated: q_{m,n}(x) = (-1)^deg q_{n,m}(-x).
     for n, m in equal_parity_pairs(9):
         assert sorted(q_roots_r(m, n)) == sorted(-r for r in q_roots_r(n, m))
+        q = q_poly_r(n, m)
+        assert q_poly_r(m, n) == q.reflect() * (-1) ** q.degree
 
 
 def test_ladder_built_from_root_pairs_matches_from_roots():
-    # q_poly_r builds the ladder from integer root pairs; it is the monic
-    # polynomial with exactly the roots q_roots_r lists.
+    # q_poly_r builds the ladder from its integer root numerators; it is the
+    # monic polynomial with exactly the roots q_roots_r lists.
     for n, m in [*equal_parity_pairs(41), (-1000, 1000)]:
         assert q_poly_r(n, m) == Poly.from_roots(q_roots_r(n, m)), (n, m)
 
@@ -148,6 +151,9 @@ def test_q_poly_at_the_ktype_bound_within_budget():
     assert q.reflect() == q
     assert q(Fraction(-999, 2)) == 0 and q(HALF) == 0
     assert q[0] == math.prod(Fraction(2 * i + 1, 2) ** 2 for i in range(500))
+    # Against the product of its quadratic factors x^2 - r^2 by Poly
+    # multiplication, which test_poly_reference checks against Fractions.
+    assert q == math.prod((Poly((-(r * r), 0, 1)) for r in q_roots_r(0, 1000)), start=Poly.one())
 
 
 # -- composition series --------------------------------------------------------------
@@ -267,6 +273,53 @@ def test_level3_zero_accepted():
     assert result.h == Poly.zero()
 
 
+def division_first_level3_check_r(phi, n, m):
+    """The Level-3 checker with no first-root probe: build the ladder from its
+    Fraction roots, divide, and localize a remainder at the first root, in
+    increasing order, where it does not vanish."""
+    roots = q_roots_r(n, m)
+    quotient, remainder = poly_div_rem(phi, Poly.from_roots(roots))
+    if not remainder.is_zero:
+        root, value = first_root_not_vanishing([remainder], roots)
+        return Reject(RootWitness(root=root, value=value))
+    if quotient.reflect() != quotient:
+        degree = next(i for i in range(1, quotient.degree + 1, 2) if quotient[i])
+        return Reject(OddQuotientWitness(degree=degree, coeff=quotient[degree]))
+    return Accept(h=quotient)
+
+
+def test_level3_matches_the_division_first_checker():
+    # Members, constant bumps (rejected at the first root), odd-quotient bumps
+    # and h * q / (x - r_j) with j > 0, which vanishes at the first root, so
+    # the probe passes and the division must find r_j.
+    rng = random.Random(2201)
+    kinds = Counter()
+    for _ in range(600):
+        n = rng.randint(-30, 30)
+        m = rng.randint(-30, 30)
+        if (n - m) % 2:
+            m += 1 if m < 30 else -1
+        roots = q_roots_r(n, m)
+        h = Poly([rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(2 * len(roots) + 1)])
+        shape = rng.choice(("member", "constant", "odd", "all-but-one"))
+        if shape == "all-but-one" and len(roots) > 1:
+            j = rng.randrange(1, len(roots))
+            phi = h * Poly.from_roots(roots[:j] + roots[j + 1 :])
+        elif shape == "odd":
+            phi = (h + LAM ** (2 * rng.randint(0, len(roots)) + 1) * rng.randint(1, 9)) * q_poly_r(n, m)
+        else:
+            phi = h * q_poly_r(n, m) + (rng.choice((-3, -1, 1, 2, 5)) if shape == "constant" else 0)
+        result = level3_check_r(phi, n, m)
+        assert result == division_first_level3_check_r(phi, n, m), (n, m, shape)
+        if result.accepted:
+            kinds["accept"] += 1
+        elif isinstance(result.witness, OddQuotientWitness):
+            kinds["odd"] += 1
+        else:
+            kinds["first root" if result.witness.root == roots[0] else "later root"] += 1
+    assert min(kinds.values()) >= 60 and len(kinds) == 4, kinds
+
+
 # -- Level 2 --------------------------------------------------------------------------
 
 
@@ -373,6 +426,19 @@ def test_level3_degree_1200_within_budget():
         assert time.perf_counter() - start < 0.6
         assert result.accepted is accepted
     assert result.witness == RootWitness(root=Fraction(-399, 2), value=Fraction(5))
+
+
+def test_level3_first_root_reject_within_budget():
+    # The constant-bumped degree-1,200 phi does not vanish at the ladder's
+    # first root, -399/2: one exact evaluation rejects it, with no ladder
+    # build and no division.
+    rng = random.Random(400)
+    h = Poly([rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(801)])
+    phi = h * q_poly_r(-400, 400) + 5
+    start = time.perf_counter()
+    result = level3_check_r(phi, -400, 400)
+    assert time.perf_counter() - start < 0.02
+    assert result == Reject(RootWitness(root=Fraction(-399, 2), value=Fraction(5)))
 
 
 # -- box pictures -----------------------------------------------------------------------
