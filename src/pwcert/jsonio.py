@@ -173,12 +173,9 @@ def psi_from_json(data: dict) -> dict[int, Poly]:
     return {ktype_from_json(k): poly_from_json(v) for k, v in data.items()}
 
 
-def ktype_vec_from_json(data: dict | list | str) -> tuple[int, ...]:
-    if isinstance(data, dict):
-        data = _member(data, "ktypes", "K-type vector")
-    elif isinstance(data, str):
-        data = data.split(",")
-    return tuple(ktype_from_json(x) for x in data)
+def ktype_vec_from_json(data: str) -> tuple[int, ...]:
+    """A K-type vector: the comma-separated integers of pw's -n or -m."""
+    return tuple(ktype_from_json(x) for x in data.split(","))
 
 
 def composition_series_to_json(s: CompositionSeriesR | IrreducibleR) -> dict:

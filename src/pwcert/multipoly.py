@@ -186,14 +186,12 @@ class MultiPoly:
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         return sorted(self.terms.items())
 
-    def format(self, names: tuple[str, ...] | None = None) -> str:
+    def format(self) -> str:
         if not self._num:
             return "0"
-        names = names or tuple(f"x{i}" for i in range(self._arity))
         parts = []
         for exps, c in self.sorted_terms():
-            mono = "*".join(f"{names[i]}^{e}" if e > 1 else names[i]
-                            for i, e in enumerate(exps) if e)
+            mono = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps) if e)
             if not mono:
                 parts.append(str(c))
             elif abs(c) == 1:

@@ -43,14 +43,6 @@ class Poly:
         return Poly((c,))
 
     @staticmethod
-    def from_roots(roots: Iterable[RatLike]) -> Poly:
-        """Monic product of (x - r) over the given roots, built by
-        ``_from_numerators`` over the lcm of the roots' denominators."""
-        pairs = [_ratio(r) for r in roots]
-        den = lcm(*(b for _, b in pairs))
-        return _from_numerators([a * (den // b) for a, b in pairs], den)
-
-    @staticmethod
     def zero() -> Poly:
         return _make([])
 
@@ -270,24 +262,6 @@ def _ratio(c: RatLike) -> tuple[int, int]:
     return c.numerator, c.denominator
 
 
-def _from_numerators(nums: Iterable[int], den: int) -> Poly:
-    """The monic product of the k factors (x - a/den), for ints a and den > 0:
-    den^-k M(den x), coefficient i is M_i den^i over den^k, with M(y) =
-    prod (y - a) built on ints, one lo - a*hi per coefficient.  Each step
-    scales coefficients only by an a: no big x big product, which a product
-    tree needs at its top (von zur Gathen & Gerhard, MCA 10.1).
-    """
-    num = [1]
-    for a in nums:
-        num = [lo - a * hi for lo, hi in zip([0, *num], [*num, 0])]
-    power = 1
-    if den != 1:
-        for i in range(1, len(num)):
-            power *= den
-            num[i] *= power
-    return _make(num, power)
-
-
 def _coerce(value: Poly | RatLike) -> Poly:
     return value if isinstance(value, Poly) else Poly((value,))
 
@@ -373,16 +347,38 @@ def poly_div_linear(f: Poly, c: int, scale: int) -> Poly | None:
     return _make(quotient[-2::-1], f._den * scale)
 
 
-def first_root_not_vanishing(polys: Collection[Poly], roots: Iterable[Fraction]) -> tuple[Fraction, Fraction]:
-    """The first root, in the given order, at which some polynomial is nonzero,
-    with its value there.
+def ladder(nums: Iterable[int], den: int) -> Poly:
+    """The monic product of the k factors (x - a/den), for ints a and den > 0:
+    every ladder and chain is made here.  It is den^-k M(den x), coefficient
+    i is M_i den^i over den^k, with M(y) = prod (y - a) built on ints, one
+    lo - a*hi per coefficient.  Each step scales coefficients only by an a:
+    no big x big product, which a product tree needs at its top (von zur
+    Gathen & Gerhard, MCA 10.1).
+    """
+    num = [1]
+    for a in nums:
+        num = [lo - a * hi for lo, hi in zip([0, *num], [*num, 0])]
+    power = 1
+    if den != 1:
+        for i in range(1, len(num)):
+            power *= den
+            num[i] *= power
+    return _make(num, power)
+
+
+def first_root_not_vanishing(polys: Collection[Poly], nums: Iterable[int],
+                             den: int) -> tuple[Fraction, Fraction]:
+    """The first root a/den, for a in nums in the given order, at which some
+    polynomial is nonzero, with its value there.
 
     Each polynomial is a dividend that the monic polynomial with these simple
     roots does not divide, or the nonzero remainder of such a division.  Both
     equal the dividend at every root, so neither vanishes at all of them:
-    the monic polynomial would then divide the dividend.
+    the monic polynomial would then divide the dividend.  Each root is made
+    as a Fraction only when its turn comes.
     """
-    for root in roots:
+    for a in nums:
+        root = Fraction(a, den)
         for r in polys:
             value = r(root)
             if value != 0:

@@ -24,11 +24,13 @@ by the ladder chain q_{n,m} (products of the first-order operators
 q^+ : component x + (m+2), and q^- : component ((m+2)^2 - k^2)(x - (m+2))),
 one synthetic division by x - r per integer root r with the weight scalar
 taken out on the way, followed by the diagonal-algebra test on the quotient.
+The chain's roots are ints (q_roots_c); poly.ladder(roots, 1) builds the monic
+chain for the c-quotient, q_nm_c and the Level-2 shadow's partner test.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import (
@@ -44,6 +46,7 @@ from .poly import (
     Poly,
     first_root_not_vanishing,
     interpolate_equispaced,
+    ladder,
     poly_div_linear,
     poly_gcd,
     square_parts,
@@ -83,7 +86,7 @@ def c_quotient_c(n: int, m: int) -> tuple[Poly, Poly]:
     """
     if n < 0 or m < 0:
         raise ValueError("K-types are nonnegative integers")
-    q = Poly.from_roots(q_roots_c(n, m))
+    q = ladder(q_roots_c(n, m), 1)
     return q, q.reflect() * (-1) ** q.degree
 
 
@@ -259,12 +262,13 @@ def diag_map(src: int, dst: int, component: Poly | dict[int, Poly]) -> WeightedD
 # -- ladder chains ------------------------------------------------------------------------
 
 
-def q_roots_c(n: int, m: int) -> list[Fraction]:
-    """Roots (shared by every component) of the chain polynomial q_{n,m}."""
+def q_roots_c(n: int, m: int) -> list[int]:
+    """Roots (shared by every component) of the chain polynomial q_{n,m}, as
+    ints: -(n+2), -(n+4), ..., -m for n < m, and m+2, m+4, ..., n for n > m."""
     check_parity(n, m)
     if n < m:
-        return [Fraction(-(j + 2)) for j in range(n, m, 2)]
-    return [Fraction(j + 2) for j in range(m, n, 2)]
+        return [-(j + 2) for j in range(n, m, 2)]
+    return [j + 2 for j in range(m, n, 2)]
 
 
 def _weight_scalar(n: int, m: int, k: int) -> int:
@@ -280,10 +284,10 @@ def q_nm_c(n: int, m: int) -> WeightedDiagMap:
     """The ladder chain q_{n,m}: identity for n = m, raising chain composed
     q^+_{m-2} ... q^+_n for n < m, lowering chain q^-_m ... q^-_{n-2} for n > m.
 
-    Every component is the monic chain with roots q_roots_c(n, m) times the
+    Every component is the monic chain ladder(q_roots_c(n, m), 1) times the
     weight scalar: prod (x + j + 2) for n < m, prod ((j+2)^2 - k^2)(x - (j+2)) for n > m.
     """
-    chain = Poly.from_roots(q_roots_c(n, m))
+    chain = ladder(q_roots_c(n, m), 1)
     return WeightedDiagMap(
         n, m, {k: chain * _weight_scalar(n, m, k) for k in weights(min(n, m))}
     )
@@ -471,9 +475,9 @@ def level3_check_c(phi: WeightedDiagMap) -> Accept | Reject:
     for k in weights(level):
         quotient, scale = phi[k], _weight_scalar(n, m, k)
         for r in roots:
-            quotient, scale = poly_div_linear(quotient, int(r), scale), 1
+            quotient, scale = poly_div_linear(quotient, r, scale), 1
             if quotient is None:
-                root, value = first_root_not_vanishing([phi[k]], roots)
+                root, value = first_root_not_vanishing([phi[k]], roots, 1)
                 return Reject(WeightRootWitness(weight=k, root=root, value=value))
         comps[k] = quotient
     return algebra_check(WeightedDiagMap(level, level, comps))
@@ -526,23 +530,6 @@ class Level2ReportC:
     passed: bool
 
 
-def _candidate_ratios(n: int, j: int) -> Iterator[tuple[int, Poly, Poly]]:
-    """Admissible component ratios (m, num, den) of ladder images with j
-    chain steps, built only as far as the caller iterates.
-
-    An accepted morphism-valued map with source n and target m satisfies,
-    on every weight, phi_{-k}(-x) = sign * (c_m / c_n)(x) * phi_k(x) with
-    sign = (-1)^((m-n)/2); for fixed step count j the two candidates are the
-    raising partner m = n + 2j and (when defined) the lowering partner
-    m = n - 2j.
-    """
-    sign = -1 if j % 2 else 1
-    for m in (n + 2 * j, n - 2 * j):
-        if m >= 0:
-            num, den = c_quotient_c(m, n)
-            yield m, num * sign, den
-
-
 def level2_functional_check_c(psi: dict[int, Poly], n: int) -> Level2ReportC:
     """Scalar shadow of the K-picture functional equation for the K-type n.
 
@@ -552,9 +539,12 @@ def level2_functional_check_c(psi: dict[int, Poly], n: int) -> Level2ReportC:
     Missing weights count as zero components.
 
     The first nonzero pair (a, b) gives the ratio num / den = b(-x) / a(x),
-    kept unreduced: the other weights and the candidate c-quotients are
-    compared with it by cross-multiplication, it is 1 when num == den, and
-    one gcd gives its reduced degree, the step count j.
+    kept unreduced: the other weights are compared with it by
+    cross-multiplication, it is 1 when num == den, and one gcd gives its
+    reduced degree, the step count j.  A ladder image with target m = n +/- 2j
+    has the ratio (-1)^j c_m / c_n = q(x) / q(-x) for the degree-j chain
+    q = ladder(q_roots_c(m, n), 1), so the partner is the first such K-type m,
+    raising before lowering, with num * q(-x) == q * den.
     """
     wts = weights(n)
     for k in psi:
@@ -586,8 +576,8 @@ def level2_functional_check_c(psi: dict[int, Poly], n: int) -> Level2ReportC:
             partner = n
         else:
             j = max(num.degree, den.degree) - poly_gcd(num, den).degree
-            partner = next((m for m, c_num, c_den in _candidate_ratios(n, j)
-                            if num * c_den == c_num * den), None)
+            chains = ((m, ladder(q_roots_c(m, n), 1)) for m in (n + 2 * j, n - 2 * j) if m >= 0)
+            partner = next((m for m, q in chains if num * q.reflect() == q * den), None)
             if partner is None:
                 checks.append(WeightPairCheck(weight=0, ok=False,
                                               reason="shared ratio is not a c-quotient ladder"))

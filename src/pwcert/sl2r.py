@@ -30,7 +30,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import TruncationTooSmall, check_parity
-from .poly import Poly, _from_numerators, first_root_not_vanishing, poly_div_rem
+from .poly import Poly, first_root_not_vanishing, ladder, poly_div_rem
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
 from .verdict import Accept, Reject, record
 
@@ -86,7 +86,7 @@ def _ladder_pairs(n: int, m: int) -> tuple[Sequence[int], int]:
 def q_poly_r(n: int, m: int) -> Poly:
     """The monic intertwining polynomial q_{n,m} (1 when n = m), built from the
     integer root numerators."""
-    return _from_numerators(*_ladder_pairs(n, m))
+    return ladder(*_ladder_pairs(n, m))
 
 
 # -- composition series -------------------------------------------------------------
@@ -248,9 +248,9 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
         value = phi(root)
         if value:
             return Reject(RootWitness(root=root, value=value))
-    quotient, remainder = poly_div_rem(phi, _from_numerators(nums, den))
+    quotient, remainder = poly_div_rem(phi, ladder(nums, den))
     if not remainder.is_zero:
-        root, value = first_root_not_vanishing([remainder], (Fraction(a, den) for a in nums[1:]))
+        root, value = first_root_not_vanishing([remainder], nums[1:], den)
         return Reject(RootWitness(root=root, value=value))
     if quotient.reflect() != quotient:
         degree = next(i for i in range(1, quotient.degree + 1, 2) if quotient[i])
@@ -329,7 +329,7 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> Level2Repor
                 vanishing.append(VanishingCheck(
                     lam=lam, ktype=n, submodule=smallest_submodule_r(m, lam).label,
                     value=value, ok=(value == 0)))
-        q = _from_numerators(nums, den)
+        q = ladder(nums, den)
         functional.append(FunctionalCheck(ktype=n, sign=_ks_sign(n, m),
                                           ok=(psi[n].reflect() * q == q.reflect() * psi[n])))
     vanishing.sort(key=lambda c: (c.lam, c.ktype))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import ArityMismatch, ParityMismatch
 from .multipoly import MultiPoly, mpoly_div_in_var
-from .poly import _from_numerators, first_root_not_vanishing
+from .poly import first_root_not_vanishing, ladder
 from .sl2r import _ladder_pairs, q_poly_r
 from .verdict import Accept, Reject, record
 
@@ -75,10 +75,9 @@ def level3_check_product(phi: MultiPoly, l: KTypeVec, n: KTypeVec) -> Accept | R
     h = phi
     for i, (li, ni) in enumerate(zip(l, n)):
         nums, den = _ladder_pairs(li, ni)
-        h, remainder = mpoly_div_in_var(h, _from_numerators(nums, den), i)
+        h, remainder = mpoly_div_in_var(h, ladder(nums, den), i)
         if not remainder.is_zero:
-            roots = (Fraction(a, den) for a in nums)
-            root, _ = first_root_not_vanishing(remainder.fibers(i).values(), roots)
+            root, _ = first_root_not_vanishing(remainder.fibers(i).values(), nums, den)
             return Reject(ProductRootWitness(var=i, root=root))
     for i in range(d):
         exponent = min((e[i] for e in h.exponents if e[i] % 2), default=None)

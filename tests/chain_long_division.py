@@ -1,7 +1,9 @@
 """The SL(2,C) Level-3 check by one long division by the monic ladder chain,
 frozen as an oracle for the root-by-root synthetic division in ``pwcert.sl2c``."""
 
-from pwcert.poly import Poly, poly_div_rem
+from fractions import Fraction
+
+from pwcert.poly import poly_div_rem
 from pwcert.sl2c import (
     WeightedDiagMap,
     WeightRootWitness,
@@ -11,6 +13,7 @@ from pwcert.sl2c import (
     weights,
 )
 from pwcert.verdict import Accept, Reject
+from poly_helpers import from_roots
 
 
 def long_division_check(phi: WeightedDiagMap) -> Accept | Reject:
@@ -19,13 +22,13 @@ def long_division_check(phi: WeightedDiagMap) -> Accept | Reject:
     and algebra_check decides the quotient."""
     n, m = phi.src, phi.dst
     roots = q_roots_c(n, m)
-    chain = Poly.from_roots(roots)
+    chain = from_roots(roots)
     level = min(n, m)
     comps = {}
     for k in weights(level):
         quotient, remainder = poly_div_rem(phi[k], chain)
         if not remainder.is_zero:
-            root = next(r for r in roots if remainder(r) != 0)
+            root = next(Fraction(r) for r in roots if remainder(r) != 0)
             return Reject(WeightRootWitness(weight=k, root=root, value=remainder(root)))
         comps[k] = quotient / _weight_scalar(n, m, k)
     return algebra_check(WeightedDiagMap(level, level, comps))

@@ -29,7 +29,7 @@ from pwcert.sl2r_product import q_product
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from ladder_oracle import then  # noqa: E402  (tests/ladder_oracle.py)
-from poly_helpers import compose  # noqa: E402  (tests/poly_helpers.py)
+from poly_helpers import compose, from_roots  # noqa: E402  (tests/poly_helpers.py)
 
 OUT = Path(__file__).with_name("pw_corpus.jsonl")
 
@@ -65,7 +65,7 @@ def _swap_break(rng: random.Random, m: int, j: int, l0: int):
     every pair before (-j, l0) keeps its values, and b(-l0) != 0 breaks that one.
     """
     roots = [w for w in weights(m) if abs(w) > j or -l0 < w < j]
-    b = Poly.from_roots(roots) * rng.choice([-2, -1, 1, 2])
+    b = from_roots(roots) * rng.choice([-2, -1, 1, 2])
     comps = dict(_algebra_element(rng, m).components)
     comps[j] = comps[j] + b
     comps[-j] = comps[-j] + b.reflect()

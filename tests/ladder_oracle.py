@@ -19,6 +19,7 @@ from pwcert.poly import Poly
 from pwcert.ratfunc import RationalFunction
 from pwcert.sl2c import WeightedDiagMap, common_weights, weights
 from pwcert.sl2r import SigmaR
+from poly_helpers import from_roots
 
 
 def q_plus(m: int) -> WeightedDiagMap:
@@ -76,8 +77,8 @@ def c_quotient_r_ladder(n: int, m: int) -> RationalFunction:
         return RationalFunction.one()
     lo, hi = min(a, b), max(a, b)
     ladder = [Fraction(j, 2) for j in range(lo + 1, hi, 2)]
-    num = Poly.from_roots(ladder)
-    den = Poly.from_roots([-t for t in ladder])
+    num = from_roots(ladder)
+    den = from_roots([-t for t in ladder])
     if a > b:
         return RationalFunction(num, den)
     return RationalFunction(den, num)
@@ -93,8 +94,8 @@ def c_quotient_c_ladder(n: int, m: int) -> RationalFunction:
         return RationalFunction.one()
     lo, hi = min(n, m), max(n, m)
     ladder = list(range(lo + 2, hi + 1, 2))
-    num = Poly.from_roots(ladder)
-    den = Poly.from_roots([-j for j in ladder])
+    num = from_roots(ladder)
+    den = from_roots([-j for j in ladder])
     if n > m:
         return RationalFunction(num, den)
     return RationalFunction(den, num)

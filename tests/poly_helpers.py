@@ -1,9 +1,18 @@
 """Polynomial helpers that only tests and the corpus generator use."""
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from pwcert.poly import Poly
 from pwcert.rationals import RatLike, rat
+
+
+def from_roots(roots: Iterable[RatLike]) -> Poly:
+    """The monic product of (x - r) over the roots, one Poly product per
+    linear factor: a reference for pwcert.poly.ladder that does not run it."""
+    p = Poly.one()
+    for r in roots:
+        p = p * Poly((-rat(r), 1))
+    return p
 
 
 def compose(h: Poly, p: Poly) -> Poly:

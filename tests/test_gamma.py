@@ -10,6 +10,7 @@ from pwcert.errors import IrreducibleGammaQuotient
 from pwcert.gammaprod import GammaProduct, gamma_reduce
 from pwcert.poly import Poly
 from pwcert.ratfunc import RationalFunction
+from poly_helpers import from_roots
 
 HALF = Fraction(1, 2)
 
@@ -38,8 +39,8 @@ def test_half_integer_ladder_with_numeric_oracle():
     den = gp((1, Fraction(5, 2), 1), (1, Fraction(-3, 2), 1))
     result = gamma_reduce(num, den)
     expected = RationalFunction(
-        Poly.from_roots([Fraction(3, 2), HALF]),
-        Poly.from_roots([Fraction(-3, 2), -HALF]),
+        from_roots([Fraction(3, 2), HALF]),
+        from_roots([Fraction(-3, 2), -HALF]),
     )
     assert result == expected
     rng = random.Random(11)

@@ -90,9 +90,8 @@ def test_coords_round_trip():
 
 
 def test_ktype_vec_forms():
-    assert jsonio.ktype_vec_from_json({"ktypes": [3, -1]}) == (3, -1)
     assert jsonio.ktype_vec_from_json("3,-1") == (3, -1)
-    assert jsonio.ktype_vec_from_json([3, -1]) == (3, -1)
+    assert jsonio.ktype_vec_from_json("0") == (0,)
 
 
 def test_composition_series_json():
@@ -218,7 +217,8 @@ def test_record_to_json_rejects_unsupported_values():
 @pytest.mark.parametrize("decode, data, message", [
     (jsonio.coords_from_json, {"m": 1}, "generator coordinates JSON needs an 'h' list"),
     (jsonio.diag_map_from_json, {"n": 0, "m": 0}, "weighted map JSON needs a 'components' object"),
-    (jsonio.ktype_vec_from_json, {"k": [1]}, "K-type vector JSON needs the member 'ktypes'"),
+    (jsonio.mpoly_from_json, {"arity": 1},
+     "multivariate polynomial JSON needs a 'terms' list of objects with an 'exps' list"),
     (jsonio.diag_map_from_json, {"m": 0, "components": {}}, "weighted map JSON needs the member 'n'"),
     (jsonio.diag_map_from_json, {"n": 0, "m": 0, "components": {"0x": {"coeffs": []}}},
      "expected an integer, got '0x'"),

@@ -19,6 +19,7 @@ from pwcert.rationals import rat
 from pwcert.sl2r_product import ProductOddWitness, ProductRootWitness, level3_check_product
 from pwcert.verdict import Accept, Reject
 from ladder_oracle import q_roots_r
+from poly_helpers import from_roots
 
 CASES = 2000
 
@@ -163,9 +164,10 @@ def reference_level3_check_product(phi: ReferenceMultiPoly, l, n):
     h = phi
     for i, (li, ni) in enumerate(zip(l, n)):
         roots = q_roots_r(li, ni)
-        h, remainder = reference_div_in_var(h, Poly.from_roots(roots), i)
+        h, remainder = reference_div_in_var(h, from_roots(roots), i)
         if not remainder.is_zero:
-            root, _ = first_root_not_vanishing(remainder.fibers(i).values(), roots)
+            root, _ = first_root_not_vanishing(remainder.fibers(i).values(),
+                                               [int(2 * r) for r in roots], 2)
             return Reject(ProductRootWitness(var=i, root=root))
     for i in range(len(l)):
         exponent = min((e[i] for e in h.terms if e[i] % 2), default=None)
@@ -233,7 +235,7 @@ def _divisor(rng: random.Random) -> Poly:
     if shape == "constant":
         return Poly.const(_nonzero(rng, kind))
     if shape == "ladder":
-        return Poly.from_roots(Fraction(rng.randint(-20, 20), 2) for _ in range(rng.randint(1, 6)))
+        return from_roots(Fraction(rng.randint(-20, 20), 2) for _ in range(rng.randint(1, 6)))
     lead = Fraction(1) if shape == "monic" else _nonzero(rng, kind)
     return Poly([_coeff(rng, kind) for _ in range(rng.randint(1, 5))] + [lead])
 
@@ -388,7 +390,7 @@ def _check_product_case(rng: random.Random, d: int, bound: int, verdicts: set[st
         h = h + ReferenceMultiPoly(d, {tuple(int(i == var) for i in range(d)): rng.randint(1, 9)})
     phi = h
     for i, (li, ni) in enumerate(zip(l, n)):
-        phi = phi * ReferenceMultiPoly.from_univariate(Poly.from_roots(q_roots_r(li, ni)), d, i)
+        phi = phi * ReferenceMultiPoly.from_univariate(from_roots(q_roots_r(li, ni)), d, i)
     if shape == "constant":
         phi = phi + rng.randint(1, 9)
     result = level3_check_product(MultiPoly(d, phi.terms), tuple(l), tuple(n))

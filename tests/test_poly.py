@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwcert.errors import DivisionByZeroPoly
+from pwcert.errors import DivisionByZeroPoly, InternalNonDivisibility
 from pwcert.poly import (
     Poly,
+    first_root_not_vanishing,
     interpolate_equispaced,
+    ladder,
     poly_div_rem,
     poly_gcd,
     square_parts,
@@ -131,3 +133,30 @@ def test_scale_and_reflect():
     f = lam**3 - 2 * lam + 1
     assert f.reflect() == -(lam**3) + 2 * lam + 1
     assert f.scale_variable(2)(Fraction(1)) == f(Fraction(2))
+
+
+def test_first_root_not_vanishing_on_a_half_integer_ladder():
+    # The roots are a/2 for a in the given order; the first at which some
+    # polynomial is nonzero wins, with the value of the first such polynomial.
+    q = ladder([1, 3], 2)  # (x - 1/2)(x - 3/2)
+    assert first_root_not_vanishing([q], [1, 3, 5, -1], 2) == (Fraction(5, 2), Fraction(2))
+    assert first_root_not_vanishing([q], [3, -1, 5], 2) == (Fraction(-1, 2), Fraction(2))
+    p = q * Poly((-Fraction(5, 2), 1)) + 1  # nonzero at 1/2 and 3/2
+    assert first_root_not_vanishing([q, p], [3, 1], 2) == (Fraction(3, 2), Fraction(1))
+    root, _ = first_root_not_vanishing([q], [4], 2)
+    assert type(root) is Fraction and root == 2
+
+
+def test_first_root_not_vanishing_on_an_integer_chain():
+    q = ladder([4, 2], 1)  # (x - 4)(x - 2)
+    assert first_root_not_vanishing([q], [2, 4, 6, 8], 1) == (Fraction(6), Fraction(8))
+    assert first_root_not_vanishing([q], [8, 6], 1) == (Fraction(8), Fraction(24))
+    root, value = first_root_not_vanishing([Poly.zero(), q], [-1], 1)
+    assert (root, value) == (-1, 15) and type(root) is Fraction and type(value) is Fraction
+
+
+def test_first_root_not_vanishing_raises_when_every_root_vanishes():
+    for polys, nums, den in (([ladder([1, 3], 2)], [3, 1], 2), ([ladder([4, 2], 1)], [2, 4], 1),
+                             ([Poly.zero()], [0, 1], 1), ([Poly.one()], [], 2)):
+        with pytest.raises(InternalNonDivisibility, match="vanishing at every simple root"):
+            first_root_not_vanishing(polys, nums, den)

@@ -10,11 +10,12 @@ build and the long division, through the SL(2,R) Level-3 checker.
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
 import pwcert.sl2r
-from pwcert.poly import Poly, poly_div_linear, poly_div_rem, square_parts
+from pwcert.poly import Poly, ladder, poly_div_linear, poly_div_rem, square_parts
 from pwcert.rationals import rat_str
 from pwcert.sl2c import q_roots_c
 from pwcert.sl2r import level3_check_r, q_poly_r
@@ -188,6 +189,12 @@ def _roots(rng: random.Random) -> list[Fraction]:
     return [Fraction(rng.randint(-50, 50), rng.choice((1, 2, 3, 7, 12))) for _ in range(count)]
 
 
+def _over_lcm(roots: list[Fraction | int]) -> tuple[list[int], int]:
+    """The roots as int numerators over the lcm of their denominators."""
+    den = lcm(*(r.denominator for r in roots))
+    return [r.numerator * (den // r.denominator) for r in roots], den
+
+
 def _assert_fraction_tuple(p: Poly, expected: tuple[Fraction, ...]) -> None:
     assert p.coeffs == expected
     assert all(type(c) is Fraction for c in p.coeffs)
@@ -250,27 +257,23 @@ def test_div_linear_matches_long_division():
     assert min(outcomes.values()) >= CASES // 5, outcomes
 
 
-def test_from_roots_matches_fraction_kernel():
+def test_ladder_matches_fraction_kernel():
+    # Integer, half-integer, large rational and mixed roots, each list over
+    # the lcm of its denominators, so a numerator may share a factor with it.
     rng = random.Random(8002)
     for _ in range(CASES):
         roots = _roots(rng)
-        _assert_fraction_tuple(Poly.from_roots(roots), reference_from_roots(roots))
+        _assert_fraction_tuple(ladder(*_over_lcm(roots)), reference_from_roots(roots))
 
 
-def test_from_roots_accepts_every_rational_form():
-    assert Poly.from_roots([]) == Poly.one()
-    assert Poly.from_roots([1, "1/2", Fraction(-2, 3)]).coeffs == reference_from_roots(
-        [1, Fraction(1, 2), Fraction(-2, 3)])
-
-
-def test_from_roots_matches_fraction_kernel_on_ladders():
-    # Both ladder builds write the roots over one denominator L and expand
-    # L^-k M(L x), M monic on ints.  Poly.from_roots: 0-40 roots with
-    # denominators 1, 2, 3, 5 and 6 mixed in one list, so that L exceeds
-    # each denominator, drawn from a small pool that holds 0, so zero and
-    # repeated roots occur; no roots; then every SL(2,R) ladder with
-    # |n|, |m| <= 41 and every SL(2,C) chain with n, m <= 40.  q_poly_r:
-    # every equal-parity pair with |n|, |m| <= 41.
+def test_ladder_matches_fraction_kernel_on_ladders():
+    # ladder(nums, L) expands L^-k M(L x), M monic on ints.  Lists of 0-40
+    # roots with denominators 1, 2, 3, 5 and 6 mixed in one list, over their
+    # lcm L, so that L exceeds each denominator, drawn from a small pool that
+    # holds 0, so zero and repeated roots occur; no roots; every SL(2,R)
+    # ladder with |n|, |m| <= 41, also over its lcm; then every SL(2,C) chain
+    # with n, m <= 40 on its int roots over 1.  q_poly_r: every equal-parity
+    # pair with |n|, |m| <= 41.
     rng = random.Random(8004)
     mixed = [[0, 0, Fraction(1, 2), Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5), Fraction(-5, 6), 7],
              [Fraction(1, 3), Fraction(-2, 5), 7], [Fraction(-3, 4)] * 3 + [Fraction(1, 6)] * 2, []]
@@ -282,16 +285,18 @@ def test_from_roots_matches_fraction_kernel_on_ladders():
     chains = {tuple(q_roots_c(n, m)) for n in range(41) for m in range(41) if (n - m) % 2 == 0}
     assert max(map(len, ladders.values())) == 41 and max(map(len, chains)) == 20
     references = {}
-    for roots in [*mixed, *set(ladders.values()), *chains]:
+    for roots in [*mixed, *set(ladders.values())]:
         references[tuple(roots)] = reference_from_roots(roots)
-        _assert_fraction_tuple(Poly.from_roots(roots), references[tuple(roots)])
+        _assert_fraction_tuple(ladder(*_over_lcm(roots)), references[tuple(roots)])
+    for roots in chains:
+        _assert_fraction_tuple(ladder(roots, 1), reference_from_roots(roots))
     for (n, m), roots in ladders.items():
         _assert_fraction_tuple(q_poly_r(n, m), references[roots])
 
 
 def _reference_level3_check_r(monkeypatch: pytest.MonkeyPatch, phi: Poly, n: int, m: int):
     with monkeypatch.context() as patch:
-        patch.setattr(pwcert.sl2r, "_from_numerators",
+        patch.setattr(pwcert.sl2r, "ladder",
                       lambda nums, den: Poly(reference_from_roots(Fraction(a, den) for a in nums)))
         patch.setattr(pwcert.sl2r, "poly_div_rem",
                       lambda f, g: tuple(map(Poly, reference_div_rem(f.coeffs, g.coeffs))))

@@ -45,7 +45,7 @@ from pwcert.verdict import Accept, Reject
 from chain_long_division import long_division_check
 from ladder_oracle import c_quotient_c_ladder, q_minus, q_plus, quotient_outcome, then
 from pinning_induction import pinning_decompose
-from poly_helpers import lagrange_interpolate
+from poly_helpers import from_roots, lagrange_interpolate
 from reduced_ratio_shadow import reduced_ratio_check
 
 LAM = Poly((0, 1))
@@ -101,10 +101,10 @@ def test_c_quotient_examples():
     assert c_quotient_c(2, 0) == (LAM - 2, LAM + 2)
     assert c_quotient_c(7, 7) == (Poly.one(), Poly.one())
     assert c_quotient_c(4, 0) == (
-        Poly.from_roots([4, 2]), Poly.from_roots([-4, -2])
+        from_roots([4, 2]), from_roots([-4, -2])
     )
     assert c_quotient_c(0, 4) == (
-        Poly.from_roots([-4, -2]), Poly.from_roots([4, 2])
+        from_roots([-4, -2]), from_roots([4, 2])
     )
 
 
@@ -256,6 +256,12 @@ def test_q_nm_examples():
     assert q_nm_c(2, 0).components == {0: (LAM - 2) * 4}
 
 
+def test_chain_roots_are_ints_in_scan_order():
+    # level3_check_c divides by, and localizes a remainder at, the roots in this order.
+    assert q_roots_c(6, 0) == [2, 4, 6] and q_roots_c(1, 7) == [-3, -5, -7] and q_roots_c(3, 3) == []
+    assert all(type(r) is int for r in q_roots_c(8, 2) + q_roots_c(2, 8))
+
+
 def test_q_nm_chain_consistency():
     # Closed form against literal composition of the ladder maps.
     for n in range(0, 9):
@@ -336,7 +342,7 @@ def test_algebra_check_matches_the_definition():
             comps[k] = comps[k] + rand_poly(rng, 3)
         elif kind == "bump":
             j = rng.choice([k for k in weights(m) if k >= 0])
-            bump = Poly.from_roots(rng.sample(weights(m), rng.randint(0, m))) * rng.choice([-2, 1, 3])
+            bump = from_roots(rng.sample(weights(m), rng.randint(0, m))) * rng.choice([-2, 1, 3])
             if j == 0:
                 comps[0] = comps[0] + bump * bump.reflect()
             else:
@@ -417,7 +423,7 @@ def test_decompose_matches_the_pinning_induction():
         comps = synthesize(rand_coords(rng, m, rng.randint(0, 4))).components
         if rng.random() < 0.55:
             j = rng.choice([k for k in weights(m) if k >= 0])
-            bump = Poly.from_roots(rng.sample(weights(m), rng.randint(0, m))) * rng.choice([-2, 1, 3])
+            bump = from_roots(rng.sample(weights(m), rng.randint(0, m))) * rng.choice([-2, 1, 3])
             if j == 0:
                 comps[0] = comps[0] + bump * bump.reflect()
             else:
@@ -459,7 +465,7 @@ def test_decompose_pinning_polynomial(level):
     # differences G_l vanish below level L.  p_L is monic of degree L - 1 in
     # t = kx, so h_{L-1} = 1.
     roots = range(-(level - 2), level - 1, 2)
-    pin = Poly.from_roots(roots)
+    pin = from_roots(roots)
     m = level + 4
     phi = WeightedDiagMap(m, m, {k: pin * pin(Fraction(k)) for k in weights(m)})
     coords = free_module_decompose(phi)

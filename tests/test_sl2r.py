@@ -29,6 +29,7 @@ from pwcert.sl2r import (
     smallest_submodule_r,
 )
 from pwcert.verdict import Accept, Reject
+from poly_helpers import from_roots
 from ladder_oracle import c_quotient_r_ladder, q_roots_r, quotient_outcome, reducibility_points_r
 
 HALF = Fraction(1, 2)
@@ -69,7 +70,7 @@ def test_c_gamma_odd_ktype_cancellation():
 
 def test_c_quotient_examples():
     assert c_quotient_r(4, 0) == (
-        Poly.from_roots([Fraction(3, 2), HALF]), Poly.from_roots([-Fraction(3, 2), -HALF])
+        from_roots([Fraction(3, 2), HALF]), from_roots([-Fraction(3, 2), -HALF])
     )
     assert c_quotient_r(1, 3) == (LAM + 1, LAM - 1)
     assert c_quotient_r(-5, 5) == (Poly.one(), Poly.one())
@@ -139,7 +140,7 @@ def test_ladder_built_from_root_pairs_matches_from_roots():
     # q_poly_r builds the ladder from its integer root numerators; it is the
     # monic polynomial with exactly the roots q_roots_r lists.
     for n, m in [*equal_parity_pairs(41), (-1000, 1000)]:
-        assert q_poly_r(n, m) == Poly.from_roots(q_roots_r(n, m)), (n, m)
+        assert q_poly_r(n, m) == from_roots(q_roots_r(n, m)), (n, m)
 
 
 def test_q_poly_at_the_ktype_bound_within_budget():
@@ -278,9 +279,9 @@ def division_first_level3_check_r(phi, n, m):
     Fraction roots, divide, and localize a remainder at the first root, in
     increasing order, where it does not vanish."""
     roots = q_roots_r(n, m)
-    quotient, remainder = poly_div_rem(phi, Poly.from_roots(roots))
+    quotient, remainder = poly_div_rem(phi, from_roots(roots))
     if not remainder.is_zero:
-        root, value = first_root_not_vanishing([remainder], roots)
+        root, value = first_root_not_vanishing([remainder], [int(2 * r) for r in roots], 2)
         return Reject(RootWitness(root=root, value=value))
     if quotient.reflect() != quotient:
         degree = next(i for i in range(1, quotient.degree + 1, 2) if quotient[i])
@@ -304,7 +305,7 @@ def test_level3_matches_the_division_first_checker():
         shape = rng.choice(("member", "constant", "odd", "all-but-one"))
         if shape == "all-but-one" and len(roots) > 1:
             j = rng.randrange(1, len(roots))
-            phi = h * Poly.from_roots(roots[:j] + roots[j + 1 :])
+            phi = h * from_roots(roots[:j] + roots[j + 1 :])
         elif shape == "odd":
             phi = (h + LAM ** (2 * rng.randint(0, len(roots)) + 1) * rng.randint(1, 9)) * q_poly_r(n, m)
         else:

@@ -75,6 +75,20 @@ def referenced_names(path: Path) -> set[str]:
     return names
 
 
+def test_private_poly_names_stay_in_the_kernel():
+    # Only poly.py and multipoly.py, which shares its integer storage, import
+    # an underscore name from pwcert.poly; the other modules use its public
+    # functions, so a format such as the ladder's roots is known in one place.
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in SOURCES if path.name not in ("poly.py", "multipoly.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module in ("poly", "pwcert.poly")
+        for alias in node.names if alias.name.startswith("_")
+    ]
+    assert SOURCES and not found, found
+
+
 def test_public_names_have_a_caller():
     """Every public function, class and method of the package is referenced by
     the package or the benchmark (tests do not count).
