@@ -12,13 +12,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .rationals import rat_str
-from .verdict import record
-
-if TYPE_CHECKING:
-    from .sl2r import SigmaR
 
 _PALETTE = (
     "blue", "green", "orange", "red", "purple", "cyan",
@@ -26,16 +21,9 @@ _PALETTE = (
 )
 
 
-@record
-class AtlasPointR:
-    sigma: SigmaR
-    lam: Fraction
-    reducible: bool
-    layers: tuple[tuple[str, ...], ...]
-
-
-def atlas_sl2r(lambda_max: Fraction) -> list[AtlasPointR]:
-    """Verdicts on the half-integer grid |lambda| <= lambda_max, both parities."""
+def atlas_sl2r(lambda_max: Fraction) -> list[dict]:
+    """Verdicts on the half-integer grid |lambda| <= lambda_max, both parities,
+    as the JSON points of atlas_sl2r_json."""
     from .sl2r import IrreducibleR, SigmaR, composition_series_r
 
     points = []
@@ -43,37 +31,16 @@ def atlas_sl2r(lambda_max: Fraction) -> list[AtlasPointR]:
         lam = Fraction(-math.floor(2 * lambda_max), 2)
         while lam <= lambda_max:
             series = composition_series_r(sigma, lam)
-            if isinstance(series, IrreducibleR):
-                points.append(AtlasPointR(sigma, lam, False, ()))
-            else:
-                layers = tuple(tuple(f.label for f in layer) for layer in series.layers)
-                points.append(AtlasPointR(sigma, lam, True, layers))
+            reducible = not isinstance(series, IrreducibleR)
+            layers = [[f.label for f in layer] for layer in series.layers] if reducible else []
+            points.append({"sigma": sigma.value, "lambda": rat_str(lam), "reducible": reducible,
+                           "layers": layers})
             lam += Fraction(1, 2)
     return points
 
 
 def atlas_sl2r_json(lambda_max: Fraction) -> dict:
-    return {
-        "group": "sl2r",
-        "lambda_max": rat_str(lambda_max),
-        "points": [
-            {
-                "sigma": p.sigma.value,
-                "lambda": rat_str(p.lam),
-                "reducible": p.reducible,
-                "layers": [list(layer) for layer in p.layers],
-            }
-            for p in atlas_sl2r(lambda_max)
-        ],
-    }
-
-
-@record
-class AtlasPointC:
-    sigma: int
-    lam: int
-    reducible: bool
-    orbit: str | None  # shared id of the intertwiner orbit, if any
+    return {"group": "sl2r", "lambda_max": rat_str(lambda_max), "points": atlas_sl2r(lambda_max)}
 
 
 def _orbit_id(orbit: frozenset[tuple[int, int]]) -> str:
@@ -81,8 +48,10 @@ def _orbit_id(orbit: frozenset[tuple[int, int]]) -> str:
     return f"{s},{l}"
 
 
-def atlas_sl2c(sigma_max: int, lambda_max: int) -> list[AtlasPointC]:
-    """Verdicts and orbit grouping on the integer grid |sigma|, |lambda| <= bounds."""
+def atlas_sl2c(sigma_max: int, lambda_max: int) -> list[dict]:
+    """Verdicts and orbit grouping on the integer grid |sigma|, |lambda| <= bounds,
+    sorted by (sigma, lambda), as the JSON points of atlas_sl2c_json; "orbit" is
+    the shared id of the intertwiner orbit, or None."""
     from .sl2c import diamond_orbit, reducibility_c
 
     grid = [(sigma, lam) for sigma in range(-sigma_max, sigma_max + 1)
@@ -95,28 +64,21 @@ def atlas_sl2c(sigma_max: int, lambda_max: int) -> list[AtlasPointC]:
             oid = _orbit_id(orbit)
             for vertex in orbit:
                 orbit_of.setdefault(vertex, oid)
-    return [AtlasPointC(*v, v in reducible, orbit_of.get(v)) for v in grid]
+    return [{"sigma": s, "lambda": l, "reducible": (s, l) in reducible, "orbit": orbit_of.get((s, l))}
+            for s, l in grid]
 
 
 def atlas_sl2c_json(sigma_max: int, lambda_max: int) -> dict:
     points = atlas_sl2c(sigma_max, lambda_max)
     orbits: dict[str, list[list[int]]] = {}
     for p in points:
-        if p.orbit is not None:
-            orbits.setdefault(p.orbit, []).append([p.sigma, p.lam])
+        if p["orbit"] is not None:
+            orbits.setdefault(p["orbit"], []).append([p["sigma"], p["lambda"]])
     return {
         "group": "sl2c",
         "sigma_max": sigma_max,
         "lambda_max": lambda_max,
-        "points": [
-            {
-                "sigma": p.sigma,
-                "lambda": p.lam,
-                "reducible": p.reducible,
-                "orbit": p.orbit,
-            }
-            for p in points
-        ],
+        "points": points,
         "orbits": {k: sorted(v) for k, v in sorted(orbits.items())},
     }
 
@@ -124,19 +86,20 @@ def atlas_sl2c_json(sigma_max: int, lambda_max: int) -> dict:
 def atlas_sl2c_dot(sigma_max: int, lambda_max: int) -> str:
     """DOT graph of the grid; orbit members share a fill color."""
     points = atlas_sl2c(sigma_max, lambda_max)
-    orbit_ids = sorted({p.orbit for p in points if p.orbit is not None})
+    orbit_ids = sorted({p["orbit"] for p in points if p["orbit"] is not None})
     color = {oid: _PALETTE[i % len(_PALETTE)] for i, oid in enumerate(orbit_ids)}
     lines = [
         "graph atlas {",
         f'  label="sl2c atlas |sigma|<={sigma_max}, |lambda|<={lambda_max}";',
         "  node [shape=circle];",
     ]
-    for p in sorted(points, key=lambda p: (p.sigma, p.lam)):
-        name = f"v_{p.sigma}_{p.lam}".replace("-", "m")
-        attrs = [f'label="H({p.sigma},{p.lam})"']
-        if p.orbit is not None:
-            attrs.append(f'style=filled, fillcolor={color[p.orbit]}, group="{p.orbit}"')
-        elif p.reducible:
+    for p in points:
+        sigma, lam, orbit = p["sigma"], p["lambda"], p["orbit"]
+        name = f"v_{sigma}_{lam}".replace("-", "m")
+        attrs = [f'label="H({sigma},{lam})"']
+        if orbit is not None:
+            attrs.append(f'style=filled, fillcolor={color[orbit]}, group="{orbit}"')
+        elif p["reducible"]:
             attrs.append("style=filled, fillcolor=black, fontcolor=white")
         lines.append(f"  {name} [{', '.join(attrs)}];")
     lines.append("}")
@@ -145,18 +108,17 @@ def atlas_sl2c_dot(sigma_max: int, lambda_max: int) -> str:
 
 def atlas_sl2r_dot(lambda_max: Fraction) -> str:
     """DOT graph of the SL(2,R) grid, reducible points filled."""
-    from .sl2r import SigmaR
-
     lines = [
         "graph atlas {",
         f'  label="sl2r atlas |lambda|<={rat_str(lambda_max)}";',
         "  node [shape=box];",
     ]
     for p in atlas_sl2r(lambda_max):
-        tag = "p" if p.sigma is SigmaR.PLUS else "m"
-        name = f"v_{tag}_{rat_str(p.lam)}".replace("-", "m").replace("/", "_")
-        attrs = [f'label="H({p.sigma.value},{rat_str(p.lam)})"']
-        if p.reducible:
+        sigma, lam = p["sigma"], p["lambda"]
+        tag = "p" if sigma == "+" else "m"
+        name = f"v_{tag}_{lam}".replace("-", "m").replace("/", "_")
+        attrs = [f'label="H({sigma},{lam})"']
+        if p["reducible"]:
             attrs.append("style=filled, fillcolor=lightblue")
         lines.append(f"  {name} [{', '.join(attrs)}];")
     lines.append("}")

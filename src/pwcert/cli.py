@@ -104,67 +104,68 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="pw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_: str) -> argparse.ArgumentParser:
+    def add(name: str, help_: str, run) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("--out", default=None, help="write output to FILE instead of stdout")
+        p.set_defaults(run=run)
         return p
 
-    p = add("q", "intertwining polynomial q_{n,m}")
+    p = add("q", "intertwining polynomial q_{n,m}", _cmd_q)
     p.add_argument("--group", required=True, choices=["sl2r", "sl2r-product", "sl2c"])
     p.add_argument("-n", required=True)
     p.add_argument("-m", required=True)
 
-    p = add("cquot", "c-function quotient c_n / c_m")
+    p = add("cquot", "c-function quotient c_n / c_m", _cmd_cquot)
     p.add_argument("--group", required=True, choices=["sl2r", "sl2c"])
     p.add_argument("-n", required=True, type=int)
     p.add_argument("-m", required=True, type=int)
 
-    p = add("check3", "spherical-function (Level-3) membership check")
+    p = add("check3", "spherical-function (Level-3) membership check", _cmd_check3)
     p.add_argument("--group", required=True, choices=["sl2r", "sl2c"])
     p.add_argument("-n", type=int, default=None)
     p.add_argument("-m", type=int, default=None)
     p.add_argument("--phi", required=True, help="polynomial JSON (sl2r) or weighted map JSON (sl2c); @file allowed")
 
-    p = add("check3-product", "Level-3 check for SL(2,R)^d")
+    p = add("check3-product", "Level-3 check for SL(2,R)^d", _cmd_check3_product)
     p.add_argument("-n", required=True, help="comma-separated K-type vector")
     p.add_argument("-m", required=True, help="comma-separated K-type vector")
     p.add_argument("--phi", required=True, help="multivariate polynomial JSON; @file allowed")
 
-    p = add("check2", "K-picture (Level-2) membership check")
+    p = add("check2", "K-picture (Level-2) membership check", _cmd_check2)
     p.add_argument("--group", required=True, choices=["sl2r", "sl2c"])
     p.add_argument("-n", type=int, default=None, help="K-type (sl2c)")
     p.add_argument("-m", type=int, default=None, help="bundle K-type (sl2r)")
     p.add_argument("--truncation", type=int, default=None, help="K-type bound N (sl2r)")
     p.add_argument("--psi", required=True, help="JSON map K-type/weight -> polynomial; @file allowed")
 
-    p = add("classify", "composition series / reducibility at (sigma, lambda)")
+    p = add("classify", "composition series / reducibility at (sigma, lambda)", _cmd_classify)
     p.add_argument("--group", required=True, choices=["sl2r", "sl2c"])
     p.add_argument("--sigma", required=True)
     p.add_argument("--lambda", dest="lam", required=True, help='rational string, e.g. "-3/2"')
     p.add_argument("--diamond", action="store_true", help="include the intertwiner diamond (sl2c)")
 
-    p = add("box", "box picture with the minimal submodule highlighted (sl2r)")
+    p = add("box", "box picture with the minimal submodule highlighted (sl2r)", _cmd_box)
     p.add_argument("-m", required=True, type=int)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--format", choices=["json", "dot", "ascii"], default="json")
 
-    p = add("atlas", "classification atlas over a parameter grid")
+    p = add("atlas", "classification atlas over a parameter grid", _cmd_atlas)
     p.add_argument("--group", required=True, choices=["sl2r", "sl2c"])
     p.add_argument("--sigma-max", type=int, default=5)
     p.add_argument("--lambda-max", default="5")
     p.add_argument("--format", choices=["json", "dot"], default="json")
 
-    p = add("decompose", "generator coordinates of a diagonal-algebra element (sl2c)")
+    p = add("decompose", "generator coordinates of a diagonal-algebra element (sl2c)", _cmd_decompose)
     p.add_argument("--phi", required=True, help="weighted map JSON with n = m; @file allowed")
 
-    p = add("synthesize", "assemble a diagonal-algebra element from coordinates (sl2c)")
+    p = add("synthesize", "assemble a diagonal-algebra element from coordinates (sl2c)", _cmd_synthesize)
     p.add_argument("--coords", required=True, help="generator coordinates JSON; @file allowed")
 
-    p = add("extend", "interpolation extension of an algebra element (sl2c)")
+    p = add("extend", "interpolation extension of an algebra element (sl2c)", _cmd_extend)
     p.add_argument("--h", required=True, help="weighted map JSON with n = m; @file allowed")
     p.add_argument("--target", required=True, type=int)
 
-    p = add("verify-numeric", "numeric cross-validation of the exact formulas")
+    p = add("verify-numeric", "numeric cross-validation of the exact formulas", _cmd_verify_numeric)
     p.add_argument("--seed", type=int, default=20240801)
     return parser
 
@@ -232,15 +233,14 @@ def _cmd_check2(args) -> int:
         if args.m is None or args.truncation is None:
             raise ValueError("check2 --group sl2r needs -m and --truncation")
         report = level2_check_r(psi, jsonio.ktype_from_json(args.m), args.truncation)
-        _emit(jsonio.level2_report_r_to_json(report), args.out)
-        return 0 if report.passed else 2
-    from .sl2c import level2_functional_check_c
+    else:
+        from .sl2c import level2_functional_check_c
 
-    if args.n is None:
-        raise ValueError("check2 --group sl2c needs -n")
-    report_c = level2_functional_check_c(psi, jsonio.ktype_from_json(args.n))
-    _emit(jsonio.record_to_json(report_c), args.out)
-    return 0 if report_c.passed else 2
+        if args.n is None:
+            raise ValueError("check2 --group sl2c needs -n")
+        report = level2_functional_check_c(psi, jsonio.ktype_from_json(args.n))
+    _emit(jsonio.record_to_json(report), args.out)
+    return 0 if report.passed else 2
 
 
 def _cmd_classify(args) -> int:
@@ -340,27 +340,11 @@ def _cmd_verify_numeric(args) -> int:
     return 0 if report["passed"] else 2
 
 
-_COMMANDS = {
-    "q": _cmd_q,
-    "cquot": _cmd_cquot,
-    "check3": _cmd_check3,
-    "check3-product": _cmd_check3_product,
-    "check2": _cmd_check2,
-    "classify": _cmd_classify,
-    "box": _cmd_box,
-    "atlas": _cmd_atlas,
-    "decompose": _cmd_decompose,
-    "synthesize": _cmd_synthesize,
-    "extend": _cmd_extend,
-    "verify-numeric": _cmd_verify_numeric,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

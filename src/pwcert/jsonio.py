@@ -11,10 +11,10 @@ By exact type, a Fraction is its rat_str, a tuple a list, a Poly its
 poly_to_json, and int, str, bool and None are written as they are; an enum
 member is its value, a nested record the same rule again, and anything else
 is a TypeError.  The other encoders add to the rule or pick from it.  The
-atlas (pwcert.atlas) writes its points as dict literals instead, because one
-call encodes up to 40,401 of them: on the 40,401 points of the SL(2,C) atlas
-at 100 x 100 the rule took 76-82 ms against 22-24 ms for the literals, in a
-0.7 s atlas_sl2c_json (2-vCPU host).
+atlas (pwcert.atlas) builds its points as dict literals where it classifies
+them, with no record, because one call encodes up to 40,401 of them: on the
+40,401 points of the SL(2,C) atlas at 100 x 100 the rule took 76-82 ms against
+22-24 ms for the literals, in a 0.7 s atlas_sl2c_json (2-vCPU host).
 
 A decoder reads each member through `_member`, so a missing or mistyped one is
 a ValueError that names the JSON kind and the key.
@@ -32,7 +32,7 @@ from .rationals import rat, rat_str
 if TYPE_CHECKING:  # annotations only: a function that needs one of these at run time imports it
     from .multipoly import MultiPoly
     from .sl2c import GeneratorCoords, IntertwinerDiamond, ReducibilityC, WeightedDiagMap
-    from .sl2r import CompositionSeriesR, IrreducibleR, Level2ReportR
+    from .sl2r import CompositionSeriesR, IrreducibleR
 
 MAX_EXPONENT = 10_000  # mpoly_div_in_var lays each group of equal-degree fibers out densely to this degree
 MAX_KTYPE = 1_000  # q_{-1000,1000} prints 2,567 digits, 2,000 would pass Python's 4,300; pw q takes 0.6 s for it (2-vCPU host)
@@ -153,7 +153,7 @@ def diag_map_from_json(data: dict) -> WeightedDiagMap:
     from .sl2c import WeightedDiagMap
 
     comps = _member(data, "components", "weighted map", dict, "a 'components' object")
-    comps = {int_from_json(k): poly_from_json(v) for k, v in comps.items()}
+    comps = _polys_by_int(comps, int_from_json, "weighted map")
     return WeightedDiagMap(ktype_from_json(_member(data, "n", "weighted map")),
                            ktype_from_json(_member(data, "m", "weighted map")), comps)
 
@@ -170,7 +170,20 @@ def psi_from_json(data: dict) -> dict[int, Poly]:
     """K-picture data: an object from K-type (or weight) to polynomial."""
     if not isinstance(data, dict):
         raise ValueError("psi JSON must be an object of polynomials")
-    return {ktype_from_json(k): poly_from_json(v) for k, v in data.items()}
+    return _polys_by_int(data, ktype_from_json, "psi")
+
+
+def _polys_by_int(data: dict, key_from_json, kind: str) -> dict[int, Poly]:
+    """The polynomials of a JSON object keyed by integers; two keys that name one
+    integer ("2" and "+2", "0" and "-0") are a ValueError, not a lost value."""
+    polys = {}
+    for k, v in data.items():
+        n = key_from_json(k)
+        if n in polys:
+            first = next(j for j in data if key_from_json(j) == n)
+            raise ValueError(f"{kind} JSON has two keys for {n}: {first!r} and {k!r}")
+        polys[n] = poly_from_json(v)
+    return polys
 
 
 def ktype_vec_from_json(data: str) -> tuple[int, ...]:
@@ -202,10 +215,6 @@ def diamond_to_json(d: IntertwinerDiamond) -> dict:
     vertices = record_to_json(d)
     arrows = vertices.pop("arrows")
     return {"vertices": vertices, "arrows": arrows}
-
-
-def level2_report_r_to_json(r: Level2ReportR) -> dict:
-    return {**record_to_json(r), "passed": r.passed}
 
 
 def witness_to_json(witness: Any) -> dict:

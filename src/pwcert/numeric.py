@@ -29,7 +29,6 @@ import math
 from functools import cache, lru_cache
 
 from .errors import ConvergenceNotReached, OutsideConvergenceRegion, PoleProximity
-from .verdict import record
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -46,6 +45,7 @@ _LANCZOS_COEFFS = (
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _POLE_TOL = 1e-9
+_INTEGRAL_TOL = 1e-8  # relative accuracy of c_integral_sl2r
 
 
 def gamma_complex(z: complex) -> complex:
@@ -117,33 +117,6 @@ def _ensure_iwasawa() -> None:
         raise RuntimeError(f"Iwasawa factorization self-check failed ({worst:.3e})")
 
 
-@record
-class QuadratureSpec:
-    """Composite Gauss-Legendre plan on [-half_width, half_width]."""
-
-    half_width: float
-    points: int = 64
-
-    def __post_init__(self) -> None:
-        if self.half_width <= 0:
-            raise ValueError("half_width must be positive")
-        if self.points < 64:
-            raise ValueError("at least 64 points per panel are required")
-
-    @staticmethod
-    def for_lambda(lam: complex, tol: float = 1e-9, points: int = 64) -> "QuadratureSpec":
-        """Pick the truncation from the integrand's power-decay tail bound.
-
-        The two tails together are below tol/10 when
-        2 * X^(-2a) / (2a) <= tol/10 with a = Re(lambda).
-        """
-        a = complex(lam).real
-        if a <= 0:
-            raise OutsideConvergenceRegion("tail bound needs Re(lambda) > 0")
-        half_width = (10.0 / (a * tol)) ** (1.0 / (2.0 * a))
-        return QuadratureSpec(half_width=max(10.0, half_width), points=points)
-
-
 @lru_cache(maxsize=32)
 def _leggauss(points: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
@@ -192,23 +165,26 @@ def _integrate(n: int, lam: complex, half_width: float, points: int) -> complex:
     return total
 
 
-def c_integral_sl2r(n: int, lam: complex, quad: QuadratureSpec | None = None,
-                    tol: float = 1e-9) -> complex:
+def c_integral_sl2r(n: int, lam: complex) -> complex:
     """The defining c-function integral for SL(2,R), numerically.
 
     Only ratios against the n = 0 value are contractually meaningful.  The
-    result is accepted only if doubling the per-panel point count moves it
-    by at most 10 * tol (relative).
+    plan is composite Gauss-Legendre on [-X, X], with X picked from the
+    integrand's power-decay tail bound: the two tails together are below
+    _INTEGRAL_TOL/10 when 2 * X^(-2a) / (2a) <= _INTEGRAL_TOL/10 with
+    a = Re(lambda), and X is at least 10.  The result is accepted only if
+    going from 64 to 128 points per panel moves it by at most
+    10 * _INTEGRAL_TOL (relative).
     """
     lam = complex(lam)
-    if lam.real <= 0:
-        raise OutsideConvergenceRegion(f"Re(lambda) = {lam.real} is not > 0")
+    a = lam.real
+    if a <= 0:
+        raise OutsideConvergenceRegion(f"Re(lambda) = {a} is not > 0")
     _ensure_iwasawa()
-    if quad is None:
-        quad = QuadratureSpec.for_lambda(lam, tol=tol)
-    coarse = _integrate(n, lam, quad.half_width, quad.points)
-    fine = _integrate(n, lam, quad.half_width, 2 * quad.points)
-    if abs(fine - coarse) > 10.0 * tol * max(1.0, abs(fine)):
+    half_width = max(10.0, (10.0 / (a * _INTEGRAL_TOL)) ** (1.0 / (2.0 * a)))
+    coarse = _integrate(n, lam, half_width, 64)
+    fine = _integrate(n, lam, half_width, 128)
+    if abs(fine - coarse) > 10.0 * _INTEGRAL_TOL * max(1.0, abs(fine)):
         raise ConvergenceNotReached(
             f"point doubling moved the result by {abs(fine - coarse):.3e}"
         )
@@ -284,11 +260,11 @@ def verification_report(seed: int = 20240801) -> dict:
 
     worst, count = 0.0, 0
     for lam in (1.0, 2.0, 3.0, 2.0 + 1.0j):
-        base = c_integral_sl2r(0, lam, tol=1e-8)
+        base = c_integral_sl2r(0, lam)
         for n in range(-6, 7, 2):
             num, den = c_quotient_r(n, 0)
             exact = complex(num(lam) / den(lam))
-            ratio = c_integral_sl2r(n, lam, tol=1e-8) / base
+            ratio = c_integral_sl2r(n, lam) / base
             worst = max(worst, relerr(ratio, exact))
             count += 1
     add("sl2r-c-integral-ratio", count, worst)

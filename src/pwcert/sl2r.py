@@ -287,10 +287,7 @@ class Level2ReportR:
     truncation: int
     vanishing: tuple[VanishingCheck, ...]
     functional: tuple[FunctionalCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.vanishing) and all(c.ok for c in self.functional)
+    passed: bool
 
 
 def _ks_sign(n: int, m: int) -> int:
@@ -333,8 +330,9 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> Level2Repor
         functional.append(FunctionalCheck(ktype=n, sign=_ks_sign(n, m),
                                           ok=(psi[n].reflect() * q == q.reflect() * psi[n])))
     vanishing.sort(key=lambda c: (c.lam, c.ktype))
-    return Level2ReportR(m=m, truncation=truncation,
-                         vanishing=tuple(vanishing), functional=tuple(functional))
+    passed = all(c.ok for c in vanishing) and all(c.ok for c in functional)
+    return Level2ReportR(m=m, truncation=truncation, vanishing=tuple(vanishing),
+                         functional=tuple(functional), passed=passed)
 
 
 # -- box pictures ---------------------------------------------------------------------

@@ -239,6 +239,14 @@ def test_malformed_input_is_one_error_line(capsys, args):
      "multivariate polynomial term JSON needs the member 'coeff'"),
     (("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", "[]"),
      "polynomial JSON needs a 'coeffs' list"),
+    # json.loads keeps keys that name one integer; one of the polynomials would be lost.
+    (("check2", "--group", "sl2r", "-m", "0", "--truncation", "4",
+      "--psi", '{"2":{"coeffs":["1"]},"+2":{"coeffs":["0"]}}'), "psi JSON has two keys for 2: '2' and '+2'"),
+    (("check3", "--group", "sl2c",
+      "--phi", '{"n":0,"m":0,"components":{"0":{"coeffs":["1"]},"-0":{"coeffs":["0"]}}}'),
+     "weighted map JSON has two keys for 0: '0' and '-0'"),
+    (("check2", "--group", "sl2c", "-n", "2", "--psi", '{"2":{"coeffs":["1"]},"02":{"coeffs":["1"]}}'),
+     "psi JSON has two keys for 2: '2' and '02'"),
 ])
 def test_malformed_json_names_what_is_wrong(capsys, args, message):
     assert main(list(args)) == 1

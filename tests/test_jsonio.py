@@ -109,7 +109,7 @@ def test_box_picture_json():
 
 def test_level2_report_json():
     report = level2_check_r({4: Poly.one()}, 0, 6)
-    data = jsonio.level2_report_r_to_json(report)
+    data = jsonio.record_to_json(report)
     assert data["passed"] is False
     assert any(not c["ok"] for c in data["vanishing"])
 
@@ -197,14 +197,18 @@ def test_witness_json_is_kind_plus_fields(witness, fields):
 
 
 def test_record_to_json_rejects_unsupported_values():
-    from pwcert.numeric import QuadratureSpec
     from pwcert.sl2r import VanishingCheck
+    from pwcert.verdict import record
+
+    @record
+    class Plan:
+        half_width: float
 
     for value in (5, Fraction(1), Poly.one(), {"m": 1}):
         with pytest.raises(TypeError, match="not a record"):
             jsonio.record_to_json(value)
     with pytest.raises(TypeError):
-        jsonio.record_to_json(QuadratureSpec(half_width=1.5))  # a float field
+        jsonio.record_to_json(Plan(half_width=1.5))  # a float field
     with pytest.raises(TypeError):
         jsonio.record_to_json(VanishingCheck(Fraction(1), 0, "F1", [1], True))  # a list field
     with pytest.raises(TypeError):

@@ -380,7 +380,8 @@ def _level2_by_definition(psi, m, truncation):
         sign = 1 - 2 * (((m - n) // 2) % 2)
         ok = psi[n].reflect() * den == num * psi[n] * sign
         functional.append(FunctionalCheck(n, sign, ok))
-    return Level2ReportR(m, truncation, tuple(vanishing), tuple(functional))
+    passed = all(c.ok for c in vanishing) and all(c.ok for c in functional)
+    return Level2ReportR(m, truncation, tuple(vanishing), tuple(functional), passed)
 
 
 def test_level2_matches_definition_randomized():

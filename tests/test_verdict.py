@@ -23,7 +23,6 @@ SAMPLES = (Fraction(-187, 1), -2, "F_3", (1, (2, 3)), None, True)
 VALID = {  # two samples each of the classes whose __post_init__ constrains the values
     "GeneratorCoords": [{"m": 1, "h": (Poly([1]), Poly([0, Fraction(1, 2)]))},
                         {"m": 1, "h": (Poly([1]), Poly([2]))}],
-    "QuadratureSpec": [{"half_width": 1.5, "points": 80}, {"half_width": 2.5, "points": 80}],
 }
 
 
@@ -42,8 +41,8 @@ def as_dataclass(cls):
 
 
 def test_every_result_class_is_a_record():
-    assert len(RECORDS) == 27
-    assert {"Accept", "Reject", "SwapWitness", "GeneratorCoords", "QuadratureSpec"} <= {c.__name__ for c in RECORDS}
+    assert len(RECORDS) == 24
+    assert {"Accept", "Reject", "SwapWitness", "GeneratorCoords"} <= {c.__name__ for c in RECORDS}
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda c: c.__name__)
@@ -86,14 +85,12 @@ def test_bad_arguments_raise_type_error(cls):
 
 
 def test_defaults_apply():
-    from pwcert.numeric import QuadratureSpec
     from pwcert.sl2c import ReducibilityC, WeightPairCheck
     from pwcert.verdict import Accept, Reject
 
     assert Accept(h=1).coords is None and Accept(1) == Accept(h=1, coords=None)
     assert ReducibilityC(sigma=0, lam=Fraction(1), reducible=False).finite_dim_ktypes == ()
     assert WeightPairCheck(weight=0, ok=True) == WeightPairCheck(0, True, "")
-    assert QuadratureSpec(1.0).points == 64
     assert repr(ReducibilityC(0, Fraction(1), False)) == repr(as_dataclass(ReducibilityC)(0, Fraction(1), False))
     # accepted is a class attribute, not a field.
     assert (Accept.accepted, Reject.accepted) == (True, False)
@@ -110,15 +107,14 @@ def test_equal_values_in_different_classes_are_unequal():
 
 
 def test_post_init_still_validates():
-    from pwcert.numeric import QuadratureSpec
     from pwcert.sl2c import GeneratorCoords
 
     with pytest.raises(ValueError, match="expected 3 coordinates, got 2"):
         GeneratorCoords(2, (Poly([1]), Poly([1])))
-    with pytest.raises(ValueError):
-        QuadratureSpec(half_width=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(1.0, points=10)
+    with pytest.raises(ValueError, match="expected 1 coordinates, got 0"):
+        GeneratorCoords(0, ())
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 3"):
+        GeneratorCoords(1, (Poly([1]),) * 3)
 
 
 def test_witness_json_reads_the_record_fields():
