@@ -43,7 +43,7 @@ def atlas_sl2r_json(lambda_max: Fraction) -> dict:
     return {"group": "sl2r", "lambda_max": rat_str(lambda_max), "points": atlas_sl2r(lambda_max)}
 
 
-def _orbit_id(orbit: frozenset[tuple[int, int]]) -> str:
+def _orbit_id(orbit: tuple[tuple[int, int], ...]) -> str:
     s, l = min(orbit)
     return f"{s},{l}"
 

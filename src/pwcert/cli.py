@@ -53,8 +53,18 @@ def _load_json_arg(value: str):
     """Inline JSON, or @file to read from disk."""
     if value.startswith("@"):
         with open(value[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.loads(value)
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    return json.loads(value, object_pairs_hook=_unique_keys)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object; a key given twice is a ValueError, where json would keep the last."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"JSON object has the key {key!r} twice")
+        obj[key] = value
+    return obj
 
 
 def _emit(payload, out: str | None, raw: bool = False) -> None:
@@ -257,7 +267,7 @@ def _cmd_classify(args) -> int:
     verdict = reducibility_c(sigma, lam)
     payload = jsonio.reducibility_to_json(verdict)
     if args.diamond and verdict.reducible:
-        payload["diamond"] = jsonio.diamond_to_json(diamond(sigma, lam))
+        payload["diamond"] = diamond(sigma, lam)
     _emit(payload, args.out)
     return 0
 

@@ -11,10 +11,10 @@ By exact type, a Fraction is its rat_str, a tuple a list, a Poly its
 poly_to_json, and int, str, bool and None are written as they are; an enum
 member is its value, a nested record the same rule again, and anything else
 is a TypeError.  The other encoders add to the rule or pick from it.  The
-atlas (pwcert.atlas) builds its points as dict literals where it classifies
-them, with no record, because one call encodes up to 40,401 of them: on the
-40,401 points of the SL(2,C) atlas at 100 x 100 the rule took 76-82 ms against
-22-24 ms for the literals, in a 0.7 s atlas_sl2c_json (2-vCPU host).
+atlas (pwcert.atlas) and the intertwiner diamond (pwcert.sl2c.diamond) build
+their JSON as dict literals where they classify, with no record: one atlas call
+encodes up to 40,401 points (at SL(2,C) 100 x 100 the rule took 76-82 ms, the
+literals 22-24 ms, in a 0.7 s atlas_sl2c_json, 2-vCPU host).
 
 A decoder reads each member through `_member`, so a missing or mistyped one is
 a ValueError that names the JSON kind and the key.
@@ -31,7 +31,7 @@ from .rationals import rat, rat_str
 
 if TYPE_CHECKING:  # annotations only: a function that needs one of these at run time imports it
     from .multipoly import MultiPoly
-    from .sl2c import GeneratorCoords, IntertwinerDiamond, ReducibilityC, WeightedDiagMap
+    from .sl2c import GeneratorCoords, ReducibilityC, WeightedDiagMap
     from .sl2r import CompositionSeriesR, IrreducibleR
 
 MAX_EXPONENT = 10_000  # mpoly_div_in_var lays each group of equal-degree fibers out densely to this degree
@@ -209,12 +209,6 @@ def reducibility_to_json(r: ReducibilityC) -> dict:
     if not r.reducible:
         return {"sigma": r.sigma, "lambda": rat_str(r.lam), "reducible": False}
     return {**record_to_json(r), "r_ktype_min": abs(int(r.lam))}
-
-
-def diamond_to_json(d: IntertwinerDiamond) -> dict:
-    vertices = record_to_json(d)
-    arrows = vertices.pop("arrows")
-    return {"vertices": vertices, "arrows": arrows}
 
 
 def witness_to_json(witness: Any) -> dict:

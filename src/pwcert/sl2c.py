@@ -138,58 +138,25 @@ def reducibility_c(sigma: int, lam: RatLike) -> ReducibilityC:
     )
 
 
-Vertex = tuple[int, int]  # (sigma, lambda) with integral lambda
+def diamond_orbit(sigma: int, lam: int) -> tuple[tuple[int, int], ...]:
+    """Parameter orbit (s,l), (-s,-l), (l,s), (-l,-s), the diamond's right, left,
+    top and bottom vertices, without reducibility demands."""
+    return (sigma, lam), (-sigma, -lam), (lam, sigma), (-lam, -sigma)
 
 
-@record
-class DiamondArrow:
-    name: str
-    src: Vertex
-    dst: Vertex
-
-
-@record
-class IntertwinerDiamond:
-    """The four-series parameter orbit and its six intertwiners.
-
-    Vertices are the Weyl/ladder orbit of (sigma, lambda): right (sigma,
-    lambda), left (-sigma, -lambda), top (lambda, sigma), bottom
-    (-lambda, -sigma).  Arrows carry the standard names: L (bottom ->
-    right), L' (top -> right), Lt (left -> top), Lt' (left -> bottom) and
-    the two Knapp-Stein arrows J (right -> left, top -> bottom).
-    """
-
-    right: Vertex
-    left: Vertex
-    top: Vertex
-    bottom: Vertex
-    arrows: tuple[DiamondArrow, ...]
-
-
-def diamond(sigma: int, lam: RatLike) -> IntertwinerDiamond:
-    """Structural data of the intertwiner diamond at a reducible point."""
+def diamond(sigma: int, lam: RatLike) -> dict:
+    """The intertwiner diamond at a reducible point, as pw classify --diamond prints it:
+    the vertices diamond_orbit(sigma, lambda) by position, and the arrows L
+    (bottom -> right), L' (top -> right), Lt (left -> top), Lt' (left -> bottom)
+    and the two Knapp-Stein arrows J (right -> left, top -> bottom)."""
     verdict = reducibility_c(sigma, lam)
     if not verdict.reducible:
         raise NotReduciblePoint(f"(sigma, lambda) = ({sigma}, {lam}) is not reducible")
-    lam_int = int(verdict.lam)
-    right: Vertex = (sigma, lam_int)
-    left: Vertex = (-sigma, -lam_int)
-    top: Vertex = (lam_int, sigma)
-    bottom: Vertex = (-lam_int, -sigma)
-    arrows = (
-        DiamondArrow("L", bottom, right),
-        DiamondArrow("L'", top, right),
-        DiamondArrow("Lt", left, top),
-        DiamondArrow("Lt'", left, bottom),
-        DiamondArrow("J", right, left),
-        DiamondArrow("J", top, bottom),
-    )
-    return IntertwinerDiamond(right=right, left=left, top=top, bottom=bottom, arrows=arrows)
-
-
-def diamond_orbit(sigma: int, lam: int) -> frozenset[Vertex]:
-    """Parameter orbit {(s,l), (-s,-l), (l,s), (-l,-s)} without reducibility demands."""
-    return frozenset({(sigma, lam), (-sigma, -lam), (lam, sigma), (-lam, -sigma)})
+    right, left, top, bottom = diamond_orbit(sigma, int(verdict.lam))
+    arrows = [("L", bottom, right), ("L'", top, right), ("Lt", left, top),
+              ("Lt'", left, bottom), ("J", right, left), ("J", top, bottom)]
+    return {"vertices": {"right": right, "left": left, "top": top, "bottom": bottom},
+            "arrows": [{"name": name, "src": src, "dst": dst} for name, src, dst in arrows]}
 
 
 # -- weight-diagonal morphism data ------------------------------------------------------
@@ -252,11 +219,9 @@ def common_weights(n: int, m: int) -> list[int]:
     return weights(min(n, m))
 
 
-def diag_map(src: int, dst: int, component: Poly | dict[int, Poly]) -> WeightedDiagMap:
-    """Build a map from one polynomial (broadcast) or a full component dict."""
-    if isinstance(component, Poly):
-        return WeightedDiagMap(src, dst, {k: component for k in common_weights(src, dst)})
-    return WeightedDiagMap(src, dst, dict(component))
+def diag_map(src: int, dst: int, component: Poly) -> WeightedDiagMap:
+    """The map with one polynomial at every common weight."""
+    return WeightedDiagMap(src, dst, {k: component for k in common_weights(src, dst)})
 
 
 # -- ladder chains ------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from pwcert import jsonio
 from pwcert.cli import main
 from pwcert.multipoly import MultiPoly
 from pwcert.poly import Poly
-from pwcert.sl2c import diag_map, q_nm_c, weights
+from pwcert.sl2c import WeightedDiagMap, diag_map, q_nm_c, weights
 from pwcert.sl2r import q_poly_r
 from pwcert.sl2r_product import q_product
 
@@ -54,7 +54,7 @@ def _algebra_element(rng: random.Random, m: int):
         mu = Poly([k * k, 0, 1])
         kx = Poly([0, k])
         comps[k] = compose(f, mu) * compose(g, kx)
-    return diag_map(m, m, comps)
+    return WeightedDiagMap(m, m, comps)
 
 
 def _swap_break(rng: random.Random, m: int, j: int, l0: int):
@@ -69,7 +69,7 @@ def _swap_break(rng: random.Random, m: int, j: int, l0: int):
     comps = dict(_algebra_element(rng, m).components)
     comps[j] = comps[j] + b
     comps[-j] = comps[-j] + b.reflect()
-    return diag_map(m, m, comps)
+    return WeightedDiagMap(m, m, comps)
 
 
 def _first_failing_pairs() -> list[list[str]]:
@@ -135,13 +135,13 @@ def calls() -> list[list[str]]:
         elif kind == "symmetry":
             comps = dict(h.components)
             comps[max(weights(level))] = comps[max(weights(level))] + Poly([0, 1])
-            phi = diag_map(level, level, comps)
+            phi = WeightedDiagMap(level, level, comps)
             phi = then(phi, q_nm_c(n, m)) if n <= m else then(q_nm_c(n, m), phi)
         elif kind == "swap":
-            phi = diag_map(level, level, {k: Poly([k * k + 1]) for k in weights(level)})
+            phi = WeightedDiagMap(level, level, {k: Poly([k * k + 1]) for k in weights(level)})
             phi = then(phi, q_nm_c(n, m)) if n <= m else then(q_nm_c(n, m), phi)
         else:
-            phi = diag_map(n, m, {k: _random(rng, 3) for k in weights(level)})
+            phi = WeightedDiagMap(n, m, {k: _random(rng, 3) for k in weights(level)})
         out.append(["check3", "--group", "sl2c", "--phi", json.dumps(jsonio.diag_map_to_json(phi))])
     out.append(["check3", "--group", "sl2c", "-n", "1", "--phi",
                 json.dumps(jsonio.diag_map_to_json(diag_map(2, 2, Poly.one())))])

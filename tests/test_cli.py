@@ -247,6 +247,16 @@ def test_malformed_input_is_one_error_line(capsys, args):
      "weighted map JSON has two keys for 0: '0' and '-0'"),
     (("check2", "--group", "sl2c", "-n", "2", "--psi", '{"2":{"coeffs":["1"]},"02":{"coeffs":["1"]}}'),
      "psi JSON has two keys for 2: '2' and '02'"),
+    # json.loads keeps only the last of two equal keys; each of these would pass or accept.
+    (("check2", "--group", "sl2r", "-m", "0", "--truncation", "4",
+      "--psi", '{"2":{"coeffs":["1"]},"2":{"coeffs":["0"]}}'), "JSON object has the key '2' twice"),
+    (("check3", "--group", "sl2c",
+      "--phi", '{"n":0,"m":0,"components":{"0":{"coeffs":["1"]},"0":{"coeffs":["0"]}}}'),
+     "JSON object has the key '0' twice"),
+    (("check3", "--group", "sl2r", "-n", "1", "-m", "1", "--phi", '{"coeffs":["1","x"],"coeffs":["0"]}'),
+     "JSON object has the key 'coeffs' twice"),
+    (("synthesize", "--coords", '{"m":0,"h":[{"coeffs":["x"]}],"h":[{"coeffs":["1"]}]}'),
+     "JSON object has the key 'h' twice"),
 ])
 def test_malformed_json_names_what_is_wrong(capsys, args, message):
     assert main(list(args)) == 1
@@ -328,6 +338,13 @@ def test_phi_from_file(tmp_path, capsys):
     code, data = run_json(capsys, "check3", "--group", "sl2r", "-n", "3", "-m", "1",
                           "--phi", f"@{path}")
     assert code == 0 and data["accept"] is True
+
+
+def test_repeated_key_in_a_file_is_refused(tmp_path, capsys):
+    path = tmp_path / "psi.json"
+    path.write_text('{"0": {"coeffs": ["1"]}, "2": {"coeffs": ["1"]}, "0": {"coeffs": ["0"]}}')
+    assert error_output(capsys, "check2", "--group", "sl2c", "-n", "0", "--psi", f"@{path}") == (
+        "pw: error: JSON object has the key '0' twice\n")
 
 
 def test_out_file(tmp_path, capsys):

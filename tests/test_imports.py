@@ -65,8 +65,10 @@ PHI_PRODUCT = '{"arity":2,"terms":[{"exps":[1,0],"coeff":"1"},{"exps":[0,0],"coe
     (("check2", "--group", "sl2c", "-n", "0", "--psi", '{"0":{"coeffs":["2","1"]}}'), 0, "sl2c",
      {"ratfunc", "gammaprod"}),
     (("verify-numeric",), 0, "numeric", {"ratfunc", "gammaprod"}),
+    (("classify", "--group", "sl2c", "--sigma", "0", "--lambda", "2", "--diamond"), 0, "sl2c",
+     {"sl2r", "atlas", "multipoly", "ratfunc", "gammaprod"}),
 ], ids=["q-sl2r", "q-sl2c", "check3-product", "atlas-sl2r", "atlas-sl2c", "reject-witness-sl2r",
-        "cquot-sl2r", "cquot-sl2c", "check2-sl2c", "verify-numeric"])
+        "cquot-sl2r", "cquot-sl2c", "check2-sl2c", "verify-numeric", "classify-diamond-sl2c"])
 def test_subcommand_loads_only_its_modules(argv, code, ran, absent):
     got_code, modules = loaded(*argv)
     assert got_code == code and ran in modules

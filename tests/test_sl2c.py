@@ -214,12 +214,11 @@ def test_reducibility_non_real_and_non_integral():
 
 def test_diamond_example():
     d = diamond(0, 2)
-    assert d.right == (0, 2) and d.left == (0, -2)
-    assert d.top == (2, 0) and d.bottom == (-2, 0)
-    assert ("L", (-2, 0), (0, 2)) == (d.arrows[0].name, d.arrows[0].src, d.arrows[0].dst)
-    assert len(d.arrows) == 6
+    assert d["vertices"] == {"right": (0, 2), "left": (0, -2), "top": (2, 0), "bottom": (-2, 0)}
+    assert d["arrows"][0] == {"name": "L", "src": (-2, 0), "dst": (0, 2)}
+    assert len(d["arrows"]) == 6
     d = diamond(2, 4)
-    assert {d.right, d.left, d.top, d.bottom} == {(2, 4), (-2, -4), (4, 2), (-4, -2)}
+    assert set(d["vertices"].values()) == {(2, 4), (-2, -4), (4, 2), (-4, -2)}
     with pytest.raises(NotReduciblePoint):
         diamond(1, 2)
 

@@ -41,7 +41,7 @@ def as_dataclass(cls):
 
 
 def test_every_result_class_is_a_record():
-    assert len(RECORDS) == 24
+    assert len(RECORDS) == 22
     assert {"Accept", "Reject", "SwapWitness", "GeneratorCoords"} <= {c.__name__ for c in RECORDS}
 
 
