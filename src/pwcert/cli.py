@@ -51,10 +51,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _load_json_arg(value: str):
     """Inline JSON, or @file to read from disk."""
-    if value.startswith("@"):
-        with open(value[1:], "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=_unique_keys)
-    return json.loads(value, object_pairs_hook=_unique_keys)
+    try:
+        if value.startswith("@"):
+            with open(value[1:], "r", encoding="utf-8") as fh:
+                return json.load(fh, object_pairs_hook=_unique_keys)
+        return json.loads(value, object_pairs_hook=_unique_keys)
+    except RecursionError:  # json's scanner recurses once per nested array or object
+        raise ValueError("JSON argument is nested too deeply") from None
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -249,8 +252,8 @@ def _cmd_check2(args) -> int:
         if args.n is None:
             raise ValueError("check2 --group sl2c needs -n")
         report = level2_functional_check_c(psi, jsonio.ktype_from_json(args.n))
-    _emit(jsonio.record_to_json(report), args.out)
-    return 0 if report.passed else 2
+    _emit(report, args.out)
+    return 0 if report["passed"] else 2
 
 
 def _cmd_classify(args) -> int:

@@ -11,10 +11,13 @@ By exact type, a Fraction is its rat_str, a tuple a list, a Poly its
 poly_to_json, and int, str, bool and None are written as they are; an enum
 member is its value, a nested record the same rule again, and anything else
 is a TypeError.  The other encoders add to the rule or pick from it.  The
-atlas (pwcert.atlas) and the intertwiner diamond (pwcert.sl2c.diamond) build
-their JSON as dict literals where they classify, with no record: one atlas call
-encodes up to 40,401 points (at SL(2,C) 100 x 100 the rule took 76-82 ms, the
-literals 22-24 ms, in a 0.7 s atlas_sl2c_json, 2-vCPU host).
+atlas (pwcert.atlas), the intertwiner diamond (pwcert.sl2c.diamond) and both
+Level-2 reports (sl2r.level2_check_r, sl2c.level2_functional_check_c) build
+their JSON as dict literals where they are computed, with no record: one atlas
+call encodes up to 40,401 points (at SL(2,C) 100 x 100 the rule took 76-82 ms,
+the literals 22-24 ms, in a 0.7 s atlas_sl2c_json), one SL(2,R) report at
+truncation 400 up to 40,200 checks (the rule took 324 ms after a 2.1 s check;
+2-vCPU host).
 
 A decoder reads each member through `_member`, so a missing or mistyped one is
 a ValueError that names the JSON kind and the key.

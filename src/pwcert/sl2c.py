@@ -480,23 +480,9 @@ def extend_interpolate(h: WeightedDiagMap, target: int) -> WeightedDiagMap:
 # -- Level-2 scalar shadow ------------------------------------------------------------------
 
 
-@record
-class WeightPairCheck:
-    weight: int
-    ok: bool
-    reason: str = ""
-
-
-@record
-class Level2ReportC:
-    n: int
-    partner: int | None
-    checks: tuple[WeightPairCheck, ...]
-    passed: bool
-
-
-def level2_functional_check_c(psi: dict[int, Poly], n: int) -> Level2ReportC:
-    """Scalar shadow of the K-picture functional equation for the K-type n.
+def level2_functional_check_c(psi: dict[int, Poly], n: int) -> dict:
+    """Scalar shadow of the K-picture functional equation for the K-type n, as
+    the report pw check2 prints.
 
     Checks that all weight components share one ratio
     psi_{-k}(-x) / psi_k(x) and that this ratio is a signed c-function
@@ -517,26 +503,24 @@ def level2_functional_check_c(psi: dict[int, Poly], n: int) -> Level2ReportC:
             raise WeightNotInKType(f"weight {k} does not occur in K-type {n}")
     comp = {k: psi.get(k, Poly.zero()) for k in wts}
 
-    checks: list[WeightPairCheck] = []
+    checks = []
     num = den = None
     for k in wts:
         a, b = comp[k], comp[-k]
         if a.is_zero and b.is_zero:
             continue
         if a.is_zero or b.is_zero:
-            checks.append(WeightPairCheck(weight=k, ok=False,
-                                          reason="component vanishes on one side only"))
+            checks.append({"weight": k, "ok": False, "reason": "component vanishes on one side only"})
             continue
         if num is None:
             num, den = b.reflect(), a
         if b.reflect() * den != num * a:
-            checks.append(WeightPairCheck(weight=k, ok=False,
-                                          reason="component ratio differs across weights"))
+            checks.append({"weight": k, "ok": False, "reason": "component ratio differs across weights"})
         else:
-            checks.append(WeightPairCheck(weight=k, ok=True))
+            checks.append({"weight": k, "ok": True, "reason": ""})
 
     partner: int | None = None
-    if num is not None and all(c.ok for c in checks):
+    if num is not None and all(c["ok"] for c in checks):
         if num == den:
             partner = n
         else:
@@ -544,7 +528,5 @@ def level2_functional_check_c(psi: dict[int, Poly], n: int) -> Level2ReportC:
             chains = ((m, ladder(q_roots_c(m, n), 1)) for m in (n + 2 * j, n - 2 * j) if m >= 0)
             partner = next((m for m, q in chains if num * q.reflect() == q * den), None)
             if partner is None:
-                checks.append(WeightPairCheck(weight=0, ok=False,
-                                              reason="shared ratio is not a c-quotient ladder"))
-    passed = all(c.ok for c in checks)
-    return Level2ReportC(n=n, partner=partner, checks=tuple(checks), passed=passed)
+                checks.append({"weight": 0, "ok": False, "reason": "shared ratio is not a c-quotient ladder"})
+    return {"n": n, "partner": partner, "checks": checks, "passed": all(c["ok"] for c in checks)}

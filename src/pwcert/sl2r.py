@@ -26,7 +26,6 @@ Knapp-Stein equation q_{n,m}(-x) / q_{n,m}(x) = (-1)^{(m-n)/2} c_n / c_m.
 from __future__ import annotations
 
 import enum
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .errors import TruncationTooSmall, check_parity
@@ -64,9 +63,9 @@ def c_quotient_r(n: int, m: int) -> tuple[Poly, Poly]:
 # -- intertwining polynomials ------------------------------------------------------
 
 
-def _ladder_pairs(n: int, m: int) -> tuple[Sequence[int], int]:
-    """The roots of q_{n,m} in increasing order, as int numerators over one
-    denominator: 2 when n is even (half-integer roots), 1 when n is odd.
+def _ladder_pairs(n: int, m: int) -> tuple[range, int]:
+    """The roots of q_{n,m} in increasing order, as a range of int numerators
+    over one denominator: 2 when n is even (half-integer roots), 1 when n is odd.
 
     Same-sign K-types (0 counts as either sign) give a one-sided ladder;
     strictly opposite signs give the full ladder from -(|n|-1)/2 up to
@@ -80,7 +79,7 @@ def _ladder_pairs(n: int, m: int) -> tuple[Sequence[int], int]:
         ts = range(1 - a, -b, 2)
     else:
         ts = range(a + 1, b, 2)
-    return (ts, 2) if a % 2 == 0 else ([t // 2 for t in ts], 1)
+    return (ts, 2) if a % 2 == 0 else (range(ts.start // 2, ts.start // 2 + len(ts)), 1)
 
 
 def q_poly_r(n: int, m: int) -> Poly:
@@ -261,49 +260,18 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
 # -- Level-2 membership ------------------------------------------------------------
 
 
-@record
-class VanishingCheck:
-    """Condition at one reducibility point: psi_n(lambda) must vanish."""
-
-    lam: Fraction
-    ktype: int
-    submodule: str
-    value: Fraction
-    ok: bool
-
-
-@record
-class FunctionalCheck:
-    """Cleared c-quotient functional equation for one K-type component."""
-
-    ktype: int
-    sign: int
-    ok: bool
-
-
-@record
-class Level2ReportR:
-    m: int
-    truncation: int
-    vanishing: tuple[VanishingCheck, ...]
-    functional: tuple[FunctionalCheck, ...]
-    passed: bool
-
-
-def _ks_sign(n: int, m: int) -> int:
-    return -1 if ((m - n) // 2) % 2 else 1
-
-
-def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> Level2ReportR:
+def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> dict:
     """Check K-picture data psi (one polynomial per K-type) against both
-    intertwining conditions for the bundle K-type m.
+    intertwining conditions for the bundle K-type m, as the report pw check2
+    prints.
 
     Both conditions read the ladder q = q_{n,m} of each component n.
 
     Vanishing condition: psi_n(lambda) = 0 at every reducibility point with
     |lambda| <= (N+1)/2 where n lies outside the smallest invariant
     submodule containing m.  Those points are exactly the roots of q
-    (acceptance criterion 03), so only the roots are visited.
+    (acceptance criterion 03).  The walk runs over the points in increasing
+    lambda, up to the ladders' span, and looks up each point's submodule once.
 
     Functional equation: psi_n(-x) * q(x) = q(-x) * psi_n(x) exactly.  Since
     q(-x)/q(x) = sign * c_n/c_m with sign = (-1)^((m-n)/2) (criterion 02),
@@ -312,27 +280,28 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> Level2Repor
     if truncation < 0:
         raise TruncationTooSmall(f"truncation must be >= 0, got {truncation}")
     for n in psi:
-        check_parity(n, m)
         if abs(n) > truncation:
             raise TruncationTooSmall(f"K-type {n} exceeds truncation {truncation}")
-    bound = Fraction(truncation + 1, 2)
-    vanishing, functional = [], []
-    for n in sorted(psi):
-        nums, den = _ladder_pairs(n, m)
-        for a in nums:
-            lam = Fraction(a, den)
-            if abs(lam) <= bound:
-                value = psi[n](lam)
-                vanishing.append(VanishingCheck(
-                    lam=lam, ktype=n, submodule=smallest_submodule_r(m, lam).label,
-                    value=value, ok=(value == 0)))
+    ladders = {n: _ladder_pairs(n, m)[0] for n in sorted(psi)}
+    den = 2 if m % 2 == 0 else 1  # each root is a/den, a odd if den is 2, |a/den| < max |K-type| / 2
+    top = (min(truncation, max(abs(n) for n in (m, *psi))) + 1) * den // 2
+    vanishing = []
+    for a in range(-top + (top + 1) % den, top + 1, den):
+        ktypes = [n for n, nums in ladders.items() if a in nums]
+        if not ktypes:
+            continue
+        lam = Fraction(a, den)
+        point = {"lambda": rat_str(lam), "submodule": smallest_submodule_r(m, lam).label}
+        for n in ktypes:
+            value = psi[n](lam)
+            vanishing.append({**point, "ktype": n, "value": rat_str(value), "ok": value == 0})
+    functional = []
+    for n, nums in ladders.items():
         q = ladder(nums, den)
-        functional.append(FunctionalCheck(ktype=n, sign=_ks_sign(n, m),
-                                          ok=(psi[n].reflect() * q == q.reflect() * psi[n])))
-    vanishing.sort(key=lambda c: (c.lam, c.ktype))
-    passed = all(c.ok for c in vanishing) and all(c.ok for c in functional)
-    return Level2ReportR(m=m, truncation=truncation, vanishing=tuple(vanishing),
-                         functional=tuple(functional), passed=passed)
+        functional.append({"ktype": n, "sign": -1 if (m - n) // 2 % 2 else 1,
+                           "ok": psi[n].reflect() * q == q.reflect() * psi[n]})
+    return {"m": m, "truncation": truncation, "vanishing": vanishing, "functional": functional,
+            "passed": all(c["ok"] for c in vanishing + functional)}
 
 
 # -- box pictures ---------------------------------------------------------------------

@@ -6,7 +6,7 @@ of ``ladder_oracle``."""
 from pwcert.errors import WeightNotInKType
 from pwcert.poly import Poly
 from pwcert.ratfunc import RationalFunction
-from pwcert.sl2c import Level2ReportC, WeightPairCheck, weights
+from pwcert.sl2c import weights
 from ladder_oracle import c_quotient_c_ladder
 
 
@@ -20,7 +20,7 @@ def candidate_ratios(n: int, j: int) -> list[tuple[int, RationalFunction]]:
     return candidates
 
 
-def reduced_ratio_check(psi: dict[int, Poly], n: int) -> Level2ReportC:
+def reduced_ratio_check(psi: dict[int, Poly], n: int) -> dict:
     """One shared reduced ratio psi_{-k}(-x) / psi_k(x) across the weights,
     matched against the candidates of its degree by equality of canonical forms."""
     wts = weights(n)
@@ -29,26 +29,24 @@ def reduced_ratio_check(psi: dict[int, Poly], n: int) -> Level2ReportC:
             raise WeightNotInKType(f"weight {k} does not occur in K-type {n}")
     comp = {k: psi.get(k, Poly.zero()) for k in wts}
 
-    checks: list[WeightPairCheck] = []
+    checks = []
     ratio: RationalFunction | None = None
     for k in wts:
         a, b = comp[k], comp[-k]
         if a.is_zero and b.is_zero:
             continue
         if a.is_zero or b.is_zero:
-            checks.append(WeightPairCheck(weight=k, ok=False,
-                                          reason="component vanishes on one side only"))
+            checks.append({"weight": k, "ok": False, "reason": "component vanishes on one side only"})
             continue
         if ratio is None:
             ratio = RationalFunction(b.reflect(), a)
         if b.reflect() * ratio.den != ratio.num * a:
-            checks.append(WeightPairCheck(weight=k, ok=False,
-                                          reason="component ratio differs across weights"))
+            checks.append({"weight": k, "ok": False, "reason": "component ratio differs across weights"})
         else:
-            checks.append(WeightPairCheck(weight=k, ok=True))
+            checks.append({"weight": k, "ok": True, "reason": ""})
 
     partner: int | None = None
-    if ratio is not None and all(c.ok for c in checks):
+    if ratio is not None and all(c["ok"] for c in checks):
         if ratio.is_one:
             partner = n
         else:
@@ -58,7 +56,6 @@ def reduced_ratio_check(psi: dict[int, Poly], n: int) -> Level2ReportC:
                     partner = m
                     break
             if partner is None:
-                checks.append(WeightPairCheck(weight=0, ok=False,
-                                              reason="shared ratio is not a c-quotient ladder"))
-    passed = all(c.ok for c in checks)
-    return Level2ReportC(n=n, partner=partner, checks=tuple(checks), passed=passed)
+                checks.append({"weight": 0, "ok": False, "reason": "shared ratio is not a c-quotient ladder"})
+    passed = all(c["ok"] for c in checks)
+    return {"n": n, "partner": partner, "checks": checks, "passed": passed}

@@ -347,6 +347,18 @@ def test_repeated_key_in_a_file_is_refused(tmp_path, capsys):
         "pw: error: JSON object has the key '0' twice\n")
 
 
+@pytest.mark.parametrize("from_file", [False, True], ids=["inline", "file"])
+def test_deeply_nested_json_is_refused(tmp_path, capsys, from_file):
+    # json's scanner recurses once per level; past the recursion limit that was a traceback.
+    phi = "[" * 100_000
+    if from_file:
+        path = tmp_path / "deep.json"
+        path.write_text(phi)
+        phi = f"@{path}"
+    assert error_output(capsys, "check3", "--group", "sl2r", "-n", "1", "-m", "1", "--phi", phi) == (
+        "pw: error: JSON argument is nested too deeply\n")
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "q.json"
     code = main(["q", "--group", "sl2r", "-n", "3", "-m", "1", "--out", str(path)])

@@ -1,5 +1,6 @@
 """JSON schema round trips for every wire type."""
 
+import json
 import time
 from fractions import Fraction
 
@@ -108,10 +109,14 @@ def test_box_picture_json():
 
 
 def test_level2_report_json():
-    report = level2_check_r({4: Poly.one()}, 0, 6)
-    data = jsonio.record_to_json(report)
+    # The report is the JSON row pw check2 prints.
+    data = level2_check_r({4: Poly.one()}, 0, 6)
+    assert json.loads(json.dumps(data)) == data
     assert data["passed"] is False
-    assert any(not c["ok"] for c in data["vanishing"])
+    assert data["functional"] == [{"ktype": 4, "sign": 1, "ok": False}]
+    assert [c for c in data["vanishing"] if not c["ok"]] == [
+        {"lambda": "-3/2", "ktype": 4, "submodule": "F3", "value": "1", "ok": False},
+        {"lambda": "-1/2", "ktype": 4, "submodule": "F1", "value": "1", "ok": False}]
 
 
 def test_witness_json():
@@ -130,15 +135,17 @@ def test_record_to_json_coords_with_polys():
         "m": 2, "h": [{"coeffs": ["1"]}, {"coeffs": ["-1/2", "1"]}, {"coeffs": []}]}
 
 
-def test_record_to_json_level2_report_c():
-    from pwcert.sl2c import Level2ReportC, WeightPairCheck
+def test_level2_report_c_json():
+    # The SL(2,C) report is the JSON row pw check2 prints; null partner, "" reason.
+    from pwcert.sl2c import level2_functional_check_c
 
-    report = Level2ReportC(n=2, partner=None, passed=False,
-                           checks=(WeightPairCheck(-2, True), WeightPairCheck(0, False, "ratio")))
-    assert jsonio.record_to_json(report) == {
+    report = level2_functional_check_c({0: Poly([2, 1]), 2: Poly.one(), -2: Poly.one()}, 2)
+    assert json.loads(json.dumps(report)) == report
+    assert report == {
         "n": 2, "partner": None, "passed": False,
         "checks": [{"weight": -2, "ok": True, "reason": ""},
-                   {"weight": 0, "ok": False, "reason": "ratio"}]}
+                   {"weight": 0, "ok": False, "reason": "component ratio differs across weights"},
+                   {"weight": 2, "ok": True, "reason": ""}]}
 
 
 def test_record_to_json_reducibility_c():
@@ -197,12 +204,19 @@ def test_witness_json_is_kind_plus_fields(witness, fields):
 
 
 def test_record_to_json_rejects_unsupported_values():
-    from pwcert.sl2r import VanishingCheck
     from pwcert.verdict import record
 
     @record
     class Plan:
         half_width: float
+
+    @record
+    class Point:
+        lam: Fraction
+        ktype: int
+        submodule: str
+        value: list
+        ok: bool
 
     for value in (5, Fraction(1), Poly.one(), {"m": 1}):
         with pytest.raises(TypeError, match="not a record"):
@@ -210,7 +224,7 @@ def test_record_to_json_rejects_unsupported_values():
     with pytest.raises(TypeError):
         jsonio.record_to_json(Plan(half_width=1.5))  # a float field
     with pytest.raises(TypeError):
-        jsonio.record_to_json(VanishingCheck(Fraction(1), 0, "F1", [1], True))  # a list field
+        jsonio.record_to_json(Point(Fraction(1), 0, "F1", [1], True))  # a list field
     with pytest.raises(TypeError):
         jsonio.witness_to_json(("root", 1))
 

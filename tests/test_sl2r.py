@@ -11,15 +11,13 @@ import pytest
 from pwcert.errors import ParityMismatch, TruncationTooSmall
 from pwcert.gammaprod import c_gamma_r, gamma_reduce
 from pwcert.poly import Poly, first_root_not_vanishing, poly_div_rem
+from pwcert.rationals import rat_str
 from pwcert.sl2r import (
     FULL,
-    FunctionalCheck,
     IrreducibleR,
-    Level2ReportR,
     OddQuotientWitness,
     RootWitness,
     SigmaR,
-    VanishingCheck,
     box_picture_r,
     c_quotient_r,
     composition_series_r,
@@ -327,26 +325,30 @@ def test_level3_matches_the_division_first_checker():
 def test_level2_members_pass():
     psi = {n: q_poly_r(n, 0) for n in range(-6, 7, 2)}
     report = level2_check_r(psi, 0, 6)
-    assert report.passed
+    assert report["passed"]
 
 
 def test_level2_vanishing_failure_localized():
     psi = {4: Poly.one()}
     report = level2_check_r(psi, 0, 6)
-    assert not report.passed
-    bad = [c for c in report.vanishing if not c.ok]
-    assert any(c.lam == Fraction(-3, 2) and c.ktype == 4 and c.submodule == "F3" for c in bad)
+    assert not report["passed"]
+    bad = [c for c in report["vanishing"] if not c["ok"]]
+    assert any(c["lambda"] == "-3/2" and c["ktype"] == 4 and c["submodule"] == "F3" for c in bad)
 
 
 def test_level2_zero_passes():
-    assert level2_check_r({n: Poly.zero() for n in (-2, 0, 2)}, 0, 4).passed
+    assert level2_check_r({n: Poly.zero() for n in (-2, 0, 2)}, 0, 4)["passed"]
 
 
 def test_level2_truncation_and_parity_errors():
     with pytest.raises(TruncationTooSmall):
         level2_check_r({8: Poly.one()}, 0, 6)
-    with pytest.raises(ParityMismatch):
+    with pytest.raises(ParityMismatch, match="K-types 3 and 0 have different parity"):
         level2_check_r({3: Poly.one()}, 0, 6)
+    # The truncation is checked on every K-type before any parity, in either key order.
+    for psi in ({3: Poly.one(), 8: Poly.one()}, {8: Poly.one(), 3: Poly.one()}):
+        with pytest.raises(TruncationTooSmall, match="K-type 8 exceeds truncation 6"):
+            level2_check_r(psi, 0, 6)
 
 
 def test_level2_even_members_with_h():
@@ -358,7 +360,7 @@ def test_level2_even_members_with_h():
                 continue
             h = Poly([rng.randint(-5, 5) if i % 2 == 0 else 0 for i in range(5)])
             psi[n] = h * q_poly_r(n, m)
-        assert level2_check_r(psi, m, 7).passed
+        assert level2_check_r(psi, m, 7)["passed"]
 
 
 def _level2_by_definition(psi, m, truncation):
@@ -373,15 +375,17 @@ def _level2_by_definition(psi, m, truncation):
         for n in sorted(psi):
             if not submodule.contains(n):
                 value = psi[n](lam)
-                vanishing.append(VanishingCheck(lam, n, submodule.label, value, value == 0))
+                vanishing.append({"lambda": rat_str(lam), "ktype": n, "submodule": submodule.label,
+                                  "value": rat_str(value), "ok": value == 0})
     functional = []
     for n in sorted(psi):
         num, den = c_quotient_r(n, m)
         sign = 1 - 2 * (((m - n) // 2) % 2)
         ok = psi[n].reflect() * den == num * psi[n] * sign
-        functional.append(FunctionalCheck(n, sign, ok))
-    passed = all(c.ok for c in vanishing) and all(c.ok for c in functional)
-    return Level2ReportR(m, truncation, tuple(vanishing), tuple(functional), passed)
+        functional.append({"ktype": n, "sign": sign, "ok": ok})
+    passed = all(c["ok"] for c in vanishing) and all(c["ok"] for c in functional)
+    return {"m": m, "truncation": truncation, "vanishing": vanishing, "functional": functional,
+            "passed": passed}
 
 
 def test_level2_matches_definition_randomized():
@@ -409,11 +413,52 @@ def test_level2_matches_definition_randomized():
             assert level2_check_r(psi, m, truncation) == _level2_by_definition(psi, m, truncation)
 
 
+def test_level2_passes_exactly_when_level3_accepts_every_component():
+    # The levels agree: psi passes Level 2 at any truncation T >= max |n|
+    # (T = max |n| leaves out the ladder roots past (T+1)/2 when |m| > T) exactly
+    # when every component is h * q_{n,m} with h even, and a Level-3 root
+    # witness within (T+1)/2 is a failed Level-2 vanishing check.  Components
+    # are members, members with an odd term in h, members bumped by a constant,
+    # zeros and random polynomials.
+    rng = random.Random(1026)
+    outcomes = Counter()
+    for _ in range(1500):
+        m = rng.randint(-12, 12)
+        ktypes = [n for n in range(-12, 13) if (n - m) % 2 == 0]
+        psi = {}
+        for n in rng.sample(ktypes, rng.randint(1, 4)):
+            kind = rng.choice(("member", "member", "odd", "bumped", "zero", "random"))
+            h = Poly([rng.randint(-4, 4) if i % 2 == 0 else 0 for i in range(5)])
+            if kind == "odd":
+                h = h + LAM ** rng.choice((1, 3)) * rng.choice((-2, 1, 3))
+            if kind == "zero":
+                psi[n] = Poly.zero()
+            elif kind == "random":
+                psi[n] = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
+            else:
+                psi[n] = h * q_poly_r(n, m) + (rng.choice((-3, -1, 1, 2)) if kind == "bumped" else 0)
+        top = max(abs(n) for n in psi)
+        truncation = top if rng.random() < 0.4 else rng.randint(top, top + 6)
+        report = level2_check_r(psi, m, truncation)
+        results = {n: level3_check_r(p, n, m) for n, p in psi.items()}
+        every = all(result.accepted for result in results.values())
+        assert report["passed"] is every, (psi, m, truncation)
+        failed = {(c["lambda"], c["ktype"]) for c in report["vanishing"] if not c["ok"]}
+        for n, result in results.items():
+            witness = None if result.accepted else result.witness
+            if isinstance(witness, RootWitness) and abs(witness.root) <= Fraction(truncation + 1, 2):
+                assert (rat_str(witness.root), n) in failed, (psi, m, truncation, n)
+        outcomes[every, truncation == top] += 1
+    assert len(outcomes) == 4 and min(outcomes.values()) >= 100, outcomes
+
+
 def test_level2_work_grows_with_roots_not_truncation():
-    start = time.perf_counter()
-    report = level2_check_r({4: Poly([1, 0, 1])}, 0, 200_000)
-    assert time.perf_counter() - start < 1.0
-    assert [c.lam for c in report.vanishing] == [Fraction(-3, 2), Fraction(-1, 2)]
+    # The walk stops at the ladders' span, not at the truncation.
+    for truncation in (200_000, 10**12):
+        start = time.perf_counter()
+        report = level2_check_r({4: Poly([1, 0, 1])}, 0, truncation)
+        assert time.perf_counter() - start < 1.0
+        assert [c["lambda"] for c in report["vanishing"]] == ["-3/2", "-1/2"]
 
 
 def test_level3_degree_1200_within_budget():
