@@ -24,17 +24,15 @@ _PALETTE = (
 def atlas_sl2r(lambda_max: Fraction) -> list[dict]:
     """Verdicts on the half-integer grid |lambda| <= lambda_max, both parities,
     as the JSON points of atlas_sl2r_json."""
-    from .sl2r import IrreducibleR, SigmaR, composition_series_r
+    from .sl2r import SigmaR, composition_series_r
 
     points = []
     for sigma in (SigmaR.PLUS, SigmaR.MINUS):
         lam = Fraction(-math.floor(2 * lambda_max), 2)
         while lam <= lambda_max:
-            series = composition_series_r(sigma, lam)
-            reducible = not isinstance(series, IrreducibleR)
-            layers = [[f.label for f in layer] for layer in series.layers] if reducible else []
-            points.append({"sigma": sigma.value, "lambda": rat_str(lam), "reducible": reducible,
-                           "layers": layers})
+            row = composition_series_r(sigma, lam)
+            points.append({"sigma": row["sigma"], "lambda": row["lambda"], "reducible": row["reducible"],
+                           "layers": row.get("layers", [])})
             lam += Fraction(1, 2)
     return points
 
@@ -56,7 +54,7 @@ def atlas_sl2c(sigma_max: int, lambda_max: int) -> list[dict]:
 
     grid = [(sigma, lam) for sigma in range(-sigma_max, sigma_max + 1)
             for lam in range(-lambda_max, lambda_max + 1)]
-    reducible = {(s, l) for s, l in grid if reducibility_c(s, Fraction(l)).reducible}
+    reducible = {(s, l) for s, l in grid if reducibility_c(s, l)["reducible"]}
     orbit_of: dict[tuple[int, int], str] = {}
     for v in grid:
         if v in reducible:

@@ -113,6 +113,13 @@ def _lambda(value: str, command: str) -> Fraction:
     return lam
 
 
+def _unread(args, *options: str) -> None:
+    """An option that args.group does not read is an error, not silently dropped."""
+    for option in options:
+        if getattr(args, option.lstrip("-").replace("-", "_")) not in (None, False):
+            raise ValueError(f"{args.command} --group {args.group} does not take {option}")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="pw", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -164,7 +171,7 @@ def build_parser() -> _Parser:
 
     p = add("atlas", "classification atlas over a parameter grid", _cmd_atlas)
     p.add_argument("--group", required=True, choices=["sl2r", "sl2c"])
-    p.add_argument("--sigma-max", type=int, default=5)
+    p.add_argument("--sigma-max", type=int, default=None, help="sl2c; 5 when not given")
     p.add_argument("--lambda-max", default="5")
     p.add_argument("--format", choices=["json", "dot"], default="json")
 
@@ -243,12 +250,14 @@ def _cmd_check2(args) -> int:
     if args.group == "sl2r":
         from .sl2r import level2_check_r
 
+        _unread(args, "-n")
         if args.m is None or args.truncation is None:
             raise ValueError("check2 --group sl2r needs -m and --truncation")
         report = level2_check_r(psi, jsonio.ktype_from_json(args.m), args.truncation)
     else:
         from .sl2c import level2_functional_check_c
 
+        _unread(args, "-m", "--truncation")
         if args.n is None:
             raise ValueError("check2 --group sl2c needs -n")
         report = level2_functional_check_c(psi, jsonio.ktype_from_json(args.n))
@@ -261,17 +270,16 @@ def _cmd_classify(args) -> int:
     if args.group == "sl2r":
         from .sl2r import composition_series_r
 
-        series = composition_series_r(_sigma_r(args.sigma), lam)
-        _emit(jsonio.composition_series_to_json(series), args.out)
+        _unread(args, "--diamond")
+        _emit(composition_series_r(_sigma_r(args.sigma), lam), args.out)
         return 0
     from .sl2c import diamond, reducibility_c
 
     sigma = jsonio.int_from_json(args.sigma)
-    verdict = reducibility_c(sigma, lam)
-    payload = jsonio.reducibility_to_json(verdict)
-    if args.diamond and verdict.reducible:
-        payload["diamond"] = diamond(sigma, lam)
-    _emit(payload, args.out)
+    row = reducibility_c(sigma, lam)
+    if args.diamond and row["reducible"]:
+        row["diamond"] = diamond(sigma, lam)
+    _emit(row, args.out)
     return 0
 
 
@@ -280,7 +288,7 @@ def _cmd_box(args) -> int:
 
     picture = box_picture_r(jsonio.ktype_from_json(args.m), _lambda(args.lam, "box"))
     if args.format == "json":
-        _emit(jsonio.record_to_json(picture), args.out)
+        _emit(picture, args.out)
     elif args.format == "dot":
         from .render import box_dot
 
@@ -297,6 +305,7 @@ def _cmd_atlas(args) -> int:
 
     lam_max = rat(args.lambda_max)
     if args.group == "sl2r":
+        _unread(args, "--sigma-max")
         if lam_max < 0:
             raise ValueError(f"atlas --group sl2r needs --lambda-max >= 0, got {args.lambda_max}")
         if lam_max > jsonio.MAX_ATLAS_R:
@@ -306,16 +315,17 @@ def _cmd_atlas(args) -> int:
         else:
             _emit(atlas_mod.atlas_sl2r_dot(lam_max), args.out, raw=True)
         return 0
+    sigma_max = 5 if args.sigma_max is None else args.sigma_max
     if lam_max.denominator != 1:
         raise ValueError("sl2c atlas needs an integer --lambda-max")
-    if min(args.sigma_max, lam_max) < 0:
+    if min(sigma_max, lam_max) < 0:
         raise ValueError("atlas --group sl2c needs --sigma-max and --lambda-max >= 0")
-    if max(args.sigma_max, lam_max) > jsonio.MAX_ATLAS_C:
+    if max(sigma_max, lam_max) > jsonio.MAX_ATLAS_C:
         raise ValueError(f"atlas --group sl2c needs --sigma-max and --lambda-max <= {jsonio.MAX_ATLAS_C}")
     if args.format == "json":
-        _emit(atlas_mod.atlas_sl2c_json(args.sigma_max, int(lam_max)), args.out)
+        _emit(atlas_mod.atlas_sl2c_json(sigma_max, int(lam_max)), args.out)
     else:
-        _emit(atlas_mod.atlas_sl2c_dot(args.sigma_max, int(lam_max)), args.out, raw=True)
+        _emit(atlas_mod.atlas_sl2c_dot(sigma_max, int(lam_max)), args.out, raw=True)
     return 0
 
 

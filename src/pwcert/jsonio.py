@@ -4,20 +4,21 @@ Rationals are strings ("p/q", or "p" when the denominator is 1) so that no
 reader is tempted to parse them as floats.  Polynomial coefficients are
 ascending.  All emitters sort keys, so serialized output is deterministic.
 
-Result records (pwcert.verdict.record) are written by one rule,
-`record_to_json`: a record is an object of its fields in __record_fields__
-order, the field `lam` under the key "lambda" (which cannot be a field name).
-By exact type, a Fraction is its rat_str, a tuple a list, a Poly its
-poly_to_json, and int, str, bool and None are written as they are; an enum
-member is its value, a nested record the same rule again, and anything else
-is a TypeError.  The other encoders add to the rule or pick from it.  The
+Result records (pwcert.verdict.record: the verdicts, the witnesses and the
+generator coordinates) are written by one rule, `record_to_json`: a record is
+an object of its fields in __record_fields__ order.  By exact type, a Fraction
+is its rat_str, a tuple a list, a Poly its poly_to_json, and int, str, bool and
+None are written as they are; a nested record is the same rule again, and
+anything else is a TypeError.  witness_to_json adds the witness's kind to the
+rule.  Every other result is built as the JSON row pw prints, a dict literal
+where it is computed, with no record: the classification and box rows
+(sl2r.composition_series_r, sl2r.box_picture_r, sl2c.reducibility_c), the
 atlas (pwcert.atlas), the intertwiner diamond (pwcert.sl2c.diamond) and both
-Level-2 reports (sl2r.level2_check_r, sl2c.level2_functional_check_c) build
-their JSON as dict literals where they are computed, with no record: one atlas
-call encodes up to 40,401 points (at SL(2,C) 100 x 100 the rule took 76-82 ms,
-the literals 22-24 ms, in a 0.7 s atlas_sl2c_json), one SL(2,R) report at
-truncation 400 up to 40,200 checks (the rule took 324 ms after a 2.1 s check;
-2-vCPU host).
+Level-2 reports (sl2r.level2_check_r, sl2c.level2_functional_check_c).  One
+atlas call encodes up to 40,401 points (at SL(2,C) 100 x 100 the rule took
+76-82 ms, the literals 22-24 ms, in a 0.7 s atlas_sl2c_json), one SL(2,R)
+report at truncation 400 up to 40,200 checks (the rule took 324 ms after a
+2.1 s check; 2-vCPU host).
 
 A decoder reads each member through `_member`, so a missing or mistyped one is
 a ValueError that names the JSON kind and the key.
@@ -25,7 +26,6 @@ a ValueError that names the JSON kind and the key.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -34,8 +34,7 @@ from .rationals import rat, rat_str
 
 if TYPE_CHECKING:  # annotations only: a function that needs one of these at run time imports it
     from .multipoly import MultiPoly
-    from .sl2c import GeneratorCoords, ReducibilityC, WeightedDiagMap
-    from .sl2r import CompositionSeriesR, IrreducibleR
+    from .sl2c import GeneratorCoords, WeightedDiagMap
 
 MAX_EXPONENT = 10_000  # mpoly_div_in_var lays each group of equal-degree fibers out densely to this degree
 MAX_KTYPE = 1_000  # q_{-1000,1000} prints 2,567 digits, 2,000 would pass Python's 4,300; pw q takes 0.6 s for it (2-vCPU host)
@@ -53,7 +52,7 @@ def record_to_json(value: Any) -> dict:
     names = getattr(type(value), "__record_fields__", None)
     if names is None:
         raise TypeError(f"cannot encode {value!r}: not a record")
-    return {"lambda" if name == "lam" else name: _value_to_json(getattr(value, name)) for name in names}
+    return {name: _value_to_json(getattr(value, name)) for name in names}
 
 
 _AS_IS = frozenset({bool, int, str, type(None)})
@@ -69,8 +68,6 @@ def _value_to_json(value: Any) -> Any:
         return [_value_to_json(v) for v in value]
     if kind is Poly:
         return poly_to_json(value)
-    if isinstance(value, Enum):
-        return value.value
     return record_to_json(value)
 
 
@@ -192,26 +189,6 @@ def _polys_by_int(data: dict, key_from_json, kind: str) -> dict[int, Poly]:
 def ktype_vec_from_json(data: str) -> tuple[int, ...]:
     """A K-type vector: the comma-separated integers of pw's -n or -m."""
     return tuple(ktype_from_json(x) for x in data.split(","))
-
-
-def composition_series_to_json(s: CompositionSeriesR | IrreducibleR) -> dict:
-    from .sl2r import IrreducibleR
-
-    if isinstance(s, IrreducibleR):
-        return {**record_to_json(s), "reducible": False}
-    return {
-        "sigma": s.sigma.value,
-        "lambda": rat_str(s.lam),
-        "reducible": True,
-        "layers": [[f.label for f in layer] for layer in s.layers],
-        "proper_submodules": [w.label for w in s.proper_submodules],
-    }
-
-
-def reducibility_to_json(r: ReducibilityC) -> dict:
-    if not r.reducible:
-        return {"sigma": r.sigma, "lambda": rat_str(r.lam), "reducible": False}
-    return {**record_to_json(r), "r_ktype_min": abs(int(r.lam))}
 
 
 def witness_to_json(witness: Any) -> dict:

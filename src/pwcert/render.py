@@ -1,19 +1,14 @@
-"""Deterministic DOT and fixed-width ASCII renderings.
+"""Deterministic DOT and fixed-width ASCII renderings of a box picture.
 
-Everything here sorts its inputs and derives widths from content only, so
-output is byte-identical across runs and suitable for golden-file tests.
-ASCII box pictures put the socle at the bottom, matching the layering used
-for composition series throughout; highlighted boxes are starred.
+Both read the row of sl2r.box_picture_r that pw box --format json prints: "m",
+"lambda" (already a rational string) and "layers", socle first, of boxes
+{"label", "highlighted"}.  Widths derive from content only, so output is
+byte-identical across runs and suitable for golden-file tests.  ASCII box
+pictures put the socle at the bottom, matching the layering used for
+composition series throughout; highlighted boxes are starred.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
-
-from .rationals import rat_str
-
-if TYPE_CHECKING:
-    from .sl2r import BoxPictureR
 
 
 def _cell(text: str, width: int) -> str:
@@ -22,10 +17,10 @@ def _cell(text: str, width: int) -> str:
     return " " * left + text + " " * (pad - left)
 
 
-def box_ascii(picture: BoxPictureR) -> str:
+def box_ascii(picture: dict) -> str:
     """Fixed-width ASCII box picture; box width is set by the longest label."""
-    layers = list(reversed(picture.layers))  # draw quotient on top, socle last
-    labels = [[f"*{b.label}*" if b.highlighted else b.label for b in layer]
+    layers = list(reversed(picture["layers"]))  # draw quotient on top, socle last
+    labels = [[f"*{b['label']}*" if b["highlighted"] else b["label"] for b in layer]
               for layer in layers]
     ncols = max(len(layer) for layer in labels)
     cell_width = max(len(t) for layer in labels for t in layer) + 2
@@ -39,7 +34,7 @@ def box_ascii(picture: BoxPictureR) -> str:
         widths = _box_widths(len(layer), total_inner)
         return "|" + "|".join(_cell(t, w) for t, w in zip(layer, widths)) + "|"
 
-    lines = [f"m={picture.m}  lambda={rat_str(picture.lam)}"]
+    lines = [f"m={picture['m']}  lambda={picture['lambda']}"]
     for layer in labels:
         lines.append(wall(len(layer)))
         lines.append(row(layer))
@@ -54,21 +49,21 @@ def _box_widths(nboxes: int, total_inner: int) -> list[int]:
     return widths
 
 
-def box_dot(picture: BoxPictureR) -> str:
+def box_dot(picture: dict) -> str:
     """DOT rendering: one cluster per layer, highlighted boxes filled blue."""
     lines = [
         "digraph box_picture {",
-        f'  label="m={picture.m}, lambda={rat_str(picture.lam)}";',
+        f'  label="m={picture["m"]}, lambda={picture["lambda"]}";',
         "  rankdir=BT;",
         "  node [shape=box];",
     ]
-    for i, layer in enumerate(picture.layers):
+    for i, layer in enumerate(picture["layers"]):
         name = "socle" if i == 0 else f"layer {i}"
         lines.append(f"  subgraph cluster_layer_{i} {{")
         lines.append(f'    label="{name}";')
         for j, box in enumerate(layer):
-            attrs = f'label="{box.label}"'
-            if box.highlighted:
+            attrs = f'label="{box["label"]}"'
+            if box["highlighted"]:
                 attrs += ", style=filled, fillcolor=blue"
             lines.append(f"    l{i}b{j} [{attrs}];")
         lines.append("  }")

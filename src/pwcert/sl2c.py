@@ -52,7 +52,7 @@ from .poly import (
     square_parts,
     transpose,
 )
-from .rationals import RatLike, is_integer, rat
+from .rationals import RatLike, is_integer, rat, rat_str
 from .verdict import Accept, Reject, record
 
 
@@ -93,49 +93,25 @@ def c_quotient_c(n: int, m: int) -> tuple[Poly, Poly]:
 # -- reducibility and the intertwiner diamond ----------------------------------------
 
 
-@record
-class ReducibilityC:
-    """Classification of the principal series at (sigma, lambda).
+def reducibility_c(sigma: int, lam: RatLike) -> dict:
+    """Classify (sigma, lambda), as the row pw classify prints; total on rational lambda.
 
-    When reducible (lambda integral, |lambda| > |sigma|, gap even), the
-    finite-dimensional factor restricted to K is the tensor product of the
-    K-types fm and fn computed at the positive-lambda representative; its
-    K-types are |sigma|, |sigma|+2, ..., |lambda|-2, and the unique
-    irreducible constituent R takes the complementary K-types >= |lambda|.
+    A reducible point (lambda integral, |lambda| > |sigma|, gap even) adds the
+    finite-dimensional factor: restricted to K it is the tensor product of the
+    K-types fm and fn computed at the positive-lambda representative, with
+    K-types |sigma|, |sigma|+2, ..., |lambda|-2.  The unique irreducible
+    constituent R takes the complementary K-types from r_ktype_min = |lambda| on.
     For lambda > 0 the socle is R, for lambda < 0 the finite factor.
     """
-
-    sigma: int
-    lam: Fraction
-    reducible: bool
-    fm: int | None = None
-    fn: int | None = None
-    socle_is_R: bool | None = None
-    finite_dim_ktypes: tuple[int, ...] = ()
-
-
-def reducibility_c(sigma: int, lam: RatLike) -> ReducibilityC:
-    """Classify (sigma, lambda); total on rational lambda."""
     lam = rat(lam)
-    reducible = (
-        is_integer(lam)
-        and abs(lam) > abs(sigma)
-        and (abs(int(lam)) - abs(sigma)) % 2 == 0
-    )
-    if not reducible:
-        return ReducibilityC(sigma=sigma, lam=lam, reducible=False)
+    row = {"sigma": sigma, "lambda": rat_str(lam),
+           "reducible": is_integer(lam) and abs(lam) > abs(sigma) and (abs(int(lam)) - abs(sigma)) % 2 == 0}
+    if not row["reducible"]:
+        return row
     lpos = abs(int(lam))
-    fm = (sigma + lpos) // 2 - 1
-    fn = (lpos - sigma) // 2 - 1
-    return ReducibilityC(
-        sigma=sigma,
-        lam=lam,
-        reducible=True,
-        fm=fm,
-        fn=fn,
-        socle_is_R=lam > 0,
-        finite_dim_ktypes=tuple(clebsch_gordan(fm, fn)),
-    )
+    fm, fn = (sigma + lpos) // 2 - 1, (lpos - sigma) // 2 - 1
+    return {**row, "fm": fm, "fn": fn, "socle_is_R": lam > 0,
+            "finite_dim_ktypes": clebsch_gordan(fm, fn), "r_ktype_min": lpos}
 
 
 def diamond_orbit(sigma: int, lam: int) -> tuple[tuple[int, int], ...]:
@@ -149,10 +125,9 @@ def diamond(sigma: int, lam: RatLike) -> dict:
     the vertices diamond_orbit(sigma, lambda) by position, and the arrows L
     (bottom -> right), L' (top -> right), Lt (left -> top), Lt' (left -> bottom)
     and the two Knapp-Stein arrows J (right -> left, top -> bottom)."""
-    verdict = reducibility_c(sigma, lam)
-    if not verdict.reducible:
+    if not reducibility_c(sigma, lam)["reducible"]:
         raise NotReduciblePoint(f"(sigma, lambda) = ({sigma}, {lam}) is not reducible")
-    right, left, top, bottom = diamond_orbit(sigma, int(verdict.lam))
+    right, left, top, bottom = diamond_orbit(sigma, int(rat(lam)))
     arrows = [("L", bottom, right), ("L'", top, right), ("Lt", left, top),
               ("Lt'", left, bottom), ("J", right, left), ("J", top, bottom)]
     return {"vertices": {"right": right, "left": left, "top": top, "bottom": bottom},

@@ -91,125 +91,55 @@ def q_poly_r(n: int, m: int) -> Poly:
 # -- composition series -------------------------------------------------------------
 
 
-@record
-class CompFactorR:
-    """One composition factor: the K-types from lo to hi in steps of 2.
-
-    None is an unbounded end.  F_k runs from -(k-1) to k-1; D_{+k} starts
-    at k+1 and D_{-k} ends at -(k+1); the limits D+/- are the case k = 0.
-    """
-
-    label: str
-    lo: int | None
-    hi: int | None
-
-    def contains(self, n: int) -> bool:
-        end = self.lo if self.lo is not None else self.hi
-        return ((self.lo is None or n >= self.lo) and (self.hi is None or n <= self.hi)
-                and (n - end) % 2 == 0)
-
-
-def _discrete(k: int, sign: int) -> CompFactorR:
-    """D_{sign*k}, or the limit D+/- when k = 0."""
-    label = f"D{sign * k:+d}" if k else ("D+" if sign > 0 else "D-")
-    edge = sign * (k + 1)
-    return CompFactorR(label, edge, None) if sign > 0 else CompFactorR(label, None, edge)
-
-
-@record
-class SubmoduleR:
-    """A proper closed invariant submodule, as a union of composition factors."""
-
-    factors: tuple[CompFactorR, ...]
-
-    @property
-    def label(self) -> str:
-        return "+".join(f.label for f in self.factors)
-
-    def contains(self, n: int) -> bool:
-        return any(f.contains(n) for f in self.factors)
-
-
-class _Full:
-    """Sentinel: no proper submodule qualifies; the whole space is meant."""
-
-    label = "full"
-
-    def contains(self, n: int) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return "FULL"
-
-
-FULL = _Full()
-
-
-@record
-class IrreducibleR:
-    """Verdict value for parameters where the principal series is irreducible."""
-
-    sigma: SigmaR
-    lam: Fraction
-
-
-@record
-class CompositionSeriesR:
-    """Layered composition series (socle first) plus all proper submodules."""
-
-    sigma: SigmaR
-    lam: Fraction
-    layers: tuple[tuple[CompFactorR, ...], ...]
-    proper_submodules: tuple[SubmoduleR, ...]
-
-    @property
-    def factors(self) -> tuple[CompFactorR, ...]:
-        return tuple(f for layer in self.layers for f in layer)
+def _discrete(k: int, sign: int) -> str:
+    """The label of D_{sign*k}, or of the limit D+/- when k = 0."""
+    return f"D{'+' if sign > 0 else '-'}{k or ''}"
 
 
 def is_reducible_r(sigma: SigmaR, lam: Fraction) -> bool:
     return is_half_integer(lam) if sigma is SigmaR.PLUS else is_integer(lam)
 
 
-def composition_series_r(sigma: SigmaR, lam: RatLike) -> CompositionSeriesR | IrreducibleR:
-    """Classify the principal series at (sigma, lambda).
+def composition_series_r(sigma: SigmaR, lam: RatLike) -> dict:
+    """Classify the principal series at (sigma, lambda), as the row pw classify prints.
 
-    Reducible points carry either two layers (F_k against D_{-k} (+) D_k,
-    with the socle decided by the sign of lambda) or, at lambda = 0 with
-    sigma = -, the single semisimple layer D_- (+) D_+.
+    A reducible point adds its layers (socle first) and the labels of its proper
+    submodules, each the "+"-joined labels of its factors.  The layers are either
+    two (F_k against D_{-k} (+) D_k, with the socle decided by the sign of
+    lambda) or, at lambda = 0 with sigma = -, the single semisimple layer
+    D_- (+) D_+.
     """
     lam = rat(lam)
-    if not is_reducible_r(sigma, lam):
-        return IrreducibleR(sigma, lam)
+    row = {"sigma": sigma.value, "lambda": rat_str(lam), "reducible": is_reducible_r(sigma, lam)}
+    if not row["reducible"]:
+        return row
     if lam == 0:
-        dm, dp = _discrete(0, -1), _discrete(0, +1)
-        layers, submodules = ((dm, dp),), ((dp,), (dm,))
+        return {**row, "layers": [["D-", "D+"]], "proper_submodules": ["D+", "D-"]}
+    k = int(2 * abs(lam))
+    fk, dneg, dpos = f"F{k}", _discrete(k, -1), _discrete(k, +1)
+    if lam > 0:
+        layers, submodules = [[dneg, dpos], [fk]], [dneg, dpos, f"{dneg}+{dpos}"]
     else:
-        k = int(2 * abs(lam))
-        fk = CompFactorR(f"F{k}", -(k - 1), k - 1)
-        dneg, dpos = _discrete(k, -1), _discrete(k, +1)
-        if lam > 0:
-            layers, submodules = ((dneg, dpos), (fk,)), ((dneg,), (dpos,), (dneg, dpos))
-        else:
-            layers, submodules = ((fk,), (dneg, dpos)), ((fk,), (fk, dneg), (fk, dpos))
-    return CompositionSeriesR(sigma, lam, layers, tuple(SubmoduleR(w) for w in submodules))
+        layers, submodules = [[fk], [dneg, dpos]], [fk, f"{fk}+{dneg}", f"{fk}+{dpos}"]
+    return {**row, "layers": layers, "proper_submodules": submodules}
 
 
-def smallest_submodule_r(m: int, lam: RatLike) -> SubmoduleR | _Full:
-    """Smallest invariant submodule whose K-types include m, or FULL.
+def smallest_submodule_r(m: int, lam: RatLike) -> tuple[str, ...] | None:
+    """The factor labels of the smallest invariant submodule whose K-types
+    include m, or None for the whole space.
 
-    The parity of m selects sigma.  At irreducible points, and at reducible
-    points where the K-type m only lives in the top quotient, the answer is
-    the whole space.
+    The parity of m selects sigma.  At lambda = +/- k/2 the K-type m lies in F_k
+    when |m| < k and otherwise in the discrete factor of m's sign; F_k is the
+    socle for lambda < 0 and the top for lambda > 0, where m then lives only in
+    the whole space, as at the irreducible points.
     """
     lam = rat(lam)
-    series = composition_series_r(SigmaR.of_ktype(m), lam)
-    if isinstance(series, IrreducibleR):
-        return FULL
-    containing = [w for w in series.proper_submodules if w.contains(m)]
-    if not containing:
-        return FULL
-    return min(containing, key=lambda w: len(w.factors))
+    if not is_reducible_r(SigmaR.of_ktype(m), lam):
+        return None
+    k = int(2 * abs(lam))
+    if abs(m) < k:
+        return None if lam > 0 else (f"F{k}",)
+    return (_discrete(k, m),) if lam >= 0 else (f"F{k}", _discrete(k, m))
 
 
 # -- Level-3 membership -----------------------------------------------------------
@@ -291,7 +221,8 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> dict:
         if not ktypes:
             continue
         lam = Fraction(a, den)
-        point = {"lambda": rat_str(lam), "submodule": smallest_submodule_r(m, lam).label}
+        labels = smallest_submodule_r(m, lam)
+        point = {"lambda": rat_str(lam), "submodule": "+".join(labels) if labels else "full"}
         for n in ktypes:
             value = psi[n](lam)
             vanishing.append({**point, "ktype": n, "value": rat_str(value), "ok": value == 0})
@@ -307,34 +238,15 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> dict:
 # -- box pictures ---------------------------------------------------------------------
 
 
-@record
-class BoxR:
-    label: str
-    highlighted: bool
-
-
-@record
-class BoxPictureR:
-    """Layered factor layout with the minimal submodule containing m marked."""
-
-    m: int
-    lam: Fraction
-    layers: tuple[tuple[BoxR, ...], ...]  # socle first
-    full: bool
-
-
-def box_picture_r(m: int, lam: RatLike) -> BoxPictureR:
-    """Box picture at (parity of m, lambda) with the m-submodule highlighted."""
-    lam = rat(lam)
+def box_picture_r(m: int, lam: RatLike) -> dict:
+    """The box picture at (parity of m, lambda), as the row pw box prints: the
+    layers (socle first) of labelled boxes, with the smallest submodule
+    containing m highlighted; "full" when that is the whole space, which at an
+    irreducible point is the one box H(sigma,lambda)."""
     sigma = SigmaR.of_ktype(m)
     series = composition_series_r(sigma, lam)
-    if isinstance(series, IrreducibleR):
-        label = f"H({sigma.value},{rat_str(lam)})"
-        return BoxPictureR(m=m, lam=lam, layers=((BoxR(label, True),),), full=True)
     submodule = smallest_submodule_r(m, lam)
-    full = isinstance(submodule, _Full)
-    marked = set(series.factors) if full else set(submodule.factors)
-    layers = tuple(
-        tuple(BoxR(f.label, f in marked) for f in layer) for layer in series.layers
-    )
-    return BoxPictureR(m=m, lam=lam, layers=layers, full=full)
+    layers = series.get("layers", [[f"H({sigma.value},{series['lambda']})"]])
+    return {"m": m, "lambda": series["lambda"], "full": submodule is None,
+            "layers": [[{"label": f, "highlighted": submodule is None or f in submodule} for f in layer]
+                       for layer in layers]}

@@ -1,6 +1,8 @@
 """The atlas as it was built through AtlasPointR and AtlasPointC records,
 frozen as an oracle for the wire rows that ``pwcert.atlas`` now builds where it
-classifies each point: its JSON and DOT must match these byte for byte."""
+classifies each point: its JSON and DOT must match these byte for byte.  Each
+point is classified by definition, not by the library: SL(2,R) layers come
+from ladder_oracle.series_r, SL(2,C) reducibility from its closed form."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ from typing import TYPE_CHECKING
 
 from pwcert.rationals import rat_str
 from pwcert.verdict import record
+from ladder_oracle import series_r
 
 if TYPE_CHECKING:
     from pwcert.sl2r import SigmaR
@@ -30,17 +33,17 @@ class AtlasPointR:
 
 def atlas_sl2r(lambda_max: Fraction) -> list[AtlasPointR]:
     """Verdicts on the half-integer grid |lambda| <= lambda_max, both parities."""
-    from pwcert.sl2r import IrreducibleR, SigmaR, composition_series_r
+    from pwcert.sl2r import SigmaR
 
     points = []
     for sigma in (SigmaR.PLUS, SigmaR.MINUS):
         lam = Fraction(-math.floor(2 * lambda_max), 2)
         while lam <= lambda_max:
-            series = composition_series_r(sigma, lam)
-            if isinstance(series, IrreducibleR):
+            series = series_r(sigma, lam)
+            if series is None:
                 points.append(AtlasPointR(sigma, lam, False, ()))
             else:
-                layers = tuple(tuple(f.label for f in layer) for layer in series.layers)
+                layers = tuple(tuple(layer) for layer in series[0])
                 points.append(AtlasPointR(sigma, lam, True, layers))
             lam += Fraction(1, 2)
     return points
@@ -77,11 +80,11 @@ def _orbit_id(orbit: frozenset[tuple[int, int]]) -> str:
 
 def atlas_sl2c(sigma_max: int, lambda_max: int) -> list[AtlasPointC]:
     """Verdicts and orbit grouping on the integer grid |sigma|, |lambda| <= bounds."""
-    from pwcert.sl2c import diamond_orbit, reducibility_c
+    from pwcert.sl2c import diamond_orbit
 
     grid = [(sigma, lam) for sigma in range(-sigma_max, sigma_max + 1)
             for lam in range(-lambda_max, lambda_max + 1)]
-    reducible = {(s, l) for s, l in grid if reducibility_c(s, Fraction(l)).reducible}
+    reducible = {(s, l) for s, l in grid if abs(l) > abs(s) and (abs(l) - abs(s)) % 2 == 0}
     orbit_of: dict[tuple[int, int], str] = {}
     for v in grid:
         if v in reducible:

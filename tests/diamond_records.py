@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from pwcert.errors import NotReduciblePoint
 from pwcert.jsonio import record_to_json
-from pwcert.rationals import RatLike
+from pwcert.rationals import RatLike, rat
 from pwcert.sl2c import reducibility_c
 from pwcert.verdict import record
 
@@ -31,10 +31,9 @@ class IntertwinerDiamond:
 
 
 def diamond(sigma: int, lam: RatLike) -> IntertwinerDiamond:
-    verdict = reducibility_c(sigma, lam)
-    if not verdict.reducible:
+    if not reducibility_c(sigma, lam)["reducible"]:
         raise NotReduciblePoint(f"(sigma, lambda) = ({sigma}, {lam}) is not reducible")
-    lam_int = int(verdict.lam)
+    lam_int = int(rat(lam))
     right: Vertex = (sigma, lam_int)
     left: Vertex = (-sigma, -lam_int)
     top: Vertex = (lam_int, sigma)

@@ -5,13 +5,15 @@ written out as the definitions, so that the closed-form chain q_nm_c is
 checked against a literal product of first-order steps; the SL(2,R)
 ladder roots, which the library keeps only as the ladder's integer
 numerators; the SL(2,R) reducibility grid that the box-picture and zero-set
-criteria range over; and
-the c-function quotients of both groups as hand-written half-ladders, the
-closed forms that the library's quotients, read off q_{n,m}, are compared
-with through quotient_outcome.
+criteria range over, and at each of its points the composition factors'
+K-types, the layers and the smallest submodule containing a K-type, taken by
+inclusion over the proper submodules; and the c-function quotients of both
+groups as hand-written half-ladders, the closed forms that the library's
+quotients, read off q_{n,m}, are compared with through quotient_outcome.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from pwcert.errors import check_parity
 from pwcert.jsonio import ratfunc_to_json
@@ -48,6 +50,53 @@ def reducibility_points_r(sigma: SigmaR, bound: Fraction) -> list[Fraction]:
     start = Fraction(1, 2) if sigma is SigmaR.PLUS else Fraction(0)
     positive = [start + j for j in range(int(bound - start) + 1) if start + j <= bound]
     return sorted({*positive, *(-t for t in positive)})
+
+
+def has_ktype(label: str, t: int) -> bool:
+    """Whether the SL(2,R) composition factor named label has the K-type t:
+    F_k has |t| <= k-1, D+k has t >= k+1 and D-k has -t >= k+1, the limits D+
+    and D- have +t >= 1 and -t >= 1; in each case t = k+1 mod 2."""
+    if label[0] == "F":
+        k = int(label[1:])
+        inside = abs(t) <= k - 1
+    else:
+        k = int(label[2:] or 0)
+        inside = (t if label[1] == "+" else -t) >= k + 1
+    return inside and (t - k - 1) % 2 == 0
+
+
+def series_r(sigma: SigmaR, lam: Fraction) -> tuple[list[list[str]], list[tuple[str, ...]]] | None:
+    """The SL(2,R) composition series at (sigma, lambda) as (layers, socle first;
+    proper submodules, each its factor labels in layer order), or None where the
+    principal series is irreducible.
+
+    Reducible exactly when k = 2|lambda| is an integer with k + 1 of the K-types'
+    parity.  At lambda = 0 the one layer is D- (+) D+; at lambda = +/- k/2 the
+    socle is D-k (+) D+k under F_k for lambda > 0, F_k under D-k (+) D+k for
+    lambda < 0.  Every top factor extends the whole socle, so a union of factors
+    is a submodule when it lies in the socle or holds all of it."""
+    k = 2 * abs(lam)
+    if k.denominator != 1 or (k + 1) % 2 != (0 if sigma is SigmaR.PLUS else 1):
+        return None
+    k = int(k)
+    if k == 0:
+        layers = [["D-", "D+"]]
+    elif lam > 0:
+        layers = [[f"D-{k}", f"D+{k}"], [f"F{k}"]]
+    else:
+        layers = [[f"F{k}"], [f"D-{k}", f"D+{k}"]]
+    factors, socle = [f for layer in layers for f in layer], set(layers[0])
+    unions = [w for size in range(1, len(factors)) for w in combinations(factors, size)]
+    return layers, [w for w in unions if set(w) <= socle or socle <= set(w)]
+
+
+def smallest_submodule_by_inclusion(m: int, lam: Fraction) -> tuple[str, ...] | None:
+    """The proper submodule that has the K-type m and lies in every other that
+    has it, as its factor labels; None (the whole space) when none has m."""
+    series = series_r(SigmaR.of_ktype(m), lam)
+    having = [w for w in series[1] if any(has_ktype(f, m) for f in w)] if series else []
+    smallest = [w for w in having if all(set(w) <= set(other) for other in having)]
+    return smallest[0] if smallest else None
 
 
 def q_roots_r(n: int, m: int) -> list[Fraction]:

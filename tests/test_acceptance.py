@@ -45,7 +45,7 @@ from pwcert.sl2r_product import (
     q_product,
 )
 from pwcert.verdict import Accept
-from ladder_oracle import q_roots_r, reducibility_points_r
+from ladder_oracle import has_ktype, q_roots_r, reducibility_points_r, smallest_submodule_by_inclusion
 
 LAM = Poly((0, 1))
 
@@ -111,7 +111,11 @@ def test_criterion_03_box_zero_cross_validation():
         sigma = SigmaR.of_ktype(m)
         points = reducibility_points_r(sigma, Fraction(8))
         zero_set = {lam for lam in points if q(lam) == 0}
-        excluded = {lam for lam in points if not smallest_submodule_r(m, lam).contains(n)}
+        excluded = set()
+        for lam in points:
+            submodule = smallest_submodule_r(m, lam)  # None is the whole space
+            if submodule is not None and not any(has_ktype(f, n) for f in submodule):
+                excluded.add(lam)
         if zero_set != excluded:
             failures.append((n, m, zero_set ^ excluded))
     _report(3, "zero set of q_{n,m} = excluded-submodule set, |lambda| <= 8, |n|,|m| <= 10",
@@ -375,7 +379,7 @@ _BOX_FIXTURE = {
 
 
 def highlighted(picture) -> set[str]:
-    return {b.label for layer in picture.layers for b in layer if b.highlighted}
+    return {b["label"] for layer in picture["layers"] for b in layer if b["highlighted"]}
 
 
 def test_criterion_09_atlas_and_box_goldens():
@@ -405,10 +409,13 @@ def test_criterion_09_atlas_and_box_goldens():
     for (m, lam), expected in _BOX_FIXTURE.items():
         picture = box_picture_r(m, Fraction(lam))
         if expected == "FULL":
-            if not picture.full:
+            if not picture["full"]:
                 failures.append(("box", m, lam, "expected full"))
-        elif picture.full or highlighted(picture) != expected:
+        elif picture["full"] or highlighted(picture) != expected:
             failures.append(("box", m, lam, highlighted(picture)))
+        oracle = smallest_submodule_by_inclusion(m, Fraction(lam))
+        if (set(oracle) if oracle else "FULL") != expected:
+            failures.append(("box-oracle", m, lam, oracle))
     _report(9, "reducibility grid, orbit color classes, and box-picture fixtures", failures)
 
 

@@ -300,6 +300,23 @@ def test_check2_negative_truncation_is_an_error(capsys):
                         "--psi", "{}") == "pw: error: truncation must be >= 0, got -5\n"
 
 
+@pytest.mark.parametrize("args, option", [
+    (("classify", "--group", "sl2r", "--sigma", "+", "--lambda", "1/2", "--diamond"), "--diamond"),
+    (("check2", "--group", "sl2r", "-n", "7", "-m", "1", "--truncation", "3", "--psi", "{}"), "-n"),
+    (("check2", "--group", "sl2c", "-n", "0", "-m", "9", "--psi", "{}"), "-m"),
+    (("check2", "--group", "sl2c", "-n", "0", "--truncation", "1", "--psi", "{}"), "--truncation"),
+    (("atlas", "--group", "sl2r", "--sigma-max", "3", "--lambda-max", "1"), "--sigma-max"),
+], ids=["classify-diamond", "check2-n", "check2-m", "check2-truncation", "atlas-sigma-max"])
+def test_an_option_the_group_does_not_read_is_an_error(capsys, args, option):
+    # Not dropped in silence with exit 0.
+    assert error_output(capsys, *args) == f"pw: error: {args[0]} --group {args[2]} does not take {option}\n"
+
+
+def test_atlas_sl2c_sigma_max_defaults_to_5(capsys):
+    code, data = run_json(capsys, "atlas", "--group", "sl2c", "--lambda-max", "1")
+    assert code == 0 and data["sigma_max"] == 5 and len(data["points"]) == 11 * 3
+
+
 def test_repeated_multipoly_exponents_are_an_error(capsys):
     # A repeated exponent vector is ambiguous input, not a term to overwrite or sum.
     phi = '{"arity":1,"terms":[{"exps":[2],"coeff":"1"},{"exps":[2],"coeff":"2"}]}'

@@ -128,9 +128,13 @@ def check2_args(draw):
     m, truncation = draw(st.integers(-3, 4)), draw(st.integers(-1, 6))
     keys = range(-truncation, truncation + 1) if group == "sl2r" else weights(max(m, 0))
     psi = {str(k): jsonio.poly_to_json(poly(draw)) for k in keys if draw(st.integers(0, 5))}
-    return {"--group": value(draw, group, ["sl3"]), "-n": value(draw, str(abs(m)), OVERSIZED_KTYPE),
-            "-m": value(draw, str(m), OVERSIZED_KTYPE), "--truncation": value(draw, str(truncation), ["1001"]),
-            "--psi": json_value(draw, psi)}
+    # Each group takes only its own options: -n for sl2c, -m and --truncation for sl2r.
+    if group == "sl2c":
+        ktypes = {"-n": value(draw, str(abs(m)), OVERSIZED_KTYPE)}
+    else:
+        ktypes = {"-m": value(draw, str(m), OVERSIZED_KTYPE),
+                  "--truncation": value(draw, str(truncation), ["1001"])}
+    return {"--group": value(draw, group, ["sl3"]), **ktypes, "--psi": json_value(draw, psi)}
 
 
 def rational(draw, lo=-5, hi=5):
@@ -141,8 +145,9 @@ def rational(draw, lo=-5, hi=5):
 def classify_args(draw):
     group = draw(st.sampled_from(["sl2r", "sl2c"]))
     sigma = draw(st.sampled_from(["+", "-"] if group == "sl2r" else ["0", "1", "-2", "3"]))
+    diamond = {"--diamond": None} if group == "sl2c" and draw(st.booleans()) else {}
     return {"--group": value(draw, group, ["sl3"]), "--sigma": value(draw, sigma, ["1001"]),
-            "--lambda": rational(draw), **({"--diamond": None} if draw(st.booleans()) else {})}
+            "--lambda": rational(draw), **diamond}
 
 
 @st.composite
@@ -153,9 +158,11 @@ def box_args(draw):
 
 @st.composite
 def atlas_args(draw):
-    return {"--group": value(draw, draw(st.sampled_from(["sl2r", "sl2c"])), ["sl3"]),
-            "--sigma-max": value(draw, str(draw(st.integers(0, 3))), ["101", str(10**40)]),
-            "--lambda-max": rational(draw, 0, 3),
+    group = draw(st.sampled_from(["sl2r", "sl2c"]))
+    # --sigma-max bounds the SL(2,C) grid only.
+    sigma_max = {} if group == "sl2r" else {
+        "--sigma-max": value(draw, str(draw(st.integers(0, 3))), ["101", str(10**40)])}
+    return {"--group": value(draw, group, ["sl3"]), **sigma_max, "--lambda-max": rational(draw, 0, 3),
             "--format": value(draw, draw(st.sampled_from(["json", "dot"])), ["svg"])}
 
 

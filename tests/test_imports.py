@@ -67,8 +67,13 @@ PHI_PRODUCT = '{"arity":2,"terms":[{"exps":[1,0],"coeff":"1"},{"exps":[0,0],"coe
     (("verify-numeric",), 0, "numeric", {"ratfunc", "gammaprod"}),
     (("classify", "--group", "sl2c", "--sigma", "0", "--lambda", "2", "--diamond"), 0, "sl2c",
      {"sl2r", "atlas", "multipoly", "ratfunc", "gammaprod"}),
+    (("classify", "--group", "sl2r", "--sigma", "+", "--lambda", "1/2"), 0, "sl2r",
+     {"sl2c", "atlas", "render", "multipoly", "ratfunc", "gammaprod"}),
+    (("box", "-m", "0", "--lambda", "-1/2", "--format", "json"), 0, "sl2r", {"render"}),
+    (("box", "-m", "0", "--lambda", "-1/2", "--format", "ascii"), 0, "render", {"sl2c"}),
 ], ids=["q-sl2r", "q-sl2c", "check3-product", "atlas-sl2r", "atlas-sl2c", "reject-witness-sl2r",
-        "cquot-sl2r", "cquot-sl2c", "check2-sl2c", "verify-numeric", "classify-diamond-sl2c"])
+        "cquot-sl2r", "cquot-sl2c", "check2-sl2c", "verify-numeric", "classify-diamond-sl2c",
+        "classify-sl2r", "box-json", "box-ascii"])
 def test_subcommand_loads_only_its_modules(argv, code, ran, absent):
     got_code, modules = loaded(*argv)
     assert got_code == code and ran in modules

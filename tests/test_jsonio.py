@@ -96,14 +96,19 @@ def test_ktype_vec_forms():
 
 
 def test_composition_series_json():
-    data = jsonio.composition_series_to_json(composition_series_r(SigmaR.PLUS, Fraction(-3, 2)))
-    assert data["reducible"] and data["layers"] == [["F3"], ["D-3", "D+3"]]
-    data = jsonio.composition_series_to_json(composition_series_r(SigmaR.PLUS, Fraction(1, 3)))
+    # The series is the JSON row pw classify --group sl2r prints.
+    data = composition_series_r(SigmaR.PLUS, Fraction(-3, 2))
+    assert json.loads(json.dumps(data)) == data
+    assert data == {"sigma": "+", "lambda": "-3/2", "reducible": True, "layers": [["F3"], ["D-3", "D+3"]],
+                    "proper_submodules": ["F3", "F3+D-3", "F3+D+3"]}
+    data = composition_series_r(SigmaR.PLUS, Fraction(1, 3))
     assert data == {"sigma": "+", "lambda": "1/3", "reducible": False}
 
 
 def test_box_picture_json():
-    data = jsonio.record_to_json(box_picture_r(0, Fraction(-1, 2)))
+    # The picture is the JSON row pw box --format json prints.
+    data = box_picture_r(0, Fraction(-1, 2))
+    assert json.loads(json.dumps(data)) == data
     assert data["layers"][0] == [{"label": "F1", "highlighted": True}]
     assert not data["full"]
 
@@ -148,35 +153,23 @@ def test_level2_report_c_json():
                    {"weight": 2, "ok": True, "reason": ""}]}
 
 
-def test_record_to_json_reducibility_c():
+def test_reducibility_c_json():
+    # The classification is the JSON row pw classify --group sl2c prints.
     from pwcert.sl2c import reducibility_c
 
     reducible = reducibility_c(1, 5)
-    assert jsonio.record_to_json(reducible) == {
+    assert json.loads(json.dumps(reducible)) == reducible
+    assert reducible == {
         "sigma": 1, "lambda": "5", "reducible": True, "fm": 2, "fn": 1,
-        "socle_is_R": True, "finite_dim_ktypes": [3, 1]}
-    assert jsonio.reducibility_to_json(reducible) == {
-        **jsonio.record_to_json(reducible), "r_ktype_min": 5}
-    irreducible = reducibility_c(0, Fraction(1, 2))
-    assert jsonio.record_to_json(irreducible) == {
-        "sigma": 0, "lambda": "1/2", "reducible": False, "fm": None, "fn": None,
-        "socle_is_R": None, "finite_dim_ktypes": []}
-    assert jsonio.reducibility_to_json(irreducible) == {
-        "sigma": 0, "lambda": "1/2", "reducible": False}
+        "socle_is_R": True, "finite_dim_ktypes": [3, 1], "r_ktype_min": 5}
+    assert reducibility_c(0, Fraction(1, 2)) == {"sigma": 0, "lambda": "1/2", "reducible": False}
 
 
 def test_record_to_json_box_picture():
-    assert jsonio.record_to_json(box_picture_r(0, Fraction(-1, 2))) == {
+    assert box_picture_r(0, Fraction(-1, 2)) == {
         "m": 0, "lambda": "-1/2", "full": False,
         "layers": [[{"label": "F1", "highlighted": True}],
                    [{"label": "D-1", "highlighted": False}, {"label": "D+1", "highlighted": False}]]}
-
-
-def test_record_to_json_irreducible_with_enum():
-    from pwcert.sl2r import IrreducibleR
-
-    assert jsonio.record_to_json(IrreducibleR(SigmaR.MINUS, Fraction(1, 3))) == {
-        "sigma": "-", "lambda": "1/3"}
 
 
 def _witnesses():

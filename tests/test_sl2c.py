@@ -153,10 +153,10 @@ def test_chain_roots_are_minus_the_excluding_lambdas():
             for sigma in weights(min(n, m)):
                 for lam in range(-14, 15):
                     verdict = reducibility_c(sigma, lam)
-                    if not verdict.reducible:
+                    if not verdict["reducible"]:
                         continue
-                    socle = (range(lam, 13) if verdict.socle_is_R
-                             else verdict.finite_dim_ktypes)
+                    socle = (range(lam, 13) if verdict["socle_is_R"]
+                             else verdict["finite_dim_ktypes"])
                     excluded = m in socle and n not in socle
                     assert (-lam in roots) == excluded, (n, m, sigma, lam)
                     plus_mismatches += (lam in roots) != excluded
@@ -170,44 +170,44 @@ def test_chain_roots_are_minus_the_excluding_lambdas():
 
 def test_reducibility_examples():
     verdict = reducibility_c(0, 2)
-    assert verdict.reducible and verdict.fm == 0 and verdict.fn == 0
-    assert verdict.finite_dim_ktypes == (0,)
-    assert verdict.socle_is_R
+    assert verdict["reducible"] and verdict["fm"] == 0 and verdict["fn"] == 0
+    assert verdict["finite_dim_ktypes"] == [0]
+    assert verdict["socle_is_R"]
 
-    assert not reducibility_c(1, 2).reducible
+    assert not reducibility_c(1, 2)["reducible"]
 
     verdict = reducibility_c(0, 4)
-    assert verdict.reducible and (verdict.fm, verdict.fn) == (1, 1)
-    assert verdict.finite_dim_ktypes == (2, 0)
-    assert (verdict.fm + 1) * (verdict.fn + 1) == sum(t + 1 for t in verdict.finite_dim_ktypes)
+    assert verdict["reducible"] and (verdict["fm"], verdict["fn"]) == (1, 1)
+    assert verdict["finite_dim_ktypes"] == [2, 0]
+    assert (verdict["fm"] + 1) * (verdict["fn"] + 1) == sum(t + 1 for t in verdict["finite_dim_ktypes"])
 
 
 def test_reducibility_negative_lambda_and_sigma():
     verdict = reducibility_c(-2, -6)
-    assert verdict.reducible
-    assert verdict.socle_is_R is False
-    assert (verdict.fm, verdict.fn) == (1, 3)
-    assert verdict.finite_dim_ktypes == (4, 2)
+    assert verdict["reducible"]
+    assert verdict["socle_is_R"] is False
+    assert (verdict["fm"], verdict["fn"]) == (1, 3)
+    assert verdict["finite_dim_ktypes"] == [4, 2]
 
 
 def test_reducibility_partition():
     for sigma in range(-6, 7):
         for lam in range(-8, 9):
             verdict = reducibility_c(sigma, lam)
-            if not verdict.reducible:
+            if not verdict["reducible"]:
                 continue
             # The K-types of the principal series are t >= |sigma| of its parity;
             # the finite factor takes some, R the rest, from |lambda| on.
             for t in range(0, 30):
                 in_h = t >= abs(sigma) and (t - sigma) % 2 == 0
-                in_f = t in verdict.finite_dim_ktypes
+                in_f = t in verdict["finite_dim_ktypes"]
                 in_r = t >= abs(lam) and (t - sigma) % 2 == 0
                 assert in_h == (in_f or in_r)
                 assert not (in_f and in_r)
 
 
 def test_reducibility_non_real_and_non_integral():
-    assert not reducibility_c(0, Fraction(5, 2)).reducible
+    assert not reducibility_c(0, Fraction(5, 2))["reducible"]
     with pytest.raises(TypeError):  # lambda is an exact rational; a complex value is refused
         reducibility_c(0, 2 + 1j)
 

@@ -13,8 +13,6 @@ from pwcert.gammaprod import c_gamma_r, gamma_reduce
 from pwcert.poly import Poly, first_root_not_vanishing, poly_div_rem
 from pwcert.rationals import rat_str
 from pwcert.sl2r import (
-    FULL,
-    IrreducibleR,
     OddQuotientWitness,
     RootWitness,
     SigmaR,
@@ -28,7 +26,15 @@ from pwcert.sl2r import (
 )
 from pwcert.verdict import Accept, Reject
 from poly_helpers import from_roots
-from ladder_oracle import c_quotient_r_ladder, q_roots_r, quotient_outcome, reducibility_points_r
+from ladder_oracle import (
+    c_quotient_r_ladder,
+    has_ktype,
+    q_roots_r,
+    quotient_outcome,
+    reducibility_points_r,
+    series_r,
+    smallest_submodule_by_inclusion,
+)
 
 HALF = Fraction(1, 2)
 LAM = Poly((0, 1))
@@ -158,38 +164,53 @@ def test_q_poly_at_the_ktype_bound_within_budget():
 # -- composition series --------------------------------------------------------------
 
 
+def ktypes(labels, bound):
+    """The K-types |t| <= bound of the factors named labels; all of them for None (the whole space)."""
+    return {t for t in range(-bound, bound + 1) if labels is None or any(has_ktype(f, t) for f in labels)}
+
+
 def test_series_example_plus_neg():
     series = composition_series_r(SigmaR.PLUS, Fraction(-3, 2))
-    assert [f.label for f in series.layers[0]] == ["F3"]
-    assert [f.label for f in series.layers[1]] == ["D-3", "D+3"]
-    socle = series.layers[0][0]
-    assert {n for n in range(-10, 11) if socle.contains(n)} == {-2, 0, 2}
-    top = series.layers[1][1]
-    assert {n for n in range(-10, 11) if top.contains(n)} == {4, 6, 8, 10}
-    assert [w.label for w in series.proper_submodules] == ["F3", "F3+D-3", "F3+D+3"]
+    assert series["layers"] == [["F3"], ["D-3", "D+3"]]
+    socle = series["layers"][0][0]
+    assert ktypes([socle], 10) == {-2, 0, 2}
+    top = series["layers"][1][1]
+    assert ktypes([top], 10) == {4, 6, 8, 10}
+    assert series["proper_submodules"] == ["F3", "F3+D-3", "F3+D+3"]
 
 
 def test_series_limits_at_zero():
     series = composition_series_r(SigmaR.MINUS, 0)
-    assert [f.label for f in series.layers[0]] == ["D-", "D+"]
-    assert {w.label for w in series.proper_submodules} == {"D+", "D-"}
+    assert series["layers"] == [["D-", "D+"]]
+    assert set(series["proper_submodules"]) == {"D+", "D-"}
 
 
 def test_series_irreducible():
-    assert isinstance(composition_series_r(SigmaR.PLUS, Fraction(1, 3)), IrreducibleR)
-    assert isinstance(composition_series_r(SigmaR.PLUS, 0), IrreducibleR)
-    assert isinstance(composition_series_r(SigmaR.MINUS, HALF), IrreducibleR)
+    assert composition_series_r(SigmaR.PLUS, Fraction(1, 3)) == {"sigma": "+", "lambda": "1/3", "reducible": False}
+    assert composition_series_r(SigmaR.PLUS, 0) == {"sigma": "+", "lambda": "0", "reducible": False}
+    assert composition_series_r(SigmaR.MINUS, HALF) == {"sigma": "-", "lambda": "1/2", "reducible": False}
+
+
+def test_series_against_the_definition():
+    for sigma in (SigmaR.PLUS, SigmaR.MINUS):
+        for lam in (Fraction(j, 6) for j in range(-42, 43)):
+            series, expected = composition_series_r(sigma, lam), series_r(sigma, lam)
+            assert series["reducible"] == (expected is not None), (sigma, lam)
+            if expected is not None:
+                layers, submodules = expected
+                assert series["layers"] == layers
+                assert sorted(series["proper_submodules"]) == sorted("+".join(w) for w in submodules)
 
 
 def test_factor_partition():
     # K-types of all factors partition the parity class of sigma.
     for sigma in (SigmaR.PLUS, SigmaR.MINUS):
         for lam in reducibility_points_r(sigma, Fraction(6)):
-            series = composition_series_r(sigma, lam)
+            factors = [f for layer in composition_series_r(sigma, lam)["layers"] for f in layer]
             for t in range(-30, 31):
                 if SigmaR.of_ktype(t) is not sigma:
                     continue
-                assert sum(f.contains(t) for f in series.factors) == 1, (sigma, lam, t)
+                assert sum(has_ktype(f, t) for f in factors) == 1, (sigma, lam, t)
 
 
 # -- smallest submodule ----------------------------------------------------------------
@@ -197,29 +218,25 @@ def test_factor_partition():
 
 def test_smallest_submodule_examples():
     w = smallest_submodule_r(0, Fraction(-3, 2))
-    assert w.label == "F3"
-    assert {n for n in range(-8, 9) if w.contains(n)} == {-2, 0, 2}
-    assert smallest_submodule_r(0, Fraction(3, 2)) is FULL
+    assert w == ("F3",)
+    assert ktypes(w, 8) == {-2, 0, 2}
+    assert smallest_submodule_r(0, Fraction(3, 2)) is None
     w = smallest_submodule_r(6, Fraction(3, 2))
-    assert w.label == "D+3"
-    assert {n for n in range(-12, 13) if w.contains(n)} == {4, 6, 8, 10, 12}
+    assert w == ("D+3",)
+    assert ktypes(w, 12) == {4, 6, 8, 10, 12}
 
 
 def test_smallest_submodule_against_enumeration():
-    # Oracle: scan the full proper-submodule list for the minimal one containing m.
+    # Oracle: the proper submodule containing m that lies in every other one.
     for m in (-7, -2, 0, 1, 4, 9):
         sigma = SigmaR.of_ktype(m)
         for lam in reducibility_points_r(sigma, Fraction(5)):
-            series = composition_series_r(sigma, lam)
-            containing = [w for w in series.proper_submodules if w.contains(m)]
-            expected = min(containing, key=lambda w: len(w.factors)) if containing else FULL
             got = smallest_submodule_r(m, lam)
-            if expected is FULL:
-                assert got is FULL
-            else:
-                assert got.label == expected.label
-                for other in containing:
-                    assert all(other.contains(n) for n in range(-20, 21) if got.contains(n))
+            assert got == smallest_submodule_by_inclusion(m, lam), (m, lam)
+            if got is not None:
+                for other in series_r(sigma, lam)[1]:
+                    if m in ktypes(other, 20):
+                        assert ktypes(got, 20) <= ktypes(other, 20)
 
 
 # -- Level 3 -------------------------------------------------------------------------
@@ -369,13 +386,13 @@ def _level2_by_definition(psi, m, truncation):
     functional equation."""
     vanishing = []
     for lam in reducibility_points_r(SigmaR.of_ktype(m), Fraction(truncation + 1, 2)):
-        submodule = smallest_submodule_r(m, lam)
-        if submodule is FULL:
+        submodule = smallest_submodule_by_inclusion(m, lam)
+        if submodule is None:
             continue
         for n in sorted(psi):
-            if not submodule.contains(n):
+            if not any(has_ktype(f, n) for f in submodule):
                 value = psi[n](lam)
-                vanishing.append({"lambda": rat_str(lam), "ktype": n, "submodule": submodule.label,
+                vanishing.append({"lambda": rat_str(lam), "ktype": n, "submodule": "+".join(submodule),
                                   "value": rat_str(value), "ok": value == 0})
     functional = []
     for n in sorted(psi):
@@ -492,12 +509,12 @@ def test_level3_first_root_reject_within_budget():
 
 
 def highlighted(picture):
-    return tuple(b.label for layer in picture.layers for b in layer if b.highlighted)
+    return tuple(b["label"] for layer in picture["layers"] for b in layer if b["highlighted"])
 
 
 def test_box_picture_negative_half():
     picture = box_picture_r(0, Fraction(-1, 2))
-    assert picture.layers[0][0].label == "F1"
+    assert picture["layers"][0][0]["label"] == "F1"
     assert highlighted(picture) == ("F1",)
 
 
@@ -505,13 +522,13 @@ def test_box_picture_positive_discrete():
     picture = box_picture_r(2, HALF)
     assert highlighted(picture) == ("D+1",)
     # bottom layer (socle) holds the discrete pair, D+1 on the right
-    assert [b.label for b in picture.layers[0]] == ["D-1", "D+1"]
+    assert [b["label"] for b in picture["layers"][0]] == ["D-1", "D+1"]
 
 
 def test_box_picture_irreducible_full():
     picture = box_picture_r(0, Fraction(1, 3))
-    assert picture.full
-    assert len(picture.layers) == 1 and picture.layers[0][0].highlighted
+    assert picture["full"]
+    assert picture["layers"] == [[{"label": "H(+,1/3)", "highlighted": True}]]
 
 
 def test_box_highlight_is_a_submodule():
@@ -521,12 +538,11 @@ def test_box_highlight_is_a_submodule():
         for lam in reducibility_points_r(sigma, Fraction(5)):
             picture = box_picture_r(m, lam)
             marked = set(highlighted(picture))
-            series = composition_series_r(sigma, lam)
-            if picture.full:
-                assert marked == {f.label for f in series.factors}
+            layers, submodules = series_r(sigma, lam)
+            if picture["full"]:
+                assert marked == {f for layer in layers for f in layer}
             else:
-                options = [{f.label for f in w.factors} for w in series.proper_submodules]
-                assert marked in options
+                assert marked in [set(w) for w in submodules]
 
 
 # -- cross-validation: q zeros against the pictures ---------------------------------------
@@ -538,4 +554,4 @@ def test_box_zero_cross_validation():
         sigma = SigmaR.of_ktype(m)
         for lam in reducibility_points_r(sigma, Fraction(8)):
             submodule = smallest_submodule_r(m, lam)
-            assert (q(lam) == 0) == (not submodule.contains(n)), (n, m, lam)
+            assert (q(lam) == 0) == (n not in ktypes(submodule, 10)), (n, m, lam)
