@@ -300,6 +300,27 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return out
 
 
+def _synthetic(num: Sequence[int], c: int) -> list[int] | None:
+    """The integer quotient of num by x - c (ascending), or None for a remainder."""
+    acc, out = 0, []
+    for n in reversed(num):
+        acc = acc * c + n
+        out.append(acc)
+    return None if acc else out[-2::-1]
+
+
+def _sum_over_lcm(a: Sequence[int], da: int, b: Sequence[int], db: int, sign: int) -> tuple[list[int], int]:
+    """The numerators of a / da + sign * b / db over lcm(da, db), not normalised."""
+    den = lcm(da, db)
+    fa, fb = den // da, den // db
+    if fa != 1:
+        a = [fa * x for x in a]
+    if fb != 1:
+        b = [fb * x for x in b]
+    pairs = zip_longest(a, b, fillvalue=0)
+    return [x + y for x, y in pairs] if sign > 0 else [x - y for x, y in pairs], den
+
+
 # -- free functions: the operation surface -------------------------------------
 
 
@@ -334,17 +355,36 @@ def poly_div_rem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return _make(quotient, scale * f._den), _make(rem, scale * f._den)
 
 
-def poly_div_linear(f: Poly, c: int, scale: int) -> Poly | None:
-    """The quotient f / (scale * (x - c)) for ints c and scale != 0, or None when
-    x - c leaves a remainder: synthetic division of the integer numerator, with
-    the scale going into the denominator."""
-    acc, quotient = 0, []
-    for n in reversed(f._num):
-        acc = acc * c + n
-        quotient.append(acc)
-    if acc:
-        return None
-    return _make(quotient[-2::-1], f._den * scale)
+def poly_div_linear(f: Poly, roots: Sequence[int], scale: int) -> Poly | None:
+    """The quotient f / (scale * prod (x - c)) over the ints c in roots, for an int
+    scale != 0, or None at the first x - c that leaves a remainder; f itself for no
+    root and scale 1.  One kernel call per chain: f / scale is reduced once, first,
+    so a large scale leaves the numerator before the synthetic divisions (Knuth,
+    TAOCP vol. 2, 4.6.4) carry it, and nothing is normalised between them.
+    """
+    if scale == 1 and not roots:
+        return f
+    num, den = (f._num, f._den) if scale == 1 else _normal(list(f._num), f._den * scale)
+    for c in roots:
+        num = _synthetic(num, c)
+        if num is None:
+            return None
+    return _make(num, den)
+
+
+def poly_sub_div_linear(f: Poly, g: Poly, c: int, scale: int) -> Poly | None:
+    """The quotient (f - g) / (scale * (x - c)) for ints c and scale != 0, or None for a
+    remainder: f - g is formed over the lcm of the denominators, normalised only as the quotient."""
+    num, den = _sum_over_lcm(f._num, f._den, g._num, g._den, -1)
+    num = _synthetic(num, c)
+    return None if num is None else _make(num, den * scale)
+
+
+def poly_mul_add(f: Poly, g: Poly, h: Poly) -> Poly:
+    """f * g + h, summed over the lcm of the denominators of f * g and h, normalised once."""
+    if not f._num:
+        return h
+    return _make(*_sum_over_lcm(_int_mul(f._num, g._num), f._den * g._den, h._num, h._den, 1))
 
 
 def ladder(nums: Iterable[int], den: int) -> Poly:

@@ -15,15 +15,15 @@ module over polynomials in the Casimir parameter mu = x^2 + k^2 with the
 m + 1 generators (k*x)^l.  The decomposition interpolates over the weights
 in Newton (divided-difference) form, one exact division by a linear
 polynomial in mu per weight pair, and rebuilds the coordinates by Horner's
-rule, so coordinates are exact and unique.  The same pass decides
-membership: for a symmetric map every division is exact exactly when the
-swap condition holds.
+rule, each step one kernel call that normalises once, so coordinates are exact
+and unique.  The same pass decides membership: for a symmetric map every
+division is exact exactly when the swap condition holds.
 
 Membership at distinct K-types is certified by componentwise exact division
 by the ladder chain q_{n,m} (products of the first-order operators
 q^+ : component x + (m+2), and q^- : component ((m+2)^2 - k^2)(x - (m+2))),
-one synthetic division by x - r per integer root r with the weight scalar
-taken out on the way, followed by the diagonal-algebra test on the quotient.
+one poly_div_linear call per component (the weight scalar out first, then x - r
+for every integer root r), followed by the diagonal-algebra test on the quotient.
 The chain's roots are ints (q_roots_c); poly.ladder(roots, 1) builds the monic
 chain for the c-quotient, q_nm_c and the Level-2 shadow's partner test.
 """
@@ -49,6 +49,8 @@ from .poly import (
     ladder,
     poly_div_linear,
     poly_gcd,
+    poly_mul_add,
+    poly_sub_div_linear,
     square_parts,
     transpose,
 )
@@ -343,6 +345,8 @@ def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly] | None:
     TAOCP vol. 2, 4.6.4); a remainder is a swap break between K and +/-L.  The
     coordinates are the t-coefficients of
     H = G_b + f_b (G_{b+2} + f_{b+2} (... + f_{m-2} G_m)), by Horner's rule.
+    Each step is one kernel call that normalises once: poly_sub_div_linear for a
+    divided step, poly_mul_add for c (L^4 - L^2 mu) + g in Horner's rule.
     """
     b, zero = m % 2, Poly.zero()
     rows = []  # (X_K, Y_K) per weight K, and G_K once level K is reached
@@ -360,7 +364,7 @@ def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly] | None:
         x, y = rows[(level - b) // 2]
         if level:
             pairing = Poly((level**4, -level * level))  # L^4 - L^2 mu = f_L - t^2
-            h = [c * pairing + g for c, g in zip([*h, zero, zero], [x, y, *h])]
+            h = [poly_mul_add(c, pairing, g) for c, g in zip([*h, zero, zero], [x, y, *h])]
         else:  # f_0 = t, and Y_0 = 0
             h = [x, *h]
         while h and not h[-1]:
@@ -373,12 +377,12 @@ def _divided_step(row: tuple[Poly, Poly], base: tuple[Poly, Poly], k: int,
     """The pair (X_k, Y_k) less G_level, divided by f_level at weight k, or None."""
     (x, y), (xl, yl) = row, base
     c, scale = k * k + level * level, k * k - level * level
-    dx = poly_div_linear(x - xl, c, scale)
+    dx = poly_sub_div_linear(x, xl, c, scale)
     if dx is None:
         return None
     if not level:
         return y, dx
-    dy = poly_div_linear(y - yl, c, scale)
+    dy = poly_sub_div_linear(y, yl, c, scale)
     return None if dy is None else (dx, dy)
 
 
@@ -397,12 +401,13 @@ class WeightRootWitness:
 def level3_check_c(phi: WeightedDiagMap) -> Accept | Reject:
     """Certify phi = (quotient in the diagonal algebra) * q_{src,dst}.
 
-    Each component is divided by x - r for each integer root r of the chain,
-    one exact synthetic division per root (Knuth, TAOCP vol. 2, 4.6.4), the
-    first of them also by its weight scalar (1 unless n > m); for n = m the
-    chain is 1 and nothing is divided.  A remainder rejects at the first root
-    where the component is nonzero.  algebra_check then decides the quotient,
-    and its acceptance carries the quotient's generator coordinates.
+    Each component takes one poly_div_linear call: its weight scalar (1 unless
+    n > m) comes out first, then one exact synthetic division per integer root
+    r of the chain (Knuth, TAOCP vol. 2, 4.6.4), with no normalisation in
+    between; for n = m the chain is 1 and the component is its own quotient.
+    A remainder rejects at the first root where the component is nonzero.
+    algebra_check then decides the quotient, and its acceptance carries the
+    quotient's generator coordinates.
     """
     if phi.is_zero_hom:
         raise ParityMismatch(
@@ -413,13 +418,10 @@ def level3_check_c(phi: WeightedDiagMap) -> Accept | Reject:
     level = min(n, m)
     comps = {}
     for k in weights(level):
-        quotient, scale = phi[k], _weight_scalar(n, m, k)
-        for r in roots:
-            quotient, scale = poly_div_linear(quotient, r, scale), 1
-            if quotient is None:
-                root, value = first_root_not_vanishing([phi[k]], roots, 1)
-                return Reject(WeightRootWitness(weight=k, root=root, value=value))
-        comps[k] = quotient
+        comps[k] = poly_div_linear(phi[k], roots, _weight_scalar(n, m, k))
+        if comps[k] is None:
+            root, value = first_root_not_vanishing([phi[k]], roots, 1)
+            return Reject(WeightRootWitness(weight=k, root=root, value=value))
     return algebra_check(WeightedDiagMap(level, level, comps))
 
 

@@ -7,6 +7,10 @@ Rejects and errors all occur.  Now and then an option is left out, or a
 misspelt, abbreviated or unknown one is added.  Whatever the input, main
 returns 0, 1 or 2 and raises nothing; a usage or input error is one `error:`
 line at the end of stderr, and any other call prints to stdout only.
+
+A second test gives each subcommand that reads JSON valid options and a valid
+JSON argument with one node mutated, so that the JSON readers see malformed
+structure rather than only the fixed malformed strings.
 """
 
 import contextlib
@@ -98,7 +102,7 @@ def cquot_args(draw):
 
 
 @st.composite
-def check3_args(draw):
+def check3_args(draw, pick=value, json_arg=json_value):
     group = draw(st.sampled_from(["sl2r", "sl2c"]))
     if group == "sl2r":
         n, m = ktype_pair(draw, -4)
@@ -106,35 +110,35 @@ def check3_args(draw):
     else:
         n, m = ktype_pair(draw, 0)
         phi = jsonio.diag_map_to_json(sl2c_map(draw, n, m))
-    return {"--group": value(draw, group, ["sl3"]), "-n": value(draw, str(n), OVERSIZED_KTYPE),
-            "-m": value(draw, str(m), OVERSIZED_KTYPE), "--phi": json_value(draw, phi)}
+    return {"--group": pick(draw, group, ["sl3"]), "-n": pick(draw, str(n), OVERSIZED_KTYPE),
+            "-m": pick(draw, str(m), OVERSIZED_KTYPE), "--phi": json_arg(draw, phi)}
 
 
 @st.composite
-def check3_product_args(draw):
+def check3_product_args(draw, pick=value, json_arg=json_value):
     pairs = [ktype_pair(draw, -3) for _ in range(draw(st.integers(1, 3)))]
     l, n = (tuple(p[i] for p in pairs) for i in (0, 1))
     even = MultiPoly(len(pairs), {tuple(2 * draw(st.integers(0, 1)) for _ in pairs): draw(st.integers(-3, 3))
                                   for _ in range(draw(st.integers(0, 3)))})
     phi = maybe_member(draw, q_product(l, n), even)
-    return {"-n": value(draw, ",".join(map(str, l)), ["1,1001"]),
-            "-m": value(draw, ",".join(map(str, n)), ["1,1001"]),
-            "--phi": json_value(draw, jsonio.mpoly_to_json(phi))}
+    return {"-n": pick(draw, ",".join(map(str, l)), ["1,1001"]),
+            "-m": pick(draw, ",".join(map(str, n)), ["1,1001"]),
+            "--phi": json_arg(draw, jsonio.mpoly_to_json(phi))}
 
 
 @st.composite
-def check2_args(draw):
+def check2_args(draw, pick=value, json_arg=json_value):
     group = draw(st.sampled_from(["sl2r", "sl2c"]))
     m, truncation = draw(st.integers(-3, 4)), draw(st.integers(-1, 6))
     keys = range(-truncation, truncation + 1) if group == "sl2r" else weights(max(m, 0))
     psi = {str(k): jsonio.poly_to_json(poly(draw)) for k in keys if draw(st.integers(0, 5))}
     # Each group takes only its own options: -n for sl2c, -m and --truncation for sl2r.
     if group == "sl2c":
-        ktypes = {"-n": value(draw, str(abs(m)), OVERSIZED_KTYPE)}
+        ktypes = {"-n": pick(draw, str(abs(m)), OVERSIZED_KTYPE)}
     else:
-        ktypes = {"-m": value(draw, str(m), OVERSIZED_KTYPE),
-                  "--truncation": value(draw, str(truncation), ["1001"])}
-    return {"--group": value(draw, group, ["sl3"]), **ktypes, "--psi": json_value(draw, psi)}
+        ktypes = {"-m": pick(draw, str(m), OVERSIZED_KTYPE),
+                  "--truncation": pick(draw, str(truncation), ["1001"])}
+    return {"--group": pick(draw, group, ["sl3"]), **ktypes, "--psi": json_arg(draw, psi)}
 
 
 def rational(draw, lo=-5, hi=5):
@@ -167,25 +171,25 @@ def atlas_args(draw):
 
 
 @st.composite
-def decompose_args(draw):
+def decompose_args(draw, json_arg=json_value):
     n = draw(st.integers(0, 4))
     h = algebra_element(draw, n) if draw(st.integers(0, 3)) else sl2c_map(draw, n, n)
-    return {"--phi": json_value(draw, jsonio.diag_map_to_json(h))}
+    return {"--phi": json_arg(draw, jsonio.diag_map_to_json(h))}
 
 
 @st.composite
-def synthesize_args(draw):
+def synthesize_args(draw, json_arg=json_value):
     m = draw(st.integers(0, 3))
     coords = GeneratorCoords(m, tuple(poly(draw) for _ in range(m + 1)))
-    return {"--coords": json_value(draw, jsonio.record_to_json(coords))}
+    return {"--coords": json_arg(draw, jsonio.record_to_json(coords))}
 
 
 @st.composite
-def extend_args(draw):
+def extend_args(draw, pick=value, json_arg=json_value):
     n = draw(st.integers(0, 4))
     h = algebra_element(draw, n) if draw(st.integers(0, 3)) else sl2c_map(draw, n, n)
-    return {"--h": json_value(draw, jsonio.diag_map_to_json(h)),
-            "--target": value(draw, str(n + draw(st.integers(-1, 3))), ["201", str(10**40)])}
+    return {"--h": json_arg(draw, jsonio.diag_map_to_json(h)),
+            "--target": pick(draw, str(n + draw(st.integers(-1, 3))), ["201", str(10**40)])}
 
 
 SUBCOMMANDS = {
@@ -224,5 +228,99 @@ def test_generated_calls_exit_cleanly(argv):
     if code == 1:
         assert lines and "error: " in lines[-1], lines
         assert sum("error:" in line for line in lines) == 1, lines
+    else:
+        assert lines == [] and out.getvalue()
+
+
+# -- structural JSON fuzz -----------------------------------------------------------
+
+# Values a mutated node may become or a new member or entry may hold: every JSON
+# type, including the wrong number kinds and the shapes the readers expect.
+JSON_VALUES = [0, -1, 1001, 1.5, "1/2", "x", "1e1000000", True, None, [], {}, ["1"],
+               {"coeffs": ["1"]}, {"0": {"coeffs": []}}]
+JSON_KEYS = ["coeffs", "n", "m", "components", "h", "arity", "terms", "exps", "coeff", "0", "1", "-1", "x"]
+
+
+def nodes(doc, path=()):
+    """Every node of a JSON document with its path of keys and indices, root first."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from nodes(child, (*path, key))
+
+
+def replace(doc, path, new):
+    """The document with the node at path replaced by new (a copy along the path)."""
+    if not path:
+        return new
+    head, *rest = path
+    copy = dict(doc) if isinstance(doc, dict) else list(doc)
+    copy[head] = replace(doc[head], rest, new)
+    return copy
+
+
+def mutated_json(draw, valid):
+    """The valid document with one node mutated: its type swapped, a member or
+    entry dropped or added, or the node wrapped in a list or nested one deeper."""
+    path = draw(st.sampled_from(list(nodes(valid))))
+    node = valid
+    for key in path:
+        node = node[key]
+    kinds = ["swap", "wrap", "nest"] + (["drop"] if node else []) * isinstance(node, (dict, list))
+    kinds += ["add"] * isinstance(node, (dict, list))
+    kind = draw(st.sampled_from(kinds))
+    if kind == "swap":
+        new = draw(st.sampled_from([v for v in JSON_VALUES if type(v) is not type(node)]))
+    elif kind == "wrap":
+        new = [node]
+    elif kind == "nest":
+        new = {draw(st.sampled_from(JSON_KEYS)): node}
+    elif isinstance(node, dict):
+        new = dict(node)
+        if kind == "drop":
+            del new[draw(st.sampled_from(sorted(node)))]
+        else:
+            new[draw(st.sampled_from(JSON_KEYS))] = draw(st.sampled_from(JSON_VALUES))
+    else:
+        new = list(node)
+        if kind == "drop":
+            del new[draw(st.integers(0, len(node) - 1))]
+        else:
+            new.insert(draw(st.integers(0, len(node))), draw(st.sampled_from(JSON_VALUES)))
+    return json.dumps(replace(valid, path, new))
+
+
+def valid(draw, value, *_):
+    return value
+
+
+JSON_SUBCOMMANDS = {
+    "check3": check3_args(valid, mutated_json), "check3-product": check3_product_args(valid, mutated_json),
+    "check2": check2_args(valid, mutated_json), "decompose": decompose_args(mutated_json),
+    "synthesize": synthesize_args(mutated_json), "extend": extend_args(valid, mutated_json),
+}
+
+
+@st.composite
+def mutated_json_argvs(draw):
+    command = draw(st.sampled_from(sorted(JSON_SUBCOMMANDS)))
+    argv = [command]
+    for flag, arg in draw(JSON_SUBCOMMANDS[command]).items():
+        argv += [flag, arg]
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(mutated_json_argvs())
+def test_structurally_mutated_json_exits_cleanly(argv):
+    # Every other option is valid, so an exit 1 comes from the JSON argument.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines()
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith("pw: error: "), lines
     else:
         assert lines == [] and out.getvalue()

@@ -15,7 +15,8 @@ from math import lcm
 import pytest
 
 import pwcert.sl2r
-from pwcert.poly import Poly, ladder, poly_div_linear, poly_div_rem, square_parts
+from pwcert.poly import (Poly, ladder, poly_div_linear, poly_div_rem, poly_mul_add,
+                         poly_sub_div_linear, square_parts)
 from pwcert.rationals import rat_str
 from pwcert.sl2c import q_roots_c
 from pwcert.sl2r import level3_check_r, q_poly_r
@@ -236,25 +237,95 @@ def test_div_rem_matches_fraction_kernel():
         _assert_fraction_tuple(remainder, ref_remainder)
 
 
+def _chain(rng: random.Random) -> list[int]:
+    """0, 1 or 2-40 int roots, repeats allowed; a lone root may be 0 or up to 10^6."""
+    count = rng.choice((0, 1, 1, rng.randint(2, 40)))
+    if count == 1:
+        return [rng.choice((0, rng.randint(-9, 9), rng.randint(-(10**6), 10**6)))]
+    return [rng.randint(-60, 60) for _ in range(count)]
+
+
+def _chain_scale(rng: random.Random) -> int:
+    """1, a small or large int of either sign, or an SL(2,C) weight scalar:
+    prod ((j+2)^2 - k^2) over up to 60 lowering steps from a level m >= |k|,
+    up to about 700 bits."""
+    shape = rng.choice(("one", "int", "weight"))
+    if shape == "one":
+        return 1
+    if shape == "int":
+        return rng.choice((-1, rng.randint(-99, -2), rng.randint(2, 10**12), -rng.randint(2, 10**12)))
+    m = rng.randint(0, 30)
+    k = rng.randrange(-m, m + 1, 2) if m else 0
+    scalar = 1
+    for j in range(m, m + 2 * rng.randint(1, 60), 2):
+        scalar *= (j + 2) ** 2 - k * k
+    return scalar
+
+
 def test_div_linear_matches_long_division():
-    # poly_div_linear(f, c, s) is the quotient f / (s (x - c)) when x - c
-    # divides f, and None exactly when the long division leaves a remainder.
+    # poly_div_linear(f, roots, s) is the quotient of f by s * prod (x - r) when
+    # that chain divides f, and None exactly when the long division by it leaves
+    # a remainder; for no root and s = 1 it is f itself.  Dividends over a
+    # denominator 1 or not, multiples of the chain, and the zero polynomial.
     rng = random.Random(8009)
     outcomes = Counter()
     for _ in range(CASES):
         kind = rng.choice(("integer", "dyadic", "rational"))
-        c = rng.choice((0, rng.randint(-9, 9), rng.randint(-(10**6), 10**6)))
-        scale = rng.choice((1, -1, rng.randint(-99, -2), rng.randint(2, 10**12)))
-        divisor = Poly((-c, 1)) * scale
+        roots, scale = _chain(rng), _chain_scale(rng)
+        divisor = ladder(roots, 1) * scale
         f = Poly(_dividend(rng, kind, divisor.coeffs))
         quotient, remainder = poly_div_rem(f, divisor)
-        result = poly_div_linear(f, c, scale)
+        result = poly_div_linear(f, roots, scale)
         if remainder.is_zero:
             _assert_same_poly(result, quotient.coeffs)
         else:
             assert result is None
-        outcomes["exact" if remainder.is_zero else "remainder"] += 1
-    assert min(outcomes.values()) >= CASES // 5, outcomes
+        if not roots and scale == 1:
+            assert result is f
+        outcomes[(min(len(roots), 2), remainder.is_zero, f.is_zero)] += 1
+    assert min(outcomes[(n, True, False)] for n in range(3)) >= CASES // 30, outcomes
+    assert min(outcomes[(n, False, False)] for n in (1, 2)) >= CASES // 30, outcomes
+    assert min(outcomes[(n, True, True)] for n in range(3)) >= CASES // 100, outcomes
+
+
+def test_sub_div_linear_matches_the_unfused_expression():
+    # poly_sub_div_linear(f, g, c, s) is the quotient of f - g by s (x - c), or
+    # None exactly when that long division leaves a remainder.  f and g have
+    # their own denominators; half the pairs differ by a multiple of x - c.
+    rng = random.Random(8011)
+    outcomes = Counter()
+    for _ in range(CASES):
+        kinds = rng.choice(("integer", "dyadic", "rational")), rng.choice(("integer", "dyadic", "rational"))
+        c = rng.choice((rng.randint(1, 9), rng.randint(-(10**6), 10**6)))
+        scale = rng.choice((1, -1, rng.randint(-99, -2), rng.randint(2, 10**4)))
+        divisor = Poly((-c, 1)) * scale
+        g = Poly(_operand(rng, kinds[1]))
+        f = g + Poly(_dividend(rng, kinds[0], divisor.coeffs)) if rng.random() < 0.5 else Poly(_operand(rng, kinds[0]))
+        quotient, remainder = poly_div_rem(f - g, divisor)
+        result = poly_sub_div_linear(f, g, c, scale)
+        if remainder.is_zero:
+            _assert_same_poly(result, quotient.coeffs)
+        else:
+            assert result is None
+        outcomes[(remainder.is_zero, quotient.is_zero)] += 1
+    assert min(outcomes.values()) >= CASES // 20, outcomes
+
+
+def test_mul_add_matches_the_unfused_expression():
+    # poly_mul_add(f, g, h) is f * g + h, in the canonical form, including
+    # sums whose numerators share a factor with the lcm of the denominators.
+    rng = random.Random(8012)
+    outcomes = Counter()
+    for _ in range(CASES):
+        f, g, h = (Poly(_operand(rng, rng.choice(("integer", "dyadic", "rational")))) for _ in range(3))
+        if rng.random() < 0.3:
+            g = Poly((rng.randint(-9, 9) ** 4, -rng.randint(1, 9) ** 2))  # a pairing factor
+        result = poly_mul_add(f, g, h)
+        expected = f * g + h
+        _assert_same_poly(result, expected.coeffs)
+        den = [lcm(*(c.denominator for c in p.coeffs)) for p in (f, g, h, expected)]
+        outcomes["reduced" if den[3] < lcm(den[0] * den[1], den[2]) else "whole"] += 1
+    assert min(outcomes.values()) >= CASES // 10, outcomes
 
 
 def test_ladder_matches_fraction_kernel():
