@@ -24,10 +24,10 @@ _PALETTE = (
 def atlas_sl2r(lambda_max: Fraction) -> list[dict]:
     """Verdicts on the half-integer grid |lambda| <= lambda_max, both parities,
     as the JSON points of atlas_sl2r_json."""
-    from .sl2r import SigmaR, composition_series_r
+    from .sl2r import composition_series_r
 
     points = []
-    for sigma in (SigmaR.PLUS, SigmaR.MINUS):
+    for sigma in "+-":
         lam = Fraction(-math.floor(2 * lambda_max), 2)
         while lam <= lambda_max:
             row = composition_series_r(sigma, lam)

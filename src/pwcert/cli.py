@@ -1,12 +1,15 @@
 """Command-line surface: every checker, generator and diagram emitter.
 
-One subcommand per operation, JSON in/out for scripting.  Exit codes:
-0 for success or Accept, 2 for Reject (with the witness JSON on stdout),
-1 for usage or I/O errors.  Polynomial arguments are inline JSON or
-@filename; rationals are strings like "-3/2" so nothing is parsed as float.
+One subcommand per operation, JSON in/out for scripting.  Polynomial
+arguments are inline JSON or @filename; rationals are strings like "-3/2" so
+nothing is parsed as float.
 
-Each handler imports the checker modules of its own branch, so a call
-loads only what it runs: start-up is most of a short call's time.
+Each handler returns the row it computes (a JSON-able dict, or the DOT or
+ASCII text of box and atlas) and imports only the checker modules of its own
+branch: start-up is most of a short call's time.  main alone writes the row,
+to stdout or --out, and sets the exit code: 2 when the row's "accept" or
+"passed" is false (a Reject, a failing report), 1 for usage, input and I/O
+errors, else 0.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from .rationals import rat
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-    from .sl2r import SigmaR
 
 
 class _UsageError(Exception):
@@ -70,8 +71,9 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def _emit(payload, out: str | None, raw: bool = False) -> None:
-    text = payload if raw else json.dumps(payload, indent=2, sort_keys=True)
+def _emit(row: dict | str, out: str | None) -> None:
+    """Write a JSON row, or text as it is, to stdout or the file out."""
+    text = row if isinstance(row, str) else json.dumps(row, indent=2, sort_keys=True)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -79,30 +81,23 @@ def _emit(payload, out: str | None, raw: bool = False) -> None:
         print(text)
 
 
-def _emit_verdict(result, h_to_json, out: str | None) -> int:
-    """Emit an Accept (exit 0) or a Reject with its witness (exit 2)."""
+def _verdict(result, h_to_json) -> dict:
+    """The row of an Accept, or of a Reject with its witness."""
     if not result.accepted:
-        _emit({"accept": False, "witness": jsonio.witness_to_json(result.witness)}, out)
-        return 2
-    payload = {"accept": True, "h": h_to_json(result.h)}
+        return {"accept": False, "witness": jsonio.witness_to_json(result.witness)}
+    row = {"accept": True, "h": h_to_json(result.h)}
     if result.coords is not None:
-        payload["coords"] = jsonio.record_to_json(result.coords)
-    _emit(payload, out)
-    return 0
+        row["coords"] = jsonio.record_to_json(result.coords)
+    return row
 
 
 def _ktypes(*values) -> tuple[int, ...]:
     return tuple(jsonio.ktype_from_json(v) for v in values)
 
 
-def _sigma_r(value: str) -> SigmaR:
-    from .sl2r import SigmaR
-
-    if value in ("+", "plus", "Plus"):
-        return SigmaR.PLUS
-    if value in ("-", "minus", "Minus"):
-        return SigmaR.MINUS
-    raise ValueError(f"sigma for sl2r must be + or -, got {value!r}")
+def _sigma_r(value: str) -> str:
+    """+ or - for the spellings plus/Plus and minus/Minus; sl2r refuses any other sigma."""
+    return {"plus": "+", "Plus": "+", "minus": "-", "Minus": "-"}.get(value, value)
 
 
 def _lambda(value: str, command: str) -> Fraction:
@@ -190,42 +185,38 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _cmd_q(args) -> int:
+def _cmd_q(args) -> dict:
     if args.group == "sl2r":
         from .sl2r import q_poly_r
 
-        _emit(jsonio.poly_to_json(q_poly_r(*_ktypes(args.n, args.m))), args.out)
-    elif args.group == "sl2r-product":
+        return jsonio.poly_to_json(q_poly_r(*_ktypes(args.n, args.m)))
+    if args.group == "sl2r-product":
         from .sl2r_product import q_product
 
         l, n = jsonio.ktype_vec_from_json(args.n), jsonio.ktype_vec_from_json(args.m)
-        _emit(jsonio.mpoly_to_json(q_product(l, n)), args.out)
-    else:
-        from .sl2c import q_nm_c
+        return jsonio.mpoly_to_json(q_product(l, n))
+    from .sl2c import q_nm_c
 
-        _emit(jsonio.diag_map_to_json(q_nm_c(*_ktypes(args.n, args.m))), args.out)
-    return 0
+    return jsonio.diag_map_to_json(q_nm_c(*_ktypes(args.n, args.m)))
 
 
-def _cmd_cquot(args) -> int:
+def _cmd_cquot(args) -> dict:
     n, m = _ktypes(args.n, args.m)
     if args.group == "sl2r":
         from .sl2r import c_quotient_r as c_quotient
     else:
         from .sl2c import c_quotient_c as c_quotient
-    _emit(jsonio.ratfunc_to_json(c_quotient(n, m)), args.out)
-    return 0
+    return jsonio.ratfunc_to_json(c_quotient(n, m))
 
 
-def _cmd_check3(args) -> int:
+def _cmd_check3(args) -> dict:
     if args.group == "sl2r":
         from .sl2r import level3_check_r
 
         if args.n is None or args.m is None:
             raise ValueError("check3 --group sl2r needs -n and -m")
         phi = jsonio.poly_from_json(_load_json_arg(args.phi))
-        result = level3_check_r(phi, *_ktypes(args.n, args.m))
-        return _emit_verdict(result, jsonio.poly_to_json, args.out)
+        return _verdict(level3_check_r(phi, *_ktypes(args.n, args.m)), jsonio.poly_to_json)
     from .sl2c import level3_check_c
 
     phi_map = jsonio.diag_map_from_json(_load_json_arg(args.phi))
@@ -233,19 +224,19 @@ def _cmd_check3(args) -> int:
         raise ValueError(f"-n {args.n} does not match phi (n = {phi_map.src})")
     if args.m is not None and phi_map.dst != args.m:
         raise ValueError(f"-m {args.m} does not match phi (m = {phi_map.dst})")
-    return _emit_verdict(level3_check_c(phi_map), jsonio.diag_map_to_json, args.out)
+    return _verdict(level3_check_c(phi_map), jsonio.diag_map_to_json)
 
 
-def _cmd_check3_product(args) -> int:
+def _cmd_check3_product(args) -> dict:
     from .sl2r_product import level3_check_product
 
     phi = jsonio.mpoly_from_json(_load_json_arg(args.phi))
     result = level3_check_product(phi, jsonio.ktype_vec_from_json(args.n),
                                   jsonio.ktype_vec_from_json(args.m))
-    return _emit_verdict(result, jsonio.mpoly_to_json, args.out)
+    return _verdict(result, jsonio.mpoly_to_json)
 
 
-def _cmd_check2(args) -> int:
+def _cmd_check2(args) -> dict:
     psi = jsonio.psi_from_json(_load_json_arg(args.psi))
     if args.group == "sl2r":
         from .sl2r import level2_check_r
@@ -253,54 +244,43 @@ def _cmd_check2(args) -> int:
         _unread(args, "-n")
         if args.m is None or args.truncation is None:
             raise ValueError("check2 --group sl2r needs -m and --truncation")
-        report = level2_check_r(psi, jsonio.ktype_from_json(args.m), args.truncation)
-    else:
-        from .sl2c import level2_functional_check_c
+        return level2_check_r(psi, jsonio.ktype_from_json(args.m), args.truncation)
+    from .sl2c import level2_functional_check_c
 
-        _unread(args, "-m", "--truncation")
-        if args.n is None:
-            raise ValueError("check2 --group sl2c needs -n")
-        report = level2_functional_check_c(psi, jsonio.ktype_from_json(args.n))
-    _emit(report, args.out)
-    return 0 if report["passed"] else 2
+    _unread(args, "-m", "--truncation")
+    if args.n is None:
+        raise ValueError("check2 --group sl2c needs -n")
+    return level2_functional_check_c(psi, jsonio.ktype_from_json(args.n))
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> dict:
     lam = _lambda(args.lam, f"classify --group {args.group}")
     if args.group == "sl2r":
         from .sl2r import composition_series_r
 
         _unread(args, "--diamond")
-        _emit(composition_series_r(_sigma_r(args.sigma), lam), args.out)
-        return 0
+        return composition_series_r(_sigma_r(args.sigma), lam)
     from .sl2c import diamond, reducibility_c
 
     sigma = jsonio.int_from_json(args.sigma)
     row = reducibility_c(sigma, lam)
     if args.diamond and row["reducible"]:
         row["diamond"] = diamond(sigma, lam)
-    _emit(row, args.out)
-    return 0
+    return row
 
 
-def _cmd_box(args) -> int:
+def _cmd_box(args) -> dict | str:
     from .sl2r import box_picture_r
 
     picture = box_picture_r(jsonio.ktype_from_json(args.m), _lambda(args.lam, "box"))
     if args.format == "json":
-        _emit(picture, args.out)
-    elif args.format == "dot":
-        from .render import box_dot
+        return picture
+    from .render import box_ascii, box_dot
 
-        _emit(box_dot(picture), args.out, raw=True)
-    else:
-        from .render import box_ascii
-
-        _emit(box_ascii(picture), args.out, raw=True)
-    return 0
+    return (box_dot if args.format == "dot" else box_ascii)(picture)
 
 
-def _cmd_atlas(args) -> int:
+def _cmd_atlas(args) -> dict | str:
     from . import atlas as atlas_mod
 
     lam_max = rat(args.lambda_max)
@@ -310,11 +290,8 @@ def _cmd_atlas(args) -> int:
             raise ValueError(f"atlas --group sl2r needs --lambda-max >= 0, got {args.lambda_max}")
         if lam_max > jsonio.MAX_ATLAS_R:
             raise ValueError(f"atlas --group sl2r needs --lambda-max <= {jsonio.MAX_ATLAS_R}")
-        if args.format == "json":
-            _emit(atlas_mod.atlas_sl2r_json(lam_max), args.out)
-        else:
-            _emit(atlas_mod.atlas_sl2r_dot(lam_max), args.out, raw=True)
-        return 0
+        emitter = atlas_mod.atlas_sl2r_json if args.format == "json" else atlas_mod.atlas_sl2r_dot
+        return emitter(lam_max)
     sigma_max = 5 if args.sigma_max is None else args.sigma_max
     if lam_max.denominator != 1:
         raise ValueError("sl2c atlas needs an integer --lambda-max")
@@ -322,58 +299,52 @@ def _cmd_atlas(args) -> int:
         raise ValueError("atlas --group sl2c needs --sigma-max and --lambda-max >= 0")
     if max(sigma_max, lam_max) > jsonio.MAX_ATLAS_C:
         raise ValueError(f"atlas --group sl2c needs --sigma-max and --lambda-max <= {jsonio.MAX_ATLAS_C}")
-    if args.format == "json":
-        _emit(atlas_mod.atlas_sl2c_json(sigma_max, int(lam_max)), args.out)
-    else:
-        _emit(atlas_mod.atlas_sl2c_dot(sigma_max, int(lam_max)), args.out, raw=True)
-    return 0
+    emitter = atlas_mod.atlas_sl2c_json if args.format == "json" else atlas_mod.atlas_sl2c_dot
+    return emitter(sigma_max, int(lam_max))
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> dict:
     from .sl2c import free_module_decompose
 
     phi = jsonio.diag_map_from_json(_load_json_arg(args.phi))
-    _emit(jsonio.record_to_json(free_module_decompose(phi)), args.out)
-    return 0
+    return jsonio.record_to_json(free_module_decompose(phi))
 
 
-def _cmd_synthesize(args) -> int:
+def _cmd_synthesize(args) -> dict:
     from .sl2c import synthesize
 
     coords = jsonio.coords_from_json(_load_json_arg(args.coords))
-    _emit(jsonio.diag_map_to_json(synthesize(coords)), args.out)
-    return 0
+    return jsonio.diag_map_to_json(synthesize(coords))
 
 
-def _cmd_extend(args) -> int:
+def _cmd_extend(args) -> dict:
     from .sl2c import extend_interpolate
 
     if args.target > jsonio.MAX_EXTEND_TARGET:
         raise ValueError(f"extend --target must be at most {jsonio.MAX_EXTEND_TARGET}, got {args.target}")
     h = jsonio.diag_map_from_json(_load_json_arg(args.h))
-    _emit(jsonio.diag_map_to_json(extend_interpolate(h, args.target)), args.out)
-    return 0
+    return jsonio.diag_map_to_json(extend_interpolate(h, args.target))
 
 
-def _cmd_verify_numeric(args) -> int:
+def _cmd_verify_numeric(args) -> dict:
     from .numeric import verification_report
 
-    report = verification_report(seed=args.seed)
-    _emit(report, args.out)
-    return 0 if report["passed"] else 2
+    return verification_report(seed=args.seed)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.run(args)
+        row = args.run(args)
+        _emit(row, args.out)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     except (PwError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"pw: error: {exc}", file=sys.stderr)
         return 1
+    return 2 if isinstance(row, dict) and row.get("accept", row.get("passed")) is False else 0
 
 
 def entrypoint() -> None:

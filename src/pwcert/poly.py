@@ -268,18 +268,7 @@ def _coerce(value: Poly | RatLike) -> Poly:
 
 def _add(p: Poly, q: Poly, sign: int) -> Poly:
     """p + sign * q over the lcm of the two denominators."""
-    den = lcm(p._den, q._den)
-    a, fa = p._num, den // p._den
-    b, fb = q._num, sign * (den // q._den)
-    if fa != 1:
-        a = [fa * c for c in a]
-    if fb != 1:
-        b = [fb * c for c in b]
-    if len(a) < len(b):
-        a, b = b, a
-    out = [x + y for x, y in zip(a, b)]
-    out += a[len(b) :]
-    return _make(out, den)
+    return _make(*_sum_over_lcm(p._num, p._den, q._num, q._den, sign))
 
 
 def _powers(base: int, d: int) -> list[int]:

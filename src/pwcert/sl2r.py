@@ -25,24 +25,12 @@ Knapp-Stein equation q_{n,m}(-x) / q_{n,m}(x) = (-1)^{(m-n)/2} c_n / c_m.
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 
 from .errors import TruncationTooSmall, check_parity
 from .poly import Poly, first_root_not_vanishing, ladder, poly_div_rem
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
 from .verdict import Accept, Reject, record
-
-
-class SigmaR(enum.Enum):
-    """Character of M = {+/- Id}: trivial (+) or sign (-)."""
-
-    PLUS = "+"
-    MINUS = "-"
-
-    @staticmethod
-    def of_ktype(n: int) -> "SigmaR":
-        return SigmaR.PLUS if n % 2 == 0 else SigmaR.MINUS
 
 
 # -- c-functions ----------------------------------------------------------------
@@ -96,12 +84,20 @@ def _discrete(k: int, sign: int) -> str:
     return f"D{'+' if sign > 0 else '-'}{k or ''}"
 
 
-def is_reducible_r(sigma: SigmaR, lam: Fraction) -> bool:
-    return is_half_integer(lam) if sigma is SigmaR.PLUS else is_integer(lam)
+def sigma_of(m: int) -> str:
+    """The M-character that pairs with the K-type m: + for even m, - for odd."""
+    return "+" if m % 2 == 0 else "-"
 
 
-def composition_series_r(sigma: SigmaR, lam: RatLike) -> dict:
-    """Classify the principal series at (sigma, lambda), as the row pw classify prints.
+def is_reducible_r(sigma: str, lam: Fraction) -> bool:
+    if sigma not in ("+", "-"):
+        raise ValueError(f"sigma for sl2r must be + or -, got {sigma!r}")
+    return is_half_integer(lam) if sigma == "+" else is_integer(lam)
+
+
+def composition_series_r(sigma: str, lam: RatLike) -> dict:
+    """Classify the principal series at (sigma, lambda), as the row pw classify
+    prints; sigma is "+" or "-", the string pw reads and prints.
 
     A reducible point adds its layers (socle first) and the labels of its proper
     submodules, each the "+"-joined labels of its factors.  The layers are either
@@ -110,7 +106,7 @@ def composition_series_r(sigma: SigmaR, lam: RatLike) -> dict:
     D_- (+) D_+.
     """
     lam = rat(lam)
-    row = {"sigma": sigma.value, "lambda": rat_str(lam), "reducible": is_reducible_r(sigma, lam)}
+    row = {"sigma": sigma, "lambda": rat_str(lam), "reducible": is_reducible_r(sigma, lam)}
     if not row["reducible"]:
         return row
     if lam == 0:
@@ -134,7 +130,7 @@ def smallest_submodule_r(m: int, lam: RatLike) -> tuple[str, ...] | None:
     the whole space, as at the irreducible points.
     """
     lam = rat(lam)
-    if not is_reducible_r(SigmaR.of_ktype(m), lam):
+    if not is_reducible_r(sigma_of(m), lam):
         return None
     k = int(2 * abs(lam))
     if abs(m) < k:
@@ -243,10 +239,10 @@ def box_picture_r(m: int, lam: RatLike) -> dict:
     layers (socle first) of labelled boxes, with the smallest submodule
     containing m highlighted; "full" when that is the whole space, which at an
     irreducible point is the one box H(sigma,lambda)."""
-    sigma = SigmaR.of_ktype(m)
+    sigma = sigma_of(m)
     series = composition_series_r(sigma, lam)
     submodule = smallest_submodule_r(m, lam)
-    layers = series.get("layers", [[f"H({sigma.value},{series['lambda']})"]])
+    layers = series.get("layers", [[f"H({sigma},{series['lambda']})"]])
     return {"m": m, "lambda": series["lambda"], "full": submodule is None,
             "layers": [[{"label": f, "highlighted": submodule is None or f in submodule} for f in layer]
                        for layer in layers]}

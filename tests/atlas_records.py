@@ -8,14 +8,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from pwcert.rationals import rat_str
 from pwcert.verdict import record
 from ladder_oracle import series_r
-
-if TYPE_CHECKING:
-    from pwcert.sl2r import SigmaR
 
 _PALETTE = (
     "blue", "green", "orange", "red", "purple", "cyan",
@@ -25,7 +21,7 @@ _PALETTE = (
 
 @record
 class AtlasPointR:
-    sigma: SigmaR
+    sigma: str
     lam: Fraction
     reducible: bool
     layers: tuple[tuple[str, ...], ...]
@@ -33,10 +29,8 @@ class AtlasPointR:
 
 def atlas_sl2r(lambda_max: Fraction) -> list[AtlasPointR]:
     """Verdicts on the half-integer grid |lambda| <= lambda_max, both parities."""
-    from pwcert.sl2r import SigmaR
-
     points = []
-    for sigma in (SigmaR.PLUS, SigmaR.MINUS):
+    for sigma in "+-":
         lam = Fraction(-math.floor(2 * lambda_max), 2)
         while lam <= lambda_max:
             series = series_r(sigma, lam)
@@ -55,7 +49,7 @@ def atlas_sl2r_json(lambda_max: Fraction) -> dict:
         "lambda_max": rat_str(lambda_max),
         "points": [
             {
-                "sigma": p.sigma.value,
+                "sigma": p.sigma,
                 "lambda": rat_str(p.lam),
                 "reducible": p.reducible,
                 "layers": [list(layer) for layer in p.layers],
@@ -142,17 +136,15 @@ def atlas_sl2c_dot(sigma_max: int, lambda_max: int) -> str:
 
 def atlas_sl2r_dot(lambda_max: Fraction) -> str:
     """DOT graph of the SL(2,R) grid, reducible points filled."""
-    from pwcert.sl2r import SigmaR
-
     lines = [
         "graph atlas {",
         f'  label="sl2r atlas |lambda|<={rat_str(lambda_max)}";',
         "  node [shape=box];",
     ]
     for p in atlas_sl2r(lambda_max):
-        tag = "p" if p.sigma is SigmaR.PLUS else "m"
+        tag = "p" if p.sigma == "+" else "m"
         name = f"v_{tag}_{rat_str(p.lam)}".replace("-", "m").replace("/", "_")
-        attrs = [f'label="H({p.sigma.value},{rat_str(p.lam)})"']
+        attrs = [f'label="H({p.sigma},{rat_str(p.lam)})"']
         if p.reducible:
             attrs.append("style=filled, fillcolor=lightblue")
         lines.append(f"  {name} [{', '.join(attrs)}];")

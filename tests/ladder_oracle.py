@@ -20,7 +20,7 @@ from pwcert.jsonio import ratfunc_to_json
 from pwcert.poly import Poly
 from pwcert.ratfunc import RationalFunction
 from pwcert.sl2c import WeightedDiagMap, common_weights, weights
-from pwcert.sl2r import SigmaR
+from pwcert.sl2r import sigma_of
 from poly_helpers import from_roots
 
 
@@ -44,10 +44,10 @@ def then(first: WeightedDiagMap, second: WeightedDiagMap) -> WeightedDiagMap:
         k: first[k] * second[k] for k in common_weights(first.src, second.dst)})
 
 
-def reducibility_points_r(sigma: SigmaR, bound: Fraction) -> list[Fraction]:
+def reducibility_points_r(sigma: str, bound: Fraction) -> list[Fraction]:
     """All SL(2,R) reducibility points lambda with |lambda| <= bound, ascending:
     the half-integers for sigma = +, the integers for sigma = -."""
-    start = Fraction(1, 2) if sigma is SigmaR.PLUS else Fraction(0)
+    start = Fraction(1, 2) if sigma == "+" else Fraction(0)
     positive = [start + j for j in range(int(bound - start) + 1) if start + j <= bound]
     return sorted({*positive, *(-t for t in positive)})
 
@@ -65,7 +65,7 @@ def has_ktype(label: str, t: int) -> bool:
     return inside and (t - k - 1) % 2 == 0
 
 
-def series_r(sigma: SigmaR, lam: Fraction) -> tuple[list[list[str]], list[tuple[str, ...]]] | None:
+def series_r(sigma: str, lam: Fraction) -> tuple[list[list[str]], list[tuple[str, ...]]] | None:
     """The SL(2,R) composition series at (sigma, lambda) as (layers, socle first;
     proper submodules, each its factor labels in layer order), or None where the
     principal series is irreducible.
@@ -76,7 +76,7 @@ def series_r(sigma: SigmaR, lam: Fraction) -> tuple[list[list[str]], list[tuple[
     lambda < 0.  Every top factor extends the whole socle, so a union of factors
     is a submodule when it lies in the socle or holds all of it."""
     k = 2 * abs(lam)
-    if k.denominator != 1 or (k + 1) % 2 != (0 if sigma is SigmaR.PLUS else 1):
+    if k.denominator != 1 or (k + 1) % 2 != (0 if sigma == "+" else 1):
         return None
     k = int(k)
     if k == 0:
@@ -93,7 +93,7 @@ def series_r(sigma: SigmaR, lam: Fraction) -> tuple[list[list[str]], list[tuple[
 def smallest_submodule_by_inclusion(m: int, lam: Fraction) -> tuple[str, ...] | None:
     """The proper submodule that has the K-type m and lies in every other that
     has it, as its factor labels; None (the whole space) when none has m."""
-    series = series_r(SigmaR.of_ktype(m), lam)
+    series = series_r(sigma_of(m), lam)
     having = [w for w in series[1] if any(has_ktype(f, m) for f in w)] if series else []
     smallest = [w for w in having if all(set(w) <= set(other) for other in having)]
     return smallest[0] if smallest else None

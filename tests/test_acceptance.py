@@ -31,11 +31,11 @@ from pwcert.sl2c import (
 from pwcert.sl2r import (
     OddQuotientWitness,
     RootWitness,
-    SigmaR,
     box_picture_r,
     c_quotient_r,
     level3_check_r,
     q_poly_r,
+    sigma_of,
     smallest_submodule_r,
 )
 from pwcert.sl2r_product import (
@@ -108,7 +108,7 @@ def test_criterion_03_box_zero_cross_validation():
     failures = []
     for n, m in equal_parity_pairs(10):
         q = q_poly_r(n, m)
-        sigma = SigmaR.of_ktype(m)
+        sigma = sigma_of(m)
         points = reducibility_points_r(sigma, Fraction(8))
         zero_set = {lam for lam in points if q(lam) == 0}
         excluded = set()

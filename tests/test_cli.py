@@ -212,6 +212,11 @@ def test_abbreviated_options_are_refused(capsys, args):
     ("atlas", "--group", "sl2r", "--lambda-max", "2001/2"),
     ("classify", "--group", "sl2c", "--sigma", "0", "--lambda", "1e7"),
     ("classify", "--group", "sl2c", "--sigma", "0", "--lambda", "-1001"),
+    # prod(deg q_i + 1) of 20,001 = 177 * 113 = 3 * 59 * 113, one over the bound.
+    ("q", "--group", "sl2r-product", "-n", "0,0", "-m", "352,224"),
+    ("q", "--group", "sl2r-product", "-n", "0,0,0", "-m", "4,116,224"),
+    # 2^20 terms from a 60-byte argument: 34 s and 2.8 GB before the bound.
+    ("q", "--group", "sl2r-product", "-n", ",".join(["3"] * 20), "-m", ",".join(["1"] * 20)),
 ])
 def test_malformed_input_is_one_error_line(capsys, args):
     assert main(list(args)) == 1
@@ -280,6 +285,16 @@ def test_box_takes_the_ktype_bound(capsys):
     for m in ("1001", "-1001", "100000000000"):
         assert error_output(capsys, "box", "-m", m, "--lambda", "1/2") == (
             f"pw: error: K-types must be at most 1000 in absolute value, got {m}\n")
+
+
+def test_product_ladder_at_the_term_bound(capsys):
+    # prod(deg q_i + 1) = 100 * 200 = 20,000 is allowed; one-sided ladders have no zero coefficient.
+    code, data = run_json(capsys, "q", "--group", "sl2r-product", "-n", "0,0", "-m", "198,398")
+    assert code == 0 and len(data["terms"]) == 20_000
+    for n, m in (("0,0", "352,224"), (",".join(["3"] * 15_000), ",".join(["1"] * 15_000))):
+        # The second count, 2^15000, has more digits than Python prints.
+        assert error_output(capsys, "q", "--group", "sl2r-product", "-n", n, "-m", m) == (
+            "pw: error: the product ladder needs prod(deg q_i + 1) <= 20000 terms\n")
 
 
 def test_atlas_sl2c_negative_bound_is_an_error(capsys):
@@ -381,6 +396,29 @@ def test_out_file(tmp_path, capsys):
     code = main(["q", "--group", "sl2r", "-n", "3", "-m", "1", "--out", str(path)])
     assert code == 0
     assert json.loads(path.read_text()) == {"coeffs": ["1", "1"]}
+
+
+@pytest.mark.parametrize("args, code", [
+    (("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":["1","1","1","1"]}'), 0),
+    (("check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":["1","0","1"]}'), 2),
+    (("check2", "--group", "sl2r", "-m", "0", "--truncation", "6", "--psi", '{"4":{"coeffs":["1"]}}'), 2),
+    (("box", "-m", "0", "--lambda", "-1/2", "--format", "dot"), 0),
+    (("box", "-m", "0", "--lambda", "-1/2", "--format", "ascii"), 0),
+], ids=["accept", "reject", "check2-failing", "dot", "ascii"])
+def test_out_file_holds_what_stdout_shows(tmp_path, capsys, args, code):
+    # The same exit code either way; the file is stdout less the newline print
+    # adds after text that already ends in one.
+    path = tmp_path / "out"
+    (shown_code, shown), written = run(capsys, *args), run(capsys, *args, "--out", str(path))
+    assert shown_code == code and written == (code, "")
+    assert path.read_bytes() == (shown[:-1] if shown.endswith("\n\n") else shown).encode()
+
+
+def test_failing_numeric_report_exits_2(capsys, monkeypatch):
+    report = {"passed": False, "checks": []}
+    monkeypatch.setattr("pwcert.numeric.verification_report", lambda seed: report)
+    code, data = run_json(capsys, "verify-numeric")
+    assert code == 2 and data == report
 
 
 def test_outputs_round_trip_through_parsers(capsys):

@@ -10,7 +10,7 @@ from pwcert import jsonio
 from pwcert.multipoly import MultiPoly
 from pwcert.poly import Poly
 from pwcert.sl2c import GeneratorCoords, c_quotient_c, q_nm_c
-from pwcert.sl2r import SigmaR, box_picture_r, c_quotient_r, composition_series_r, level2_check_r
+from pwcert.sl2r import box_picture_r, c_quotient_r, composition_series_r, level2_check_r
 
 
 def test_mpoly_exponent_bound():
@@ -97,11 +97,11 @@ def test_ktype_vec_forms():
 
 def test_composition_series_json():
     # The series is the JSON row pw classify --group sl2r prints.
-    data = composition_series_r(SigmaR.PLUS, Fraction(-3, 2))
+    data = composition_series_r("+", Fraction(-3, 2))
     assert json.loads(json.dumps(data)) == data
     assert data == {"sigma": "+", "lambda": "-3/2", "reducible": True, "layers": [["F3"], ["D-3", "D+3"]],
                     "proper_submodules": ["F3", "F3+D-3", "F3+D+3"]}
-    data = composition_series_r(SigmaR.PLUS, Fraction(1, 3))
+    data = composition_series_r("+", Fraction(1, 3))
     assert data == {"sigma": "+", "lambda": "1/3", "reducible": False}
 
 

@@ -15,13 +15,13 @@ from pwcert.rationals import rat_str
 from pwcert.sl2r import (
     OddQuotientWitness,
     RootWitness,
-    SigmaR,
     box_picture_r,
     c_quotient_r,
     composition_series_r,
     level2_check_r,
     level3_check_r,
     q_poly_r,
+    sigma_of,
     smallest_submodule_r,
 )
 from pwcert.verdict import Accept, Reject
@@ -170,7 +170,7 @@ def ktypes(labels, bound):
 
 
 def test_series_example_plus_neg():
-    series = composition_series_r(SigmaR.PLUS, Fraction(-3, 2))
+    series = composition_series_r("+", Fraction(-3, 2))
     assert series["layers"] == [["F3"], ["D-3", "D+3"]]
     socle = series["layers"][0][0]
     assert ktypes([socle], 10) == {-2, 0, 2}
@@ -180,19 +180,19 @@ def test_series_example_plus_neg():
 
 
 def test_series_limits_at_zero():
-    series = composition_series_r(SigmaR.MINUS, 0)
+    series = composition_series_r("-", 0)
     assert series["layers"] == [["D-", "D+"]]
     assert set(series["proper_submodules"]) == {"D+", "D-"}
 
 
 def test_series_irreducible():
-    assert composition_series_r(SigmaR.PLUS, Fraction(1, 3)) == {"sigma": "+", "lambda": "1/3", "reducible": False}
-    assert composition_series_r(SigmaR.PLUS, 0) == {"sigma": "+", "lambda": "0", "reducible": False}
-    assert composition_series_r(SigmaR.MINUS, HALF) == {"sigma": "-", "lambda": "1/2", "reducible": False}
+    assert composition_series_r("+", Fraction(1, 3)) == {"sigma": "+", "lambda": "1/3", "reducible": False}
+    assert composition_series_r("+", 0) == {"sigma": "+", "lambda": "0", "reducible": False}
+    assert composition_series_r("-", HALF) == {"sigma": "-", "lambda": "1/2", "reducible": False}
 
 
 def test_series_against_the_definition():
-    for sigma in (SigmaR.PLUS, SigmaR.MINUS):
+    for sigma in "+-":
         for lam in (Fraction(j, 6) for j in range(-42, 43)):
             series, expected = composition_series_r(sigma, lam), series_r(sigma, lam)
             assert series["reducible"] == (expected is not None), (sigma, lam)
@@ -204,11 +204,11 @@ def test_series_against_the_definition():
 
 def test_factor_partition():
     # K-types of all factors partition the parity class of sigma.
-    for sigma in (SigmaR.PLUS, SigmaR.MINUS):
+    for sigma in "+-":
         for lam in reducibility_points_r(sigma, Fraction(6)):
             factors = [f for layer in composition_series_r(sigma, lam)["layers"] for f in layer]
             for t in range(-30, 31):
-                if SigmaR.of_ktype(t) is not sigma:
+                if sigma_of(t) != sigma:
                     continue
                 assert sum(has_ktype(f, t) for f in factors) == 1, (sigma, lam, t)
 
@@ -229,7 +229,7 @@ def test_smallest_submodule_examples():
 def test_smallest_submodule_against_enumeration():
     # Oracle: the proper submodule containing m that lies in every other one.
     for m in (-7, -2, 0, 1, 4, 9):
-        sigma = SigmaR.of_ktype(m)
+        sigma = sigma_of(m)
         for lam in reducibility_points_r(sigma, Fraction(5)):
             got = smallest_submodule_r(m, lam)
             assert got == smallest_submodule_by_inclusion(m, lam), (m, lam)
@@ -385,7 +385,7 @@ def _level2_by_definition(psi, m, truncation):
     (N+1)/2 for the submodule condition, and clear the c-quotient for the
     functional equation."""
     vanishing = []
-    for lam in reducibility_points_r(SigmaR.of_ktype(m), Fraction(truncation + 1, 2)):
+    for lam in reducibility_points_r(sigma_of(m), Fraction(truncation + 1, 2)):
         submodule = smallest_submodule_by_inclusion(m, lam)
         if submodule is None:
             continue
@@ -534,7 +534,7 @@ def test_box_picture_irreducible_full():
 def test_box_highlight_is_a_submodule():
     # The marked region is FULL or exactly one of the proper submodules.
     for m in (-5, -2, 0, 1, 4):
-        sigma = SigmaR.of_ktype(m)
+        sigma = sigma_of(m)
         for lam in reducibility_points_r(sigma, Fraction(5)):
             picture = box_picture_r(m, lam)
             marked = set(highlighted(picture))
@@ -551,7 +551,7 @@ def test_box_highlight_is_a_submodule():
 def test_box_zero_cross_validation():
     for n, m in equal_parity_pairs(10):
         q = q_poly_r(n, m)
-        sigma = SigmaR.of_ktype(m)
+        sigma = sigma_of(m)
         for lam in reducibility_points_r(sigma, Fraction(8)):
             submodule = smallest_submodule_r(m, lam)
             assert (q(lam) == 0) == (n not in ktypes(submodule, 10)), (n, m, lam)

@@ -108,3 +108,16 @@ def test_public_names_have_a_caller():
         "gammaprod.gamma_reduce", "gammaprod.c_gamma_c", "gammaprod.c_gamma_r",
         "RationalFunction.inverse", "MultiPoly.substitute_negated",
     }
+
+
+def test_only_main_writes_pw_output():
+    # Each pw handler returns the row it computes; main alone writes it and sets the exit code.
+    tree = ast.parse((Path(pwcert.__file__).parent / "cli.py").read_text(encoding="utf-8"))
+    called = {
+        fn.name: {node.func.id for node in ast.walk(fn)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        for fn in tree.body if isinstance(fn, ast.FunctionDef)
+    }
+    handlers = [name for name in called if name.startswith("_cmd_")]
+    assert [name for name, names in called.items() if "_emit" in names] == ["main"]
+    assert handlers and not [name for name in handlers if "print" in called[name]]
