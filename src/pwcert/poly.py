@@ -169,25 +169,8 @@ class Poly:
         return _make(num, self._den)
 
     def shift_constant(self, c: RatLike) -> Poly:
-        """The polynomial x -> p(x + c), expanded exactly.
-
-        For c = a/b the numerator N becomes P(y) = b^d N(y/b), P is shifted
-        in place to P(y + a) over the ints (von zur Gathen & Gerhard, ISSAC
-        1997), and y = b x gives N(x + c) = P(b x + a) / b^d.
-        """
-        a, b = _ratio(c)
-        num, d = list(self._num), len(self._num) - 1
-        if a == 0 or d < 1:
-            return self
-        powers = _powers(b, d)
-        if b != 1:
-            num = [n * p for n, p in zip(num, reversed(powers))]
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                num[j] += a * num[j + 1]
-        if b != 1:
-            num = [n * p for n, p in zip(num, powers)]
-        return _make(num, self._den * powers[-1])
+        """The polynomial x -> p(x + c), expanded exactly."""
+        return _make(*_shifted(list(self._num), self._den, *_ratio(c)))
 
     def monic(self) -> Poly:
         if self.is_zero:
@@ -287,6 +270,28 @@ def _int_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
         if y:
             out[j : j + n] = [o + y * x for o, x in zip(out[j : j + n], a)]
     return out
+
+
+def _shifted(num: list[int], den: int, a: int, b: int) -> tuple[list[int], int]:
+    """The numerators of N(x + a/b) / den, for N = num (consumed) and b > 0,
+    and their denominator, not normalised.
+
+    The numerator N becomes P(y) = b^d N(y/b), P is shifted in place to
+    P(y + a) over the ints (von zur Gathen & Gerhard, ISSAC 1997), and y = b x
+    gives N(x + a/b) = P(b x + a) / b^d.
+    """
+    d = len(num) - 1
+    if a == 0 or d < 1:
+        return num, den
+    powers = _powers(b, d)
+    if b != 1:
+        num = [n * p for n, p in zip(num, reversed(powers))]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            num[j] += a * num[j + 1]
+    if b != 1:
+        num = [n * p for n, p in zip(num, powers)]
+    return num, den * powers[-1]
 
 
 def _synthetic(num: Sequence[int], c: int) -> list[int] | None:
@@ -403,7 +408,8 @@ def first_root_not_vanishing(polys: Collection[Poly], nums: Iterable[int],
     Each polynomial is a dividend that the monic polynomial with these simple
     roots does not divide, or the nonzero remainder of such a division.  Both
     equal the dividend at every root, so neither vanishes at all of them:
-    the monic polynomial would then divide the dividend.  Each root is made
+    the monic polynomial would then divide the dividend.  SL(2,R) passes phi
+    itself, whichever of its divisions left the remainder.  Each root is made
     as a Fraction only when its turn comes.
     """
     for a in nums:
@@ -416,10 +422,22 @@ def first_root_not_vanishing(polys: Collection[Poly], nums: Iterable[int],
 
 
 def square_parts(f: Poly, shift: RatLike = 0) -> tuple[Poly, Poly]:
-    """The polynomials e and o with f(x) = e(x^2 + shift) + x o(x^2 + shift)."""
-    back = -(shift if type(shift) is int else rat(shift))
-    return (_make(list(f._num[0::2]), f._den).shift_constant(back),
-            _make(list(f._num[1::2]), f._den).shift_constant(back))
+    """The polynomials e and o with f(x) = e(x^2 + shift) + x o(x^2 + shift);
+    each is shifted on the raw slice of f's numerators and normalised once."""
+    a, b = _ratio(shift)
+    return (_make(*_shifted(list(f._num[0::2]), f._den, -a, b)),
+            _make(*_shifted(list(f._num[1::2]), f._den, -a, b)))
+
+
+def join_square_parts(even: Poly, odd: Poly) -> Poly:
+    """The polynomial even(x^2) + x odd(x^2), the inverse of square_parts(f):
+    the two numerator tuples interleaved over the lcm of the denominators."""
+    den = lcm(even._den, odd._den)
+    e, o = len(even._num), len(odd._num)
+    num = [0] * (2 * max(e, o))
+    num[0 : 2 * e : 2] = [c * (den // even._den) for c in even._num]
+    num[1 : 2 * o : 2] = [c * (den // odd._den) for c in odd._num]
+    return _make(num, den)
 
 
 def transpose(rows: Sequence[Poly]) -> list[Poly]:

@@ -14,7 +14,9 @@ sets partition one parity class of Z, which pins down the F_k convention.
 
 Membership certification: phi in Hom(E_n, E_m)-valued data satisfies the
 spherical (Level-3) intertwining condition iff the ladder polynomial
-q_{n,m} divides phi with even quotient.  K-picture (Level-2) data reads the
+q_{n,m} divides phi with even quotient.  For K-types of opposite sign the
+ladder's roots pair up around 0, and phi is divided by the symmetric part
+in y = x^2 and by the one-sided rest in x.  K-picture (Level-2) data reads the
 same ladder.  Its component psi_n must vanish at the roots of q_{n,m}, which
 are exactly the reducibility points where n leaves the minimal invariant
 submodule containing m (acceptance criterion 03).  It must also satisfy
@@ -28,7 +30,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import TruncationTooSmall, check_parity
-from .poly import Poly, first_root_not_vanishing, ladder, poly_div_rem
+from .poly import (Poly, first_root_not_vanishing, join_square_parts, ladder, poly_div_linear,
+                   poly_div_rem, square_parts)
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
 from .verdict import Accept, Reject, record
 
@@ -160,12 +163,13 @@ class OddQuotientWitness:
 def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
     """Certify phi = h * q_{n,m} with h even, or return a structured witness.
 
-    q_{n,m} has simple roots (consecutive distinct half-integers), so a single
-    exact division decides divisibility; a nonzero remainder is localized at
-    the first root, in increasing order, where phi does not vanish.  The
-    remainder equals phi at every root, so phi is first evaluated at the
+    q_{n,m} has simple roots (consecutive distinct half-integers), so exact
+    division decides divisibility; a nonzero remainder is localized at the
+    first root, in increasing order, where phi does not vanish, since the
+    remainder equals phi at every root.  So phi is first evaluated at the
     smallest root, and a nonzero value there rejects before the ladder is
-    built or divided.
+    built or divided.  Same-sign K-types take one division by the whole
+    ladder, opposite signs the split of _ladder_quotient.
     """
     nums, den = _ladder_pairs(n, m)
     if nums:
@@ -173,14 +177,42 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
         value = phi(root)
         if value:
             return Reject(RootWitness(root=root, value=value))
-    quotient, remainder = poly_div_rem(phi, ladder(nums, den))
-    if not remainder.is_zero:
-        root, value = first_root_not_vanishing([remainder], nums[1:], den)
+    quotient = _ladder_quotient(phi, nums, den) if n * m < 0 else _exact_quotient(phi, ladder(nums, den))
+    if quotient is None:
+        root, value = first_root_not_vanishing([phi], nums[1:], den)
         return Reject(RootWitness(root=root, value=value))
     if quotient.reflect() != quotient:
         degree = next(i for i in range(1, quotient.degree + 1, 2) if quotient[i])
         return Reject(OddQuotientWitness(degree=degree, coeff=quotient[degree]))
     return Accept(h=quotient)
+
+
+def _ladder_quotient(phi: Poly, nums: range, den: int) -> Poly | None:
+    """phi / q for the ladder q of opposite-sign K-types, or None for a remainder.
+
+    The roots +/-a/den with 0 < a <= h, h the nearer end of the ladder, pair
+    up, so q = x^z r(x) s(x^2): z is 1 when 0 is a root (odd K-types), r has
+    the one-sided roots, |a| > h, and s(y) = prod (y - a^2/den^2).  phi is
+    divided by x and r in x, and the even and odd parts of that quotient by s
+    in y; a zero part (the odd part of a member) takes no division.
+    """
+    h = min(-nums[0], nums[-1])
+    if 0 in nums:
+        phi = poly_div_linear(phi, [0], 1)
+    one_sided = [a for a in nums if abs(a) > h]
+    if phi is not None and one_sided:
+        phi = _exact_quotient(phi, ladder(one_sided, den))
+    if phi is None:
+        return None
+    s = ladder([a * a for a in range(1, h + 1, den)], den * den)
+    even, odd = (_exact_quotient(part, s) if part else part for part in square_parts(phi))
+    return None if even is None or odd is None else join_square_parts(even, odd)
+
+
+def _exact_quotient(f: Poly, g: Poly) -> Poly | None:
+    """f / g, or None when the division leaves a remainder."""
+    quotient, remainder = poly_div_rem(f, g)
+    return None if remainder else quotient
 
 
 # -- Level-2 membership ------------------------------------------------------------

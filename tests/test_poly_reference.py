@@ -15,7 +15,7 @@ from math import lcm
 import pytest
 
 import pwcert.sl2r
-from pwcert.poly import (Poly, ladder, poly_div_linear, poly_div_rem, poly_mul_add,
+from pwcert.poly import (Poly, join_square_parts, ladder, poly_div_linear, poly_div_rem, poly_mul_add,
                          poly_sub_div_linear, square_parts)
 from pwcert.rationals import rat_str
 from pwcert.sl2c import q_roots_c
@@ -444,6 +444,24 @@ def test_substitutions_match_fraction_kernel():
         _assert_same_poly(p.shift_constant(x), reference_shift(a, x))
         if a:
             _assert_same_poly(p.monic(), reference_scalar_div(a, a[-1]))
+
+
+def test_square_parts_join_and_shift_match_fraction_kernel():
+    # join_square_parts interleaves even(x^2) + x odd(x^2) over two
+    # denominators of different kinds, either part zero; it inverts
+    # square_parts, and a shifted part is the Fraction shift of the slice.
+    rng = random.Random(9004)
+    for _ in range(CASES):
+        even, odd = (_operand(rng, rng.choice(("integer", "dyadic", "rational"))) for _ in range(2))
+        joined = [Fraction(0)] * (2 * max(len(even), len(odd)))
+        joined[0 : 2 * len(even) : 2], joined[1 : 2 * len(odd) : 2] = even, odd
+        _assert_same_poly(join_square_parts(Poly(even), Poly(odd)), _strip(joined))
+        a = _operand(rng, rng.choice(("integer", "dyadic", "rational")))
+        assert join_square_parts(*square_parts(Poly(a))) == Poly(a)
+        shift = rng.choice((Fraction(rng.randint(-9, 9)), _coeff(rng, "dyadic"), _coeff(rng, "rational")))
+        shifted = square_parts(Poly(a), shift)  # a(x) = e(x^2 + shift) + x o(x^2 + shift)
+        _assert_same_poly(shifted[0], reference_shift(_strip(list(a[0::2])), -shift))
+        _assert_same_poly(shifted[1], reference_shift(_strip(list(a[1::2])), -shift))
 
 
 def test_numeric_evaluation_unchanged():

@@ -336,6 +336,95 @@ def test_level3_matches_the_division_first_checker():
     assert min(kinds.values()) >= 60 and len(kinds) == 4, kinds
 
 
+def split_pair(rng, kind):
+    """K-types (n, m) of one parity for one shape of ladder: opposite signs with
+    |n| = |m|, |n| > |m| or |n| < |m| (odd K-types have the root 0), the same
+    sign, or n * m = 0."""
+    parity = rng.randint(0, 1)
+    a, b = sorted(2 * rng.randint(1, 9) - parity for _ in range(2))
+    sign = rng.choice((-1, 1))
+    if kind == "|n| = |m|":
+        return -sign * b, sign * b
+    if a == b:
+        b += 2
+    if kind == "|n| > |m|":
+        return -sign * b, sign * a
+    if kind == "|n| < |m|":
+        return -sign * a, sign * b
+    if kind == "same sign":
+        return rng.choice(((sign * a, sign * b), (sign * b, sign * a)))
+    return rng.choice(((0, 2 * sign * rng.randint(0, 9)), (2 * sign * rng.randint(0, 9), 0)))
+
+
+def test_level3_matches_one_division_by_the_ladder():
+    # Opposite signs divide in y = x^2 and by the one-sided rest of the ladder;
+    # the verdict and witness must be those of one division by q_{n,m} and the
+    # parity scan.  Members, odd bumps of h, constant bumps, phi on the
+    # ladder with a later factor x - r_j replaced by x - r_j - 1/3, which
+    # vanishes at the first root and rejects at r_j, and a member plus x times
+    # the ladder without the factors at +/-r_j, whose remainder in y = x^2 is
+    # in the odd part alone.
+    rng = random.Random(3001)
+    classes = ("|n| = |m|", "|n| > |m|", "|n| < |m|", "same sign", "n * m = 0")
+    kinds, later = Counter(), Counter()
+    for case in range(2000):
+        kind = classes[case % len(classes)]
+        n, m = split_pair(rng, kind)
+        roots = q_roots_r(n, m)
+        h = Poly([rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(2 * rng.randint(0, len(roots)) + 1)])
+        shape = rng.choice(("member", "odd", "constant", "replaced", "odd part"))
+        j = rng.randrange(1, len(roots)) if len(roots) > 1 else None
+        if shape == "replaced" and j:
+            phi = h * from_roots(roots[:j] + [roots[j] + Fraction(1, 3)] + roots[j + 1 :])
+        elif shape == "odd part" and j:
+            rest = [r for r in roots if abs(r) != abs(roots[j])]
+            phi = h * q_poly_r(n, m) + LAM * from_roots(rest) * rng.randint(1, 9)
+        elif shape == "odd":
+            phi = (h + LAM ** (2 * rng.randint(0, len(roots)) + 1) * rng.randint(1, 9)) * q_poly_r(n, m)
+        else:
+            phi = h * q_poly_r(n, m) + (rng.randint(1, 9) if shape == "constant" else 0)
+        result = level3_check_r(phi, n, m)
+        assert result == division_first_level3_check_r(phi, n, m), (n, m, shape)
+        parity = "odd" if n % 2 else "even"
+        if result.accepted:
+            verdict = "accept"
+        elif isinstance(result.witness, OddQuotientWitness):
+            verdict = "odd quotient"
+        elif result.witness.root == roots[0]:
+            verdict = "first root"
+        else:
+            verdict = "later root"
+            if n * m < 0:
+                r, edge = abs(result.witness.root), min(-roots[0], roots[-1])
+                later["zero" if r == 0 else "paired" if r <= edge else "one-sided"] += 1
+        kinds[kind, parity, verdict] += 1
+    verdicts = ("accept", "odd quotient", "first root", "later root")
+    missing = [(kind, parity, verdict) for kind in classes for parity in ("even", "odd")
+               for verdict in verdicts if kind != "n * m = 0" or parity == "even"
+               if not kinds[kind, parity, verdict]]
+    assert not missing, missing
+    assert min(later.values()) >= 10 and len(later) == 3, later
+
+
+def test_level3_opposite_signs_divide_by_half_the_ladder(monkeypatch):
+    # The member of q_{-400,400} builds only the 200-root symmetric part, in
+    # y = x^2, and divides only its even part; the same-sign (401, 1) builds
+    # its one 200-root ladder and divides once.
+    import pwcert.sl2r
+
+    rng = random.Random(400)
+    h = Poly([rng.randint(-9, 9) if i % 2 == 0 else 0 for i in range(801)])
+    cases = [(-400, 400, h), (401, 1, Poly(h.coeffs[:401]))]
+    members = [(n, m, h, h * q_poly_r(n, m)) for n, m, h in cases]
+    ladder, divide = pwcert.sl2r.ladder, pwcert.sl2r.poly_div_rem
+    for n, m, h, phi in members:
+        built, divisors = [], []
+        monkeypatch.setattr(pwcert.sl2r, "ladder", lambda nums, den: built.append(len(nums)) or ladder(nums, den))
+        monkeypatch.setattr(pwcert.sl2r, "poly_div_rem", lambda f, g: divisors.append(g.degree) or divide(f, g))
+        assert level3_check_r(phi, n, m) == Accept(h=h)
+        assert built == [200] and divisors == [200], (n, m, built, divisors)
+
+
 # -- Level 2 --------------------------------------------------------------------------
 
 
