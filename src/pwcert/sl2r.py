@@ -14,15 +14,15 @@ sets partition one parity class of Z, which pins down the F_k convention.
 
 Membership certification: phi in Hom(E_n, E_m)-valued data satisfies the
 spherical (Level-3) intertwining condition iff the ladder polynomial
-q_{n,m} divides phi with even quotient.  For K-types of opposite sign the
-ladder's roots pair up around 0, and phi is divided by the symmetric part
-in y = x^2 and by the one-sided rest in x.  K-picture (Level-2) data reads the
-same ladder.  Its component psi_n must vanish at the roots of q_{n,m}, which
-are exactly the reducibility points where n leaves the minimal invariant
-submodule containing m (acceptance criterion 03).  It must also satisfy
-psi_n(-x) q_{n,m}(x) = q_{n,m}(-x) psi_n(x), the c-quotient equation with
-sign (-1)^{(m-n)/2}: the c-function quotient is defined by criterion 02, the
-Knapp-Stein equation q_{n,m}(-x) / q_{n,m}(x) = (-1)^{(m-n)/2} c_n / c_m.
+q_{n,m} divides phi with even quotient.  Write q = x^z r(x) s(x^2): s(y) holds
+the roots +/-a that pair up around 0, r the one-sided rest, and z = 1 when 0
+is a root.  K-picture (Level-2) data reads the same ladder.  Its component
+psi_n must vanish at the roots of q_{n,m}, which are exactly the reducibility
+points where n leaves the minimal invariant submodule containing m
+(acceptance criterion 03).  It must also satisfy psi_n(-x) q(x) = q(-x) psi_n(x),
+the Knapp-Stein c-quotient equation with sign (-1)^{(m-n)/2} (criterion 02);
+as r(x) and r(-x) are coprime, that holds iff x^z r divides psi_n with even
+quotient.  Both levels divide phi by x^z r first; Level 3 then divides by s.
 """
 
 from __future__ import annotations
@@ -167,9 +167,9 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
     division decides divisibility; a nonzero remainder is localized at the
     first root, in increasing order, where phi does not vanish, since the
     remainder equals phi at every root.  So phi is first evaluated at the
-    smallest root, and a nonzero value there rejects before the ladder is
-    built or divided.  Same-sign K-types take one division by the whole
-    ladder, opposite signs the split of _ladder_quotient.
+    smallest root, and a nonzero value there rejects before any ladder is
+    built.  Then phi / (x^z r) is split into even and odd parts, each nonzero
+    one divided by s in y = x^2 (s = 1 for same-sign K-types).
     """
     nums, den = _ladder_pairs(n, m)
     if nums:
@@ -177,7 +177,11 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
         value = phi(root)
         if value:
             return Reject(RootWitness(root=root, value=value))
-    quotient = _ladder_quotient(phi, nums, den) if n * m < 0 else _exact_quotient(phi, ladder(nums, den))
+    quotient, h = _one_sided_quotient(phi, nums, den)
+    if quotient is not None and h > 0:
+        s = ladder([a * a for a in range(1, h + 1, den)], den * den)
+        even, odd = (_exact_quotient(part, s) if part else part for part in square_parts(quotient))
+        quotient = None if even is None or odd is None else join_square_parts(even, odd)
     if quotient is None:
         root, value = first_root_not_vanishing([phi], nums[1:], den)
         return Reject(RootWitness(root=root, value=value))
@@ -187,26 +191,23 @@ def level3_check_r(phi: Poly, n: int, m: int) -> Accept | Reject:
     return Accept(h=quotient)
 
 
-def _ladder_quotient(phi: Poly, nums: range, den: int) -> Poly | None:
-    """phi / q for the ladder q of opposite-sign K-types, or None for a remainder.
-
-    The roots +/-a/den with 0 < a <= h, h the nearer end of the ladder, pair
-    up, so q = x^z r(x) s(x^2): z is 1 when 0 is a root (odd K-types), r has
-    the one-sided roots, |a| > h, and s(y) = prod (y - a^2/den^2).  phi is
-    divided by x and r in x, and the even and odd parts of that quotient by s
-    in y; a zero part (the odd part of a member) takes no division.
+def _one_sided_quotient(phi: Poly, nums: range, den: int) -> tuple[Poly | None, int]:
+    """(phi / (x^z r) or None for a remainder, h) for the ladder q = x^z r(x) s(x^2)
+    with roots nums / den: the roots +/-a/den with 0 < a <= h, h the nearer end,
+    pair up into s(y) = prod (y - a^2/den^2), z is 1 when 0 is a root, and r has
+    the rest.  h < 0 for a one-sided ladder (same-sign K-types), which is its own
+    r.  A nonzero phi of degree below z + deg r returns None before any build.
     """
-    h = min(-nums[0], nums[-1])
-    if 0 in nums:
+    h = min(-nums[0], nums[-1]) if nums else 0
+    one_sided = nums if h < 0 else [a for a in nums if abs(a) > h]
+    z = 0 in nums
+    if phi and phi.degree < z + len(one_sided):
+        return None, h
+    if z:
         phi = poly_div_linear(phi, [0], 1)
-    one_sided = [a for a in nums if abs(a) > h]
     if phi is not None and one_sided:
         phi = _exact_quotient(phi, ladder(one_sided, den))
-    if phi is None:
-        return None
-    s = ladder([a * a for a in range(1, h + 1, den)], den * den)
-    even, odd = (_exact_quotient(part, s) if part else part for part in square_parts(phi))
-    return None if even is None or odd is None else join_square_parts(even, odd)
+    return phi, h
 
 
 def _exact_quotient(f: Poly, g: Poly) -> Poly | None:
@@ -231,9 +232,10 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> dict:
     (acceptance criterion 03).  The walk runs over the points in increasing
     lambda, up to the ladders' span, and looks up each point's submodule once.
 
-    Functional equation: psi_n(-x) * q(x) = q(-x) * psi_n(x) exactly.  Since
-    q(-x)/q(x) = sign * c_n/c_m with sign = (-1)^((m-n)/2) (criterion 02),
-    this is the cleared c-quotient equation psi_n(-x) * den = sign * num * psi_n(x).
+    Functional equation: psi_n(-x) * q(x) = q(-x) * psi_n(x), the c-quotient
+    equation with sign = (-1)^((m-n)/2) (criterion 02).  With q = x^z r(x) s(x^2)
+    it cancels to psi_n(-x) r(x) = (-1)^z r(-x) psi_n(x), and r(x), r(-x) are
+    coprime, so it holds exactly when x^z r divides psi_n with an even quotient.
     """
     if truncation < 0:
         raise TruncationTooSmall(f"truncation must be >= 0, got {truncation}")
@@ -241,7 +243,7 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> dict:
         if abs(n) > truncation:
             raise TruncationTooSmall(f"K-type {n} exceeds truncation {truncation}")
     ladders = {n: _ladder_pairs(n, m)[0] for n in sorted(psi)}
-    den = 2 if m % 2 == 0 else 1  # each root is a/den, a odd if den is 2, |a/den| < max |K-type| / 2
+    den = _ladder_pairs(m, m)[1]  # each root is a/den, a odd if den is 2, |a/den| < max |K-type| / 2
     top = (min(truncation, max(abs(n) for n in (m, *psi))) + 1) * den // 2
     vanishing = []
     for a in range(-top + (top + 1) % den, top + 1, den):
@@ -254,11 +256,9 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> dict:
         for n in ktypes:
             value = psi[n](lam)
             vanishing.append({**point, "ktype": n, "value": rat_str(value), "ok": value == 0})
-    functional = []
-    for n, nums in ladders.items():
-        q = ladder(nums, den)
-        functional.append({"ktype": n, "sign": -1 if (m - n) // 2 % 2 else 1,
-                           "ok": psi[n].reflect() * q == q.reflect() * psi[n]})
+    quotients = {n: _one_sided_quotient(psi[n], nums, den)[0] for n, nums in ladders.items()}
+    functional = [{"ktype": n, "sign": -1 if (m - n) // 2 % 2 else 1, "ok": q is not None and q.reflect() == q}
+                  for n, q in quotients.items()]
     return {"m": m, "truncation": truncation, "vanishing": vanishing, "functional": functional,
             "passed": all(c["ok"] for c in vanishing + functional)}
 

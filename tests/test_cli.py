@@ -154,6 +154,22 @@ def test_extend(capsys):
     assert sorted(data["components"]) == ["-2", "-4", "0", "2", "4"]
 
 
+@pytest.mark.parametrize("args, count", [
+    (("atlas", "--group", "sl2r", "--lambda-max", "0"), 2),
+    (("atlas", "--group", "sl2r", "--lambda-max", "1000"), 2 * 4001),  # MAX_ATLAS_R
+    (("atlas", "--group", "sl2c", "--sigma-max", "0", "--lambda-max", "0"), 1),
+    (("atlas", "--group", "sl2c", "--sigma-max", "100", "--lambda-max", "0"), 201),  # MAX_ATLAS_C
+    (("atlas", "--group", "sl2c", "--sigma-max", "0", "--lambda-max", "100"), 201),
+    (("extend", "--h", '{"n":0,"m":0,"components":{"0":{"coeffs":["5"]}}}', "--target", "200"), 201),
+])
+def test_input_at_its_bound_is_accepted(capsys, args, count):
+    # Each bound admits the value at the bound itself: an atlas point per
+    # sigma and lambda, an extended component per K-type -200, ..., 200.
+    code, data = run_json(capsys, *args)
+    assert code == 0
+    assert len(data["components"] if args[0] == "extend" else data["points"]) == count
+
+
 def test_usage_error_exit_1(capsys):
     assert main(["q", "--group", "sl2r", "-n", "3"]) == 1
     assert main(["nonsense"]) == 1

@@ -9,6 +9,7 @@ import pytest
 from pwcert import jsonio
 from pwcert.multipoly import MultiPoly
 from pwcert.poly import Poly
+from pwcert.rationals import rat
 from pwcert.sl2c import GeneratorCoords, c_quotient_c, q_nm_c
 from pwcert.sl2r import box_picture_r, c_quotient_r, composition_series_r, level2_check_r
 
@@ -35,6 +36,7 @@ def test_rational_size_bound():
     widest = Fraction(-int("9" * 4300), int("7" * 4300))
     assert jsonio.poly_from_json(jsonio.poly_to_json(Poly([widest]))) == Poly([widest])
     assert jsonio.poly_from_json({"coeffs": ["1e9990"]}) == Poly([10**9990])
+    assert rat("1e9999") == 10**9999  # exactly MAX_DIGITS characters with the exponent as zeros
     for text in ("1e10000", "1e+00000000000000000123456", "1E-1_0000", "1" * 10001):
         with pytest.raises(ValueError, match="at most"):
             jsonio.poly_from_json({"coeffs": [text]})

@@ -30,6 +30,14 @@ def test_trailing_zeros_stripped():
     assert Poly([0]).degree == -1
 
 
+def test_power_zero_is_one_and_negative_power_raises():
+    lam = Poly((0, 1))
+    assert lam ** 0 == Poly.one() == Poly.zero() ** 0
+    assert (lam + 1) ** 3 == Poly([1, 3, 3, 1])
+    with pytest.raises(ValueError, match="negative polynomial power"):
+        lam ** -1
+
+
 def test_div_rem_examples():
     lam = Poly((0, 1))
     q, r = poly_div_rem(lam**2 - 1, lam - 1)

@@ -494,29 +494,74 @@ def _level2_by_definition(psi, m, truncation):
             "passed": passed}
 
 
+def unpaired_roots(n, m):
+    """The roots of q_{n,m} whose negatives are not other roots: 0 and the
+    one-sided rest, the roots of x^z r in q = x^z r(x) s(x^2)."""
+    roots = q_roots_r(n, m)
+    return [r for r in roots if r == 0 or -r not in roots]
+
+
 def test_level2_matches_definition_randomized():
     # Ladder multiples pass, ladder times an arbitrary polynomial fails only the
     # functional equation, random polynomials usually fail both; |m| > N included.
+    # x^z r(x) e(x^2) with e > 0 on the reals, so s does not divide it, passes
+    # the functional equation and fails a vanishing row wherever s has a root,
+    # and x^z r times an odd polynomial fails the functional equation.
     rng = random.Random(2203)
+    split = Counter()
     for m in range(-12, 13):
         for truncation in range(max(0, abs(m) - 3), abs(m) + 7):
             ktypes = [n for n in range(-truncation, truncation + 1) if (n - m) % 2 == 0]
             if not ktypes:
                 continue
-            psi = {}
+            psi, kinds = {}, {}
             for n in rng.sample(ktypes, min(len(ktypes), rng.randint(1, 4))):
-                kind = rng.randrange(4)
+                kind = kinds[n] = rng.randrange(6)
                 if kind == 0:
                     psi[n] = Poly([rng.randint(-3, 3) if i % 2 == 0 else 0 for i in range(5)])
                 elif kind == 1:
                     psi[n] = Poly([rng.randint(-3, 3) for _ in range(3)])
                 elif kind == 2:
                     psi[n] = Poly.zero()
-                else:
+                elif kind == 3:
                     psi[n] = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))])
+                elif kind == 4:
+                    e = Poly([rng.randint(1, 3) if i % 2 == 0 else 0 for i in range(2 * rng.randint(0, 2) + 1)])
+                    psi[n] = from_roots(unpaired_roots(n, m)) * e
+                else:
+                    odd = Poly([0, rng.randint(1, 3), 0, rng.randint(-3, 3)])
+                    psi[n] = from_roots(unpaired_roots(n, m)) * odd
                 if kind < 2:
                     psi[n] = psi[n] * q_poly_r(n, m)
-            assert level2_check_r(psi, m, truncation) == _level2_by_definition(psi, m, truncation)
+            report = level2_check_r(psi, m, truncation)
+            assert report == _level2_by_definition(psi, m, truncation)
+            functional = {c["ktype"]: c["ok"] for c in report["functional"]}
+            failed = {c["ktype"] for c in report["vanishing"] if not c["ok"]}
+            for n, kind in kinds.items():
+                if kind == 4 and len(unpaired_roots(n, m)) < len(q_roots_r(n, m)):
+                    assert functional[n] and n in failed, (psi, m, truncation, n)
+                    split["functional passes, vanishing fails"] += 1
+                elif kind == 5 and n * m < 0:
+                    assert not functional[n], (psi, m, truncation, n)
+                    split["functional fails"] += 1
+    assert len(split) == 2 and min(split.values()) >= 30, split
+
+
+def test_level2_functional_equation_builds_only_short_ladders(monkeypatch):
+    # psi_n = x^2 + 1 at m = 0, T = 400: a ladder with more one-sided roots
+    # than deg psi_n cannot divide it, so only n = +/-2 and +/-4 build a ladder
+    # (1 and 2 roots), and no polynomial product is taken.  Only the even
+    # psi_0 satisfies the functional equation.
+    import pwcert.sl2r
+
+    built, products = [], []
+    ladder, mul = pwcert.sl2r.ladder, Poly.__mul__
+    monkeypatch.setattr(pwcert.sl2r, "ladder", lambda nums, den: built.append(len(nums)) or ladder(nums, den))
+    monkeypatch.setattr(Poly, "__mul__", lambda p, q: products.append(q) or mul(p, q))
+    monkeypatch.setattr(Poly, "__rmul__", lambda p, q: products.append(q) or mul(p, q))
+    report = level2_check_r({n: Poly([1, 0, 1]) for n in range(-400, 401, 2)}, 0, 400)
+    assert [c["ok"] for c in report["functional"]] == [False] * 200 + [True] + [False] * 200
+    assert len(built) <= 4 and max(built, default=0) <= 2 and not products, (built, len(products))
 
 
 def test_level2_passes_exactly_when_level3_accepts_every_component():
