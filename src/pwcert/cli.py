@@ -51,11 +51,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json_arg(value: str):
-    """Inline JSON, or @file to read from disk."""
+    """Inline JSON, or @file to read from disk, at most MAX_JSON_FILE characters of it."""
     try:
         if value.startswith("@"):
             with open(value[1:], "r", encoding="utf-8") as fh:
-                return json.load(fh, object_pairs_hook=_unique_keys)
+                text = fh.read(jsonio.MAX_JSON_FILE + 1)
+            if len(text) > jsonio.MAX_JSON_FILE:
+                raise ValueError(f"{value[1:]} holds more than {jsonio.MAX_JSON_FILE} characters")
+            value = text
         return json.loads(value, object_pairs_hook=_unique_keys)
     except RecursionError:  # json's scanner recurses once per nested array or object
         raise ValueError("JSON argument is nested too deeply") from None

@@ -41,6 +41,7 @@ MAX_KTYPE = 1_000  # q_{-1000,1000} prints 2,567 digits, 2,000 would pass Python
 MAX_EXTEND_TARGET = 200  # extend_interpolate from x^2 + 5 at level 0: 0.17 s at 200, 1.0 s at 400 (2-vCPU host)
 MAX_ATLAS_C = 100  # sigma_max and lambda_max of the sl2c atlas: 1.4 s and 5 MB at 100 x 100
 MAX_ATLAS_R = 1_000  # lambda_max of the sl2r atlas: 0.5 s at 1,000, 33 s and 127 MB at 100,000
+MAX_JSON_FILE = 2**24  # characters read from an @file: 128 times the 128 KiB Linux allows one inline argument
 
 
 def poly_to_json(p: Poly) -> dict:

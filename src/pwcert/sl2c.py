@@ -8,7 +8,8 @@ and |lambda| - |sigma| even.
 
 Morphism-valued holomorphic data between two K-types of equal parity is
 diagonal in the common weight basis, which this module models as a finite
-weight -> polynomial map (WeightedDiagMap).  Endomorphism-valued data that
+weight -> polynomial map (WeightedDiagMap); at opposite parities the Hom space
+is zero, and no map is made.  Endomorphism-valued data that
 satisfies the intertwining conditions forms the diagonal algebra with the
 constraints phi_k(x) = phi_{-k}(-x) and phi_k(l) = phi_l(k); it is a free
 module over polynomials in the Casimir parameter mu = x^2 + k^2 with the
@@ -142,10 +143,10 @@ def diamond(sigma: int, lam: RatLike) -> dict:
 class WeightedDiagMap:
     """Holomorphic Hom-valued data, diagonal in the common M-weight basis.
 
-    Component keys are exactly the weights of the smaller K-type when the
-    parities of src and dst agree; for opposite parities the Hom space is
-    zero and the map is the canonical Zero value with no components.
-    Instances are immutable.
+    Component keys are exactly the weights of the smaller K-type.  For
+    opposite parities of src and dst the Hom space is zero, and the
+    constructor raises ParityMismatch: no zero map is made.  Instances are
+    immutable.
     """
 
     __slots__ = ("src", "dst", "_components")
@@ -153,7 +154,9 @@ class WeightedDiagMap:
     def __init__(self, src: int, dst: int, components: dict[int, Poly]) -> None:
         if src < 0 or dst < 0:
             raise ValueError("K-types are nonnegative integers")
-        expected = set(common_weights(src, dst))
+        if (src - dst) % 2:
+            raise ParityMismatch(f"K-types {src} and {dst} have different parity (zero Hom space)")
+        expected = set(weights(min(src, dst)))
         if set(components) != expected:
             raise WeightNotInKType(
                 f"components must be keyed by exactly the common weights {sorted(expected)}"
@@ -168,10 +171,6 @@ class WeightedDiagMap:
     @property
     def components(self) -> dict[int, Poly]:
         return dict(self._components)
-
-    @property
-    def is_zero_hom(self) -> bool:
-        return (self.src - self.dst) % 2 != 0
 
     def __getitem__(self, k: int) -> Poly:
         return self._components[k]
@@ -189,16 +188,9 @@ class WeightedDiagMap:
         return f"WeightedDiagMap({self.src} -> {self.dst}, {{{comps}}})"
 
 
-def common_weights(n: int, m: int) -> list[int]:
-    """Weights shared by two K-types: all weights of the smaller one (if parities agree)."""
-    if (n - m) % 2 != 0:
-        return []
-    return weights(min(n, m))
-
-
 def diag_map(src: int, dst: int, component: Poly) -> WeightedDiagMap:
     """The map with one polynomial at every common weight."""
-    return WeightedDiagMap(src, dst, {k: component for k in common_weights(src, dst)})
+    return WeightedDiagMap(src, dst, {k: component for k in weights(min(src, dst))})
 
 
 # -- ladder chains ------------------------------------------------------------------------
@@ -407,12 +399,9 @@ def level3_check_c(phi: WeightedDiagMap) -> Accept | Reject:
     between; for n = m the chain is 1 and the component is its own quotient.
     A remainder rejects at the first root where the component is nonzero.
     algebra_check then decides the quotient, and its acceptance carries the
-    quotient's generator coordinates.
+    quotient's generator coordinates.  phi's K-types have equal parity, as
+    WeightedDiagMap makes no zero map.
     """
-    if phi.is_zero_hom:
-        raise ParityMismatch(
-            f"K-types {phi.src} and {phi.dst} have different parity (zero Hom space)"
-        )
     n, m = phi.src, phi.dst
     roots = q_roots_c(n, m)
     level = min(n, m)

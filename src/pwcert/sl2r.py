@@ -22,7 +22,8 @@ points where n leaves the minimal invariant submodule containing m
 (acceptance criterion 03).  It must also satisfy psi_n(-x) q(x) = q(-x) psi_n(x),
 the Knapp-Stein c-quotient equation with sign (-1)^{(m-n)/2} (criterion 02);
 as r(x) and r(-x) are coprime, that holds iff x^z r divides psi_n with even
-quotient.  Both levels divide phi by x^z r first; Level 3 then divides by s.
+quotient.  Both levels divide phi by x^z r first: Level 3 then divides by s,
+and Level 2 reads psi_n's zeros at the roots of x^z r off that division.
 """
 
 from __future__ import annotations
@@ -231,6 +232,9 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> dict:
     submodule containing m.  Those points are exactly the roots of q
     (acceptance criterion 03).  The walk runs over the points in increasing
     lambda, up to the ladders' span, and looks up each point's submodule once.
+    Each component is split first: where x^z r divides psi_n, psi_n is 0 at
+    the roots of x^z r with no evaluation, and is evaluated only at the paired
+    roots +/-a, 0 < a <= h.
 
     Functional equation: psi_n(-x) * q(x) = q(-x) * psi_n(x), the c-quotient
     equation with sign = (-1)^((m-n)/2) (criterion 02).  With q = x^z r(x) s(x^2)
@@ -244,6 +248,7 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> dict:
             raise TruncationTooSmall(f"K-type {n} exceeds truncation {truncation}")
     ladders = {n: _ladder_pairs(n, m)[0] for n in sorted(psi)}
     den = _ladder_pairs(m, m)[1]  # each root is a/den, a odd if den is 2, |a/den| < max |K-type| / 2
+    splits = {n: _one_sided_quotient(psi[n], nums, den) for n, nums in ladders.items()}
     top = (min(truncation, max(abs(n) for n in (m, *psi))) + 1) * den // 2
     vanishing = []
     for a in range(-top + (top + 1) % den, top + 1, den):
@@ -254,11 +259,11 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> dict:
         labels = smallest_submodule_r(m, lam)
         point = {"lambda": rat_str(lam), "submodule": "+".join(labels) if labels else "full"}
         for n in ktypes:
-            value = psi[n](lam)
+            quotient, h = splits[n]
+            value = psi[n](lam) if quotient is None or 0 < abs(a) <= h else 0
             vanishing.append({**point, "ktype": n, "value": rat_str(value), "ok": value == 0})
-    quotients = {n: _one_sided_quotient(psi[n], nums, den)[0] for n, nums in ladders.items()}
     functional = [{"ktype": n, "sign": -1 if (m - n) // 2 % 2 else 1, "ok": q is not None and q.reflect() == q}
-                  for n, q in quotients.items()]
+                  for n, (q, _) in splits.items()]
     return {"m": m, "truncation": truncation, "vanishing": vanishing, "functional": functional,
             "passed": all(c["ok"] for c in vanishing + functional)}
 

@@ -19,7 +19,7 @@ from pwcert.errors import check_parity
 from pwcert.jsonio import ratfunc_to_json
 from pwcert.poly import Poly
 from pwcert.ratfunc import RationalFunction
-from pwcert.sl2c import WeightedDiagMap, common_weights, weights
+from pwcert.sl2c import WeightedDiagMap, weights
 from pwcert.sl2r import sigma_of
 from poly_helpers import from_roots
 
@@ -41,7 +41,7 @@ def then(first: WeightedDiagMap, second: WeightedDiagMap) -> WeightedDiagMap:
     if second.src != first.dst:
         raise ValueError(f"cannot compose: {first.dst} -> expected {second.src}")
     return WeightedDiagMap(first.src, second.dst, {
-        k: first[k] * second[k] for k in common_weights(first.src, second.dst)})
+        k: first[k] * second[k] for k in weights(min(first.src, second.dst))})
 
 
 def reducibility_points_r(sigma: str, bound: Fraction) -> list[Fraction]:

@@ -278,6 +278,16 @@ def test_malformed_input_is_one_error_line(capsys, args):
      "JSON object has the key 'coeffs' twice"),
     (("synthesize", "--coords", '{"m":0,"h":[{"coeffs":["x"]}],"h":[{"coeffs":["1"]}]}'),
      "JSON object has the key 'h' twice"),
+    # A map of opposite parities is refused when it is read, before any check of src against dst,
+    # its keys or -n.
+    (("decompose", "--phi", '{"n":1,"m":2,"components":{}}'),
+     "K-types 1 and 2 have different parity (zero Hom space)"),
+    (("extend", "--h", '{"n":1,"m":2,"components":{}}', "--target", "3"),
+     "K-types 1 and 2 have different parity (zero Hom space)"),
+    (("check3", "--group", "sl2c", "--phi", '{"n":1,"m":2,"components":{"1":{"coeffs":["1"]}}}'),
+     "K-types 1 and 2 have different parity (zero Hom space)"),
+    (("check3", "--group", "sl2c", "-n", "5", "--phi", '{"n":1,"m":2,"components":{}}'),
+     "K-types 1 and 2 have different parity (zero Hom space)"),
 ])
 def test_malformed_json_names_what_is_wrong(capsys, args, message):
     assert main(list(args)) == 1
@@ -407,6 +417,36 @@ def test_deeply_nested_json_is_refused(tmp_path, capsys, from_file):
         "pw: error: JSON argument is nested too deeply\n")
 
 
+def test_a_file_is_read_up_to_its_bound(tmp_path, capsys):
+    # Valid JSON padded with spaces to MAX_JSON_FILE characters is read; one more is refused by name.
+    from pwcert.jsonio import MAX_JSON_FILE
+
+    phi, path = '{"coeffs":["1","1","1","1"]}', tmp_path / "phi.json"
+    path.write_text(phi.ljust(MAX_JSON_FILE))
+    code, data = run_json(capsys, "check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", f"@{path}")
+    assert code == 0 and data["accept"] is True
+    path.write_text(phi.ljust(MAX_JSON_FILE + 1))
+    assert error_output(capsys, "check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", f"@{path}") == (
+        f"pw: error: {path} holds more than {MAX_JSON_FILE} characters\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_file_is_one_error_line():
+    # pw runs in a child process limited to 512 MiB of address space, so a read
+    # without a bound ends in a MemoryError there rather than growing.
+    import resource
+
+    from pwcert.jsonio import MAX_JSON_FILE
+
+    limit = 512 * 2**20
+    proc = subprocess.run(
+        [sys.executable, "-m", "pwcert.cli", "check3", "--group", "sl2r", "-n", "1", "-m", "1",
+         "--phi", "@/dev/zero"], capture_output=True, text=True, env=_script_env(), timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"pw: error: /dev/zero holds more than {MAX_JSON_FILE} characters\n")
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "q.json"
     code = main(["q", "--group", "sl2r", "-n", "3", "-m", "1", "--out", str(path)])
@@ -480,14 +520,18 @@ def test_exit_codes_on_corpus(capsys):
         assert code == (0 if expected.accepted else 2)
 
 
+def _script_env() -> dict:
+    """The environment for `python -m pwcert.cli`, with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_module_runs_as_a_script():
     # `python -m pwcert.cli` runs the subcommand, the same as `pw`.
     corpus = Path(__file__).parent / "golden" / "pw_corpus.jsonl"
     args = ["q", "--group", "sl2r", "-n", "1", "-m", "3"]
     record = next(r for r in map(json.loads, corpus.read_text(encoding="utf-8").splitlines())
                   if r["args"] == args)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "pwcert.cli", *args], capture_output=True,
-                          text=True, env=env, timeout=60)
+                          text=True, env=_script_env(), timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (record["code"], record["stdout"], record["stderr"])

@@ -6,16 +6,8 @@ import random
 import mpmath
 import pytest
 
-from pwcert import numeric
 from pwcert.errors import ConvergenceNotReached, OutsideConvergenceRegion, PoleProximity
-from pwcert.numeric import (
-    _iwasawa_residual,
-    _leggauss,
-    c_integral_sl2r,
-    c_numeric,
-    gamma_complex,
-    iwasawa_nbar,
-)
+from pwcert.numeric import _leggauss, c_integral_sl2r, c_numeric, gamma_complex
 from pwcert.poly import Poly
 from pwcert.sl2c import c_quotient_c
 from pwcert.sl2r import c_quotient_r
@@ -102,23 +94,6 @@ def test_c_numeric_matches_exact_quotients():
             numeric = c_numeric("sl2c", n, lam, sigma=n % 2) / c_numeric("sl2c", m, lam, sigma=n % 2)
             exact = complex(num(lam) / den(lam))
             assert abs(numeric - exact) / abs(exact) < 1e-9, (n, m)
-
-
-def test_iwasawa_self_check():
-    theta, t, u = iwasawa_nbar(0.0)
-    assert (theta, t, u) == (0.0, 0.0, 0.0)
-    for x in (-7.3, -1.0, 0.25, 2.0, 40.0):
-        assert _iwasawa_residual(x) < 1e-12
-
-
-def test_iwasawa_failure_is_not_cached(monkeypatch):
-    monkeypatch.setattr(numeric, "_iwasawa_residual", lambda x: 1.0)
-    numeric._ensure_iwasawa.cache_clear()
-    for _ in range(2):
-        with pytest.raises(RuntimeError):
-            c_integral_sl2r(0, 1.0)
-    monkeypatch.undo()
-    numeric._ensure_iwasawa()
 
 
 @pytest.mark.parametrize("points", [64, 128])

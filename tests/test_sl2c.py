@@ -563,6 +563,11 @@ def test_level3_identity_case():
 def test_level3_parity_error():
     with pytest.raises(ParityMismatch):
         level3_check_c(WeightedDiagMap(0, 1, {}))
+    # The constructor alone refuses opposite parities: no zero map is made.
+    for build in (lambda: WeightedDiagMap(1, 2, {}), lambda: WeightedDiagMap(1, 2, {1: Poly.one()}),
+                  lambda: diag_map(0, 1, Poly.one())):
+        with pytest.raises(ParityMismatch, match=r"different parity \(zero Hom space\)"):
+            build()
 
 
 @pytest.mark.parametrize("n, m", [(1, 5), (4, 4), (6, 2)])

@@ -506,17 +506,20 @@ def test_level2_matches_definition_randomized():
     # functional equation, random polynomials usually fail both; |m| > N included.
     # x^z r(x) e(x^2) with e > 0 on the reals, so s does not divide it, passes
     # the functional equation and fails a vanishing row wherever s has a root,
-    # and x^z r times an odd polynomial fails the functional equation.
+    # and x^z r times an odd polynomial fails the functional equation.  One-sided
+    # members x^z r(x) e(x^2), e any even polynomial, and full members q times an
+    # even polynomial with a nonzero constant have rows whose value the split
+    # gives as 0 and rows that are evaluated.
     rng = random.Random(2203)
-    split = Counter()
-    for m in range(-12, 13):
+    split, members = Counter(), Counter()
+    for m in range(-16, 17):
         for truncation in range(max(0, abs(m) - 3), abs(m) + 7):
             ktypes = [n for n in range(-truncation, truncation + 1) if (n - m) % 2 == 0]
             if not ktypes:
                 continue
             psi, kinds = {}, {}
             for n in rng.sample(ktypes, min(len(ktypes), rng.randint(1, 4))):
-                kind = kinds[n] = rng.randrange(6)
+                kind = kinds[n] = rng.randrange(8)
                 if kind == 0:
                     psi[n] = Poly([rng.randint(-3, 3) if i % 2 == 0 else 0 for i in range(5)])
                 elif kind == 1:
@@ -528,9 +531,15 @@ def test_level2_matches_definition_randomized():
                 elif kind == 4:
                     e = Poly([rng.randint(1, 3) if i % 2 == 0 else 0 for i in range(2 * rng.randint(0, 2) + 1)])
                     psi[n] = from_roots(unpaired_roots(n, m)) * e
-                else:
+                elif kind == 5:
                     odd = Poly([0, rng.randint(1, 3), 0, rng.randint(-3, 3)])
                     psi[n] = from_roots(unpaired_roots(n, m)) * odd
+                elif kind == 6:
+                    even = Poly([rng.randint(-3, 3) if i % 2 == 0 else 0 for i in range(2 * rng.randint(0, 2) + 1)])
+                    psi[n] = from_roots(unpaired_roots(n, m)) * even
+                else:
+                    even = Poly([rng.choice((-2, -1, 1, 3)), 0, rng.randint(-3, 3)])
+                    psi[n] = q_poly_r(n, m) * even
                 if kind < 2:
                     psi[n] = psi[n] * q_poly_r(n, m)
             report = level2_check_r(psi, m, truncation)
@@ -544,7 +553,11 @@ def test_level2_matches_definition_randomized():
                 elif kind == 5 and n * m < 0:
                     assert not functional[n], (psi, m, truncation, n)
                     split["functional fails"] += 1
+                elif kind in (6, 7) and 0 < len(unpaired_roots(n, m)) < len(q_roots_r(n, m)):
+                    assert functional[n], (psi, m, truncation, n)
+                    members["one-sided member" if kind == 6 else "member"] += 1
     assert len(split) == 2 and min(split.values()) >= 30, split
+    assert len(members) == 2 and min(members.values()) >= 20, members
 
 
 def test_level2_functional_equation_builds_only_short_ladders(monkeypatch):
@@ -564,15 +577,38 @@ def test_level2_functional_equation_builds_only_short_ladders(monkeypatch):
     assert len(built) <= 4 and max(built, default=0) <= 2 and not products, (built, len(products))
 
 
+def test_level2_evaluates_psi_only_at_the_paired_roots(monkeypatch):
+    # Where x^z r divides psi_n, the roots of x^z r are zeros without a Horner
+    # evaluation: members (x^2 + 1) q_{n,m} are evaluated only at the paired
+    # roots +/-a, 0 < a <= h, of q = x^z r(x) s(x^2).
+    calls = []
+    call = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda p, x: calls.append((p, x)) or call(p, x))
+    for m, truncation, count in ((0, 400, 0), (7, 60, 168)):
+        psi = {n: Poly([1, 0, 1]) * q_poly_r(n, m) for n in range(-truncation, truncation + 1)
+               if (n - m) % 2 == 0}
+        calls.clear()
+        assert level2_check_r(psi, m, truncation)["passed"]
+        owner = {id(p): n for n, p in psi.items()}
+        evaluated = Counter((owner[id(p)], x) for p, x in calls)
+        paired = Counter()
+        for n in psi:
+            roots = set(q_roots_r(n, m))
+            paired.update((n, r) for r in roots if r and -r in roots and abs(r) <= Fraction(truncation + 1, 2))
+        assert evaluated == paired and sum(paired.values()) == count, (m, len(calls))
+
+
 def test_level2_passes_exactly_when_level3_accepts_every_component():
     # The levels agree: psi passes Level 2 at any truncation T >= max |n|
     # (T = max |n| leaves out the ladder roots past (T+1)/2 when |m| > T) exactly
     # when every component is h * q_{n,m} with h even, and a Level-3 root
-    # witness within (T+1)/2 is a failed Level-2 vanishing check.  Components
+    # witness within (T+1)/2 is a failed Level-2 vanishing check.  An odd-quotient
+    # witness is the Knapp-Stein equation alone: the component's functional row
+    # fails and every one of its vanishing rows passes.  Components
     # are members, members with an odd term in h, members bumped by a constant,
     # zeros and random polynomials.
     rng = random.Random(1026)
-    outcomes = Counter()
+    outcomes, odd_quotients = Counter(), 0
     for _ in range(1500):
         m = rng.randint(-12, 12)
         ktypes = [n for n in range(-12, 13) if (n - m) % 2 == 0]
@@ -595,12 +631,17 @@ def test_level2_passes_exactly_when_level3_accepts_every_component():
         every = all(result.accepted for result in results.values())
         assert report["passed"] is every, (psi, m, truncation)
         failed = {(c["lambda"], c["ktype"]) for c in report["vanishing"] if not c["ok"]}
+        functional = {c["ktype"]: c["ok"] for c in report["functional"]}
         for n, result in results.items():
             witness = None if result.accepted else result.witness
             if isinstance(witness, RootWitness) and abs(witness.root) <= Fraction(truncation + 1, 2):
                 assert (rat_str(witness.root), n) in failed, (psi, m, truncation, n)
+            if isinstance(witness, OddQuotientWitness):
+                assert not functional[n] and n not in {k for _, k in failed}, (psi, m, truncation, n)
+                odd_quotients += 1
         outcomes[every, truncation == top] += 1
     assert len(outcomes) == 4 and min(outcomes.values()) >= 100, outcomes
+    assert odd_quotients >= 100, odd_quotients
 
 
 def test_level2_work_grows_with_roots_not_truncation():
