@@ -9,7 +9,9 @@ ASCII text of box and atlas) and imports only the checker modules of its own
 branch: start-up is most of a short call's time.  main alone writes the row,
 to stdout or --out, and sets the exit code: 2 when the row's "accept" or
 "passed" is false (a Reject, a failing report), 1 for usage, input and I/O
-errors, else 0.
+errors, else 0.  argparse converts no option: a handler reads its integer
+options through jsonio, so a malformed one is the same one-line input error
+as a malformed JSON integer.
 """
 
 from __future__ import annotations
@@ -94,8 +96,9 @@ def _verdict(result, h_to_json) -> dict:
     return row
 
 
-def _ktypes(*values) -> tuple[int, ...]:
-    return tuple(jsonio.ktype_from_json(v) for v in values)
+def _ktypes(*values) -> tuple[int | None, ...]:
+    """K-type options as ints; an option not given stays None."""
+    return tuple(None if v is None else jsonio.ktype_from_json(v) for v in values)
 
 
 def _sigma_r(value: str) -> str:
@@ -135,13 +138,13 @@ def build_parser() -> _Parser:
 
     p = add("cquot", "c-function quotient c_n / c_m", _cmd_cquot)
     p.add_argument("--group", required=True, choices=["sl2r", "sl2c"])
-    p.add_argument("-n", required=True, type=int)
-    p.add_argument("-m", required=True, type=int)
+    p.add_argument("-n", required=True)
+    p.add_argument("-m", required=True)
 
     p = add("check3", "spherical-function (Level-3) membership check", _cmd_check3)
     p.add_argument("--group", required=True, choices=["sl2r", "sl2c"])
-    p.add_argument("-n", type=int, default=None)
-    p.add_argument("-m", type=int, default=None)
+    p.add_argument("-n")
+    p.add_argument("-m")
     p.add_argument("--phi", required=True, help="polynomial JSON (sl2r) or weighted map JSON (sl2c); @file allowed")
 
     p = add("check3-product", "Level-3 check for SL(2,R)^d", _cmd_check3_product)
@@ -151,9 +154,9 @@ def build_parser() -> _Parser:
 
     p = add("check2", "K-picture (Level-2) membership check", _cmd_check2)
     p.add_argument("--group", required=True, choices=["sl2r", "sl2c"])
-    p.add_argument("-n", type=int, default=None, help="K-type (sl2c)")
-    p.add_argument("-m", type=int, default=None, help="bundle K-type (sl2r)")
-    p.add_argument("--truncation", type=int, default=None, help="K-type bound N (sl2r)")
+    p.add_argument("-n", help="K-type (sl2c)")
+    p.add_argument("-m", help="bundle K-type (sl2r)")
+    p.add_argument("--truncation", help="K-type bound N (sl2r)")
     p.add_argument("--psi", required=True, help="JSON map K-type/weight -> polynomial; @file allowed")
 
     p = add("classify", "composition series / reducibility at (sigma, lambda)", _cmd_classify)
@@ -163,13 +166,13 @@ def build_parser() -> _Parser:
     p.add_argument("--diamond", action="store_true", help="include the intertwiner diamond (sl2c)")
 
     p = add("box", "box picture with the minimal submodule highlighted (sl2r)", _cmd_box)
-    p.add_argument("-m", required=True, type=int)
+    p.add_argument("-m", required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--format", choices=["json", "dot", "ascii"], default="json")
 
     p = add("atlas", "classification atlas over a parameter grid", _cmd_atlas)
     p.add_argument("--group", required=True, choices=["sl2r", "sl2c"])
-    p.add_argument("--sigma-max", type=int, default=None, help="sl2c; 5 when not given")
+    p.add_argument("--sigma-max", help="sl2c; 5 when not given")
     p.add_argument("--lambda-max", default="5")
     p.add_argument("--format", choices=["json", "dot"], default="json")
 
@@ -181,10 +184,10 @@ def build_parser() -> _Parser:
 
     p = add("extend", "interpolation extension of an algebra element (sl2c)", _cmd_extend)
     p.add_argument("--h", required=True, help="weighted map JSON with n = m; @file allowed")
-    p.add_argument("--target", required=True, type=int)
+    p.add_argument("--target", required=True)
 
     p = add("verify-numeric", "numeric cross-validation of the exact formulas", _cmd_verify_numeric)
-    p.add_argument("--seed", type=int, default=20240801)
+    p.add_argument("--seed", default=20240801)
     return parser
 
 
@@ -213,20 +216,21 @@ def _cmd_cquot(args) -> dict:
 
 
 def _cmd_check3(args) -> dict:
+    n, m = _ktypes(args.n, args.m)
     if args.group == "sl2r":
         from .sl2r import level3_check_r
 
-        if args.n is None or args.m is None:
+        if n is None or m is None:
             raise ValueError("check3 --group sl2r needs -n and -m")
         phi = jsonio.poly_from_json(_load_json_arg(args.phi))
-        return _verdict(level3_check_r(phi, *_ktypes(args.n, args.m)), jsonio.poly_to_json)
+        return _verdict(level3_check_r(phi, n, m), jsonio.poly_to_json)
     from .sl2c import level3_check_c
 
     phi_map = jsonio.diag_map_from_json(_load_json_arg(args.phi))
-    if args.n is not None and phi_map.src != args.n:
-        raise ValueError(f"-n {args.n} does not match phi (n = {phi_map.src})")
-    if args.m is not None and phi_map.dst != args.m:
-        raise ValueError(f"-m {args.m} does not match phi (m = {phi_map.dst})")
+    if n is not None and phi_map.src != n:
+        raise ValueError(f"-n {n} does not match phi (n = {phi_map.src})")
+    if m is not None and phi_map.dst != m:
+        raise ValueError(f"-m {m} does not match phi (m = {phi_map.dst})")
     return _verdict(level3_check_c(phi_map), jsonio.diag_map_to_json)
 
 
@@ -240,20 +244,22 @@ def _cmd_check3_product(args) -> dict:
 
 
 def _cmd_check2(args) -> dict:
+    n, m = _ktypes(args.n, args.m)
+    truncation = None if args.truncation is None else jsonio.int_from_json(args.truncation)
     psi = jsonio.psi_from_json(_load_json_arg(args.psi))
     if args.group == "sl2r":
         from .sl2r import level2_check_r
 
         _unread(args, "-n")
-        if args.m is None or args.truncation is None:
+        if m is None or truncation is None:
             raise ValueError("check2 --group sl2r needs -m and --truncation")
-        return level2_check_r(psi, jsonio.ktype_from_json(args.m), args.truncation)
+        return level2_check_r(psi, m, truncation)
     from .sl2c import level2_functional_check_c
 
     _unread(args, "-m", "--truncation")
-    if args.n is None:
+    if n is None:
         raise ValueError("check2 --group sl2c needs -n")
-    return level2_functional_check_c(psi, jsonio.ktype_from_json(args.n))
+    return level2_functional_check_c(psi, n)
 
 
 def _cmd_classify(args) -> dict:
@@ -286,6 +292,7 @@ def _cmd_box(args) -> dict | str:
 def _cmd_atlas(args) -> dict | str:
     from . import atlas as atlas_mod
 
+    sigma_max = 5 if args.sigma_max is None else jsonio.int_from_json(args.sigma_max)
     lam_max = rat(args.lambda_max)
     if args.group == "sl2r":
         _unread(args, "--sigma-max")
@@ -295,7 +302,6 @@ def _cmd_atlas(args) -> dict | str:
             raise ValueError(f"atlas --group sl2r needs --lambda-max <= {jsonio.MAX_ATLAS_R}")
         emitter = atlas_mod.atlas_sl2r_json if args.format == "json" else atlas_mod.atlas_sl2r_dot
         return emitter(lam_max)
-    sigma_max = 5 if args.sigma_max is None else args.sigma_max
     if lam_max.denominator != 1:
         raise ValueError("sl2c atlas needs an integer --lambda-max")
     if min(sigma_max, lam_max) < 0:
@@ -323,16 +329,17 @@ def _cmd_synthesize(args) -> dict:
 def _cmd_extend(args) -> dict:
     from .sl2c import extend_interpolate
 
-    if args.target > jsonio.MAX_EXTEND_TARGET:
-        raise ValueError(f"extend --target must be at most {jsonio.MAX_EXTEND_TARGET}, got {args.target}")
+    target = jsonio.int_from_json(args.target)
+    if target > jsonio.MAX_EXTEND_TARGET:
+        raise ValueError(f"extend --target must be at most {jsonio.MAX_EXTEND_TARGET}, got {target}")
     h = jsonio.diag_map_from_json(_load_json_arg(args.h))
-    return jsonio.diag_map_to_json(extend_interpolate(h, args.target))
+    return jsonio.diag_map_to_json(extend_interpolate(h, target))
 
 
 def _cmd_verify_numeric(args) -> dict:
     from .numeric import verification_report
 
-    return verification_report(seed=args.seed)
+    return verification_report(seed=jsonio.int_from_json(args.seed))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -344,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
-    except (PwError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (PwError, ValueError, OSError) as exc:
         print(f"pw: error: {exc}", file=sys.stderr)
         return 1
     return 2 if isinstance(row, dict) and row.get("accept", row.get("passed")) is False else 0

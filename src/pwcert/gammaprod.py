@@ -8,8 +8,8 @@ once per unit gap between paired shifts.
 
 Pairing requires, per group of factors with equal scale and congruent shift
 (equal fractional part), that the exponents cancel overall; otherwise the
-quotient is simply not a rational function and ``IrreducibleGammaQuotient``
-is raised.  The sqrt(pi) prefactor must likewise cancel.
+quotient is simply not a rational function and a ValueError is raised.  The
+sqrt(pi) prefactor must likewise cancel.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import floor
 
-from .errors import IrreducibleGammaQuotient, WeightNotInKType
 from .poly import Poly
 from .ratfunc import RationalFunction
 from .rationals import RatLike, rat, rat_str
@@ -122,9 +121,7 @@ def gamma_reduce(numerator: GammaProduct, denominator: GammaProduct) -> Rational
 
     sqrt_pi = numerator.sqrt_pi_power - denominator.sqrt_pi_power
     if sqrt_pi != 0:
-        raise IrreducibleGammaQuotient(
-            f"sqrt(pi) prefactor does not cancel (net power {sqrt_pi}/2)"
-        )
+        raise ValueError(f"sqrt(pi) prefactor does not cancel (net power {sqrt_pi}/2)")
 
     groups: dict[tuple[Fraction, Fraction], list[tuple[Fraction, int]]] = {}
     for (scale, shift), exp in net.items():
@@ -140,7 +137,7 @@ def gamma_reduce(numerator: GammaProduct, denominator: GammaProduct) -> Rational
         for shift, exp in shifts:
             (ups if exp > 0 else downs).extend([shift] * abs(exp))
         if len(ups) != len(downs):
-            raise IrreducibleGammaQuotient(
+            raise ValueError(
                 f"unbalanced Gamma factors at scale {rat_str(scale)}: "
                 f"{len(ups)} numerator vs {len(downs)} denominator"
             )
@@ -180,7 +177,7 @@ def c_gamma_c(n: int, sigma: int) -> GammaProduct:
     equal parity (the weight must occur in the K-type).
     """
     if abs(sigma) > n or (n - sigma) % 2 != 0:
-        raise WeightNotInKType(f"weight {sigma} does not occur in K-type {n}")
+        raise ValueError(f"weight {sigma} does not occur in K-type {n}")
     half = Fraction(1, 2)
     return GammaProduct(
         [

@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import cycle
 from math import gcd, lcm, prod
 
-from .errors import ArityMismatch, DivisionByZeroPoly
 from .poly import Poly, _make as _make_poly, _powers, _ratio
 from .rationals import RatLike, rat
 
@@ -38,7 +37,7 @@ class MultiPoly:
         for exps, c in items:
             exps = tuple(int(e) for e in exps)
             if len(exps) != arity:
-                raise ArityMismatch(f"exponent vector {exps} has length != {arity}")
+                raise ValueError(f"exponent vector {exps} has length != {arity}")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
             if type(c) is not int:
@@ -115,7 +114,7 @@ class MultiPoly:
 
     def _check_arity(self, other: MultiPoly) -> None:
         if self._arity != other._arity:
-            raise ArityMismatch(f"arity {self._arity} vs {other._arity}")
+            raise ValueError(f"arity {self._arity} vs {other._arity}")
 
     # -- arithmetic ----------------------------------------------------------------
 
@@ -153,7 +152,7 @@ class MultiPoly:
         """
         xs = [_ratio(x) for x in point]
         if len(xs) != self._arity:
-            raise ArityMismatch(f"evaluation point has length != {self._arity}")
+            raise ValueError(f"evaluation point has length != {self._arity}")
         tables, scale = [], 1
         for var, (a, b) in enumerate(xs):
             d = max((e[var] for e in self._num), default=0)
@@ -238,7 +237,7 @@ def mpoly_div_in_var(f: MultiPoly, g: Poly, var: int) -> tuple[MultiPoly, MultiP
     and r over Q are unique).  No fiber is padded to another's length.
     """
     if g.is_zero:
-        raise DivisionByZeroPoly("division by zero polynomial")
+        raise ZeroDivisionError("division by zero polynomial")
     *gcs, glead = g._num
     k = len(gcs)
     rows: defaultdict[Exponents, dict[int, int]] = defaultdict(dict)

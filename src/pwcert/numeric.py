@@ -28,7 +28,7 @@ import cmath
 import math
 from functools import lru_cache
 
-from .errors import ConvergenceNotReached, OutsideConvergenceRegion, PoleProximity
+from .errors import ConvergenceNotReached
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -54,7 +54,7 @@ def gamma_complex(z: complex) -> complex:
     if abs(z.imag) < _POLE_TOL:
         nearest = round(z.real)
         if nearest <= 0 and abs(z.real - nearest) < _POLE_TOL:
-            raise PoleProximity(f"Gamma pole at {nearest} (z = {z})")
+            raise ValueError(f"Gamma pole at {nearest} (z = {z})")
     if z.real < 0.5:
         # Reflection: Gamma(z) Gamma(1-z) = pi / sin(pi z)
         return math.pi / (cmath.sin(math.pi * z) * gamma_complex(1.0 - z))
@@ -150,7 +150,7 @@ def c_integral_sl2r(n: int, lam: complex) -> complex:
     lam = complex(lam)
     a = lam.real
     if a <= 0:
-        raise OutsideConvergenceRegion(f"Re(lambda) = {a} is not > 0")
+        raise ValueError(f"Re(lambda) = {a} is not > 0")
     half_width = max(10.0, (10.0 / (a * _INTEGRAL_TOL)) ** (1.0 / (2.0 * a)))
     coarse = _integrate(n, lam, half_width, 64)
     fine = _integrate(n, lam, half_width, 128)

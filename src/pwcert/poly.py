@@ -22,7 +22,7 @@ from itertools import accumulate, repeat, zip_longest
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DivisionByZeroPoly, InternalNonDivisibility
+from .errors import InternalNonDivisibility
 from .rationals import RatLike, rat, rat_str
 
 
@@ -328,7 +328,7 @@ def poly_div_rem(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     the final s.
     """
     if g.is_zero:
-        raise DivisionByZeroPoly("polynomial division by zero")
+        raise ZeroDivisionError("polynomial division by zero")
     if f.degree < g.degree:
         return Poly.zero(), f
     rem, gcs = list(f._num), list(g._num)

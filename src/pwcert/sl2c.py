@@ -34,15 +34,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .errors import (
-    InternalNonDivisibility,
-    NotInAlgebra,
-    NotReduciblePoint,
-    ParityMismatch,
-    SrcDstMismatch,
-    WeightNotInKType,
-    check_parity,
-)
+from .errors import InternalNonDivisibility, check_parity
 from .poly import (
     Poly,
     first_root_not_vanishing,
@@ -129,7 +121,7 @@ def diamond(sigma: int, lam: RatLike) -> dict:
     (bottom -> right), L' (top -> right), Lt (left -> top), Lt' (left -> bottom)
     and the two Knapp-Stein arrows J (right -> left, top -> bottom)."""
     if not reducibility_c(sigma, lam)["reducible"]:
-        raise NotReduciblePoint(f"(sigma, lambda) = ({sigma}, {lam}) is not reducible")
+        raise ValueError(f"(sigma, lambda) = ({sigma}, {lam}) is not reducible")
     right, left, top, bottom = diamond_orbit(sigma, int(rat(lam)))
     arrows = [("L", bottom, right), ("L'", top, right), ("Lt", left, top),
               ("Lt'", left, bottom), ("J", right, left), ("J", top, bottom)]
@@ -145,7 +137,7 @@ class WeightedDiagMap:
 
     Component keys are exactly the weights of the smaller K-type.  For
     opposite parities of src and dst the Hom space is zero, and the
-    constructor raises ParityMismatch: no zero map is made.  Instances are
+    constructor raises a ValueError: no zero map is made.  Instances are
     immutable.
     """
 
@@ -155,12 +147,10 @@ class WeightedDiagMap:
         if src < 0 or dst < 0:
             raise ValueError("K-types are nonnegative integers")
         if (src - dst) % 2:
-            raise ParityMismatch(f"K-types {src} and {dst} have different parity (zero Hom space)")
+            raise ValueError(f"K-types {src} and {dst} have different parity (zero Hom space)")
         expected = set(weights(min(src, dst)))
         if set(components) != expected:
-            raise WeightNotInKType(
-                f"components must be keyed by exactly the common weights {sorted(expected)}"
-            )
+            raise ValueError(f"components must be keyed by exactly the common weights {sorted(expected)}")
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "_components", dict(components))
@@ -259,7 +249,7 @@ def algebra_check(phi: WeightedDiagMap) -> Accept | Reject:
     the weight pairs, for the first failing one.
     """
     if phi.src != phi.dst:
-        raise SrcDstMismatch("algebra membership is defined for src = dst")
+        raise ValueError("algebra membership is defined for src = dst")
     wts = weights(phi.src)
     for k in wts:
         if k < 0:
@@ -310,7 +300,7 @@ def _component(h: Sequence[Poly], k: int) -> Poly:
 
 
 def free_module_decompose(phi: WeightedDiagMap) -> GeneratorCoords:
-    """Unique generator coordinates of an algebra element (NotInAlgebra otherwise).
+    """Unique generator coordinates of an algebra element (a ValueError otherwise).
 
     Divided differences over the weights of the parity of m: level L fixes
     the Newton term G_L of the coordinates, every later weight takes one exact
@@ -320,7 +310,7 @@ def free_module_decompose(phi: WeightedDiagMap) -> GeneratorCoords:
     """
     result = algebra_check(phi)
     if not result.accepted:
-        raise NotInAlgebra(f"input fails the diagonal-algebra conditions: {result.witness}")
+        raise ValueError(f"input fails the diagonal-algebra conditions: {result.witness}")
     return result.coords
 
 
@@ -428,11 +418,11 @@ def extend_interpolate(h: WeightedDiagMap, target: int) -> WeightedDiagMap:
     target level.
     """
     if h.src != h.dst:
-        raise SrcDstMismatch("extension is defined for src = dst")
+        raise ValueError("extension is defined for src = dst")
     check_parity(h.src, target)
     if target < h.src:
         raise ValueError("target K-type must be >= the source level")
-    free_module_decompose(h)  # NotInAlgebra unless h is in the algebra
+    free_module_decompose(h)  # a ValueError unless h is in the algebra
     if target == h.src:
         return h
     comps = dict(h.components)
@@ -466,7 +456,7 @@ def level2_functional_check_c(psi: dict[int, Poly], n: int) -> dict:
     wts = weights(n)
     for k in psi:
         if k not in wts:
-            raise WeightNotInKType(f"weight {k} does not occur in K-type {n}")
+            raise ValueError(f"weight {k} does not occur in K-type {n}")
     comp = {k: psi.get(k, Poly.zero()) for k in wts}
 
     checks = []

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import TruncationTooSmall, check_parity
+from .errors import check_parity
 from .poly import (Poly, first_root_not_vanishing, join_square_parts, ladder, poly_div_linear,
                    poly_div_rem, square_parts)
 from .rationals import RatLike, is_half_integer, is_integer, rat, rat_str
@@ -242,10 +242,10 @@ def level2_check_r(psi: dict[int, Poly], m: int, truncation: int) -> dict:
     coprime, so it holds exactly when x^z r divides psi_n with an even quotient.
     """
     if truncation < 0:
-        raise TruncationTooSmall(f"truncation must be >= 0, got {truncation}")
+        raise ValueError(f"truncation must be >= 0, got {truncation}")
     for n in psi:
         if abs(n) > truncation:
-            raise TruncationTooSmall(f"K-type {n} exceeds truncation {truncation}")
+            raise ValueError(f"K-type {n} exceeds truncation {truncation}")
     ladders = {n: _ladder_pairs(n, m)[0] for n in sorted(psi)}
     den = _ladder_pairs(m, m)[1]  # each root is a/den, a odd if den is 2, |a/den| < max |K-type| / 2
     splits = {n: _one_sided_quotient(psi[n], nums, den) for n, nums in ladders.items()}

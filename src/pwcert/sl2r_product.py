@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ArityMismatch, ParityMismatch
 from .multipoly import MultiPoly, mpoly_div_in_var
 from .poly import first_root_not_vanishing, ladder
 from .sl2r import _ladder_pairs, q_poly_r
@@ -28,12 +27,12 @@ MAX_PRODUCT_TERMS = 20_000
 
 def _check_pair(l: KTypeVec, n: KTypeVec) -> int:
     if len(l) != len(n):
-        raise ArityMismatch(f"K-type vectors of length {len(l)} vs {len(n)}")
+        raise ValueError(f"K-type vectors of length {len(l)} vs {len(n)}")
     if len(l) < 1:
-        raise ArityMismatch("K-type vectors must have length >= 1")
+        raise ValueError("K-type vectors must have length >= 1")
     for i, (li, ni) in enumerate(zip(l, n)):
         if (li - ni) % 2 != 0:
-            raise ParityMismatch(f"coordinate {i}: K-types {li} and {ni} differ in parity")
+            raise ValueError(f"coordinate {i}: K-types {li} and {ni} differ in parity")
     return len(l)
 
 
@@ -79,7 +78,7 @@ def level3_check_product(phi: MultiPoly, l: KTypeVec, n: KTypeVec) -> Accept | R
     """
     d = _check_pair(l, n)
     if phi.arity != d:
-        raise ArityMismatch(f"phi has {phi.arity} variables, K-type vectors have {d}")
+        raise ValueError(f"phi has {phi.arity} variables, K-type vectors have {d}")
     h = phi
     for i, (li, ni) in enumerate(zip(l, n)):
         nums, den = _ladder_pairs(li, ni)

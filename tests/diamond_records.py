@@ -5,7 +5,6 @@ row that ``pwcert.sl2c.diamond`` now builds from its orbit tuple."""
 
 from __future__ import annotations
 
-from pwcert.errors import NotReduciblePoint
 from pwcert.jsonio import record_to_json
 from pwcert.rationals import RatLike, rat
 from pwcert.sl2c import reducibility_c
@@ -32,7 +31,7 @@ class IntertwinerDiamond:
 
 def diamond(sigma: int, lam: RatLike) -> IntertwinerDiamond:
     if not reducibility_c(sigma, lam)["reducible"]:
-        raise NotReduciblePoint(f"(sigma, lambda) = ({sigma}, {lam}) is not reducible")
+        raise ValueError(f"(sigma, lambda) = ({sigma}, {lam}) is not reducible")
     lam_int = int(rat(lam))
     right: Vertex = (sigma, lam_int)
     left: Vertex = (-sigma, -lam_int)

@@ -3,7 +3,6 @@ RationalFunction, frozen as an oracle for the cross-multiplied check in
 ``pwcert.sl2c``.  The candidate c-quotients are the hand-written half-ladders
 of ``ladder_oracle``."""
 
-from pwcert.errors import WeightNotInKType
 from pwcert.poly import Poly
 from pwcert.ratfunc import RationalFunction
 from pwcert.sl2c import weights
@@ -26,7 +25,7 @@ def reduced_ratio_check(psi: dict[int, Poly], n: int) -> dict:
     wts = weights(n)
     for k in psi:
         if k not in wts:
-            raise WeightNotInKType(f"weight {k} does not occur in K-type {n}")
+            raise ValueError(f"weight {k} does not occur in K-type {n}")
     comp = {k: psi.get(k, Poly.zero()) for k in wts}
 
     checks = []

@@ -304,6 +304,37 @@ def error_output(capsys, *args) -> str:
     return captured.err
 
 
+# One call per integer option, valid but for the option's value, None.
+INTEGER_OPTIONS = {
+    "cquot -n": ("cquot", "--group", "sl2r", "-n", None, "-m", "1"),
+    "cquot -m": ("cquot", "--group", "sl2r", "-n", "3", "-m", None),
+    "check3 -n": ("check3", "--group", "sl2r", "-n", None, "-m", "1", "--phi", '{"coeffs":["1"]}'),
+    "check3 -m": ("check3", "--group", "sl2r", "-n", "3", "-m", None, "--phi", '{"coeffs":["1"]}'),
+    "check2 -n": ("check2", "--group", "sl2c", "-n", None, "--psi", "{}"),
+    "check2 -m": ("check2", "--group", "sl2r", "-m", None, "--truncation", "2", "--psi", "{}"),
+    "check2 --truncation": ("check2", "--group", "sl2r", "-m", "0", "--truncation", None, "--psi", "{}"),
+    "box -m": ("box", "-m", None, "--lambda", "1/2"),
+    "atlas --sigma-max": ("atlas", "--group", "sl2c", "--sigma-max", None, "--lambda-max", "1"),
+    "extend --target": ("extend", "--h", '{"n":0,"m":0,"components":{"0":{"coeffs":["5"]}}}',
+                        "--target", None),
+    "verify-numeric --seed": ("verify-numeric", "--seed", None),
+}
+
+
+@pytest.mark.parametrize("value", ["x", "1.5"])
+@pytest.mark.parametrize("call", INTEGER_OPTIONS.values(), ids=INTEGER_OPTIONS.keys())
+def test_malformed_integer_option_is_one_error_line(capsys, call, value):
+    # jsonio reads every integer option, as it reads a JSON integer: no argparse usage text.
+    args = [value if arg is None else arg for arg in call]
+    assert error_output(capsys, *args) == f"pw: error: expected an integer, got {value!r}\n"
+
+
+def test_check3_sl2c_names_the_ktype_it_read(capsys):
+    phi = '{"n":1,"m":1,"components":{"-1":{"coeffs":["1"]},"1":{"coeffs":["1"]}}}'
+    assert error_output(capsys, "check3", "--group", "sl2c", "-n", "05", "--phi", phi) == (
+        "pw: error: -n 5 does not match phi (n = 1)\n")
+
+
 def test_box_takes_the_ktype_bound(capsys):
     # -m is a K-type, at most 1,000 in absolute value as everywhere else.
     code, data = run_json(capsys, "box", "-m", "1000", "--lambda", "1/2")
@@ -347,9 +378,12 @@ def test_check2_negative_truncation_is_an_error(capsys):
     (("check2", "--group", "sl2c", "-n", "0", "-m", "9", "--psi", "{}"), "-m"),
     (("check2", "--group", "sl2c", "-n", "0", "--truncation", "1", "--psi", "{}"), "--truncation"),
     (("atlas", "--group", "sl2r", "--sigma-max", "3", "--lambda-max", "1"), "--sigma-max"),
-], ids=["classify-diamond", "check2-n", "check2-m", "check2-truncation", "atlas-sigma-max"])
+    (("check2", "--group", "sl2r", "-n", "0", "-m", "0", "--truncation", "2", "--psi", "{}"), "-n"),
+    (("atlas", "--group", "sl2r", "--sigma-max", "0", "--lambda-max", "1"), "--sigma-max"),
+], ids=["classify-diamond", "check2-n", "check2-m", "check2-truncation", "atlas-sigma-max",
+        "check2-n-zero", "atlas-sigma-max-zero"])
 def test_an_option_the_group_does_not_read_is_an_error(capsys, args, option):
-    # Not dropped in silence with exit 0.
+    # Not dropped in silence with exit 0, a value of 0 included.
     assert error_output(capsys, *args) == f"pw: error: {args[0]} --group {args[2]} does not take {option}\n"
 
 

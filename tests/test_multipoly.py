@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwcert.errors import ArityMismatch, DivisionByZeroPoly
 from pwcert.multipoly import MultiPoly, mpoly_div_in_var
 from pwcert.poly import Poly
 from pwcert.sl2r import q_poly_r
@@ -61,14 +60,14 @@ def test_div_in_var_does_not_pad_fibers():
 
 
 def test_div_by_zero_poly():
-    with pytest.raises(DivisionByZeroPoly):
+    with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
         mpoly_div_in_var(mp(1, {(1,): 1}), Poly.zero(), 0)
 
 
 def test_arity_checks():
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ValueError, match="arity 2 vs 3"):
         mp(2, {(1, 0): 1}) + mp(3, {(0, 0, 0): 1})
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ValueError, match=r"exponent vector \(1,\) has length != 2"):
         MultiPoly(2, {(1,): Fraction(1)})
 
 

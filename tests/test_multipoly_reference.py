@@ -12,7 +12,6 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from pwcert import jsonio
-from pwcert.errors import ArityMismatch, DivisionByZeroPoly
 from pwcert.multipoly import MultiPoly, mpoly_div_in_var
 from pwcert.poly import Poly, first_root_not_vanishing, poly_div_rem
 from pwcert.rationals import rat
@@ -38,7 +37,7 @@ class ReferenceMultiPoly:
         for exps, c in items:
             exps = tuple(int(e) for e in exps)
             if len(exps) != arity:
-                raise ArityMismatch(f"exponent vector {exps} has length != {arity}")
+                raise ValueError(f"exponent vector {exps} has length != {arity}")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
             c = rat(c)
@@ -150,7 +149,7 @@ class ReferenceMultiPoly:
 
 def reference_div_in_var(f: ReferenceMultiPoly, g: Poly, var: int):
     if g.is_zero:
-        raise DivisionByZeroPoly("division by zero polynomial")
+        raise ZeroDivisionError("division by zero polynomial")
     quo, rem = {}, {}
     for rest, fiber in f.fibers(var).items():
         for out, p in zip((quo, rem), poly_div_rem(fiber, g)):

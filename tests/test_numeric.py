@@ -6,7 +6,7 @@ import random
 import mpmath
 import pytest
 
-from pwcert.errors import ConvergenceNotReached, OutsideConvergenceRegion, PoleProximity
+from pwcert.errors import ConvergenceNotReached
 from pwcert.numeric import _leggauss, c_integral_sl2r, c_numeric, gamma_complex
 from pwcert.poly import Poly
 from pwcert.sl2c import c_quotient_c
@@ -44,9 +44,9 @@ def test_gamma_recurrence_100_points():
 
 
 def test_gamma_pole_proximity():
-    with pytest.raises(PoleProximity):
+    with pytest.raises(ValueError, match="Gamma pole at 0"):
         gamma_complex(0.0)
-    with pytest.raises(PoleProximity):
+    with pytest.raises(ValueError, match="Gamma pole at -3"):
         gamma_complex(-3.0 + 1e-12j)
     gamma_complex(-3.0 + 1.0j)  # away from the axis is fine
 
@@ -123,7 +123,7 @@ def test_integral_equal_ktypes_ratio_one():
 
 
 def test_integral_outside_convergence():
-    with pytest.raises(OutsideConvergenceRegion):
+    with pytest.raises(ValueError, match="is not > 0"):
         c_integral_sl2r(0, -1.0)
 
 
@@ -141,7 +141,7 @@ def test_quadrature_spec_validation():
     # ratios to the closed form must agree.  No plan exists for Re(lambda) <= 0.
     ratios = [c_integral_sl2r(0, lam) / c_numeric("sl2r", 0, lam) for lam in (0.5, 1.0, 2.0 + 1.0j)]
     assert all(abs(r / ratios[0] - 1.0) < 1e-6 for r in ratios)
-    with pytest.raises(OutsideConvergenceRegion):
+    with pytest.raises(ValueError, match="is not > 0"):
         c_integral_sl2r(2, 0.0 + 3.0j)
 
 

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from pwcert.errors import ArityMismatch, ParityMismatch
 from pwcert.multipoly import MultiPoly
 from pwcert.poly import Poly
 from pwcert.sl2r import level3_check_r, q_poly_r
@@ -40,11 +39,10 @@ def test_q_product_examples():
 
 
 def test_q_product_errors():
-    with pytest.raises(ArityMismatch):
+    with pytest.raises(ValueError, match="K-type vectors of length 2 vs 1"):
         q_product((1, 1), (1,))
-    with pytest.raises(ParityMismatch) as err:
+    with pytest.raises(ValueError, match="coordinate 0: K-types 2 and 1 differ in parity"):
         q_product((2, 1), (1, 1))
-    assert "coordinate 0" in str(err.value)
 
 
 def test_check_accept_example():

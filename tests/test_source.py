@@ -123,3 +123,29 @@ def test_only_main_writes_pw_output():
     handlers = [name for name in called if name.startswith("_cmd_")]
     assert [name for name, names in called.items() if "_emit" in names] == ["main"]
     assert handlers and not [name for name in handlers if "print" in called[name]]
+
+
+def test_input_errors_take_one_path():
+    # An input error is a plain ValueError that main prints as one line: no
+    # package class subclasses ValueError, argparse converts no option (jsonio
+    # reads the integers), and main's error handler catches only these three.
+    subclasses = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for base in node.bases if isinstance(base, ast.Name) and base.id == "ValueError"
+    ]
+    assert SOURCES and not subclasses, subclasses
+    functions = {node.name: node for node in ast.parse(
+        (Path(pwcert.__file__).parent / "cli.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)}
+    converted = [
+        node.lineno for node in ast.walk(functions["build_parser"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "add_argument" and any(kw.arg == "type" for kw in node.keywords)
+    ]
+    assert not converted, converted
+    caught = [ast.unparse(handler.type) for node in ast.walk(functions["main"])
+              if isinstance(node, ast.Try) for handler in node.handlers]
+    assert caught == ["_UsageError", "(PwError, ValueError, OSError)"]
