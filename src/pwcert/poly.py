@@ -315,6 +315,18 @@ def _sum_over_lcm(a: Sequence[int], da: int, b: Sequence[int], db: int, sign: in
     return [x + y for x, y in pairs] if sign > 0 else [x - y for x, y in pairs], den
 
 
+def _sub_div_linear(a: Sequence[int], da: int, b: Sequence[int], db: int, c: int, scale: int) -> tuple | None:
+    """The normalised row (a / da - b / db) / (scale (x - c)), or None, in one loop over lcm(da, db)."""
+    den = lcm(da, db)
+    a = a if den == da else tuple([den // da * x for x in a])
+    b = b if den == db else tuple([den // db * y for y in b])
+    n, acc, out = max(len(a), len(b)), 0, []
+    for x, y in zip((0,) * (n - len(a)) + a[::-1], (0,) * (n - len(b)) + b[::-1]):
+        acc = acc * c + x - y
+        out.append(acc)
+    return None if acc else _normal(out[-2::-1], den * scale)
+
+
 # -- free functions: the operation surface -------------------------------------
 
 
@@ -366,19 +378,37 @@ def poly_div_linear(f: Poly, roots: Sequence[int], scale: int) -> Poly | None:
     return _make(num, den)
 
 
-def poly_sub_div_linear(f: Poly, g: Poly, c: int, scale: int) -> Poly | None:
-    """The quotient (f - g) / (scale * (x - c)) for ints c and scale != 0, or None for a
-    remainder: f - g is formed over the lcm of the denominators, normalised only as the quotient."""
-    num, den = _sum_over_lcm(f._num, f._den, g._num, g._den, -1)
-    num = _synthetic(num, c)
-    return None if num is None else _make(num, den * scale)
-
-
-def poly_mul_add(f: Poly, g: Poly, h: Poly) -> Poly:
-    """f * g + h, summed over the lcm of the denominators of f * g and h, normalised once."""
-    if not f._num:
-        return h
-    return _make(*_sum_over_lcm(_int_mul(f._num, g._num), f._den * g._den, h._num, h._den, 1))
+def divided_difference_coords(parts: Sequence[tuple[Poly, Poly]], b: int) -> list[Poly] | None:
+    """The t-coefficients h_0..h_m of G_b + f_b (G_{b+2} + ... + f_{m-2} G_m), or None at the
+    first remainder, for the Newton divided differences G_L = X_L + t Y_L in mu of parts[j] =
+    (X_K, Y_K) at K = b + 2j <= m.  At K, t^2 = K^2 (mu - K^2), f_L = t^2 + L^4 - L^2 mu is
+    (K^2 - L^2)(mu - K^2 - L^2) and f_0 = t swaps X and Y.  Each step normalises its row once."""
+    rows = [((x._num, x._den), (y._num, y._den)) for x, y in parts]
+    zero, h, m = ((), 1), [], b + 2 * len(parts) - 2
+    for i, base in enumerate(rows):
+        l2 = (b + 2 * i) ** 2
+        for j in range(i + 1, len(rows)):
+            row, k2 = rows[j], (b + 2 * j) ** 2
+            if row == base:  # a zero residual skips the step
+                rows[j] = (zero, zero)
+                continue
+            dx = _sub_div_linear(*row[0], *base[0], k2 + l2, k2 - l2)
+            dy = row[1] if dx is None or not l2 else _sub_div_linear(*row[1], *base[1], k2 + l2, k2 - l2)
+            if dx is None or dy is None:
+                return None
+            rows[j] = (dx, dy) if l2 else (dy, dx)
+    for level, (x, y) in zip(range(m, b - 1, -2), reversed(rows)):  # Horner's rule, H = G_L + f_L H
+        if not level:  # f_0 = t, and Y_0 = 0
+            h = [x, *h]
+            continue
+        l2, old, h = level * level, h, [x, y, *h]  # t^2 H shifts H by two
+        for i, ((c, dc), (g, dg)) in enumerate(zip(old, h)):
+            if c:  # h_i += (L^4 - L^2 mu) old_i over the lcm, in one comprehension
+                den = lcm(dc, dg)
+                p, g = l2 * (den // dc), g if den == dg else [den // dg * z for z in g]
+                h[i] = _normal([p * (l2 * lo - hi) + z for lo, hi, z in
+                                zip_longest(c, (0, *c), g, fillvalue=0)], den)
+    return [_make(list(num), den) for num, den in h]
 
 
 def ladder(nums: Iterable[int], den: int) -> Poly:

@@ -16,9 +16,10 @@ module over polynomials in the Casimir parameter mu = x^2 + k^2 with the
 m + 1 generators (k*x)^l.  The decomposition interpolates over the weights
 in Newton (divided-difference) form, one exact division by a linear
 polynomial in mu per weight pair, and rebuilds the coordinates by Horner's
-rule, each step one kernel call that normalises once, so coordinates are exact
-and unique.  The same pass decides membership: for a symmetric map every
-division is exact exactly when the swap condition holds.
+rule, the whole table and assembly in one kernel call on integer rows, each
+step normalising its row once, so coordinates are exact and unique.  The same
+pass decides membership: for a symmetric map every division is exact exactly
+when the swap condition holds.
 
 Membership at distinct K-types is certified by componentwise exact division
 by the ladder chain q_{n,m} (products of the first-order operators
@@ -37,13 +38,12 @@ from fractions import Fraction
 from .errors import InternalNonDivisibility, check_parity
 from .poly import (
     Poly,
+    divided_difference_coords,
     first_root_not_vanishing,
     interpolate_equispaced,
     ladder,
     poly_div_linear,
     poly_gcd,
-    poly_mul_add,
-    poly_sub_div_linear,
     square_parts,
     transpose,
 )
@@ -242,9 +242,10 @@ def algebra_check(phi: WeightedDiagMap) -> Accept | Reject:
 
     (i) phi_k(x) = phi_{-k}(-x) as exact polynomial identities;
     (ii) phi_k(l) = phi_l(k) for all weight pairs.
-    Given (i), (ii) holds exactly when each division of the decomposition is
-    exact: the division of the weight K past level L leaves a remainder
-    exactly when phi_K(+/-L) != phi_{+/-L}(K), given the pairs before it.
+    Given (i), (ii) holds exactly when each division of the decomposition (one
+    divided_difference_coords call) is exact: the division of the weight K past
+    level L leaves a remainder exactly when phi_K(+/-L) != phi_{+/-L}(K), given
+    the pairs before it.
     Acceptance carries phi as h with its coordinates; only a remainder scans
     the weight pairs, for the first failing one.
     """
@@ -327,45 +328,14 @@ def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly] | None:
     TAOCP vol. 2, 4.6.4); a remainder is a swap break between K and +/-L.  The
     coordinates are the t-coefficients of
     H = G_b + f_b (G_{b+2} + f_{b+2} (... + f_{m-2} G_m)), by Horner's rule.
-    Each step is one kernel call that normalises once: poly_sub_div_linear for a
-    divided step, poly_mul_add for c (L^4 - L^2 mu) + g in Horner's rule.
+    The divided-difference table and Horner's rule run in one kernel call,
+    divided_difference_coords, on integer numerator rows over one denominator.
     """
-    b, zero = m % 2, Poly.zero()
-    rows = []  # (X_K, Y_K) per weight K, and G_K once level K is reached
+    b, parts = m % 2, []  # (X_K, Y_K) per weight K
     for k in range(b, m + 1, 2):
         x, y = square_parts(comps[k], k * k)
-        rows.append((x, y / k if k else y))  # Y_0 = 0, as phi_0 is even
-    for i, base in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            k, row = b + 2 * j, rows[j]  # a zero residual skips the step
-            rows[j] = (zero, zero) if row == base else _divided_step(row, base, k, b + 2 * i)
-            if rows[j] is None:
-                return None
-    h: list[Poly] = []  # the t-coefficients of H, less its zero top ones
-    for level in range(m, b - 1, -2):
-        x, y = rows[(level - b) // 2]
-        if level:
-            pairing = Poly((level**4, -level * level))  # L^4 - L^2 mu = f_L - t^2
-            h = [poly_mul_add(c, pairing, g) for c, g in zip([*h, zero, zero], [x, y, *h])]
-        else:  # f_0 = t, and Y_0 = 0
-            h = [x, *h]
-        while h and not h[-1]:
-            h.pop()
-    return h + [zero] * (m + 1 - len(h))
-
-
-def _divided_step(row: tuple[Poly, Poly], base: tuple[Poly, Poly], k: int,
-                  level: int) -> tuple[Poly, Poly] | None:
-    """The pair (X_k, Y_k) less G_level, divided by f_level at weight k, or None."""
-    (x, y), (xl, yl) = row, base
-    c, scale = k * k + level * level, k * k - level * level
-    dx = poly_sub_div_linear(x, xl, c, scale)
-    if dx is None:
-        return None
-    if not level:
-        return y, dx
-    dy = poly_sub_div_linear(y, yl, c, scale)
-    return None if dy is None else (dx, dy)
+        parts.append((x, y / k if k else y))  # Y_0 = 0, as phi_0 is even
+    return divided_difference_coords(parts, b)
 
 
 # -- Level-3 membership ---------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Polynomial helpers that only tests and the corpus generator use."""
 
+import random
 from collections.abc import Iterable, Sequence
+from fractions import Fraction
 
 from pwcert.poly import Poly
 from pwcert.rationals import RatLike, rat
@@ -37,3 +39,25 @@ def lagrange_interpolate(points: Sequence[tuple[RatLike, RatLike]]) -> Poly:
     for d, x in zip(reversed(diffs), reversed(xs)):
         total = total * Poly((-x, 1)) + d
     return total
+
+
+RATIONAL_DENOMINATORS = (2, 3, 4, 6, 9)
+
+
+def rational_coords(rng: random.Random, m: int, degree: int = 3) -> tuple[Poly, ...]:
+    """Seeded coordinates h_0..h_m of degree at most degree, a fifth of them zero.
+
+    The even-l coordinates, which make the X parts of the decomposition, have
+    coefficients over 1 or one of RATIONAL_DENOMINATORS, and the odd-l ones,
+    which make the Y parts, over 1 or another, so X and Y parts come over
+    different denominators, and rows at different weights over different ones.
+    """
+    dens = rng.sample(RATIONAL_DENOMINATORS, 2)
+
+    def coordinate(l: int) -> Poly:
+        if rng.random() < 0.2:
+            return Poly.zero()
+        d = rng.randint(0, degree)
+        return Poly([Fraction(rng.randint(-9, 9), rng.choice((1, dens[l % 2]))) for _ in range(d + 1)])
+
+    return tuple(coordinate(l) for l in range(m + 1))

@@ -14,6 +14,7 @@ from math import comb
 
 from pwcert.poly import Poly
 from pwcert.sl2c import GeneratorCoords, free_module_decompose, synthesize, weights
+from poly_helpers import rational_coords
 
 
 def gauss_solve(rows, rhs):
@@ -92,6 +93,19 @@ def test_decompose_matches_linear_solver():
         assert free_module_decompose(phi) == coords
         solved = coords_by_linear_solve(phi.components, m, degree_bound)
         assert solved == coords
+
+
+def test_decompose_matches_linear_solver_on_rational_coordinates():
+    # Coordinates over the denominators 2, 3, 4, 6 and 9, with X and Y parts over
+    # different ones: the solver's exact coordinates, in the canonical form.
+    rng = random.Random(72)
+    for _ in range(60):
+        m = rng.randint(0, 4)
+        degree_bound = rng.randint(0, 3)
+        coords = GeneratorCoords(m, rational_coords(rng, m, degree_bound))
+        phi = synthesize(coords)
+        solved = coords_by_linear_solve(phi.components, m, degree_bound)
+        assert solved == coords and free_module_decompose(phi) == solved
 
 
 def test_linear_solver_sees_unique_solution():

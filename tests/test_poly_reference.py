@@ -15,10 +15,10 @@ from math import lcm
 import pytest
 
 import pwcert.sl2r
-from pwcert.poly import (Poly, join_square_parts, ladder, poly_div_linear, poly_div_rem, poly_mul_add,
-                         poly_sub_div_linear, square_parts)
+from pwcert.poly import (Poly, _sub_div_linear, divided_difference_coords, join_square_parts, ladder,
+                         poly_div_linear, poly_div_rem, square_parts)
 from pwcert.rationals import rat_str
-from pwcert.sl2c import q_roots_c
+from pwcert.sl2c import GeneratorCoords, q_roots_c, synthesize
 from pwcert.sl2r import level3_check_r, q_poly_r
 from ladder_oracle import q_roots_r
 
@@ -289,9 +289,10 @@ def test_div_linear_matches_long_division():
 
 
 def test_sub_div_linear_matches_the_unfused_expression():
-    # poly_sub_div_linear(f, g, c, s) is the quotient of f - g by s (x - c), or
-    # None exactly when that long division leaves a remainder.  f and g have
-    # their own denominators; half the pairs differ by a multiple of x - c.
+    # The divided step _sub_div_linear(a, da, b, db, c, s) is the canonical row of
+    # the quotient of a / da - b / db by s (x - c), or None exactly when that long
+    # division leaves a remainder.  f and g have their own denominators; half the
+    # pairs differ by a multiple of x - c.
     rng = random.Random(8011)
     outcomes = Counter()
     for _ in range(CASES):
@@ -302,30 +303,61 @@ def test_sub_div_linear_matches_the_unfused_expression():
         g = Poly(_operand(rng, kinds[1]))
         f = g + Poly(_dividend(rng, kinds[0], divisor.coeffs)) if rng.random() < 0.5 else Poly(_operand(rng, kinds[0]))
         quotient, remainder = poly_div_rem(f - g, divisor)
-        result = poly_sub_div_linear(f, g, c, scale)
-        if remainder.is_zero:
-            _assert_same_poly(result, quotient.coeffs)
-        else:
-            assert result is None
+        result = _sub_div_linear(f._num, f._den, g._num, g._den, c, scale)
+        assert result == (None if remainder else (quotient._num, quotient._den))
         outcomes[(remainder.is_zero, quotient.is_zero)] += 1
     assert min(outcomes.values()) >= CASES // 20, outcomes
 
 
-def test_mul_add_matches_the_unfused_expression():
-    # poly_mul_add(f, g, h) is f * g + h, in the canonical form, including
-    # sums whose numerators share a factor with the lcm of the denominators.
+def reference_coords(parts: list[tuple[Poly, Poly]], b: int) -> list[Poly] | None:
+    """The divided-difference decomposition with every step a Poly expression:
+    (f - g) by scale (x - c) in poly_div_rem, and c (L^4 - L^2 x) + g."""
+    rows = list(parts)
+    for i, base in enumerate(rows):
+        level = b + 2 * i
+        for j in range(i + 1, len(rows)):
+            k = b + 2 * j
+            divisor = Poly((-(k * k + level * level), 1)) * (k * k - level * level)
+            quotients = [poly_div_rem(f - g, divisor) for f, g in zip(rows[j], base)]
+            if any(r for _, r in quotients[: 2 if level else 1]):
+                return None
+            rows[j] = (quotients[0][0], quotients[1][0]) if level else (rows[j][1], quotients[0][0])
+    h: list[Poly] = []
+    for level in range(b + 2 * len(rows) - 2, b - 1, -2):
+        x, y = rows[(level - b) // 2]
+        pairing = Poly((level**4, -level * level))
+        h = [c * pairing + g for c, g in zip([*h, Poly.zero(), Poly.zero()], [x, y, *h])] if level else [x, *h]
+    return h
+
+
+def test_divided_difference_coords_matches_the_unfused_expression():
+    # The kernel returns the reference's coordinates, each in the canonical form,
+    # or None exactly when the reference does.  The parts come from members whose
+    # coordinates are integer, dyadic or large rational operands, zero included,
+    # and from random pairs, which leave a remainder unless there is one weight.
     rng = random.Random(8012)
     outcomes = Counter()
-    for _ in range(CASES):
-        f, g, h = (Poly(_operand(rng, rng.choice(("integer", "dyadic", "rational")))) for _ in range(3))
-        if rng.random() < 0.3:
-            g = Poly((rng.randint(-9, 9) ** 4, -rng.randint(1, 9) ** 2))  # a pairing factor
-        result = poly_mul_add(f, g, h)
-        expected = f * g + h
-        _assert_same_poly(result, expected.coeffs)
-        den = [lcm(*(c.denominator for c in p.coeffs)) for p in (f, g, h, expected)]
-        outcomes["reduced" if den[3] < lcm(den[0] * den[1], den[2]) else "whole"] += 1
-    assert min(outcomes.values()) >= CASES // 10, outcomes
+    for _ in range(CASES // 5):
+        m, kind = rng.randint(0, 6), rng.choice(("integer", "dyadic", "rational"))
+        b, member = m % 2, rng.random() < 0.7
+        if member:
+            coords = GeneratorCoords(m, tuple(Poly(_operand(rng, kind)) for _ in range(m + 1)))
+            comps = synthesize(coords).components
+        parts = []
+        for k in range(b, m + 1, 2):
+            x, y = square_parts(comps[k], k * k) if member else (Poly(_operand(rng, kind)), Poly(_operand(rng, kind)))
+            parts.append((x, y / k if k else Poly.zero()))
+        result, expected = divided_difference_coords(parts, b), reference_coords(parts, b)
+        if member:
+            assert tuple(result) == coords.h
+        if expected is None:
+            assert result is None
+        else:
+            for p, e in zip(result, expected, strict=True):
+                _assert_same_poly(p, e.coeffs)
+        outcomes[(member, expected is None, kind)] += 1
+    assert min(outcomes[(True, False, kind)] for kind in ("integer", "dyadic", "rational")) >= CASES // 50, outcomes
+    assert outcomes[(False, True, "rational")] >= CASES // 100, outcomes
 
 
 def test_ladder_matches_fraction_kernel():

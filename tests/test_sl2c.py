@@ -38,7 +38,7 @@ from pwcert.verdict import Accept, Reject
 from chain_long_division import long_division_check
 from ladder_oracle import c_quotient_c_ladder, q_minus, q_plus, quotient_outcome, then
 from pinning_induction import pinning_decompose
-from poly_helpers import from_roots, lagrange_interpolate
+from poly_helpers import RATIONAL_DENOMINATORS, from_roots, lagrange_interpolate, rational_coords
 from reduced_ratio_shadow import reduced_ratio_check
 
 LAM = Poly((0, 1))
@@ -428,19 +428,72 @@ def test_decompose_matches_the_pinning_induction():
 
 
 def test_decompose_stops_at_a_top_weight_swap_break(monkeypatch):
-    # A +1 bump at the weights +/-m leaves a remainder in the first step of the
-    # weight m, so the divided differences stop within the first level.
-    import pwcert.sl2c
+    # A +1 bump at the weights +/-m leaves a remainder in the first divided step
+    # of the weight m, so the divided differences stop within the first level.
+    import pwcert.poly
 
     m = 64
     member, _ = dense_member(m)
     comps = member.components
     comps[m], comps[-m] = comps[m] + 1, comps[-m] + 1
     steps = []
-    step = pwcert.sl2c._divided_step
-    monkeypatch.setattr(pwcert.sl2c, "_divided_step", lambda *args: steps.append(args) or step(*args))
+    step = pwcert.poly._sub_div_linear
+    monkeypatch.setattr(pwcert.poly, "_sub_div_linear", lambda *args: steps.append(args) or step(*args))
     assert _decompose_components(comps, m) is None
     assert 1 <= len(steps) <= m // 2
+
+
+def test_decompose_makes_only_the_parts_and_the_coordinates(monkeypatch):
+    # square_parts makes two Polys per weight and the division by K a third;
+    # the divided-difference table and Horner's rule run on integer rows, and
+    # only the m + 1 coordinates come out as Polys.
+    import pwcert.poly
+
+    m = 32
+    member, coords = dense_member(m)
+    comps = member.components
+    made = []
+    make = pwcert.poly._make
+    monkeypatch.setattr(pwcert.poly, "_make", lambda *args: made.append(args) or make(*args))
+    assert tuple(_decompose_components(comps, m)) == coords.h
+    assert len(made) <= 3 * (m // 2 + 1) + m + 1
+
+
+def test_decompose_round_trips_rational_members():
+    # Coordinates over the denominators 2, 3, 4, 6 and 9, with X and Y parts
+    # over different ones: the divided steps subtract over the lcm, and every
+    # coordinate comes out in the canonical form.
+    rng = random.Random(36)
+    for _ in range(40):
+        m = rng.randint(0, 40)
+        coords = GeneratorCoords(m, rational_coords(rng, m))
+        assert tuple(_decompose_components(synthesize(coords).components, m)) == coords.h, m
+
+
+def test_decompose_rational_bumps_fail_exactly_where_a_pair_does_not_swap():
+    # Rational members, and symmetric bumps at one weight pair +/-j scaled over
+    # the same denominators: None exactly when the pair scan finds a pair that
+    # does not swap, and otherwise the coordinates of the pinning induction.
+    rng = random.Random(37)
+    outcomes = Counter()
+    for _ in range(240):
+        m = rng.randint(0, 14)
+        comps = synthesize(GeneratorCoords(m, rational_coords(rng, m))).components
+        if rng.random() < 0.55:
+            j = rng.choice([k for k in weights(m) if k >= 0])
+            scale = Fraction(rng.choice((-2, 1, 3)), rng.choice(RATIONAL_DENOMINATORS))
+            bump = from_roots(rng.sample(weights(m), rng.randint(0, m))) * scale
+            if j == 0:
+                comps[0] = comps[0] + bump * bump.reflect()
+            else:
+                comps[j], comps[-j] = comps[j] + bump, comps[-j] + bump.reflect()
+        h = _decompose_components(comps, m)
+        verdict = reference_algebra_check(WeightedDiagMap(m, m, comps))
+        assert verdict.accepted or isinstance(verdict.witness, SwapWitness)
+        assert (h is None) == (not verdict.accepted), m
+        assert h == pinning_decompose(comps, m), m
+        outcomes["member" if h is not None else "none"] += 1
+    assert min(outcomes["member"], outcomes["none"]) >= 70, outcomes
 
 
 def test_decompose_dense_member_within_budget():
