@@ -10,7 +10,8 @@ appear only in the numeric cross-validation module.
 
 The package exports nothing at top level: import from its modules
 (``pwcert.poly``, ``pwcert.sl2r``, ...), so that ``pw`` and each caller load
-only the modules they use.
+only the modules they use.  Values are immutable and operations pure, so
+concurrent callers need no synchronization.
 """
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from . import jsonio
 from .errors import PwError
-from .rationals import rat
+from .rationals import digits_checked, rat
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -61,7 +61,7 @@ def _load_json_arg(value: str):
             if len(text) > jsonio.MAX_JSON_FILE:
                 raise ValueError(f"{value[1:]} holds more than {jsonio.MAX_JSON_FILE} characters")
             value = text
-        return json.loads(value, object_pairs_hook=_unique_keys)
+        return json.loads(value, object_pairs_hook=_unique_keys, parse_int=lambda s: int(digits_checked(s)))
     except RecursionError:  # json's scanner recurses once per nested array or object
         raise ValueError("JSON argument is nested too deeply") from None
 

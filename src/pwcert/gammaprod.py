@@ -9,7 +9,8 @@ once per unit gap between paired shifts.
 Pairing requires, per group of factors with equal scale and congruent shift
 (equal fractional part), that the exponents cancel overall; otherwise the
 quotient is simply not a rational function and a ValueError is raised.  The
-sqrt(pi) prefactor must likewise cancel.
+sqrt(pi) prefactor must likewise cancel.  No pw subcommand loads this module
+or ratfunc: only the tests reduce c_gamma_r and c_gamma_c (criterion 01).
 """
 
 from __future__ import annotations

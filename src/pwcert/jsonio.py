@@ -163,7 +163,7 @@ def coords_from_json(data: dict) -> GeneratorCoords:
     from .sl2c import GeneratorCoords
 
     h = _member(data, "h", "generator coordinates", list, "an 'h' list")
-    m = int_from_json(_member(data, "m", "generator coordinates"))
+    m = ktype_from_json(_member(data, "m", "generator coordinates"))
     return GeneratorCoords(m, tuple(poly_from_json(p) for p in h))
 
 

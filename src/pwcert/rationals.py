@@ -3,18 +3,19 @@
 ``fractions.Fraction`` already provides arbitrary-precision rationals in
 lowest terms with positive denominator, which is exactly the coefficient
 domain needed for decidable zero tests.  This module only adds the string
-forms used throughout the JSON interfaces: ``"p/q"``, or ``"p"`` when the
-denominator is 1.
+forms used throughout the JSON interfaces, ``"p/q"`` or ``"p"`` when the
+denominator is 1, read and printed within Python's int/str digit limit.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
 RatLike = Fraction | int | str
 
-MAX_DIGITS = 10_000  # read limit; rat_str rejects a part over Python's 4,300-digit str limit
+MAX_DIGITS = 10_000  # read limit; a part over Python's 4,300-digit int limit is refused on read and print
 
 
 def _size(text: str) -> int:
@@ -34,10 +35,18 @@ def rat(value: RatLike) -> Fraction:
         if _size(value) > MAX_DIGITS:
             raise ValueError(f"rational strings must be at most {MAX_DIGITS} characters, exponent as zeros")
         try:
-            return Fraction(value.strip())
+            return Fraction(digits_checked(value).strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def digits_checked(text: str) -> str:
+    """text, or pw's own ValueError where a run of digits passes Python's int-from-str limit."""
+    limit = sys.get_int_max_str_digits()
+    if limit and len(text) > limit and max(map(len, re.findall(r"\d+", text.replace("_", ""))), default=0) > limit:
+        raise ValueError(f"input limit: a number to read has a part over {limit} digits")
+    return text
 
 
 def rat_str(value: Fraction) -> str:

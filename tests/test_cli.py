@@ -233,6 +233,11 @@ def test_abbreviated_options_are_refused(capsys, args):
     ("q", "--group", "sl2r-product", "-n", "0,0,0", "-m", "4,116,224"),
     # 2^20 terms from a 60-byte argument: 34 s and 2.8 GB before the bound.
     ("q", "--group", "sl2r-product", "-n", ",".join(["3"] * 20), "-m", ",".join(["1"] * 20)),
+    # The coordinates' level is a K-type, with the K-type bound.
+    ("synthesize", "--coords", '{"m":1001,"h":[]}'),
+    # A part over Python's 4,300-digit int limit, as a rational string and as a JSON integer.
+    ("check3", "--group", "sl2r", "-n", "1", "-m", "1", "--phi", '{"coeffs":["%s"]}' % ("9" * 5000)),
+    ("check3", "--group", "sl2r", "-n", "1", "-m", "1", "--phi", '{"coeffs":[%s]}' % ("9" * 5000)),
 ])
 def test_malformed_input_is_one_error_line(capsys, args):
     assert main(list(args)) == 1
@@ -288,6 +293,14 @@ def test_malformed_input_is_one_error_line(capsys, args):
      "K-types 1 and 2 have different parity (zero Hom space)"),
     (("check3", "--group", "sl2c", "-n", "5", "--phi", '{"n":1,"m":2,"components":{}}'),
      "K-types 1 and 2 have different parity (zero Hom space)"),
+    # The coordinates' level is a K-type, read after the 'h' member; 1,000 is admitted.
+    (("synthesize", "--coords", '{"m":1001,"h":[]}'), "K-types must be at most 1000 in absolute value, got 1001"),
+    (("synthesize", "--coords", '{"m":1000,"h":[]}'), "expected 1001 coordinates, got 0"),
+    # Python's own message would name sys.set_int_max_str_digits.
+    (("check3", "--group", "sl2r", "-n", "1", "-m", "1", "--phi", '{"coeffs":["%s"]}' % ("9" * 5000)),
+     "input limit: a number to read has a part over 4300 digits"),
+    (("check3", "--group", "sl2r", "-n", "1", "-m", "1", "--phi", '{"coeffs":[%s]}' % ("9" * 5000)),
+     "input limit: a number to read has a part over 4300 digits"),
 ])
 def test_malformed_json_names_what_is_wrong(capsys, args, message):
     assert main(list(args)) == 1

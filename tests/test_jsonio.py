@@ -40,6 +40,12 @@ def test_rational_size_bound():
     for text in ("1e10000", "1e+00000000000000000123456", "1E-1_0000", "1" * 10001):
         with pytest.raises(ValueError, match="at most"):
             jsonio.poly_from_json({"coeffs": [text]})
+    # Within MAX_DIGITS, but a part over Python's 4,300-digit int limit: pw's own error.
+    for text in ("9" * 4301, "1/" + "7" * 4301, "0." + "3" * 4301, "9" + "_9" * 4300):
+        with pytest.raises(ValueError, match=r"^input limit: a number to read has a part over 4300 digits$"):
+            jsonio.poly_from_json({"coeffs": [text]})
+    with pytest.raises(ValueError, match="Invalid literal"):  # as long, but no digit run to measure
+        jsonio.poly_from_json({"coeffs": ["/" * 4301]})
 
 
 def test_poly_round_trip():
