@@ -75,19 +75,9 @@ class GammaProduct:
     def __hash__(self) -> int:
         return hash((self._factors, self._prefactor, self._sqrt_pi_power))
 
-    def format(self, var: str = "x") -> str:
-        parts = []
-        if self._sqrt_pi_power:
-            parts.append(f"pi^({rat_str(Fraction(self._sqrt_pi_power, 2))})")
-        if not self._prefactor.is_one:
-            parts.append(f"({self._prefactor.format(var)})")
-        for scale, shift, exp in self._factors:
-            arg = Poly((shift, scale)).format(var)
-            parts.append(f"Gamma({arg})" + (f"^{exp}" if exp != 1 else ""))
-        return " * ".join(parts) if parts else "1"
-
     def __repr__(self) -> str:
-        return f"GammaProduct({self.format()})"
+        factors = [(rat_str(scale), rat_str(shift), exp) for scale, shift, exp in self._factors]
+        return f"GammaProduct({factors!r}, {self._prefactor!r}, {self._sqrt_pi_power})"
 
 
 def _pair_contribution(scale: Fraction, a: Fraction, b: Fraction) -> RationalFunction:

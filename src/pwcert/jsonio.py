@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
 from .poly import Poly
-from .rationals import rat, rat_str
+from .rationals import digits_checked, rat, rat_str
 
 if TYPE_CHECKING:  # annotations only: a function that needs one of these at run time imports it
     from .multipoly import MultiPoly
@@ -88,6 +88,8 @@ def _rat_from_json(value: Any) -> Fraction:
 
 def int_from_json(value: Any) -> int:
     """A JSON integer, or a string holding one; never a float, a bool or null."""
+    if isinstance(value, str):
+        digits_checked(value)  # a part past Python's int limit is pw's input-limit error, not this one
     if not isinstance(value, bool) and isinstance(value, (str, int)):
         try:
             return int(value)

@@ -5,7 +5,7 @@ denominator: ``_num`` maps exponent vectors (one entry per variable) to
 nonzero ints, and ``_den > 0`` with gcd(_den, *_num.values()) == 1.  The form
 is unique, so structural equality is semantic equality; the zero polynomial
 is the empty map over 1.  Every operation runs on Python ints; ``Fraction``s
-are built only by ``terms``, ``sorted_terms``, the display and values.
+are built only by ``terms``, ``sorted_terms``, the repr and values.
 Multivariate data in the product checkers is sparse by construction, hence
 the sparse representation, in contrast to the dense univariate carrier.
 """
@@ -19,7 +19,7 @@ from itertools import cycle
 from math import gcd, lcm, prod
 
 from .poly import Poly, _make as _make_poly, _powers, _ratio
-from .rationals import RatLike, rat
+from .rationals import RatLike, rat, rat_str
 
 Exponents = tuple[int, ...]
 
@@ -185,22 +185,9 @@ class MultiPoly:
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
         return sorted(self.terms.items())
 
-    def format(self) -> str:
-        if not self._num:
-            return "0"
-        parts = []
-        for exps, c in self.sorted_terms():
-            mono = "*".join(f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps) if e)
-            if not mono:
-                parts.append(str(c))
-            elif abs(c) == 1:
-                parts.append(("-" if c < 0 else "") + mono)
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts)
-
     def __repr__(self) -> str:
-        return f"MultiPoly({self._arity}, {self.format()})"
+        terms = {e: rat_str(c) for e, c in self.sorted_terms()}
+        return f"MultiPoly({self._arity}, {terms!r})"
 
 
 def _normal(num: dict[Exponents, int], den: int) -> tuple[dict[Exponents, int], int]:

@@ -187,32 +187,8 @@ class Poly:
             num = [c * p for c, p in zip(num, reversed(powers))]
         return _make(num, self._den * powers[-1])
 
-    # -- display ----------------------------------------------------------------
-
-    def format(self, var: str = "x") -> str:
-        if self.is_zero:
-            return "0"
-        out = ""
-        coeffs = self.coeffs
-        for i in range(self.degree, -1, -1):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if i == 0:
-                body = rat_str(mag)
-            else:
-                coeff = "" if mag == 1 else rat_str(mag) + "*"
-                body = f"{coeff}{var}" if i == 1 else f"{coeff}{var}^{i}"
-            if not out:
-                out = ("-" if sign == "-" else "") + body
-            else:
-                out += f" {sign} {body}"
-        return out
-
     def __repr__(self) -> str:
-        return f"Poly({self.format()})"
+        return f"Poly({[rat_str(c) for c in self.coeffs]!r})"
 
 
 def _normal(num: list[int], den: int) -> tuple[tuple[int, ...], int]:

@@ -46,10 +46,6 @@ class RationalFunction:
         return RationalFunction(Poly.one())
 
     @property
-    def is_one(self) -> bool:
-        return self._num == Poly.one() and self._den == Poly.one()
-
-    @property
     def is_zero(self) -> bool:
         return self._num.is_zero
 
@@ -96,13 +92,8 @@ class RationalFunction:
     def __call__(self, x):
         return self._num(x) / self._den(x)
 
-    def format(self, var: str = "x") -> str:
-        if self._den == Poly.one():
-            return self._num.format(var)
-        return f"({self._num.format(var)}) / ({self._den.format(var)})"
-
     def __repr__(self) -> str:
-        return f"RationalFunction({self.format()})"
+        return f"RationalFunction({self._num!r}, {self._den!r})"
 
 
 def _coerce(value: RationalFunction | Poly | RatLike) -> RationalFunction:

@@ -174,8 +174,7 @@ class WeightedDiagMap:
         return hash((self.src, self.dst, tuple(sorted(self._components.items()))))
 
     def __repr__(self) -> str:
-        comps = ", ".join(f"{k}: {p.format()}" for k, p in sorted(self._components.items()))
-        return f"WeightedDiagMap({self.src} -> {self.dst}, {{{comps}}})"
+        return f"WeightedDiagMap({self.src}, {self.dst}, {dict(sorted(self._components.items()))!r})"
 
 
 def diag_map(src: int, dst: int, component: Poly) -> WeightedDiagMap:
@@ -311,7 +310,10 @@ def free_module_decompose(phi: WeightedDiagMap) -> GeneratorCoords:
     """
     result = algebra_check(phi)
     if not result.accepted:
-        raise ValueError(f"input fails the diagonal-algebra conditions: {result.witness}")
+        import json
+        from .jsonio import witness_to_json
+        raise ValueError("input fails the diagonal-algebra conditions: "
+                         + json.dumps(witness_to_json(result.witness), sort_keys=True))
     return result.coords
 
 

@@ -46,7 +46,7 @@ def reduced_ratio_check(psi: dict[int, Poly], n: int) -> dict:
 
     partner: int | None = None
     if ratio is not None and all(c["ok"] for c in checks):
-        if ratio.is_one:
+        if ratio == 1:
             partner = n
         else:
             j = max(ratio.num.degree, ratio.den.degree)

@@ -238,6 +238,9 @@ def test_abbreviated_options_are_refused(capsys, args):
     # A part over Python's 4,300-digit int limit, as a rational string and as a JSON integer.
     ("check3", "--group", "sl2r", "-n", "1", "-m", "1", "--phi", '{"coeffs":["%s"]}' % ("9" * 5000)),
     ("check3", "--group", "sl2r", "-n", "1", "-m", "1", "--phi", '{"coeffs":[%s]}' % ("9" * 5000)),
+    # ... and as an integer option and a JSON key, which name the limit, not the 5,000 digits.
+    ("q", "--group", "sl2r", "-n", "9" * 5000, "-m", "1"),
+    ("check2", "--group", "sl2r", "-m", "1", "--truncation", "3", "--psi", '{"%s":{"coeffs":["1"]}}' % ("9" * 5000)),
 ])
 def test_malformed_input_is_one_error_line(capsys, args):
     assert main(list(args)) == 1
@@ -300,6 +303,10 @@ def test_malformed_input_is_one_error_line(capsys, args):
     (("check3", "--group", "sl2r", "-n", "1", "-m", "1", "--phi", '{"coeffs":["%s"]}' % ("9" * 5000)),
      "input limit: a number to read has a part over 4300 digits"),
     (("check3", "--group", "sl2r", "-n", "1", "-m", "1", "--phi", '{"coeffs":[%s]}' % ("9" * 5000)),
+     "input limit: a number to read has a part over 4300 digits"),
+    (("q", "--group", "sl2r", "-n", "9" * 5000, "-m", "1"),
+     "input limit: a number to read has a part over 4300 digits"),
+    (("check2", "--group", "sl2r", "-m", "1", "--truncation", "3", "--psi", '{"%s":{"coeffs":["1"]}}' % ("9" * 5000)),
      "input limit: a number to read has a part over 4300 digits"),
 ])
 def test_malformed_json_names_what_is_wrong(capsys, args, message):

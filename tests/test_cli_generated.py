@@ -224,6 +224,7 @@ def test_generated_calls_exit_cleanly(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
+    assert "Fraction(" not in out.getvalue() + err.getvalue()  # values print in their JSON form
     lines = err.getvalue().splitlines()
     if code == 1:
         assert lines and "error: " in lines[-1], lines
@@ -319,6 +320,7 @@ def test_structurally_mutated_json_exits_cleanly(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
+    assert "Fraction(" not in out.getvalue() + err.getvalue()  # values print in their JSON form
     lines = err.getvalue().splitlines()
     if code == 1:
         assert len(lines) == 1 and lines[0].startswith("pw: error: "), lines

@@ -11,8 +11,13 @@ import json
 from pathlib import Path
 
 from pwcert.cli import main
+from golden.make_pw_corpus import calls
 
 CORPUS = Path(__file__).parent / "golden" / "pw_corpus.jsonl"
+
+
+def _records() -> list[dict]:
+    return [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
 
 
 def _explain(record: dict, code: int, out: str, err: str) -> str:
@@ -24,7 +29,7 @@ def _explain(record: dict, code: int, out: str, err: str) -> str:
 
 
 def test_corpus_replays_byte_identical(capsys):
-    records = [json.loads(line) for line in CORPUS.read_text(encoding="utf-8").splitlines()]
+    records = _records()
     assert len(records) >= 200
     mismatches = []
     first = ""
@@ -36,3 +41,16 @@ def test_corpus_replays_byte_identical(capsys):
             first = first or f"call {i}:\n" + _explain(record, code, captured.out, captured.err)
     assert not mismatches, (f"{len(mismatches)} calls differ from the corpus: {mismatches[:10]}\n"
                             f"first difference, {first}")
+
+
+def test_corpus_is_what_its_generator_calls():
+    # The records are written by make_pw_corpus.py, never edited by hand: the
+    # argv lists, in order, are exactly the generator's calls.
+    assert [record["args"] for record in _records()] == calls()
+
+
+def test_corpus_output_names_no_python_repr():
+    # pw prints every value in its JSON form, rationals as "p/q" strings.
+    offending = [i for i, record in enumerate(_records(), 1)
+                 if "Fraction(" in record["stdout"] + record["stderr"]]
+    assert not offending, f"corpus lines with a Fraction repr: {offending}"

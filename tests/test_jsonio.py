@@ -1,16 +1,19 @@
 """JSON schema round trips for every wire type."""
 
 import json
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 from pwcert import jsonio
+from pwcert.gammaprod import GammaProduct, c_gamma_c, c_gamma_r
 from pwcert.multipoly import MultiPoly
 from pwcert.poly import Poly
+from pwcert.ratfunc import RationalFunction
 from pwcert.rationals import rat
-from pwcert.sl2c import GeneratorCoords, c_quotient_c, q_nm_c
+from pwcert.sl2c import GeneratorCoords, WeightedDiagMap, c_quotient_c, q_nm_c, weights
 from pwcert.sl2r import box_picture_r, c_quotient_r, composition_series_r, level2_check_r
 
 
@@ -96,6 +99,44 @@ def test_diag_map_round_trip():
 def test_coords_round_trip():
     c = GeneratorCoords(2, (Poly([1]), Poly([0, 1]), Poly.zero()))
     assert jsonio.coords_from_json(jsonio.record_to_json(c)) == c
+
+
+def test_reprs_read_back_in_the_json_rational_strings():
+    # A value's repr is its constructor call on the rational strings pw prints
+    # (poly_to_json's and mpoly_to_json's), so eval reads it back.
+    rng = random.Random(4201)
+    coeff_kinds = {
+        "integer": lambda: rng.randint(-99, 99),
+        "rational": lambda: Fraction(rng.randint(-99, 99), rng.randint(1, 12)),
+        "1000-bit": lambda: Fraction(rng.getrandbits(1000) - 2**999, rng.getrandbits(1000) | 1),
+    }
+
+    def poly(kind=None, degree=None):
+        degree = rng.randint(0, 6) if degree is None else degree
+        return Poly([coeff_kinds[kind or rng.choice(sorted(coeff_kinds))]() for _ in range(degree + 1)])
+
+    polys = [Poly.zero()] + [poly(kind) for kind in coeff_kinds for _ in range(5)] + [poly() for _ in range(10)]
+    for p in polys:
+        assert repr(p) == f"Poly({jsonio.poly_to_json(p)['coeffs']!r})"
+    mpolys = []
+    for arity in (1, 2, 3):
+        for _ in range(5):
+            terms = {tuple(rng.randint(0, 4) for _ in range(arity)): poly(degree=0)[0]
+                     for _ in range(rng.randint(0, 6))}
+            p = MultiPoly(arity, terms)
+            coeffs = {tuple(t["exps"]): t["coeff"] for t in jsonio.mpoly_to_json(p)["terms"]}
+            assert repr(p) == f"MultiPoly({arity}, {coeffs!r})"
+            mpolys.append(p)
+    maps = [q_nm_c(1, 3), q_nm_c(4, 0)]
+    for n, m in ((0, 2), (3, 1), (2, 2)):
+        maps.append(WeightedDiagMap(n, m, {k: poly() for k in weights(min(n, m))}))
+    ratfuncs = [RationalFunction(poly(), poly(degree=rng.randint(1, 3)) + 1) for _ in range(6)]
+    gammas = [c_gamma_r(3), c_gamma_c(4, 2), GammaProduct([("1/2", "-3/2", 2)], ratfuncs[0], -1), GammaProduct()]
+    names = {"Poly": Poly, "MultiPoly": MultiPoly, "WeightedDiagMap": WeightedDiagMap,
+             "RationalFunction": RationalFunction, "GammaProduct": GammaProduct}
+    for value in polys + mpolys + maps + ratfuncs + gammas:
+        assert "Fraction" not in repr(value)
+        assert eval(repr(value), names) == value, repr(value)
 
 
 def test_ktype_vec_forms():

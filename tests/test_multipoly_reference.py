@@ -14,7 +14,7 @@ from fractions import Fraction
 from pwcert import jsonio
 from pwcert.multipoly import MultiPoly, mpoly_div_in_var
 from pwcert.poly import Poly, first_root_not_vanishing, poly_div_rem
-from pwcert.rationals import rat
+from pwcert.rationals import rat, rat_str
 from pwcert.sl2r_product import ProductOddWitness, ProductRootWitness, level3_check_product
 from pwcert.verdict import Accept, Reject
 from ladder_oracle import q_roots_r
@@ -128,23 +128,9 @@ class ReferenceMultiPoly:
     def sorted_terms(self):
         return sorted(self._terms.items())
 
-    def format(self):
-        if not self._terms:
-            return "0"
-        names = tuple(f"x{i}" for i in range(self._arity))
-        parts = []
-        for exps, c in self.sorted_terms():
-            mono = "*".join(f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(exps) if e)
-            if not mono:
-                parts.append(str(c))
-            elif abs(c) == 1:
-                parts.append(("-" if c < 0 else "") + mono)
-            else:
-                parts.append(f"{c}*{mono}")
-        return " + ".join(parts)
-
     def __repr__(self):
-        return f"MultiPoly({self._arity}, {self.format()})"
+        terms = {e: rat_str(c) for e, c in self.sorted_terms()}
+        return f"MultiPoly({self._arity}, {terms!r})"
 
 
 def reference_div_in_var(f: ReferenceMultiPoly, g: Poly, var: int):

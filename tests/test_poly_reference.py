@@ -114,27 +114,6 @@ def reference_scale_variable(a: tuple[Fraction, ...], s: Fraction) -> tuple[Frac
     return _strip(out)
 
 
-def reference_format(a: tuple[Fraction, ...]) -> str:
-    if not a:
-        return "0"
-    out = ""
-    for i in range(len(a) - 1, -1, -1):
-        c = a[i]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            body = rat_str(mag)
-        else:
-            coeff = "" if mag == 1 else rat_str(mag) + "*"
-            body = f"{coeff}x" if i == 1 else f"{coeff}x^{i}"
-        if not out:
-            out = ("-" if c < 0 else "") + body
-        else:
-            out += f" {'-' if c < 0 else '+'} {body}"
-    return out
-
-
 # -- seeded inputs -----------------------------------------------------------------
 
 
@@ -205,7 +184,7 @@ def _assert_same_poly(p: Poly, expected: tuple[Fraction, ...]) -> None:
     _assert_fraction_tuple(p, expected)
     reference = Poly(expected)
     assert p == reference and hash(p) == hash(reference)
-    assert repr(p) == f"Poly({reference_format(expected)})"
+    assert repr(p) == f"Poly({[rat_str(c) for c in expected]!r})"
 
 
 def _operand(rng: random.Random, kind: str) -> tuple[Fraction, ...]:
