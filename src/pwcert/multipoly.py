@@ -213,54 +213,102 @@ def _make(arity: int, num: dict[Exponents, int], den: int = 1) -> MultiPoly:
     return p
 
 
-def mpoly_div_in_var(f: MultiPoly, g: Poly, var: int) -> tuple[MultiPoly, MultiPoly]:
-    """Divide f by a univariate polynomial applied to one of its variables.
+def mpoly_div_in_var(f: MultiPoly, steps: Iterable[tuple[int, Poly]]) -> tuple[MultiPoly, MultiPoly, int | None]:
+    """Divide f by univariate polynomials, each applied to one of its variables.
 
-    g(x_var) has coefficients that are constants in the other variables, so
-    f = q * g(x_var) + r with deg_var(r) < deg(g) holds fiber by fiber in ``var``.
+    ``steps`` yields (var, g) pairs, var a variable of f and increasing (a
+    ValueError otherwise).  g(x_var) has coefficients that are constants in
+    the other variables, so f = q * g(x_var) + r with deg_var(r) < deg(g)
+    holds fiber by fiber in var.  The first pair divides f and each later
+    pair the quotient before it; the chain stops at the first pair that
+    leaves a remainder, and reads no pair after it.  Returned are the last
+    pair's quotient, remainder and var (f, 0 and None for no pairs).
+
     The fibers of one degree share one integer long division (MCA 2.4): row e
     holds [x_var^e] of each, a step turns the top row into quotient digits and
     updates the deg(g) rows below, and one scale per group keeps it exact (q
-    and r over Q are unique).  No fiber is padded to another's length.
+    and r over Q are unique).  No fiber is padded to another's length.  An
+    exact division writes its quotient cells straight into the next pair's
+    fiber rows, keyed by the exponents without the next var's slot (the key's
+    two ends are sliced once per fiber), so only the returned quotient and
+    remainder are assembled as exponent vectors and normalised.
     """
-    if g.is_zero:
-        raise ZeroDivisionError("division by zero polynomial")
-    *gcs, glead = g._num
-    k = len(gcs)
+    steps = iter(steps)
+    pair = next(steps, None)
+    if pair is None:
+        return f, _make(f._arity, {}), None
+    var, g = pair
+    f._check_var(var)
     rows: defaultdict[Exponents, dict[int, int]] = defaultdict(dict)
     for exps, c in f._num.items():
         rows[exps[:var] + exps[var + 1 :]][exps[var]] = c
-    groups: defaultdict[int, list[tuple[Exponents, dict[int, int]]]] = defaultdict(list)
-    for rest, row in rows.items():
-        groups[max(row)].append((rest, row))
-    divided = []
-    for top, members in groups.items():
-        w = len(members)
-        cells = [0] * ((top + 1) * w)
-        for j, (_, row) in enumerate(members):
-            for e, c in row.items():
-                cells[e * w + j] = c
-        spread = [c for c in gcs for _ in range(w)]
-        scale = 1
-        for lo in range((top - k) * w, -1, -w):
-            hi = lo + k * w
-            lead = cells[hi : hi + w]
-            s = abs(glead) // gcd(glead, *lead)
-            if s != 1:
-                scale *= s
-                cells = [s * c for c in cells]
-                lead = cells[hi : hi + w]
-            cells[hi : hi + w] = q = [t // glead for t in lead]
-            if any(q):
-                cells[lo:hi] = [c - gc * x for c, gc, x in zip(cells[lo:hi], spread, cycle(q))]
-        divided.append((top, members, cells, scale))
-    den = lcm(*(scale for *_, scale in divided))
+    den = f._den
+    while True:
+        if g.is_zero:
+            raise ZeroDivisionError("division by zero polynomial")
+        *gcs, glead = g._num
+        k = len(gcs)
+        groups: defaultdict[int, list[tuple[Exponents, dict[int, int]]]] = defaultdict(list)
+        for rest, row in rows.items():
+            groups[max(row)].append((rest, row))
+        divided, exact = [], True
+        for top, members in groups.items():
+            cells, scale = _divide_group(top, members, gcs, glead)
+            divided.append((top, members, cells, scale))
+            exact = exact and not any(cells[: min(k, top + 1) * len(members)])
+        common = lcm(*(scale for *_, scale in divided))
+        den *= common
+        if not exact or (pair := next(steps, None)) is None:
+            break
+        # The division is exact: its quotient cells become the fiber rows of the next var.
+        nxt = pair[0]
+        f._check_var(nxt)
+        if nxt <= var:
+            raise ValueError(f"variables must increase along the chain, got {nxt} after {var}")
+        rows = defaultdict(dict)
+        for top, members, cells, scale in divided:
+            w, factor = len(members), common // scale * g._den
+            for j, (rest, _) in enumerate(members):
+                head, x, tail = rest[:var], rest[nxt - 1], rest[var : nxt - 1] + rest[nxt:]
+                for e, c in enumerate(cells[k * w + j :: w]):
+                    if c:
+                        rows[head + (e,) + tail][x] = c * factor
+        var, g = pair
     quo: dict[Exponents, int] = {}
     rem: dict[Exponents, int] = {}
     for top, members, cells, scale in divided:
-        w, up = len(members), den // scale
+        w, up = len(members), common // scale
         keys = [(rest[:var], rest[var:]) for rest, _ in members]
-        for out, lo, hi, factor in ((rem, 0, min(k, top + 1), up), (quo, k, top + 1, up * g._den)):
+        # An exact division has no remainder cell to read.
+        for out, lo, hi, factor in ((rem, 0, min(k, top + 1), up), (quo, k, top + 1, up * g._den))[exact:]:
             out.update({h + (e,) + t: c * factor
                         for j, (h, t) in enumerate(keys) for e, c in enumerate(cells[lo * w + j : hi * w : w]) if c})
-    return _make(f.arity, quo, den * f._den), _make(f.arity, rem, den * f._den)
+    return _make(f.arity, quo, den), _make(f.arity, rem, den), var
+
+
+def _divide_group(top: int, members: list[tuple[Exponents, dict[int, int]]],
+                  gcs: list[int], glead: int) -> tuple[list[int], int]:
+    """One integer long division of the w fibers of degree ``top`` by the
+    numerators gcs + [glead].  The cells, row e then fiber j at e * w + j,
+    hold the fibers times the returned scale divided: the remainder in the
+    rows below len(gcs), the quotient above.  A monic divisor needs no scale."""
+    w, k = len(members), len(gcs)
+    cells = [0] * ((top + 1) * w)
+    for j, (_, row) in enumerate(members):
+        for e, c in row.items():
+            cells[e * w + j] = c
+    spread = [c for c in gcs for _ in range(w)]
+    scale = 1
+    for lo in range((top - k) * w, -1, -w):
+        hi = lo + k * w
+        q = cells[hi : hi + w]
+        if glead != 1:
+            s = abs(glead) // gcd(glead, *q)
+            if s != 1:
+                scale *= s
+                cells = [s * c for c in cells]
+                q = cells[hi : hi + w]
+            cells[hi : hi + w] = q = [t // glead for t in q]
+        if any(q):
+            cells[lo:hi] = [c - gc * x for c, gc, x in zip(cells[lo:hi], spread, cycle(q))]
+    return cells, scale

@@ -69,23 +69,24 @@ class ProductOddWitness:
 def level3_check_product(phi: MultiPoly, l: KTypeVec, n: KTypeVec) -> Accept | Reject:
     """Certify phi = h * q_{l,n} with h even in every variable.
 
-    Divides variable 0 upward (a fixed order; the result is order
-    independent) by that variable's whole ladder factor q_{l_i,n_i}, once
-    per variable, with mpoly_div_in_var; a failure is localized at the first
-    ladder root, in increasing order, at which some fiber of the remainder
-    does not vanish.  Divisor and roots come from one _ladder_pairs call per
-    variable, and the roots are made only on a remainder, one at a time.
+    Divides by each variable's whole ladder factor q_{l_i,n_i}, variable 0
+    upward (a fixed order; the result is order independent), in one
+    mpoly_div_in_var call: the chain stops at the first division that leaves
+    a remainder and builds no ladder past it.  A variable with an empty
+    ladder (l_i = n_i) is left out of the chain.  A failure is localized at
+    the first ladder root, in increasing order, at which some fiber of that
+    remainder does not vanish.  Divisor and roots come from one _ladder_pairs
+    call per variable, and the roots are made only on a remainder, one at a
+    time.
     """
     d = _check_pair(l, n)
     if phi.arity != d:
         raise ValueError(f"phi has {phi.arity} variables, K-type vectors have {d}")
-    h = phi
-    for i, (li, ni) in enumerate(zip(l, n)):
-        nums, den = _ladder_pairs(li, ni)
-        h, remainder = mpoly_div_in_var(h, ladder(nums, den), i)
-        if not remainder.is_zero:
-            root, _ = first_root_not_vanishing(remainder.fibers(i).values(), nums, den)
-            return Reject(ProductRootWitness(var=i, root=root))
+    roots = list(map(_ladder_pairs, l, n))
+    h, remainder, var = mpoly_div_in_var(phi, ((i, ladder(*r)) for i, r in enumerate(roots) if r[0]))
+    if not remainder.is_zero:
+        root, _ = first_root_not_vanishing(remainder.fibers(var).values(), *roots[var])
+        return Reject(ProductRootWitness(var=var, root=root))
     for i in range(d):
         exponent = min((e[i] for e in h.exponents if e[i] % 2), default=None)
         if exponent is not None:

@@ -237,7 +237,11 @@ def calls() -> list[list[str]]:
         ["synthesize", "--coords", '{"m":1,"h":5}'],
         ["extend", "--h", '{"n":2,"m":2,"components":{"2":{"coeffs":["1"]}}}', "--target", "1"],
     ]
-    return out + _first_failing_pairs()
+    # extend on two inputs outside the diagonal algebra: the error line names a
+    # SymmetryWitness, then a SwapWitness, in check3's JSON form.
+    non_members = ['{"n":2,"m":2,"components":{"-2":{"coeffs":["1","1"]},"0":{"coeffs":["1"]},"2":{"coeffs":["1","1"]}}}',
+                   '{"n":2,"m":2,"components":{"-2":{"coeffs":["5"]},"0":{"coeffs":["1"]},"2":{"coeffs":["5"]}}}']
+    return out + _first_failing_pairs() + [["extend", "--h", h, "--target", "4"] for h in non_members]
 
 
 def run(args: list[str]) -> dict:

@@ -25,20 +25,49 @@ def test_zero_terms_dropped():
 def test_div_in_var_examples():
     # f = x0 x1 + x1, g = t + 1 in var 0  ->  (x1, 0)
     f = mp(2, {(1, 1): 1, (0, 1): 1})
-    q, r = mpoly_div_in_var(f, Poly([1, 1]), 0)
+    q, r, _ = mpoly_div_in_var(f, [(0, Poly([1, 1]))])
     assert q == mp(2, {(0, 1): 1}) and r.is_zero
     # f = x0^2, g = t - 1 in var 1 -> f constant in var 1
     f = mp(2, {(2, 0): 1})
-    q, r = mpoly_div_in_var(f, Poly([-1, 1]), 1)
+    q, r, _ = mpoly_div_in_var(f, [(1, Poly([-1, 1]))])
     assert q.is_zero and r == f
     # f = (x0 + 1)(x1 - 1/2), g = t - 1/2 in var 1
     f = (mp(2, {(1, 0): 1, (0, 0): 1})) * mp(2, {(0, 1): 1, (0, 0): Fraction(-1, 2)})
-    q, r = mpoly_div_in_var(f, Poly([Fraction(-1, 2), 1]), 1)
+    q, r, _ = mpoly_div_in_var(f, [(1, Poly([Fraction(-1, 2), 1]))])
     assert q == mp(2, {(1, 0): 1, (0, 0): 1}) and r.is_zero
     # constant divisor: exact scaling, zero remainder
     f = mp(2, {(2, 1): 3, (0, 0): 1})
-    q, r = mpoly_div_in_var(f, Poly([3]), 0)
+    q, r, _ = mpoly_div_in_var(f, [(0, Poly([3]))])
     assert q == mp(2, {(2, 1): 1, (0, 0): Fraction(1, 3)}) and r.is_zero
+
+
+def test_div_in_var_chain_stops_at_first_remainder():
+    # f = (x0 + 1) ((x1 - 2) x2 + 5): x0 + 1 divides f, x1 - 2 leaves 5, and
+    # the chain returns that division's quotient x2, remainder 5 and var 1
+    # without reading the pair after it.
+    x0, x1, x2 = (mp(3, {tuple(int(i == v) for i in range(3)): 1}) for v in range(3))
+    f = (x0 + 1) * ((x1 - 2) * x2 + 5)
+    read = []
+
+    def steps():
+        for var, g in ((0, Poly([1, 1])), (1, Poly([-2, 1])), (2, Poly([0, 1]))):
+            read.append(var)
+            yield var, g
+
+    assert mpoly_div_in_var(f, steps()) == (x2, mp(3, {(0, 0, 0): 5}), 1)
+    assert read == [0, 1]
+    # Exact throughout: the last pair's quotient, a zero remainder and its var.
+    q, r, var = mpoly_div_in_var((x0 + 1) * (x2 - 2) * x1, [(0, Poly([1, 1])), (2, Poly([-2, 1]))])
+    assert q == x1 and r.is_zero and var == 2
+    # No pairs: f itself.
+    q, r, var = mpoly_div_in_var(f, [])
+    assert q == f and r.is_zero and var is None
+    # Each var must be a variable of f, and larger than the one before it.
+    for steps, message in (([(3, Poly([1, 1]))], "variable index 3 out of range for arity 3"),
+                           ([(1, Poly([1, 1])), (0, Poly([1, 1]))], "got 0 after 1"),
+                           ([(0, Poly([1, 1])), (0, Poly([1, 1]))], "got 0 after 0")):
+        with pytest.raises(ValueError, match=message):
+            mpoly_div_in_var(x0 * x1 * (x0 + 1) * (x1 + 1), steps)
 
 
 def test_div_in_var_does_not_pad_fibers():
@@ -50,7 +79,7 @@ def test_div_in_var_does_not_pad_fibers():
     g = q_poly_r(1, 11)
     tracemalloc.start()
     try:
-        q, r = mpoly_div_in_var(f, g, 0)
+        q, r, _ = mpoly_div_in_var(f, [(0, g)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -61,7 +90,7 @@ def test_div_in_var_does_not_pad_fibers():
 
 def test_div_by_zero_poly():
     with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
-        mpoly_div_in_var(mp(1, {(1,): 1}), Poly.zero(), 0)
+        mpoly_div_in_var(mp(1, {(1,): 1}), [(0, Poly.zero())])
 
 
 def test_arity_checks():
@@ -81,7 +110,7 @@ unipolys = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(Poly)
 def test_div_in_var_reconstructs(f, g, var):
     if g.is_zero:
         return
-    q, r = mpoly_div_in_var(f, g, var)
+    q, r, _ = mpoly_div_in_var(f, [(var, g)])
     g_in_var = MultiPoly.from_univariate(g, 2, var)
     assert q * g_in_var + r == f
     assert max((e[var] for e in r.exponents), default=-1) < g.degree

@@ -338,7 +338,7 @@ def test_div_in_var_matches_fraction_kernel():
 
 
 def _assert_div_same(f: MultiPoly, ref: ReferenceMultiPoly, g: Poly, var: int) -> None:
-    quotient, remainder = mpoly_div_in_var(f, g, var)
+    quotient, remainder, _ = mpoly_div_in_var(f, [(var, g)])
     ref_quotient, ref_remainder = reference_div_in_var(ref, g, var)
     _assert_same(quotient, ref_quotient)
     _assert_same(remainder, ref_remainder)
@@ -357,25 +357,66 @@ def test_level3_check_product_matches_fraction_kernel():
     for _ in range(30):
         _check_product_case(rng, 4, 4, verdicts)
     assert verdicts == {"Accept", "ProductRootWitness", "ProductOddWitness"}
+    # The chain of divisions stopping partway: phi divisible by every q_i but
+    # one q_j with j >= 1.
+    rng = random.Random(11006)
+    stops = set()
+    for _ in range(60):
+        l, n = _ktypes(rng, rng.randint(2, 3), 7)
+        j = rng.randint(1, len(l) - 1)
+        if l[j] == n[j]:
+            n[j] += 2
+        result = _check_product(rng, l, n, verdicts, shape="partial", var=j)
+        if not result.accepted:
+            stops.add(result.witness.var)
+    assert stops == {1, 2}
+    # An empty ladder (l_1 = n_1) between two non-empty ones.
+    rng = random.Random(11007)
+    for _ in range(40):
+        l, n = _ktypes(rng, 3, 7)
+        n[1] = l[1]
+        for i in (0, 2):
+            if l[i] == n[i]:
+                n[i] += 2
+        _check_product(rng, l, n, verdicts)
+    # d = 4 with an odd bump in the last variable.
+    rng = random.Random(11008)
+    for _ in range(10):
+        l, n = _ktypes(rng, 4, 4)
+        _check_product(rng, l, n, verdicts, shape="odd", var=3)
 
 
-def _check_product_case(rng: random.Random, d: int, bound: int, verdicts: set[str]) -> None:
+def _ktypes(rng: random.Random, d: int, bound: int) -> tuple[list[int], list[int]]:
     l, n = [], []
     for _ in range(d):
         li = rng.choice((-1, 1)) * rng.randint(0, bound)
         ni = rng.randint(-bound, bound)
         l.append(li)
         n.append(ni + (li - ni) % 2)
+    return l, n
+
+
+def _check_product_case(rng: random.Random, d: int, bound: int, verdicts: set[str]) -> None:
+    _check_product(rng, *_ktypes(rng, d, bound), verdicts)
+
+
+def _check_product(rng: random.Random, l: list[int], n: list[int], verdicts: set[str],
+                   shape: str | None = None, var: int | None = None) -> Accept | Reject:
+    """Check one phi against the Fraction kernel: a member, an odd bump in ``var``,
+    phi plus a constant, or (shape "partial") h times every ladder but ``var``'s.
+    A shape or var left None is drawn from rng."""
+    d = len(l)
     kind = rng.choice(("integer", "dyadic", "rational"))
     h = ReferenceMultiPoly(d, {tuple(2 * rng.randint(0, 2) for _ in range(d)): _coeff(rng, kind)
                                for _ in range(rng.randint(1, 5))})
-    shape = rng.choice(("member", "member", "odd", "constant"))
+    shape = shape or rng.choice(("member", "member", "odd", "constant"))
     if shape == "odd":
-        var = rng.randrange(d)
+        var = rng.randrange(d) if var is None else var
         h = h + ReferenceMultiPoly(d, {tuple(int(i == var) for i in range(d)): rng.randint(1, 9)})
     phi = h
     for i, (li, ni) in enumerate(zip(l, n)):
-        phi = phi * ReferenceMultiPoly.from_univariate(from_roots(q_roots_r(li, ni)), d, i)
+        if shape != "partial" or i != var:
+            phi = phi * ReferenceMultiPoly.from_univariate(from_roots(q_roots_r(li, ni)), d, i)
     if shape == "constant":
         phi = phi + rng.randint(1, 9)
     result = level3_check_product(MultiPoly(d, phi.terms), tuple(l), tuple(n))
@@ -387,3 +428,4 @@ def _check_product_case(rng: random.Random, d: int, bound: int, verdicts: set[st
     else:
         assert result == expected
         verdicts.add(type(result.witness).__name__)
+    return result

@@ -83,6 +83,51 @@ def test_reject_at_first_ladder_root_any_fiber_fails():
     assert result.witness == ProductRootWitness(var=0, root=Fraction(-2))
 
 
+def count_divisions(monkeypatch) -> list[list[int]]:
+    """Patch the kernel in sl2r_product: one entry per call, the vars of its pairs."""
+    import pwcert.sl2r_product
+
+    calls = []
+    original = pwcert.sl2r_product.mpoly_div_in_var
+
+    def counted(f, steps):
+        steps = list(steps)
+        calls.append([var for var, _ in steps])
+        return original(f, steps)
+
+    monkeypatch.setattr(pwcert.sl2r_product, "mpoly_div_in_var", counted)
+    return calls
+
+
+X = [inject(Poly([0, 1]), 3, i) for i in range(3)]
+H = X[0] * X[0] * X[1] * X[1] + 3 * X[2] * X[2]
+
+
+@pytest.mark.parametrize("phi, expected", [
+    (H * q_product((3, 3, 5), (1, 1, 1)), Accept(h=H)),
+    (H * q_product((3, 3, 3), (1, 1, 1)), Reject(ProductRootWitness(var=2, root=Fraction(-2)))),
+    ((H + X[1]) * q_product((3, 3, 5), (1, 1, 1)), Reject(ProductOddWitness(var=1, exponent=1))),
+])
+def test_level3_divides_once_per_check(monkeypatch, phi, expected):
+    # q_{3,1} = x + 1 and q_{5,1} = (x + 2)(x + 1): the root reject is divided
+    # by all three ladders and stops at the last.
+    calls = count_divisions(monkeypatch)
+    assert level3_check_product(phi, (3, 3, 5), (1, 1, 1)) == expected
+    assert calls == [[0, 1, 2]]
+
+
+@pytest.mark.parametrize("phi, expected", [
+    (H * q_product((3, 4, 5), (1, 4, 1)), Accept(h=H)),
+    (H * q_product((3, 4, 3), (1, 4, 1)), Reject(ProductRootWitness(var=2, root=Fraction(-2)))),
+    ((H + X[1]) * q_product((3, 4, 5), (1, 4, 1)), Reject(ProductOddWitness(var=1, exponent=1))),
+])
+def test_empty_ladder_left_out_of_the_chain(monkeypatch, phi, expected):
+    # l_1 = n_1 = 4: variable 1 has no ladder, and the kernel gets the pairs of 0 and 2 only.
+    calls = count_divisions(monkeypatch)
+    assert level3_check_product(phi, (3, 4, 5), (1, 4, 1)) == expected
+    assert calls == [[0, 2]]
+
+
 def test_round_trip_random_d_up_to_3():
     rng = random.Random(29)
     for _ in range(60):
