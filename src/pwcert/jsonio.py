@@ -36,7 +36,10 @@ if TYPE_CHECKING:  # annotations only: a function that needs one of these at run
     from .multipoly import MultiPoly
     from .sl2c import GeneratorCoords, WeightedDiagMap
 
-MAX_EXPONENT = 10_000  # each division of mpoly_div_in_var's chain lays a group of equal-degree fibers out densely to this degree
+# Each division of mpoly_div_in_var's chain lays a group of equal-degree fibers out densely to
+# this degree.  A product of two such polynomials stays far below the 2**EXPONENT_BITS (65,536)
+# at which multipoly refuses an exponent, so no exponent field of a monomial key carries.
+MAX_EXPONENT = 10_000
 MAX_KTYPE = 1_000  # q_{-1000,1000} prints 2,567 digits, 2,000 would pass Python's 4,300; pw q takes 0.6 s for it (2-vCPU host)
 MAX_EXTEND_TARGET = 200  # extend_interpolate from x^2 + 5 at level 0: 0.17 s at 200, 1.0 s at 400 (2-vCPU host)
 MAX_ATLAS_C = 100  # sigma_max and lambda_max of the sl2c atlas: 1.4 s and 5 MB at 100 x 100

@@ -1,27 +1,55 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial is stored, like ``Poly``, as integer numerators over one
-denominator: ``_num`` maps exponent vectors (one entry per variable) to
-nonzero ints, and ``_den > 0`` with gcd(_den, *_num.values()) == 1.  The form
-is unique, so structural equality is semantic equality; the zero polynomial
-is the empty map over 1.  Every operation runs on Python ints; ``Fraction``s
-are built only by ``terms``, ``sorted_terms``, the repr and values.
-Multivariate data in the product checkers is sparse by construction, hence
-the sparse representation, in contrast to the dense univariate carrier.
+denominator: ``_num`` maps monomial keys to nonzero ints, and ``_den > 0``
+with gcd(_den, *_num.values()) == 1.  A key packs a whole exponent vector
+into one int, variable i's exponent in bits [W*i, W*(i+1)) for W =
+EXPONENT_BITS, so a monomial product is one addition of keys and a fiber's
+key, with one variable's field cleared, is one mask (Monagan and Pearce,
+J. Symbolic Comput. 46, 2011).  Every exponent stays below 2**W, so no field carries into
+the next.  The form is unique, so structural equality is semantic equality;
+the zero polynomial is the empty map over 1.  Every operation runs on Python
+ints; exponent tuples and ``Fraction``s are built only by ``terms``,
+``sorted_terms``, ``fibers``, the repr and values.  Multivariate data in the
+product checkers is sparse by construction, hence the sparse representation,
+in contrast to the dense univariate carrier.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Iterable, KeysView, Mapping
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from itertools import cycle
+from functools import reduce
+from itertools import chain, compress, cycle, product, starmap
 from math import gcd, lcm, prod
+from operator import add, or_
 
 from .poly import Poly, _make as _make_poly, _powers, _ratio
 from .rationals import RatLike, rat, rat_str
 
 Exponents = tuple[int, ...]
+
+EXPONENT_BITS = 16  # W: the width of one variable's field in a monomial key
+_MASK = (1 << EXPONENT_BITS) - 1  # the largest exponent a field holds
+
+
+def _pack(exps: Exponents) -> int:
+    """The key of an exponent vector whose entries are in [0, 2**W)."""
+    key = 0
+    for e in reversed(exps):
+        key = key << EXPONENT_BITS | e
+    return key
+
+
+def _unpack(key: int, arity: int) -> Exponents:
+    """The exponent vector of a key."""
+    return tuple([key >> s & _MASK for s in range(0, EXPONENT_BITS * arity, EXPONENT_BITS)])
+
+
+def _check_exponent(top: int) -> None:
+    if top > _MASK:
+        raise ValueError(f"exponents must be below 2**{EXPONENT_BITS}, got {top}")
 
 
 class MultiPoly:
@@ -33,20 +61,21 @@ class MultiPoly:
         if arity < 1:
             raise ValueError("arity must be >= 1")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        parsed: list[tuple[Exponents, int, int]] = []
+        parsed: list[tuple[int, int, int]] = []
         for exps, c in items:
             exps = tuple(int(e) for e in exps)
             if len(exps) != arity:
                 raise ValueError(f"exponent vector {exps} has length != {arity}")
             if any(e < 0 for e in exps):
                 raise ValueError("negative exponent")
+            _check_exponent(max(exps))
             if type(c) is not int:
                 c = rat(c)
-            parsed.append((exps, c.numerator, c.denominator))
+            parsed.append((_pack(exps), c.numerator, c.denominator))
         den = lcm(*(b for _, _, b in parsed))
-        num: dict[Exponents, int] = {}
-        for exps, a, b in parsed:
-            num[exps] = num.get(exps, 0) + a * (den // b)
+        num: dict[int, int] = {}
+        for key, a, b in parsed:
+            num[key] = num.get(key, 0) + a * (den // b)
         self._arity = arity
         self._num, self._den = _normal(num, den)
 
@@ -61,8 +90,9 @@ class MultiPoly:
         """Inject a univariate polynomial into variable ``var`` of d variables."""
         if not 0 <= var < arity:
             raise ValueError(f"variable index {var} out of range for arity {arity}")
-        before, after = (0,) * var, (0,) * (arity - var - 1)
-        return _make(arity, {before + (i,) + after: c for i, c in enumerate(p._num)}, p._den)
+        _check_exponent(len(p._num) - 1)
+        shift = EXPONENT_BITS * var
+        return _make(arity, {i << shift: c for i, c in enumerate(p._num)}, p._den)
 
     # -- structure ---------------------------------------------------------------
 
@@ -72,13 +102,8 @@ class MultiPoly:
 
     @property
     def terms(self) -> dict[Exponents, Fraction]:
-        den = self._den
-        return {exps: Fraction(c, den) for exps, c in self._num.items()}
-
-    @property
-    def exponents(self) -> KeysView[Exponents]:
-        """The exponent vectors of the nonzero terms."""
-        return self._num.keys()
+        arity, den = self._arity, self._den
+        return {_unpack(key, arity): Fraction(c, den) for key, c in self._num.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -91,12 +116,24 @@ class MultiPoly:
         """Split into univariate polynomials in variable ``var``, keyed by the
         exponents of the other variables (with the ``var`` slot removed)."""
         self._check_var(var)
-        rows: dict[Exponents, dict[int, int]] = {}
-        for exps, c in self._num.items():
-            rows.setdefault(exps[:var] + exps[var + 1 :], {})[exps[var]] = c
-        den = self._den
-        return {rest: _make_poly([row.get(e, 0) for e in range(max(row) + 1)], den)
-                for rest, row in rows.items()}
+        shift = EXPONENT_BITS * var
+        others = [s for s in range(0, EXPONENT_BITS * self._arity, EXPONENT_BITS) if s != shift]
+        return {tuple([rest >> s & _MASK for s in others]):
+                _make_poly([row.get(e, 0) for e in range(max(row) + 1)], self._den)
+                for rest, row in _fiber_rows(self._num.items(), shift).items()}
+
+    def odd_exponent(self) -> tuple[int, int] | None:
+        """(var, e) for the first variable var in which a term has an odd
+        exponent, e the least such exponent; None when self is even in every
+        variable.  The or of all keys, masked to the low bit of each field,
+        says whether and in which variable; only then are the terms scanned
+        for e."""
+        ones = ((1 << EXPONENT_BITS * self._arity) - 1) // _MASK  # exponent 1 in every field
+        odd = reduce(or_, self._num, 0) & ones
+        if not odd:
+            return None
+        shift = (odd & -odd).bit_length() - 1
+        return shift // EXPONENT_BITS, min(e for e in (key >> shift & _MASK for key in self._num) if e & 1)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, MultiPoly):
@@ -116,6 +153,11 @@ class MultiPoly:
         if self._arity != other._arity:
             raise ValueError(f"arity {self._arity} vs {other._arity}")
 
+    def _degrees(self) -> list[int]:
+        """The largest exponent of each variable (0 for the zero polynomial)."""
+        return [max((key >> s & _MASK for key in self._num), default=0)
+                for s in range(0, EXPONENT_BITS * self._arity, EXPONENT_BITS)]
+
     # -- arithmetic ----------------------------------------------------------------
 
     def __add__(self, other: MultiPoly | RatLike) -> MultiPoly:
@@ -134,11 +176,12 @@ class MultiPoly:
             a, b = _ratio(other)
             return _make(self._arity, {e: a * c for e, c in self._num.items()}, self._den * b)
         self._check_arity(other)
-        out: dict[Exponents, int] = {}
-        for e1, c1 in self._num.items():
-            for e2, c2 in other._num.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
+        _check_exponent(max(map(sum, zip(self._degrees(), other._degrees()))))
+        out: dict[int, int] = {}
+        for k1, c1 in self._num.items():
+            for k2, c2 in other._num.items():
+                key = k1 + k2
+                out[key] = out.get(key, 0) + c1 * c2
         return _make(self._arity, out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -154,18 +197,19 @@ class MultiPoly:
         if len(xs) != self._arity:
             raise ValueError(f"evaluation point has length != {self._arity}")
         tables, scale = [], 1
-        for var, (a, b) in enumerate(xs):
-            d = max((e[var] for e in self._num), default=0)
+        for (a, b), d in zip(xs, self._degrees()):
             downs = _powers(b, d)
             tables.append([x * y for x, y in zip(_powers(a, d), reversed(downs))])
             scale *= downs[-1]
-        total = sum(c * prod(t[e] for t, e in zip(tables, exps)) for exps, c in self._num.items())
+        total = sum(c * prod(t[e] for t, e in zip(tables, _unpack(key, self._arity)))
+                    for key, c in self._num.items())
         return Fraction(total, self._den * scale)
 
     def substitute_negated(self, var: int) -> MultiPoly:
         """Replace variable ``var`` by its negative."""
         self._check_var(var)
-        return _make(self._arity, {e: (-c if e[var] % 2 else c) for e, c in self._num.items()}, self._den)
+        shift = EXPONENT_BITS * var
+        return _make(self._arity, {k: (-c if k >> shift & 1 else c) for k, c in self._num.items()}, self._den)
 
     def _coerce(self, value: MultiPoly | RatLike) -> MultiPoly:
         if isinstance(value, MultiPoly):
@@ -190,7 +234,7 @@ class MultiPoly:
         return f"MultiPoly({self._arity}, {terms!r})"
 
 
-def _normal(num: dict[Exponents, int], den: int) -> tuple[dict[Exponents, int], int]:
+def _normal(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
     """The canonical form of num / den: no zero terms, den > 0, gcd(den, *num) == 1."""
     num = {e: c for e, c in num.items() if c}
     if not num:
@@ -205,8 +249,8 @@ def _normal(num: dict[Exponents, int], den: int) -> tuple[dict[Exponents, int], 
     return num, den
 
 
-def _make(arity: int, num: dict[Exponents, int], den: int = 1) -> MultiPoly:
-    """The MultiPoly num / den, from integer numerators and a nonzero int denominator."""
+def _make(arity: int, num: dict[int, int], den: int = 1) -> MultiPoly:
+    """The MultiPoly num / den, from integer numerators on monomial keys and a nonzero int denominator."""
     p = object.__new__(MultiPoly)
     p._arity = arity
     p._num, p._den = _normal(num, den)
@@ -227,11 +271,14 @@ def mpoly_div_in_var(f: MultiPoly, steps: Iterable[tuple[int, Poly]]) -> tuple[M
     The fibers of one degree share one integer long division (MCA 2.4): row e
     holds [x_var^e] of each, a step turns the top row into quotient digits and
     updates the deg(g) rows below, and one scale per group keeps it exact (q
-    and r over Q are unique).  No fiber is padded to another's length.  An
-    exact division writes its quotient cells straight into the next pair's
-    fiber rows, keyed by the exponents without the next var's slot (the key's
-    two ends are sliced once per fiber), so only the returned quotient and
-    remainder are assembled as exponent vectors and normalised.
+    and r over Q are unique).  No fiber is padded to another's length.  A
+    fiber's key is the monomial key with var's field cleared, key & ~(mask <<
+    W*var), and row e of the fiber at key rest goes back to the key
+    rest + (e << W*var): one group's cells are keyed row by row, and the zero
+    cells dropped, with no exponent tuple built.  An exact division's quotient
+    cells, so keyed, are regrouped straight into the next pair's fibers, so
+    only the returned quotient and remainder are built as polynomials and
+    normalised.
     """
     steps = iter(steps)
     pair = next(steps, None)
@@ -239,22 +286,21 @@ def mpoly_div_in_var(f: MultiPoly, steps: Iterable[tuple[int, Poly]]) -> tuple[M
         return f, _make(f._arity, {}), None
     var, g = pair
     f._check_var(var)
-    rows: defaultdict[Exponents, dict[int, int]] = defaultdict(dict)
-    for exps, c in f._num.items():
-        rows[exps[:var] + exps[var + 1 :]][exps[var]] = c
+    shift = EXPONENT_BITS * var
+    rows = _fiber_rows(f._num.items(), shift)
     den = f._den
     while True:
         if g.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
         *gcs, glead = g._num
         k = len(gcs)
-        groups: defaultdict[int, list[tuple[Exponents, dict[int, int]]]] = defaultdict(list)
+        groups: defaultdict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
         for rest, row in rows.items():
             groups[max(row)].append((rest, row))
         divided, exact = [], True
         for top, members in groups.items():
             cells, scale = _divide_group(top, members, gcs, glead)
-            divided.append((top, members, cells, scale))
+            divided.append((top, [rest for rest, _ in members], cells, scale))
             exact = exact and not any(cells[: min(k, top + 1) * len(members)])
         common = lcm(*(scale for *_, scale in divided))
         den *= common
@@ -265,50 +311,82 @@ def mpoly_div_in_var(f: MultiPoly, steps: Iterable[tuple[int, Poly]]) -> tuple[M
         f._check_var(nxt)
         if nxt <= var:
             raise ValueError(f"variables must increase along the chain, got {nxt} after {var}")
-        rows = defaultdict(dict)
-        for top, members, cells, scale in divided:
-            w, factor = len(members), common // scale * g._den
-            for j, (rest, _) in enumerate(members):
-                head, x, tail = rest[:var], rest[nxt - 1], rest[var : nxt - 1] + rest[nxt:]
-                for e, c in enumerate(cells[k * w + j :: w]):
-                    if c:
-                        rows[head + (e,) + tail][x] = c * factor
-        var, g = pair
-    quo: dict[Exponents, int] = {}
-    rem: dict[Exponents, int] = {}
-    for top, members, cells, scale in divided:
-        w, up = len(members), common // scale
-        keys = [(rest[:var], rest[var:]) for rest, _ in members]
+        quotient = [_keyed_cells(rests, cells, k, top + 1, shift, common // scale * g._den)
+                    for top, rests, cells, scale in divided]
+        (var, g), shift = pair, EXPONENT_BITS * nxt
+        rows = _fiber_rows(chain.from_iterable(quotient), shift)
+    quo: dict[int, int] = {}
+    rem: dict[int, int] = {}
+    for top, rests, cells, scale in divided:
+        up = common // scale
         # An exact division has no remainder cell to read.
         for out, lo, hi, factor in ((rem, 0, min(k, top + 1), up), (quo, k, top + 1, up * g._den))[exact:]:
-            out.update({h + (e,) + t: c * factor
-                        for j, (h, t) in enumerate(keys) for e, c in enumerate(cells[lo * w + j : hi * w : w]) if c})
+            out.update(_keyed_cells(rests, cells, lo, hi, shift, factor))
     return _make(f.arity, quo, den), _make(f.arity, rem, den), var
 
 
-def _divide_group(top: int, members: list[tuple[Exponents, dict[int, int]]],
+def _fiber_rows(terms: Iterable[tuple[int, int]], shift: int) -> defaultdict[int, dict[int, int]]:
+    """The (key, numerator) terms as fibers in the variable whose field starts
+    at bit ``shift``: {key with that field cleared: {exponent: numerator}}."""
+    keep = ~(_MASK << shift)
+    rows: defaultdict[int, dict[int, int]] = defaultdict(dict)
+    for key, c in terms:
+        rest = key & keep
+        rows[rest][(key - rest) >> shift] = c
+    return rows
+
+
+def _keyed_cells(rests: list[int], cells: list[int], lo: int, hi: int,
+                 shift: int, factor: int) -> Iterable[tuple[int, int]]:
+    """(key, cell * factor) for the nonzero cells of rows lo..hi-1 of a divided
+    group of fibers at the keys rests, row e of the fiber at key rest going to
+    rest + ((e - lo) << shift)."""
+    w, step = len(rests), 1 << shift
+    block = cells[lo * w : hi * w]
+    if factor != 1:
+        block = [c * factor for c in block]
+    return compress(zip(starmap(add, product(range(0, (hi - lo) * step, step), rests)), block), block)
+
+
+def _divide_group(top: int, members: list[tuple[int, dict[int, int]]],
                   gcs: list[int], glead: int) -> tuple[list[int], int]:
     """One integer long division of the w fibers of degree ``top`` by the
     numerators gcs + [glead].  The cells, row e then fiber j at e * w + j,
     hold the fibers times the returned scale divided: the remainder in the
-    rows below len(gcs), the quotient above.  A monic divisor needs no scale."""
+    rows below len(gcs), the quotient above.  A monic divisor needs no scale.
+
+    A scale s found at one step multiplies only the rows in reach of the
+    divisor (the quotient row and the len(gcs) rows below it).  A lower row
+    takes the scale so far when it comes in reach, and a quotient row the
+    scales found after its step, at the end, so no step rescans every cell.
+    """
     w, k = len(members), len(gcs)
     cells = [0] * ((top + 1) * w)
     for j, (_, row) in enumerate(members):
         for e, c in row.items():
             cells[e * w + j] = c
     spread = [c for c in gcs for _ in range(w)]
-    scale = 1
+    scale, rescales = 1, []
     for lo in range((top - k) * w, -1, -w):
         hi = lo + k * w
+        if scale != 1:
+            cells[lo : lo + w] = [scale * c for c in cells[lo : lo + w]]
         q = cells[hi : hi + w]
         if glead != 1:
             s = abs(glead) // gcd(glead, *q)
             if s != 1:
                 scale *= s
-                cells = [s * c for c in cells]
-                q = cells[hi : hi + w]
+                rescales.append((hi, s))
+                cells[lo:hi] = [s * c for c in cells[lo:hi]]
+                q = [s * t for t in q]
             cells[hi : hi + w] = q = [t // glead for t in q]
         if any(q):
             cells[lo:hi] = [c - gc * x for c, gc, x in zip(cells[lo:hi], spread, cycle(q))]
+    if rescales:
+        later = 1  # the product of the scales found below a quotient row, from the bottom one up
+        for hi in range(k * w, (top + 1) * w, w):
+            while rescales and rescales[-1][0] < hi:
+                later *= rescales.pop()[1]
+            if later != 1:
+                cells[hi : hi + w] = [later * c for c in cells[hi : hi + w]]
     return cells, scale

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .multipoly import MultiPoly, mpoly_div_in_var
 from .poly import first_root_not_vanishing, ladder
-from .sl2r import _ladder_pairs, q_poly_r
+from .sl2r import _ladder_pairs
 from .verdict import Accept, Reject, record
 
 KTypeVec = tuple[int, ...]
@@ -25,28 +25,33 @@ KTypeVec = tuple[int, ...]
 MAX_PRODUCT_TERMS = 20_000
 
 
-def _check_pair(l: KTypeVec, n: KTypeVec) -> int:
+def _ladders(l: KTypeVec, n: KTypeVec) -> list[tuple[range, int]]:
+    """Each coordinate's ladder roots, as sl2r._ladder_pairs gives them; its
+    parity check is the only one, reworded to name the coordinate."""
     if len(l) != len(n):
         raise ValueError(f"K-type vectors of length {len(l)} vs {len(n)}")
     if len(l) < 1:
         raise ValueError("K-type vectors must have length >= 1")
+    roots = []
     for i, (li, ni) in enumerate(zip(l, n)):
-        if (li - ni) % 2 != 0:
-            raise ValueError(f"coordinate {i}: K-types {li} and {ni} differ in parity")
-    return len(l)
+        try:
+            roots.append(_ladder_pairs(li, ni))
+        except ValueError:
+            raise ValueError(f"coordinate {i}: K-types {li} and {ni} differ in parity") from None
+    return roots
 
 
 def q_product(l: KTypeVec, n: KTypeVec) -> MultiPoly:
     """Product intertwining polynomial: q_{l_i, n_i} in variable i, multiplied out;
     refused before the first product when its prod(deg q_i + 1) terms pass MAX_PRODUCT_TERMS."""
-    d = _check_pair(l, n)
-    if math.prod(len(_ladder_pairs(li, ni)[0]) + 1 for li, ni in zip(l, n)) > MAX_PRODUCT_TERMS:
+    roots = _ladders(l, n)
+    if math.prod(len(nums) + 1 for nums, _ in roots) > MAX_PRODUCT_TERMS:
         raise ValueError(f"the product ladder needs prod(deg q_i + 1) <= {MAX_PRODUCT_TERMS} terms")
+    d = len(roots)
     result = MultiPoly.const(d, 1)
-    for i, (li, ni) in enumerate(zip(l, n)):
-        qi = q_poly_r(li, ni)
-        if qi.degree > 0:
-            result = result * MultiPoly.from_univariate(qi, d, i)
+    for i, r in enumerate(roots):
+        if r[0]:
+            result = result * MultiPoly.from_univariate(ladder(*r), d, i)
     return result
 
 
@@ -77,18 +82,16 @@ def level3_check_product(phi: MultiPoly, l: KTypeVec, n: KTypeVec) -> Accept | R
     the first ladder root, in increasing order, at which some fiber of that
     remainder does not vanish.  Divisor and roots come from one _ladder_pairs
     call per variable, and the roots are made only on a remainder, one at a
-    time.
+    time.  An odd exponent of h is found by one pass over its monomial keys.
     """
-    d = _check_pair(l, n)
-    if phi.arity != d:
-        raise ValueError(f"phi has {phi.arity} variables, K-type vectors have {d}")
-    roots = list(map(_ladder_pairs, l, n))
+    roots = _ladders(l, n)
+    if phi.arity != len(roots):
+        raise ValueError(f"phi has {phi.arity} variables, K-type vectors have {len(roots)}")
     h, remainder, var = mpoly_div_in_var(phi, ((i, ladder(*r)) for i, r in enumerate(roots) if r[0]))
     if not remainder.is_zero:
         root, _ = first_root_not_vanishing(remainder.fibers(var).values(), *roots[var])
         return Reject(ProductRootWitness(var=var, root=root))
-    for i in range(d):
-        exponent = min((e[i] for e in h.exponents if e[i] % 2), default=None)
-        if exponent is not None:
-            return Reject(ProductOddWitness(var=i, exponent=exponent))
+    odd = h.odd_exponent()
+    if odd is not None:
+        return Reject(ProductOddWitness(var=odd[0], exponent=odd[1]))
     return Accept(h=h)

@@ -241,7 +241,20 @@ def calls() -> list[list[str]]:
     # SymmetryWitness, then a SwapWitness, in check3's JSON form.
     non_members = ['{"n":2,"m":2,"components":{"-2":{"coeffs":["1","1"]},"0":{"coeffs":["1"]},"2":{"coeffs":["1","1"]}}}',
                    '{"n":2,"m":2,"components":{"-2":{"coeffs":["5"]},"0":{"coeffs":["1"]},"2":{"coeffs":["5"]}}}']
-    return out + _first_failing_pairs() + [["extend", "--h", h, "--target", "4"] for h in non_members]
+    return (out + _first_failing_pairs() + [["extend", "--h", h, "--target", "4"] for h in non_members]
+            + _top_exponent_products())
+
+
+def _top_exponent_products() -> list[list[str]]:
+    """check3-product at d = 2 on phi with a term x1^MAX_EXPONENT: a member
+    h * q, and h + 5 x1^(MAX_EXPONENT - 3) times q, odd in x1."""
+    top = jsonio.MAX_EXPONENT
+    l, n = (3, 5), (1, 1)
+    q = q_product(l, n)
+    h = MultiPoly(2, {(0, 0): 2, (2, top - 2): -3})
+    odd = h + MultiPoly(2, {(0, top - 3): 5})
+    return [["check3-product", "-n", ",".join(map(str, l)), "-m", ",".join(map(str, n)),
+             "--phi", json.dumps(jsonio.mpoly_to_json(phi))] for phi in (h * q, odd * q)]
 
 
 def run(args: list[str]) -> dict:

@@ -1,5 +1,6 @@
 """Sparse multivariate polynomials: division in one variable, arity checks."""
 
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pwcert.multipoly import MultiPoly, mpoly_div_in_var
+from pwcert import jsonio
+from pwcert.multipoly import EXPONENT_BITS, MultiPoly, mpoly_div_in_var
 from pwcert.poly import Poly
 from pwcert.sl2r import q_poly_r
 
@@ -85,7 +87,20 @@ def test_div_in_var_does_not_pad_fibers():
         tracemalloc.stop()
     assert peak < 80 * 2**20
     assert q * MultiPoly.from_univariate(g, 2, 0) + r == f
-    assert max(e[0] for e in r.exponents) < g.degree
+    assert max(e[0] for e in r.terms) < g.degree
+
+
+def test_div_in_var_rescales_only_rows_in_reach():
+    # x1^10,000 / (2 x1 + 1): the lead 2 divides no quotient digit, so every
+    # step finds the scale 2.  Only the rows in reach of the divisor take it
+    # at once; scaling all 10,001 rows at every step takes about 11 s.
+    f = mp(2, {(0, 10_000): 1, (3, 0): 1})
+    g = Poly([1, 2])
+    start = time.perf_counter()
+    q, r, var = mpoly_div_in_var(f, [(1, g)])
+    assert time.perf_counter() - start < 3
+    assert var == 1 and r == mp(2, {(0, 0): Fraction(1, 2**10_000), (3, 0): 1})
+    assert q * MultiPoly.from_univariate(g, 2, 1) + r == f
 
 
 def test_div_by_zero_poly():
@@ -98,6 +113,44 @@ def test_arity_checks():
         mp(2, {(1, 0): 1}) + mp(3, {(0, 0, 0): 1})
     with pytest.raises(ValueError, match=r"exponent vector \(1,\) has length != 2"):
         MultiPoly(2, {(1,): Fraction(1)})
+
+
+TOP = 2**EXPONENT_BITS - 1  # the largest exponent a monomial key holds
+
+
+def test_exponent_fields_never_carry():
+    # Each variable's exponent has EXPONENT_BITS bits of the key; the
+    # constructor and the product admit TOP and refuse TOP + 1 in any
+    # variable, so no field carries into the next.  The product of two
+    # polynomials pw reads stays inside a field.
+    assert 2 * jsonio.MAX_EXPONENT < TOP
+    for var in range(3):
+        at = [0, 0, 0]
+        at[var] = TOP
+        assert MultiPoly(3, {tuple(at): 5}).terms == {tuple(at): Fraction(5)}
+        at[var] = TOP + 1
+        with pytest.raises(ValueError, match=f"exponents must be below 2\\*\\*{EXPONENT_BITS}, got {TOP + 1}"):
+            MultiPoly(3, {tuple(at): 5})
+        a, b = (MultiPoly(3, {tuple(e if i == var else 1 for i in range(3)): 1}) for e in (TOP - 7, 7))
+        assert (a * b).terms == {tuple(TOP if i == var else 2 for i in range(3)): Fraction(1)}
+        c = MultiPoly(3, {tuple(8 if i == var else 0 for i in range(3)): 1})
+        with pytest.raises(ValueError, match=f"got {TOP + 1}"):
+            a * c
+    with pytest.raises(ValueError, match=f"got {TOP + 1}"):
+        MultiPoly.from_univariate(Poly([0] * (TOP + 1) + [1]), 2, 0)
+
+
+def test_one_polynomial_built_four_ways():
+    # 3 x1^7 - x1^TOP in three variables, by the constructor, a product,
+    # from_univariate and two negations of x1: equal, with equal hashes.
+    terms = {(0, 7, 0): 3, (0, TOP, 0): -1}
+    built = MultiPoly(3, terms)
+    product = MultiPoly(3, {(0, 7, 0): 1}) * MultiPoly(3, {(0, 0, 0): 3, (0, TOP - 7, 0): -1})
+    univariate = MultiPoly.from_univariate(Poly([0] * 7 + [3] + [0] * (TOP - 8) + [-1]), 3, 1)
+    negated = built.substitute_negated(1).substitute_negated(1)
+    for p in (product, univariate, negated):
+        assert p == built and hash(p) == hash(built)
+        assert p.terms == {e: Fraction(c) for e, c in terms.items()}
 
 
 exps = st.tuples(st.integers(0, 5), st.integers(0, 5))
@@ -113,7 +166,7 @@ def test_div_in_var_reconstructs(f, g, var):
     q, r, _ = mpoly_div_in_var(f, [(var, g)])
     g_in_var = MultiPoly.from_univariate(g, 2, var)
     assert q * g_in_var + r == f
-    assert max((e[var] for e in r.exponents), default=-1) < g.degree
+    assert max((e[var] for e in r.terms), default=-1) < g.degree
 
 
 @given(mpolys, st.integers(0, 1))

@@ -238,6 +238,21 @@ def _fibered(rng: random.Random, arity: int, var: int, tops: list[int], kind: st
     return items
 
 
+def _high_items(rng: random.Random, arity: int) -> list[tuple[tuple[int, ...], Fraction]]:
+    """At most 8 term pairs whose exponents reach jsonio.MAX_EXPONENT in any
+    variable: 0, 1, anywhere up to the bound, or at it and just below."""
+    kind = rng.choice(("integer", "dyadic", "rational"))
+    top = jsonio.MAX_EXPONENT
+    return [(tuple(rng.choice((0, 1, rng.randint(0, top), top, top - 1)) for _ in range(arity)), _nonzero(rng, kind))
+            for _ in range(rng.randint(1, 8))]
+
+
+def _unit_point(rng: random.Random, arity: int) -> list[Fraction]:
+    """A point of 0s and +-1s: MultiPoly.__call__ tabulates every power up to
+    the degree, which at twice MAX_EXPONENT is slow for any other value."""
+    return [Fraction(rng.choice((0, 1, -1))) for _ in range(arity)]
+
+
 def _assert_same(p: MultiPoly, ref: ReferenceMultiPoly) -> None:
     assert p.terms == ref.terms
     assert all(type(c) is Fraction for c in p.terms.values())
@@ -266,6 +281,15 @@ def test_construction_and_structure_match_fraction_kernel():
         assert reordered == p and hash(reordered) == hash(p)
         for var in range(arity):
             assert p.fibers(var) == ref.fibers(var)
+    # Sparse terms with exponents up to MAX_EXPONENT in every variable.
+    rng = random.Random(11009)
+    for i in range(30):
+        arity = 1 + i % 4
+        items = _high_items(rng, arity)
+        p, ref = MultiPoly(arity, items), ReferenceMultiPoly(arity, items)
+        _assert_same(p, ref)
+        var = rng.randrange(arity)
+        assert p.fibers(var) == ref.fibers(var)
 
 
 def test_arithmetic_matches_fraction_kernel():
@@ -295,6 +319,26 @@ def test_arithmetic_matches_fraction_kernel():
         _assert_same(p.substitute_negated(var), ref_p.substitute_negated(var))
         _assert_same(MultiPoly.from_univariate(Poly(c for _, c in a), arity, var),
                      ReferenceMultiPoly.from_univariate(Poly(c for _, c in a), arity, var))
+    # The same on sparse terms with exponents up to MAX_EXPONENT in every
+    # variable, so that products reach past it (up to twice the bound).
+    rng = random.Random(11010)
+    past = 0
+    for i in range(30):
+        arity = 1 + i % 4
+        a, b = _high_items(rng, arity), _high_items(rng, arity)
+        p, q = MultiPoly(arity, a), MultiPoly(arity, b)
+        ref_p, ref_q = ReferenceMultiPoly(arity, a), ReferenceMultiPoly(arity, b)
+        c = _scalar(rng)
+        _assert_same(p + q, ref_p + ref_q)
+        _assert_same(p - q, ref_p - ref_q)
+        _assert_same(p * q, ref_p * ref_q)
+        _assert_same(c * p, ref_p * c)
+        point = _unit_point(rng, arity)
+        assert (p * q)(point) == (ref_p * ref_q)(point)
+        var = rng.randrange(arity)
+        _assert_same(p.substitute_negated(var), ref_p.substitute_negated(var))
+        past += max(max(e) for e in (p * q).terms) > jsonio.MAX_EXPONENT
+    assert past > 15
 
 
 def test_div_in_var_matches_fraction_kernel():
@@ -335,6 +379,25 @@ def test_div_in_var_matches_fraction_kernel():
             c = lead * rng.choice((-3, -1, 1, 2))
             items[i] = (items[i][0], c + rng.randint(1, lead - 1) if i == odd else c)
         _assert_div_same(MultiPoly(arity, items), ReferenceMultiPoly(arity, items), g, var)
+    # Sparse dividends with exponents up to MAX_EXPONENT in every variable,
+    # and exact multiples of the divisor that reach past it.  A divisor is a
+    # product of factors whose roots are 0 or roots of unity, so quotient
+    # digits stay small over 10,000 steps, and its lead is 1: the reference's
+    # poly_div_rem rescales its whole remainder at each step a lead does not
+    # divide, which at degree 10,000 takes it seconds (test_multipoly pins
+    # that case for mpoly_div_in_var).
+    factors = [Poly([0, 1]), Poly([-1, 1]), Poly([1, 1]), Poly([1, 0, 1]), Poly([1, 1, 1]), Poly([1, -1, 1])]
+    rng = random.Random(11011)
+    for i in range(8):
+        arity = 1 + i % 4
+        var = rng.randrange(arity)
+        g = Poly.one()
+        for _ in range(rng.randint(1, 3)):
+            g = g * rng.choice(factors)
+        ref = ReferenceMultiPoly(arity, _high_items(rng, arity))
+        if rng.random() < 0.4:
+            ref = ref * ReferenceMultiPoly.from_univariate(g, arity, var)
+        _assert_div_same(MultiPoly(arity, ref.terms), ref, g, var)
 
 
 def _assert_div_same(f: MultiPoly, ref: ReferenceMultiPoly, g: Poly, var: int) -> None:
