@@ -25,7 +25,7 @@ from itertools import chain, compress, cycle, product, starmap
 from math import gcd, lcm, prod
 from operator import add, or_
 
-from .poly import Poly, _make as _make_poly, _powers, _ratio
+from .poly import Poly, _make as _make_poly, _ratio
 from .rationals import RatLike, rat, rat_str
 
 Exponents = tuple[int, ...]
@@ -190,20 +190,18 @@ class MultiPoly:
         """Exact value at a rational point.
 
         At x_i = a_i/b_i, with D_i the degree in x_i, each term is scaled by
-        the product of the b_i^D_i, so the sum runs on ints and one Fraction
-        is built, at the end.
+        the product of the b_i^D_i: the term c x^e becomes the int
+        c prod(a_i^e_i b_i^(D_i - e_i)), with its own powers, so no power a
+        term does not use is built.  One Fraction is built, at the end.
         """
         xs = [_ratio(x) for x in point]
         if len(xs) != self._arity:
             raise ValueError(f"evaluation point has length != {self._arity}")
-        tables, scale = [], 1
-        for (a, b), d in zip(xs, self._degrees()):
-            downs = _powers(b, d)
-            tables.append([x * y for x, y in zip(_powers(a, d), reversed(downs))])
-            scale *= downs[-1]
-        total = sum(c * prod(t[e] for t, e in zip(tables, _unpack(key, self._arity)))
+        degrees = self._degrees()
+        total = sum(c * prod(a**e * b ** (d - e)
+                             for (a, b), d, e in zip(xs, degrees, _unpack(key, self._arity)))
                     for key, c in self._num.items())
-        return Fraction(total, self._den * scale)
+        return Fraction(total, self._den * prod(b**d for (_, b), d in zip(xs, degrees)))
 
     def substitute_negated(self, var: int) -> MultiPoly:
         """Replace variable ``var`` by its negative."""

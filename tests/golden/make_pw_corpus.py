@@ -6,8 +6,10 @@ Each line is one call, {"args", "code", "stdout", "stderr"}, replayed through
 output is meant to change, and review the diff of the corpus.
 
 The calls are small, seeded and cover every subcommand except verify-numeric
-(its floats depend on the platform's libm).  Usage errors that argparse
-formats are left out, because their wording varies across Python versions.
+(its floats depend on the platform's libm).  They also pin each ``pw: error:``
+line that a small input can reach.  Usage errors that argparse formats are
+left out, because their wording varies across Python versions.  New calls go
+at the end, so that the records before them stay as they are.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from ladder_oracle import then  # noqa: E402  (tests/ladder_oracle.py)
 from poly_helpers import compose, from_roots  # noqa: E402  (tests/poly_helpers.py)
 
 OUT = Path(__file__).with_name("pw_corpus.jsonl")
+LEVEL_0 = '{"n":0,"m":0,"components":{"0":{"coeffs":["2","0","1"]}}}'  # x^2 + 2 at level 0
 
 
 def _poly(p: Poly) -> str:
@@ -242,7 +245,7 @@ def calls() -> list[list[str]]:
     non_members = ['{"n":2,"m":2,"components":{"-2":{"coeffs":["1","1"]},"0":{"coeffs":["1"]},"2":{"coeffs":["1","1"]}}}',
                    '{"n":2,"m":2,"components":{"-2":{"coeffs":["5"]},"0":{"coeffs":["1"]},"2":{"coeffs":["5"]}}}']
     return (out + _first_failing_pairs() + [["extend", "--h", h, "--target", "4"] for h in non_members]
-            + _top_exponent_products())
+            + _top_exponent_products() + _unreached_rows() + _input_errors())
 
 
 def _top_exponent_products() -> list[list[str]]:
@@ -255,6 +258,68 @@ def _top_exponent_products() -> list[list[str]]:
     odd = h + MultiPoly(2, {(0, top - 3): 5})
     return [["check3-product", "-n", ",".join(map(str, l)), "-m", ",".join(map(str, n)),
              "--phi", json.dumps(jsonio.mpoly_to_json(phi))] for phi in (h * q, odd * q)]
+
+
+def _unreached_rows() -> list[list[str]]:
+    """A row of each verdict branch that no call above reaches: an sl2r
+    RootWitness past the first ladder root (phi vanishes at the first, so the
+    probe passes), an sl2c check2 weight whose component ratio differs from the
+    first, and extend to the input's own level."""
+    return [
+        ["check3", "--group", "sl2r", "-n", "1", "-m", "7", "--phi", '{"coeffs":["-1","1"]}'],
+        ["check2", "--group", "sl2c", "-n", "2", "--psi",
+         '{"2":{"coeffs":["1","1"]},"-2":{"coeffs":["1","-1"]},"0":{"coeffs":["3","1"]}}'],
+        ["extend", "--h", LEVEL_0, "--target", "0"],
+    ]
+
+
+def _input_errors() -> list[list[str]]:
+    """One call for each pw: error: line that a small input reaches and no call above does."""
+    level_2 = '{"n":2,"m":2,"components":{"-2":{"coeffs":["1"]},"0":{"coeffs":["1"]},"2":{"coeffs":["1"]}}}'
+    product = ["check3-product", "-n", "1", "-m", "1", "--phi"]
+    truncated = ["check2", "--group", "sl2r", "-m", "0", "--truncation", "2", "--psi"]
+    return [
+        # input parsing
+        ["check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":["1"],"coeffs":["2"]}'],
+        ["classify", "--group", "sl2r", "--sigma", "+", "--lambda", str(jsonio.MAX_KTYPE + 1)],
+        ["classify", "--group", "sl2r", "--sigma", "+", "--lambda", "1e10000"],
+        ["q", "--group", "sl2r", "-n", str(jsonio.MAX_KTYPE + 2), "-m", "0"],
+        ["q", "--group", "sl2r", "-n", "1" * 5000, "-m", "1"],
+        # options
+        ["check2", "--group", "sl2r", "-n", "1", "-m", "1", "--truncation", "3", "--psi", "{}"],
+        ["check3", "--group", "sl2c", "-m", "4", "--phi", level_2],
+        # bounds
+        ["atlas", "--group", "sl2r", "--lambda-max", "-1"],
+        ["atlas", "--group", "sl2r", "--lambda-max", str(jsonio.MAX_ATLAS_R + 1)],
+        ["atlas", "--group", "sl2c", "--sigma-max", "-1", "--lambda-max", "2"],
+        ["atlas", "--group", "sl2c", "--sigma-max", "2", "--lambda-max", str(jsonio.MAX_ATLAS_C + 1)],
+        ["extend", "--h", LEVEL_0, "--target", str(jsonio.MAX_EXTEND_TARGET + 2)],
+        ["q", "--group", "sl2r-product", "-n", "0,0", "-m", "78,1000"],
+        # check3-product input
+        product + ['{"arity":1,"terms":[{"exps":[1],"coeff":"1"},{"exps":[1],"coeff":"2"}]}'],
+        product + [f'{{"arity":1,"terms":[{{"exps":[{jsonio.MAX_EXPONENT + 1}],"coeff":"1"}}]}}'],
+        ["check3-product", "-n", "1,1", "-m", "1", "--phi", '{"arity":1,"terms":[]}'],
+        ["check3-product", "-n", "3,1", "-m", "1,1", "--phi", '{"arity":1,"terms":[{"exps":[0],"coeff":"1"}]}'],
+        product + ['{"arity":0,"terms":[]}'],
+        product + ['{"arity":1,"terms":[{"exps":[1,2],"coeff":"1"}]}'],
+        product + ['{"arity":1,"terms":[{"exps":[-1],"coeff":"1"}]}'],
+        # check2 input
+        truncated + ["[]"],
+        truncated + ['{"2":{"coeffs":["1"]},"+2":{"coeffs":["1"]}}'],
+        ["check2", "--group", "sl2r", "-m", "0", "--truncation", "-1", "--psi", "{}"],
+        # SL(2,R) sigma
+        ["classify", "--group", "sl2r", "--sigma", "x", "--lambda", "1"],
+        # SL(2,C)
+        ["q", "--group", "sl2c", "-n", "-1", "-m", "1"],
+        ["cquot", "--group", "sl2c", "-n", "-1", "-m", "1"],
+        ["check3", "--group", "sl2c", "--phi", '{"n":-1,"m":1,"components":{}}'],
+        ["decompose", "--phi", '{"n":0,"m":2,"components":{"0":{"coeffs":["1"]}}}'],
+        ["extend", "--h", '{"n":0,"m":2,"components":{"0":{"coeffs":["1"]}}}', "--target", "4"],
+        ["extend", "--h", level_2, "--target", "0"],
+        ["synthesize", "--coords", '{"m":1,"h":[{"coeffs":["1"]}]}'],
+        # output: phi = 10^9000 (x + 1) gives h = 10^9000, more digits than pw prints
+        ["check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":["1e9000","1e9000"]}'],
+    ]
 
 
 def run(args: list[str]) -> dict:

@@ -459,6 +459,13 @@ def test_repeated_key_in_a_file_is_refused(tmp_path, capsys):
         "pw: error: JSON object has the key '0' twice\n")
 
 
+def test_a_missing_file_is_one_error_line(tmp_path, capsys):
+    # The wording after the path comes from the OS, so no corpus record holds it.
+    path = tmp_path / "absent.json"
+    err = error_output(capsys, "check3", "--group", "sl2r", "-n", "1", "-m", "1", "--phi", f"@{path}")
+    assert err.startswith("pw: error: ") and str(path) in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("from_file", [False, True], ids=["inline", "file"])
 def test_deeply_nested_json_is_refused(tmp_path, capsys, from_file):
     # json's scanner recurses once per level; past the recursion limit that was a traceback.

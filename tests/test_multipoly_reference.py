@@ -248,9 +248,18 @@ def _high_items(rng: random.Random, arity: int) -> list[tuple[tuple[int, ...], F
 
 
 def _unit_point(rng: random.Random, arity: int) -> list[Fraction]:
-    """A point of 0s and +-1s: MultiPoly.__call__ tabulates every power up to
-    the degree, which at twice MAX_EXPONENT is slow for any other value."""
+    """A point of 0s and +-1s, where every power is 0 or +-1."""
     return [Fraction(rng.choice((0, 1, -1))) for _ in range(arity)]
+
+
+def _small_point(rng: random.Random, arity: int) -> list[Fraction]:
+    """A point of rationals p/q, 2 <= |p| <= 9 and 1 <= q <= 9, none of them 0 or +-1."""
+    out = []
+    while len(out) < arity:
+        x = Fraction(rng.choice((-1, 1)) * rng.randint(2, 9), rng.randint(1, 9))
+        if abs(x) != 1:
+            out.append(x)
+    return out
 
 
 def _assert_same(p: MultiPoly, ref: ReferenceMultiPoly) -> None:
@@ -339,6 +348,14 @@ def test_arithmetic_matches_fraction_kernel():
         _assert_same(p.substitute_negated(var), ref_p.substitute_negated(var))
         past += max(max(e) for e in (p * q).terms) > jsonio.MAX_EXPONENT
     assert past > 15
+    # Values of such polynomials at rational points other than 0 and +-1,
+    # where no two powers of a coordinate are equal.
+    rng = random.Random(11012)
+    for i in range(20):
+        arity = 1 + i % 4
+        items = _high_items(rng, arity)
+        point = _small_point(rng, arity)
+        assert MultiPoly(arity, items)(point) == ReferenceMultiPoly(arity, items)(point)
 
 
 def test_div_in_var_matches_fraction_kernel():

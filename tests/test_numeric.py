@@ -69,6 +69,13 @@ def test_c_numeric_sl2c_example():
     assert abs(c_numeric("sl2c", 0, 2.0, sigma=0) - 1.0) < 1e-12
 
 
+def test_c_numeric_refuses_what_it_cannot_evaluate():
+    with pytest.raises(ValueError, match="needs the M-weight sigma"):
+        c_numeric("sl2c", 0, 2.0)
+    with pytest.raises(ValueError, match="unknown group 'su2'"):
+        c_numeric("su2", 0, 2.0)
+
+
 def test_c_numeric_matches_exact_quotients():
     rng = random.Random(21)
 

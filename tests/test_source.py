@@ -1,6 +1,9 @@
 """Source-level rules for the package itself."""
 
 import ast
+import os
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -48,33 +51,6 @@ def test_no_dataclasses_import():
     assert SOURCES and not found
 
 
-BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
-
-
-def public_definitions(path: Path):
-    """(qualified name, bare name) of each public module function, class and
-    method of a public class in one module."""
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{path.stem}.{node.name}", node.name
-            for sub in node.body if isinstance(node, ast.ClassDef) else ():
-                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
-                    yield f"{node.name}.{sub.name}", sub.name
-
-
-def referenced_names(path: Path) -> set[str]:
-    """Every name a module loads, reads as an attribute or imports."""
-    names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name.rpartition(".")[2])
-    return names
-
-
 def test_private_poly_names_stay_in_the_kernel():
     # Only poly.py and multipoly.py, which shares its integer storage, import
     # an underscore name from pwcert.poly; the other modules use its public
@@ -87,29 +63,6 @@ def test_private_poly_names_stay_in_the_kernel():
         for alias in node.names if alias.name.startswith("_")
     ]
     assert SOURCES and not found, found
-
-
-def test_public_names_have_a_caller():
-    """Every public function, class and method of the package is referenced by
-    the package or the benchmark (tests do not count).
-
-    The scan is by name: a definition counts as used when a name, an attribute
-    or an import anywhere in src/pwcert or bench/ carries its bare name.  So a
-    method that shares its name with a used one is not caught, and a name that
-    appears only inside a string is not a reference.
-    """
-    used = set().union(*map(referenced_names, SOURCES + BENCH))
-    unused = {qualified for path in SOURCES for qualified, name in public_definitions(path)
-              if name not in used}
-    # Only tests call these.  The benchmark's tracer imports gammaprod (which
-    # pins c_gamma_r and c_gamma_c with it) and names the three methods as
-    # strings; the set empties once the tracer stops holding them (ROADMAP item 3).
-    # square_parts shifts its raw slices itself, so Poly.shift_constant, which
-    # the tracer wraps by name, has no caller in the package.
-    assert BENCH and unused == {
-        "gammaprod.gamma_reduce", "gammaprod.c_gamma_c", "gammaprod.c_gamma_r",
-        "RationalFunction.inverse", "MultiPoly.substitute_negated", "Poly.shift_constant",
-    }
 
 
 def test_only_main_writes_pw_output():
@@ -149,3 +102,84 @@ def test_input_errors_take_one_path():
     caught = [ast.unparse(handler.type) for node in ast.walk(functions["main"])
               if isinstance(node, ast.Try) for handler in node.handlers]
     assert caught == ["_UsageError", "(PwError, ValueError, OSError)"]
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Why a function that no recorded pw call enters is kept.
+VALUE = "value protocol: tests compare, hash and print these values"
+TRACER = "named by bench/tracer.py (ROADMAP item 16)"
+HELPER = "called only by MultiPoly.__add__ and __sub__, which bench/tracer.py names (ROADMAP item 16)"
+WORKER = "imported by bench/worker.py (ROADMAP item 16)"
+ORACLE = "ROADMAP item 3's oracle modules, or a Poly method only they call"
+USAGE = "argparse usage path: tests/test_cli.py pins its exit code"
+ENTRY = "console entry point: the replay calls main"
+
+UNENTERED = {
+    **dict.fromkeys([
+        "poly.Poly.__hash__", "poly.Poly.__repr__",
+        "multipoly.MultiPoly.__bool__", "multipoly.MultiPoly.__eq__",
+        "multipoly.MultiPoly.__hash__", "multipoly.MultiPoly.__repr__",
+        "sl2c.WeightedDiagMap.__setattr__", "sl2c.WeightedDiagMap.__eq__",
+        "sl2c.WeightedDiagMap.__hash__", "sl2c.WeightedDiagMap.__repr__",
+        "verdict._values", "verdict._repr", "verdict._eq", "verdict._hash", "verdict._frozen",
+    ], VALUE),
+    **dict.fromkeys([
+        "poly.Poly.__neg__", "poly.Poly.__sub__", "poly.Poly.__rsub__", "poly.Poly.__pow__",
+        "poly.Poly.shift_constant",
+        "multipoly.MultiPoly.__add__", "multipoly.MultiPoly.__sub__", "multipoly.MultiPoly.__neg__",
+        "multipoly.MultiPoly.__call__", "multipoly.MultiPoly.substitute_negated",
+    ], TRACER),
+    **dict.fromkeys(["multipoly.MultiPoly._add", "multipoly.MultiPoly._coerce"], HELPER),
+    "sl2c.diag_map": WORKER,
+    **dict.fromkeys([
+        *(f"gammaprod.{name}" for name in (
+            "GammaProduct.__init__", "GammaProduct.prefactor", "GammaProduct.factors",
+            "GammaProduct.sqrt_pi_power", "GammaProduct.__eq__", "GammaProduct.__hash__",
+            "GammaProduct.__repr__", "_pair_contribution", "gamma_reduce", "c_gamma_r",
+            "c_gamma_c")),
+        *(f"ratfunc.{name}" for name in (
+            "RationalFunction.__init__", "RationalFunction.num", "RationalFunction.den",
+            "RationalFunction.one", "RationalFunction.is_zero", "RationalFunction.__eq__",
+            "RationalFunction.__hash__", "RationalFunction.__mul__",
+            "RationalFunction.__truediv__", "RationalFunction.__add__", "RationalFunction.__sub__",
+            "RationalFunction.__neg__", "RationalFunction.inverse", "RationalFunction.reflect",
+            "RationalFunction.__call__", "RationalFunction.__repr__", "_coerce")),
+        "poly.Poly.const", "poly.Poly.one", "poly.Poly.leading",
+    ], ORACLE),
+    "cli._Parser.error": USAGE,
+    "cli.entrypoint": ENTRY,
+}
+
+
+def test_every_function_runs_for_some_pw_call():
+    """Every def in src/pwcert runs for some call of the CLI corpus (or for
+    `pw verify-numeric`), or UNENTERED lists it with the reason it is kept.
+
+    tests/unentered.py traces the calls in a fresh interpreter.  The list may
+    only shrink: a function that no call enters is deleted, or listed here with
+    one of the reasons above and the reason given in CHANGES.md.
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                                     os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "tests" / "unentered.py")], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    found = dict(line.split() for line in proc.stdout.splitlines())
+    assert set(UNENTERED.values()) <= {VALUE, TRACER, HELPER, WORKER, ORACLE, USAGE, ENTRY}
+    new = [f"{name} ({where})" for name, where in found.items() if name not in UNENTERED]
+    assert not new, ("no recorded pw call enters these functions; delete each, or list it in "
+                     "UNENTERED and say why in CHANGES.md:\n" + "\n".join(new))
+    stale = sorted(set(UNENTERED) - set(found))
+    assert not stale, ("a pw call now enters these listed functions, or they are gone; "
+                       "drop their entries from UNENTERED:\n" + "\n".join(stale))
+
+
+def test_bench_reasons_name_what_bench_uses():
+    # An entry kept for bench/ goes stale, and fails here, once that file drops its name.
+    missing = [name for name, reason in UNENTERED.items() if reason in (TRACER, WORKER)
+               and name.rpartition(".")[2] not in (ROOT / re.search(r"bench/\w+\.py", reason)[0])
+               .read_text(encoding="utf-8")]
+    assert not missing, missing
+    # A helper stays listed only while the operators it serves are.
+    served = [UNENTERED.get(f"multipoly.MultiPoly.{name}") for name in ("__add__", "__sub__")]
+    assert HELPER not in UNENTERED.values() or served == [TRACER, TRACER]
