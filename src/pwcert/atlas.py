@@ -97,8 +97,6 @@ def atlas_sl2c_dot(sigma_max: int, lambda_max: int) -> str:
         attrs = [f'label="H({sigma},{lam})"']
         if orbit is not None:
             attrs.append(f'style=filled, fillcolor={color[orbit]}, group="{orbit}"')
-        elif p["reducible"]:
-            attrs.append("style=filled, fillcolor=black, fontcolor=white")
         lines.append(f"  {name} [{', '.join(attrs)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -255,28 +255,31 @@ def _make(arity: int, num: dict[int, int], den: int = 1) -> MultiPoly:
     return p
 
 
-def mpoly_div_in_var(f: MultiPoly, steps: Iterable[tuple[int, Poly]]) -> tuple[MultiPoly, MultiPoly, int | None]:
+def mpoly_div_in_var(f: MultiPoly, steps: Iterable[tuple[int, Poly]]) -> tuple[MultiPoly | None, MultiPoly, int | None]:
     """Divide f by univariate polynomials, each applied to one of its variables.
 
     ``steps`` yields (var, g) pairs, var a variable of f and increasing (a
     ValueError otherwise).  g(x_var) has coefficients that are constants in
     the other variables, so f = q * g(x_var) + r with deg_var(r) < deg(g)
     holds fiber by fiber in var.  The first pair divides f and each later
-    pair the quotient before it; the chain stops at the first pair that
-    leaves a remainder, and reads no pair after it.  Returned are the last
-    pair's quotient, remainder and var (f, 0 and None for no pairs).
+    pair the quotient before it.  An exact chain returns the last quotient,
+    the zero remainder and the last var (f, 0 and None for no pairs).  The
+    chain stops at the first division that leaves a remainder, reads no pair
+    after it and returns None, that remainder and its var: no quotient.
 
     The fibers of one degree share one integer long division (MCA 2.4): row e
     holds [x_var^e] of each, a step turns the top row into quotient digits and
-    updates the deg(g) rows below, and one scale per group keeps it exact (q
-    and r over Q are unique).  No fiber is padded to another's length.  A
-    fiber's key is the monomial key with var's field cleared, key & ~(mask <<
-    W*var), and row e of the fiber at key rest goes back to the key
+    updates the deg(g) rows below, and one scale per group keeps the
+    remainder exact.  No fiber is padded to another's length.  The divisor is
+    g's numerators over their content, a primitive integer polynomial, so by
+    Gauss's lemma (MCA 6.2) an exact division has integer digits and never
+    rescales; the content goes into the quotient's denominator.  A fiber's
+    key is the monomial key with var's field cleared, key & ~(mask << W*var),
+    and row e of the fiber at key rest goes back to the key
     rest + (e << W*var): one group's cells are keyed row by row, and the zero
     cells dropped, with no exponent tuple built.  An exact division's quotient
     cells, so keyed, are regrouped straight into the next pair's fibers, so
-    only the returned quotient and remainder are built as polynomials and
-    normalised.
+    only the returned quotient or remainder is built as a polynomial.
     """
     steps = iter(steps)
     pair = next(steps, None)
@@ -290,37 +293,33 @@ def mpoly_div_in_var(f: MultiPoly, steps: Iterable[tuple[int, Poly]]) -> tuple[M
     while True:
         if g.is_zero:
             raise ZeroDivisionError("division by zero polynomial")
-        *gcs, glead = g._num
+        content = gcd(*g._num)
+        *gcs, glead = (c // content for c in g._num)
         k = len(gcs)
         groups: defaultdict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
         for rest, row in rows.items():
             groups[max(row)].append((rest, row))
-        divided, exact = [], True
-        for top, members in groups.items():
-            cells, scale = _divide_group(top, members, gcs, glead)
-            divided.append((top, [rest for rest, _ in members], cells, scale))
-            exact = exact and not any(cells[: min(k, top + 1) * len(members)])
-        common = lcm(*(scale for *_, scale in divided))
-        den *= common
-        if not exact or (pair := next(steps, None)) is None:
-            break
+        divided = [(top, [rest for rest, _ in members], *_divide_group(top, members, gcs, glead))
+                   for top, members in groups.items()]
+        if any(any(cells[: min(k, top + 1) * len(rests)]) for top, rests, cells, _ in divided):
+            common = lcm(*(scale for *_, scale in divided))
+            rem = chain.from_iterable(_keyed_cells(rests, cells, 0, min(k, top + 1), shift, common // scale)
+                                      for top, rests, cells, scale in divided)
+            return None, _make(f._arity, dict(rem), den * common), var
+        # A list, not a generator: shift and g are rebound before these cells are read.
+        quotient = chain.from_iterable([_keyed_cells(rests, cells, k, top + 1, shift, g._den)
+                                        for top, rests, cells, _ in divided])
+        den *= content
+        pair = next(steps, None)
+        if pair is None:
+            return _make(f._arity, dict(quotient), den), _make(f._arity, {}), var
         # The division is exact: its quotient cells become the fiber rows of the next var.
         nxt = pair[0]
         f._check_var(nxt)
         if nxt <= var:
             raise ValueError(f"variables must increase along the chain, got {nxt} after {var}")
-        quotient = [_keyed_cells(rests, cells, k, top + 1, shift, common // scale * g._den)
-                    for top, rests, cells, scale in divided]
         (var, g), shift = pair, EXPONENT_BITS * nxt
-        rows = _fiber_rows(chain.from_iterable(quotient), shift)
-    quo: dict[int, int] = {}
-    rem: dict[int, int] = {}
-    for top, rests, cells, scale in divided:
-        up = common // scale
-        # An exact division has no remainder cell to read.
-        for out, lo, hi, factor in ((rem, 0, min(k, top + 1), up), (quo, k, top + 1, up * g._den))[exact:]:
-            out.update(_keyed_cells(rests, cells, lo, hi, shift, factor))
-    return _make(f.arity, quo, den), _make(f.arity, rem, den), var
+        rows = _fiber_rows(quotient, shift)
 
 
 def _fiber_rows(terms: Iterable[tuple[int, int]], shift: int) -> defaultdict[int, dict[int, int]]:
@@ -349,14 +348,14 @@ def _keyed_cells(rests: list[int], cells: list[int], lo: int, hi: int,
 def _divide_group(top: int, members: list[tuple[int, dict[int, int]]],
                   gcs: list[int], glead: int) -> tuple[list[int], int]:
     """One integer long division of the w fibers of degree ``top`` by the
-    numerators gcs + [glead].  The cells, row e then fiber j at e * w + j,
-    hold the fibers times the returned scale divided: the remainder in the
-    rows below len(gcs), the quotient above.  A monic divisor needs no scale.
-
-    A scale s found at one step multiplies only the rows in reach of the
-    divisor (the quotient row and the len(gcs) rows below it).  A lower row
-    takes the scale so far when it comes in reach, and a quotient row the
-    scales found after its step, at the end, so no step rescans every cell.
+    primitive numerators gcs + [glead].  The cells, row e then fiber j at
+    e * w + j, hold the quotient digits from row len(gcs) up, and below them
+    the remainder of the fibers times the returned scale.  A monic divisor
+    needs no scale.  A scale s found at one step multiplies only the rows in
+    reach of the divisor (the quotient row and the len(gcs) rows below it),
+    and a lower row takes the scale so far when it comes in reach.  No
+    quotient row takes a later scale: by Gauss's lemma a division that
+    rescales leaves a remainder, and its quotient is not read.
     """
     w, k = len(members), len(gcs)
     cells = [0] * ((top + 1) * w)
@@ -364,7 +363,7 @@ def _divide_group(top: int, members: list[tuple[int, dict[int, int]]],
         for e, c in row.items():
             cells[e * w + j] = c
     spread = [c for c in gcs for _ in range(w)]
-    scale, rescales = 1, []
+    scale = 1
     for lo in range((top - k) * w, -1, -w):
         hi = lo + k * w
         if scale != 1:
@@ -374,17 +373,9 @@ def _divide_group(top: int, members: list[tuple[int, dict[int, int]]],
             s = abs(glead) // gcd(glead, *q)
             if s != 1:
                 scale *= s
-                rescales.append((hi, s))
                 cells[lo:hi] = [s * c for c in cells[lo:hi]]
                 q = [s * t for t in q]
             cells[hi : hi + w] = q = [t // glead for t in q]
         if any(q):
             cells[lo:hi] = [c - gc * x for c, gc, x in zip(cells[lo:hi], spread, cycle(q))]
-    if rescales:
-        later = 1  # the product of the scales found below a quotient row, from the bottom one up
-        for hi in range(k * w, (top + 1) * w, w):
-            while rescales and rescales[-1][0] < hi:
-                later *= rescales.pop()[1]
-            if later != 1:
-                cells[hi : hi + w] = [later * c for c in cells[hi : hi + w]]
     return cells, scale

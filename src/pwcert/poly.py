@@ -354,13 +354,25 @@ def poly_div_linear(f: Poly, roots: Sequence[int], scale: int) -> Poly | None:
     return _make(num, den)
 
 
-def divided_difference_coords(parts: Sequence[tuple[Poly, Poly]], b: int) -> list[Poly] | None:
-    """The t-coefficients h_0..h_m of G_b + f_b (G_{b+2} + ... + f_{m-2} G_m), or None at the
-    first remainder, for the Newton divided differences G_L = X_L + t Y_L in mu of parts[j] =
-    (X_K, Y_K) at K = b + 2j <= m.  At K, t^2 = K^2 (mu - K^2), f_L = t^2 + L^4 - L^2 mu is
-    (K^2 - L^2)(mu - K^2 - L^2) and f_0 = t swaps X and Y.  Each step normalises its row once."""
-    rows = [((x._num, x._den), (y._num, y._den)) for x, y in parts]
-    zero, h, m = ((), 1), [], b + 2 * len(parts) - 2
+def divided_difference_coords(comps: Sequence[Poly], b: int) -> list[Poly] | None:
+    """The coordinates h_0..h_m of a symmetric map from its components comps[j] = phi_K at
+    the weights K = b + 2j <= m, by divided differences, or None at the first remainder.
+
+    With mu = x^2 + K^2 and t = Kx, phi_K = X_K + t Y_K for X_K, Y_K in mu: the even and odd
+    numerator slices of phi_K Taylor-shifted by -K^2, Y_K over K times the denominator, each
+    normalised once (phi_0 is even: Y_0 = 0).  At weight K, t^2 acts as K^2 (mu - K^2), so
+    the pairing factor f_L = t^2 - L^2 mu + L^4 acts as (K^2 - L^2)(mu - K^2 - L^2), and
+    dividing by the unpaired f_0 = t swaps X and Y.  Level L fixes G_L = X_L + t Y_L, and
+    every later weight divides its residual by f_L, one exact linear division per pair
+    (Knuth, TAOCP vol. 2, 4.6.4); a remainder is a swap break between K and +/-L.  The
+    coordinates are the t-coefficients of H = G_b + f_b (G_{b+2} + ... + f_{m-2} G_m), by
+    Horner's rule.  All of it runs on integer rows, each step normalising its row once, and
+    only the coordinates are made as Polys.
+    """
+    zero, h, m = ((), 1), [], b + 2 * len(comps) - 2
+    rows = [(_normal(*_shifted(list(p._num[0::2]), p._den, -k * k, 1)),
+             _normal(*_shifted(list(p._num[1::2]), p._den * k, -k * k, 1)) if k else zero)
+            for k, p in zip(range(b, m + 1, 2), comps)]
     for i, base in enumerate(rows):
         l2 = (b + 2 * i) ** 2
         for j in range(i + 1, len(rows)):
@@ -427,12 +439,10 @@ def first_root_not_vanishing(polys: Collection[Poly], nums: Iterable[int],
     raise InternalNonDivisibility("nonzero remainder vanishing at every simple root")
 
 
-def square_parts(f: Poly, shift: RatLike = 0) -> tuple[Poly, Poly]:
-    """The polynomials e and o with f(x) = e(x^2 + shift) + x o(x^2 + shift);
-    each is shifted on the raw slice of f's numerators and normalised once."""
-    a, b = _ratio(shift)
-    return (_make(*_shifted(list(f._num[0::2]), f._den, -a, b)),
-            _make(*_shifted(list(f._num[1::2]), f._den, -a, b)))
+def square_parts(f: Poly) -> tuple[Poly, Poly]:
+    """The polynomials e and o with f(x) = e(x^2) + x o(x^2): the even and odd
+    slices of f's numerators over its denominator."""
+    return _make(list(f._num[0::2]), f._den), _make(list(f._num[1::2]), f._den)
 
 
 def join_square_parts(even: Poly, odd: Poly) -> Poly:

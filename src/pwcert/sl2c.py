@@ -44,7 +44,6 @@ from .poly import (
     ladder,
     poly_div_linear,
     poly_gcd,
-    square_parts,
     transpose,
 )
 from .rationals import RatLike, is_integer, rat, rat_str
@@ -241,10 +240,12 @@ def algebra_check(phi: WeightedDiagMap) -> Accept | Reject:
 
     (i) phi_k(x) = phi_{-k}(-x) as exact polynomial identities;
     (ii) phi_k(l) = phi_l(k) for all weight pairs.
-    Given (i), (ii) holds exactly when each division of the decomposition (one
-    divided_difference_coords call) is exact: the division of the weight K past
-    level L leaves a remainder exactly when phi_K(+/-L) != phi_{+/-L}(K), given
-    the pairs before it.
+    Given (i), (ii) holds exactly when each division of the decomposition is
+    exact: one divided_difference_coords call takes the components phi_K at
+    the weights K = b, b + 2, ..., m (b = m % 2; (i) fixes the others) and
+    splits each itself.  The division of the weight K past level L leaves a
+    remainder exactly when phi_K(+/-L) != phi_{+/-L}(K), given the pairs
+    before it.
     Acceptance carries phi as h with its coordinates; only a remainder scans
     the weight pairs, for the first failing one.
     """
@@ -256,7 +257,8 @@ def algebra_check(phi: WeightedDiagMap) -> Accept | Reject:
             continue
         if phi[k] != phi[-k].reflect():
             return Reject(SymmetryWitness(weight=k))
-    h = _decompose_components(phi.components, phi.src)
+    b = phi.src % 2
+    h = divided_difference_coords([phi[k] for k in range(b, phi.src + 1, 2)], b)
     if h is not None:
         return Accept(h=phi, coords=GeneratorCoords(m=phi.src, h=tuple(h)))
     for i, k in enumerate(wts):
@@ -315,29 +317,6 @@ def free_module_decompose(phi: WeightedDiagMap) -> GeneratorCoords:
         raise ValueError("input fails the diagonal-algebra conditions: "
                          + json.dumps(witness_to_json(result.witness), sort_keys=True))
     return result.coords
-
-
-def _decompose_components(comps: dict[int, Poly], m: int) -> list[Poly] | None:
-    """Coordinates of a symmetric map by divided differences over the weights
-    K = b, b + 2, ..., m of the parity b = m % 2, or None at the first remainder.
-
-    With mu = x^2 + K^2 and t = Kx, phi_K = X_K + t Y_K for polynomials X_K, Y_K
-    in mu (square_parts), and t^2 acts at weight K as K^2 (mu - K^2).  So the
-    pairing factor f_L = t^2 - L^2 mu + L^4 acts as (K^2 - L^2)(mu - K^2 - L^2),
-    and dividing by the unpaired f_0 = t swaps X and Y, one divided by
-    K^2 (mu - K^2).  Level L fixes G_L = X_L + t Y_L, and every later weight K
-    divides its residual by f_L, one exact linear division per pair (Knuth,
-    TAOCP vol. 2, 4.6.4); a remainder is a swap break between K and +/-L.  The
-    coordinates are the t-coefficients of
-    H = G_b + f_b (G_{b+2} + f_{b+2} (... + f_{m-2} G_m)), by Horner's rule.
-    The divided-difference table and Horner's rule run in one kernel call,
-    divided_difference_coords, on integer numerator rows over one denominator.
-    """
-    b, parts = m % 2, []  # (X_K, Y_K) per weight K
-    for k in range(b, m + 1, 2):
-        x, y = square_parts(comps[k], k * k)
-        parts.append((x, y / k if k else y))  # Y_0 = 0, as phi_0 is even
-    return divided_difference_coords(parts, b)
 
 
 # -- Level-3 membership ---------------------------------------------------------------

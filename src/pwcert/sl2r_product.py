@@ -77,8 +77,9 @@ def level3_check_product(phi: MultiPoly, l: KTypeVec, n: KTypeVec) -> Accept | R
     Divides by each variable's whole ladder factor q_{l_i,n_i}, variable 0
     upward (a fixed order; the result is order independent), in one
     mpoly_div_in_var call: the chain stops at the first division that leaves
-    a remainder and builds no ladder past it.  A variable with an empty
-    ladder (l_i = n_i) is left out of the chain.  A failure is localized at
+    a remainder, returns it with no quotient and builds no ladder past it.  A
+    variable with an empty ladder (l_i = n_i) is left out of the chain, so h
+    is phi when every ladder is empty.  A failure is localized at
     the first ladder root, in increasing order, at which some fiber of that
     remainder does not vanish.  Divisor and roots come from one _ladder_pairs
     call per variable, and the roots are made only on a remainder, one at a

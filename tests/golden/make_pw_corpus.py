@@ -245,7 +245,7 @@ def calls() -> list[list[str]]:
     non_members = ['{"n":2,"m":2,"components":{"-2":{"coeffs":["1","1"]},"0":{"coeffs":["1"]},"2":{"coeffs":["1","1"]}}}',
                    '{"n":2,"m":2,"components":{"-2":{"coeffs":["5"]},"0":{"coeffs":["1"]},"2":{"coeffs":["5"]}}}']
     return (out + _first_failing_pairs() + [["extend", "--h", h, "--target", "4"] for h in non_members]
-            + _top_exponent_products() + _unreached_rows() + _input_errors())
+            + _top_exponent_products() + _unreached_rows() + _input_errors() + _empty_ladders())
 
 
 def _top_exponent_products() -> list[list[str]]:
@@ -320,6 +320,14 @@ def _input_errors() -> list[list[str]]:
         # output: phi = 10^9000 (x + 1) gives h = 10^9000, more digits than pw prints
         ["check3", "--group", "sl2r", "-n", "3", "-m", "1", "--phi", '{"coeffs":["1e9000","1e9000"]}'],
     ]
+
+
+def _empty_ladders() -> list[list[str]]:
+    """check3-product with every ladder empty (l = n), so the division chain
+    has no pair and h is phi: an accept, and a reject odd in x0."""
+    product = ["check3-product", "-n", "1,2", "-m", "1,2", "--phi"]
+    return [product + [json.dumps(jsonio.mpoly_to_json(phi))]
+            for phi in (MultiPoly(2, {(2, 0): 3, (0, 4): "-1/2"}), MultiPoly(2, {(1, 0): 3}))]
 
 
 def run(args: list[str]) -> dict:

@@ -28,7 +28,7 @@ def pinning_decompose(comps: dict[int, Poly], m: int) -> list[Poly] | None:
     """
     # Base level: phi_0(x) = h_0(x^2) (even m, phi_0 even), or
     # phi_1(x) = h_0(x^2 + 1) + x h_1(x^2 + 1) (odd m).
-    h0, h1 = square_parts(comps[m % 2], m % 2)
+    h0, h1 = (p.shift_constant(-(m % 2)) for p in square_parts(comps[m % 2]))
     h = [h0, h1] if m % 2 else [h0]
     # The weight l = 0 (even m) is unpaired: its factor is (k - 0)(x - 0) = t.
     top = -(m % 2)
@@ -48,7 +48,7 @@ def pinning_decompose(comps: dict[int, Poly], m: int) -> list[Poly] | None:
         cofactor, remainder = poly_div_rem(defect, pinning)
         if not remainder.is_zero:
             return None
-        h0p, h1p = square_parts(cofactor / pinning(level), level * level)
+        h0p, h1p = (p.shift_constant(-level * level) for p in square_parts(cofactor / pinning(level)))
         h1p = h1p / level
         for power, coeff_mu in enumerate(expansion):
             if not h0p.is_zero:

@@ -24,15 +24,27 @@ def test_zero_terms_dropped():
     assert mp(2, {}).is_zero
 
 
+def assert_divides_exactly(f, g, var, r):
+    """f - r divides exactly by g in var: the kernel returns a quotient, and
+    that quotient times g is f - r.  With deg_var r < deg g, r is f's
+    remainder, as Euclidean division is unique."""
+    q, zero, at = mpoly_div_in_var(f - r, [(var, g)])
+    assert q is not None and zero.is_zero and at == var
+    assert q * MultiPoly.from_univariate(g, f.arity, var) == f - r
+    assert max((e[var] for e in r.terms), default=-1) < g.degree
+
+
 def test_div_in_var_examples():
     # f = x0 x1 + x1, g = t + 1 in var 0  ->  (x1, 0)
     f = mp(2, {(1, 1): 1, (0, 1): 1})
     q, r, _ = mpoly_div_in_var(f, [(0, Poly([1, 1]))])
     assert q == mp(2, {(0, 1): 1}) and r.is_zero
-    # f = x0^2, g = t - 1 in var 1 -> f constant in var 1
+    # f = x0^2, g = t - 1 in var 1 -> f constant in var 1: f is the
+    # remainder, and no quotient is built
     f = mp(2, {(2, 0): 1})
     q, r, _ = mpoly_div_in_var(f, [(1, Poly([-1, 1]))])
-    assert q.is_zero and r == f
+    assert q is None and r == f
+    assert_divides_exactly(f, Poly([-1, 1]), 1, r)
     # f = (x0 + 1)(x1 - 1/2), g = t - 1/2 in var 1
     f = (mp(2, {(1, 0): 1, (0, 0): 1})) * mp(2, {(0, 1): 1, (0, 0): Fraction(-1, 2)})
     q, r, _ = mpoly_div_in_var(f, [(1, Poly([Fraction(-1, 2), 1]))])
@@ -45,8 +57,9 @@ def test_div_in_var_examples():
 
 def test_div_in_var_chain_stops_at_first_remainder():
     # f = (x0 + 1) ((x1 - 2) x2 + 5): x0 + 1 divides f, x1 - 2 leaves 5, and
-    # the chain returns that division's quotient x2, remainder 5 and var 1
-    # without reading the pair after it.
+    # the chain returns no quotient, that division's remainder 5 and var 1
+    # without reading the pair after it.  Without the 5 the chain is exact
+    # through var 1, with the quotient x2.
     x0, x1, x2 = (mp(3, {tuple(int(i == v) for i in range(3)): 1}) for v in range(3))
     f = (x0 + 1) * ((x1 - 2) * x2 + 5)
     read = []
@@ -56,8 +69,9 @@ def test_div_in_var_chain_stops_at_first_remainder():
             read.append(var)
             yield var, g
 
-    assert mpoly_div_in_var(f, steps()) == (x2, mp(3, {(0, 0, 0): 5}), 1)
+    assert mpoly_div_in_var(f, steps()) == (None, mp(3, {(0, 0, 0): 5}), 1)
     assert read == [0, 1]
+    assert mpoly_div_in_var(f - (x0 + 1) * 5, [(0, Poly([1, 1])), (1, Poly([-2, 1]))]) == (x2, mp(3, {}), 1)
     # Exact throughout: the last pair's quotient, a zero remainder and its var.
     q, r, var = mpoly_div_in_var((x0 + 1) * (x2 - 2) * x1, [(0, Poly([1, 1])), (2, Poly([-2, 1]))])
     assert q == x1 and r.is_zero and var == 2
@@ -86,8 +100,8 @@ def test_div_in_var_does_not_pad_fibers():
     finally:
         tracemalloc.stop()
     assert peak < 80 * 2**20
-    assert q * MultiPoly.from_univariate(g, 2, 0) + r == f
-    assert max(e[0] for e in r.terms) < g.degree
+    assert q is None
+    assert_divides_exactly(f, g, 0, r)
 
 
 def test_div_in_var_rescales_only_rows_in_reach():
@@ -99,8 +113,8 @@ def test_div_in_var_rescales_only_rows_in_reach():
     start = time.perf_counter()
     q, r, var = mpoly_div_in_var(f, [(1, g)])
     assert time.perf_counter() - start < 3
-    assert var == 1 and r == mp(2, {(0, 0): Fraction(1, 2**10_000), (3, 0): 1})
-    assert q * MultiPoly.from_univariate(g, 2, 1) + r == f
+    assert q is None and var == 1 and r == mp(2, {(0, 0): Fraction(1, 2**10_000), (3, 0): 1})
+    assert_divides_exactly(f, g, 1, r)
 
 
 def test_div_by_zero_poly():
@@ -164,9 +178,11 @@ def test_div_in_var_reconstructs(f, g, var):
     if g.is_zero:
         return
     q, r, _ = mpoly_div_in_var(f, [(var, g)])
-    g_in_var = MultiPoly.from_univariate(g, 2, var)
-    assert q * g_in_var + r == f
-    assert max((e[var] for e in r.terms), default=-1) < g.degree
+    if q is None:
+        assert not r.is_zero
+    else:
+        assert r.is_zero and q * MultiPoly.from_univariate(g, 2, var) == f
+    assert_divides_exactly(f, g, var, r)
 
 
 @given(mpolys, st.integers(0, 1))

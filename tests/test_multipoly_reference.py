@@ -8,6 +8,7 @@ SL(2,R)^d Level-3 checker.
 """
 
 import random
+from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 
@@ -214,13 +215,16 @@ def _point(rng: random.Random, arity: int) -> list[Fraction]:
             for _ in range(arity)]
 
 
-def _divisor(rng: random.Random) -> Poly:
-    shape = rng.choice(("monic", "random-lead", "constant", "ladder"))
+def _divisor(rng: random.Random, shape: str = "") -> Poly:
+    shape = shape or rng.choice(("monic", "random-lead", "constant", "ladder"))
     kind = rng.choice(("integer", "dyadic", "rational"))
     if shape == "constant":
         return Poly.const(_nonzero(rng, kind))
     if shape == "ladder":
         return from_roots(Fraction(rng.randint(-20, 20), 2) for _ in range(rng.randint(1, 6)))
+    if shape == "non-primitive":  # integer numerators with a common factor
+        g = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.randint(1, 9)])
+        return g * rng.choice((2, 3, 6, 10**12))
     lead = Fraction(1) if shape == "monic" else _nonzero(rng, kind)
     return Poly([_coeff(rng, kind) for _ in range(rng.randint(1, 5))] + [lead])
 
@@ -418,10 +422,52 @@ def test_div_in_var_matches_fraction_kernel():
 
 
 def _assert_div_same(f: MultiPoly, ref: ReferenceMultiPoly, g: Poly, var: int) -> None:
+    # The remainder always; the quotient of an exact division, and None for the
+    # quotient of one that leaves a remainder.
     quotient, remainder, _ = mpoly_div_in_var(f, [(var, g)])
     ref_quotient, ref_remainder = reference_div_in_var(ref, g, var)
-    _assert_same(quotient, ref_quotient)
     _assert_same(remainder, ref_remainder)
+    if ref_remainder.terms:
+        assert quotient is None
+    else:
+        _assert_same(quotient, ref_quotient)
+
+
+def test_exact_divisions_never_rescale(monkeypatch):
+    # Gauss's lemma: each division is by g's numerators over their content, a
+    # primitive integer polynomial, so an exact one has integer quotient digits
+    # and no group's scale is ever above 1 on a chain that returns a quotient.
+    # Members h * g_1(x_v1) * ... along one to three increasing variables, with
+    # constant, random-lead, non-primitive and ladder divisors.
+    import pwcert.multipoly
+
+    scales = []
+    divide = pwcert.multipoly._divide_group
+
+    def spy(*args):
+        cells, scale = divide(*args)
+        scales.append(scale)
+        return cells, scale
+
+    monkeypatch.setattr(pwcert.multipoly, "_divide_group", spy)
+    rng = random.Random(11012)
+    shapes = Counter()
+    for _ in range(CASES // 4):
+        arity = rng.randint(1, 4)
+        h = ReferenceMultiPoly(arity, _items(rng, arity))
+        steps, f = [], h
+        for var in sorted(rng.sample(range(arity), rng.randint(1, min(arity, 3)))):
+            shape = rng.choice(("constant", "random-lead", "non-primitive", "ladder"))
+            g = _divisor(rng, shape)
+            steps.append((var, g))
+            f = f * ReferenceMultiPoly.from_univariate(g, arity, var)
+            shapes[shape] += 1
+        scales.clear()
+        quotient, remainder, _ = mpoly_div_in_var(MultiPoly(arity, f.terms), steps)
+        assert quotient is not None and remainder.is_zero
+        assert all(scale == 1 for scale in scales), scales
+        _assert_same(quotient, h)
+    assert min(shapes.values()) >= CASES // 20, shapes
 
 
 def test_level3_check_product_matches_fraction_kernel():

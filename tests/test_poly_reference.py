@@ -309,11 +309,21 @@ def reference_coords(parts: list[tuple[Poly, Poly]], b: int) -> list[Poly] | Non
     return h
 
 
+def reference_parts(comp: Poly, k: int) -> tuple[Poly, Poly]:
+    """(X_K, Y_K) with phi_K = X_K(mu) + K x Y_K(mu), mu = x^2 + K^2: the
+    Fraction shift of each coefficient slice of phi_K by -K^2, the odd one
+    divided by K (and Y_0 = 0)."""
+    a, shift = comp.coeffs, Fraction(-k * k)
+    return (Poly(reference_shift(a[0::2], shift)),
+            Poly([c / k for c in reference_shift(a[1::2], shift)]) if k else Poly.zero())
+
+
 def test_divided_difference_coords_matches_the_unfused_expression():
-    # The kernel returns the reference's coordinates, each in the canonical form,
-    # or None exactly when the reference does.  The parts come from members whose
-    # coordinates are integer, dyadic or large rational operands, zero included,
-    # and from random pairs, which leave a remainder unless there is one weight.
+    # The kernel takes the components and returns the reference's coordinates,
+    # each in the canonical form, or None exactly when the reference does.  The
+    # components come from members whose coordinates are integer, dyadic or
+    # large rational operands, zero included, and from random even and odd
+    # parts (phi_0 even), which leave a remainder unless there is one weight.
     rng = random.Random(8012)
     outcomes = Counter()
     for _ in range(CASES // 5):
@@ -321,12 +331,13 @@ def test_divided_difference_coords_matches_the_unfused_expression():
         b, member = m % 2, rng.random() < 0.7
         if member:
             coords = GeneratorCoords(m, tuple(Poly(_operand(rng, kind)) for _ in range(m + 1)))
-            comps = synthesize(coords).components
-        parts = []
-        for k in range(b, m + 1, 2):
-            x, y = square_parts(comps[k], k * k) if member else (Poly(_operand(rng, kind)), Poly(_operand(rng, kind)))
-            parts.append((x, y / k if k else Poly.zero()))
-        result, expected = divided_difference_coords(parts, b), reference_coords(parts, b)
+            phi = synthesize(coords)
+            comps = [phi[k] for k in range(b, m + 1, 2)]
+        else:
+            comps = [join_square_parts(Poly(_operand(rng, kind)), Poly(_operand(rng, kind)) if k else Poly.zero())
+                     for k in range(b, m + 1, 2)]
+        parts = [reference_parts(p, k) for k, p in zip(range(b, m + 1, 2), comps)]
+        result, expected = divided_difference_coords(comps, b), reference_coords(parts, b)
         if member:
             assert tuple(result) == coords.h
         if expected is None:
@@ -460,7 +471,8 @@ def test_substitutions_match_fraction_kernel():
 def test_square_parts_join_and_shift_match_fraction_kernel():
     # join_square_parts interleaves even(x^2) + x odd(x^2) over two
     # denominators of different kinds, either part zero; it inverts
-    # square_parts, and a shifted part is the Fraction shift of the slice.
+    # square_parts, and a part shifted by shift_constant is the Fraction
+    # shift of the slice.
     rng = random.Random(9004)
     for _ in range(CASES):
         even, odd = (_operand(rng, rng.choice(("integer", "dyadic", "rational"))) for _ in range(2))
@@ -470,7 +482,8 @@ def test_square_parts_join_and_shift_match_fraction_kernel():
         a = _operand(rng, rng.choice(("integer", "dyadic", "rational")))
         assert join_square_parts(*square_parts(Poly(a))) == Poly(a)
         shift = rng.choice((Fraction(rng.randint(-9, 9)), _coeff(rng, "dyadic"), _coeff(rng, "rational")))
-        shifted = square_parts(Poly(a), shift)  # a(x) = e(x^2 + shift) + x o(x^2 + shift)
+        # a(x) = e(x^2 + shift) + x o(x^2 + shift)
+        shifted = [p.shift_constant(-shift) for p in square_parts(Poly(a))]
         _assert_same_poly(shifted[0], reference_shift(_strip(list(a[0::2])), -shift))
         _assert_same_poly(shifted[1], reference_shift(_strip(list(a[1::2])), -shift))
 

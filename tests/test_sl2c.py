@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from pwcert.errors import InternalNonDivisibility
 from pwcert.gammaprod import c_gamma_c, gamma_reduce
-from pwcert.poly import Poly
+from pwcert.poly import Poly, divided_difference_coords
 from pwcert.sl2c import (
     GeneratorCoords,
     SwapWitness,
     SymmetryWitness,
     WeightRootWitness,
     WeightedDiagMap,
-    _decompose_components,
     algebra_check,
     c_quotient_c,
     clebsch_gordan,
@@ -43,6 +42,11 @@ from reduced_ratio_shadow import reduced_ratio_check
 
 LAM = Poly((0, 1))
 MU = Poly((0, 1))
+
+
+def decompose(comps, m):
+    """The decomposition kernel on the components at the weights m % 2, ..., m."""
+    return divided_difference_coords([comps[k] for k in range(m % 2, m + 1, 2)], m % 2)
 
 
 def rand_poly(rng, deg):
@@ -373,7 +377,7 @@ def test_algebra_check_top_weight_swap_break():
 def test_algebra_check_raises_when_a_remainder_has_no_failing_pair(monkeypatch):
     import pwcert.sl2c
 
-    monkeypatch.setattr(pwcert.sl2c, "_decompose_components", lambda comps, m: None)
+    monkeypatch.setattr(pwcert.sl2c, "divided_difference_coords", lambda comps, b: None)
     with pytest.raises(InternalNonDivisibility):
         algebra_check(synthesize(rand_coords(random.Random(5), 4)))
 
@@ -394,7 +398,7 @@ def test_decompose_examples():
 
 def test_decompose_deep_level_is_iterative():
     # About 1000 inductive steps: deeper than the default recursion limit.
-    h = _decompose_components({k: Poly.zero() for k in weights(2001)}, 2001)
+    h = decompose({k: Poly.zero() for k in weights(2001)}, 2001)
     assert len(h) == 2002 and all(p.is_zero for p in h)
 
 
@@ -421,7 +425,7 @@ def test_decompose_matches_the_pinning_induction():
                 comps[0] = comps[0] + bump * bump.reflect()
             else:
                 comps[j], comps[-j] = comps[j] + bump, comps[-j] + bump.reflect()
-        h = _decompose_components(comps, m)
+        h = decompose(comps, m)
         assert h == pinning_decompose(comps, m), m
         outcomes["member" if h is not None else "none"] += 1
     assert min(outcomes["member"], outcomes["none"]) >= 100, outcomes
@@ -439,14 +443,14 @@ def test_decompose_stops_at_a_top_weight_swap_break(monkeypatch):
     steps = []
     step = pwcert.poly._sub_div_linear
     monkeypatch.setattr(pwcert.poly, "_sub_div_linear", lambda *args: steps.append(args) or step(*args))
-    assert _decompose_components(comps, m) is None
+    assert decompose(comps, m) is None
     assert 1 <= len(steps) <= m // 2
 
 
-def test_decompose_makes_only_the_parts_and_the_coordinates(monkeypatch):
-    # square_parts makes two Polys per weight and the division by K a third;
-    # the divided-difference table and Horner's rule run on integer rows, and
-    # only the m + 1 coordinates come out as Polys.
+def test_decompose_makes_only_the_coordinates(monkeypatch):
+    # The kernel splits each component into its parts on integer rows, the
+    # divided-difference table and Horner's rule run on them, and only the
+    # m + 1 coordinates come out as Polys.
     import pwcert.poly
 
     m = 32
@@ -455,8 +459,8 @@ def test_decompose_makes_only_the_parts_and_the_coordinates(monkeypatch):
     made = []
     make = pwcert.poly._make
     monkeypatch.setattr(pwcert.poly, "_make", lambda *args: made.append(args) or make(*args))
-    assert tuple(_decompose_components(comps, m)) == coords.h
-    assert len(made) <= 3 * (m // 2 + 1) + m + 1
+    assert tuple(decompose(comps, m)) == coords.h
+    assert len(made) == m + 1
 
 
 def test_decompose_round_trips_rational_members():
@@ -467,7 +471,7 @@ def test_decompose_round_trips_rational_members():
     for _ in range(40):
         m = rng.randint(0, 40)
         coords = GeneratorCoords(m, rational_coords(rng, m))
-        assert tuple(_decompose_components(synthesize(coords).components, m)) == coords.h, m
+        assert tuple(decompose(synthesize(coords).components, m)) == coords.h, m
 
 
 def test_decompose_rational_bumps_fail_exactly_where_a_pair_does_not_swap():
@@ -487,7 +491,7 @@ def test_decompose_rational_bumps_fail_exactly_where_a_pair_does_not_swap():
                 comps[0] = comps[0] + bump * bump.reflect()
             else:
                 comps[j], comps[-j] = comps[j] + bump, comps[-j] + bump.reflect()
-        h = _decompose_components(comps, m)
+        h = decompose(comps, m)
         verdict = reference_algebra_check(WeightedDiagMap(m, m, comps))
         assert verdict.accepted or isinstance(verdict.witness, SwapWitness)
         assert (h is None) == (not verdict.accepted), m
@@ -500,7 +504,7 @@ def test_decompose_dense_member_within_budget():
     member, coords = dense_member(128)
     comps = member.components
     start = time.perf_counter()
-    h = _decompose_components(comps, 128)
+    h = decompose(comps, 128)
     assert time.perf_counter() - start < 1.2
     assert tuple(h) == coords.h
 

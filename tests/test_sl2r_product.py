@@ -128,6 +128,21 @@ def test_empty_ladder_left_out_of_the_chain(monkeypatch, phi, expected):
     assert calls == [[0, 2]]
 
 
+def test_root_reject_builds_no_quotient(monkeypatch):
+    # d = 2: x0 + 1 divides phi, x1 + 1 leaves a remainder.  The exact
+    # division's quotient passes to var 1 as fiber rows, the division that
+    # stops builds its remainder alone, and no quotient is made.
+    import pwcert.multipoly
+
+    x0, x1 = (inject(Poly([0, 1]), 2, i) for i in range(2))
+    phi = (x0 + 1) * (x1 * x1 + 2 * x0 + 3)
+    made = []
+    make = pwcert.multipoly._make
+    monkeypatch.setattr(pwcert.multipoly, "_make", lambda *args: made.append(args) or make(*args))
+    assert level3_check_product(phi, (3, 3), (1, 1)) == Reject(ProductRootWitness(var=1, root=Fraction(-1)))
+    assert len(made) == 1
+
+
 def test_round_trip_random_d_up_to_3():
     rng = random.Random(29)
     for _ in range(60):

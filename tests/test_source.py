@@ -125,8 +125,8 @@ UNENTERED = {
         "verdict._values", "verdict._repr", "verdict._eq", "verdict._hash", "verdict._frozen",
     ], VALUE),
     **dict.fromkeys([
-        "poly.Poly.__neg__", "poly.Poly.__sub__", "poly.Poly.__rsub__", "poly.Poly.__pow__",
-        "poly.Poly.shift_constant",
+        "poly.Poly.__neg__", "poly.Poly.__sub__", "poly.Poly.__rsub__", "poly.Poly.__truediv__",
+        "poly.Poly.__pow__", "poly.Poly.shift_constant",
         "multipoly.MultiPoly.__add__", "multipoly.MultiPoly.__sub__", "multipoly.MultiPoly.__neg__",
         "multipoly.MultiPoly.__call__", "multipoly.MultiPoly.substitute_negated",
     ], TRACER),
