@@ -10,7 +10,7 @@ J. Symbolic Comput. 46, 2011).  Every exponent stays below 2**W, so no field car
 the next.  The form is unique, so structural equality is semantic equality;
 the zero polynomial is the empty map over 1.  Every operation runs on Python
 ints; exponent tuples and ``Fraction``s are built only by ``terms``,
-``sorted_terms``, ``fibers``, the repr and values.  Multivariate data in the
+``sorted_terms``, the repr and values.  Multivariate data in the
 product checkers is sparse by construction, hence the sparse representation,
 in contrast to the dense univariate carrier.
 """
@@ -105,22 +105,8 @@ class MultiPoly:
         arity, den = self._arity, self._den
         return {_unpack(key, arity): Fraction(c, den) for key, c in self._num.items()}
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._num
-
     def __bool__(self) -> bool:
         return bool(self._num)
-
-    def fibers(self, var: int) -> dict[Exponents, Poly]:
-        """Split into univariate polynomials in variable ``var``, keyed by the
-        exponents of the other variables (with the ``var`` slot removed)."""
-        self._check_var(var)
-        shift = EXPONENT_BITS * var
-        others = [s for s in range(0, EXPONENT_BITS * self._arity, EXPONENT_BITS) if s != shift]
-        return {tuple([rest >> s & _MASK for s in others]):
-                _make_poly([row.get(e, 0) for e in range(max(row) + 1)], self._den)
-                for rest, row in _fiber_rows(self._num.items(), shift).items()}
 
     def odd_exponent(self) -> tuple[int, int] | None:
         """(var, e) for the first variable var in which a term has an odd
@@ -255,36 +241,34 @@ def _make(arity: int, num: dict[int, int], den: int = 1) -> MultiPoly:
     return p
 
 
-def mpoly_div_in_var(f: MultiPoly, steps: Iterable[tuple[int, Poly]]) -> tuple[MultiPoly | None, MultiPoly, int | None]:
+def mpoly_div_in_var(f: MultiPoly, steps: Iterable[tuple[int, Poly]]) -> tuple[MultiPoly | None, list[Poly], int | None]:
     """Divide f by univariate polynomials, each applied to one of its variables.
 
     ``steps`` yields (var, g) pairs, var a variable of f and increasing (a
-    ValueError otherwise).  g(x_var) has coefficients that are constants in
-    the other variables, so f = q * g(x_var) + r with deg_var(r) < deg(g)
-    holds fiber by fiber in var.  The first pair divides f and each later
-    pair the quotient before it.  An exact chain returns the last quotient,
-    the zero remainder and the last var (f, 0 and None for no pairs).  The
-    chain stops at the first division that leaves a remainder, reads no pair
-    after it and returns None, that remainder and its var: no quotient.
+    ValueError otherwise).  g(x_var) has constant coefficients, so it divides
+    f exactly when it divides each fiber of f in var.  The first pair divides
+    f and each later pair the quotient before it.  An exact chain returns the
+    last quotient, no fibers and the last var (f, [] and None for no pairs).
+    The chain stops at the first division that is not exact, reads no pair
+    after it and returns None, every fiber of that dividend that g does not
+    divide, as a Poly, and that var: no quotient and no remainder.
 
     The fibers of one degree share one integer long division (MCA 2.4): row e
-    holds [x_var^e] of each, a step turns the top row into quotient digits and
-    updates the deg(g) rows below, and one scale per group keeps the
-    remainder exact.  No fiber is padded to another's length.  The divisor is
-    g's numerators over their content, a primitive integer polynomial, so by
-    Gauss's lemma (MCA 6.2) an exact division has integer digits and never
-    rescales; the content goes into the quotient's denominator.  A fiber's
-    key is the monomial key with var's field cleared, key & ~(mask << W*var),
-    and row e of the fiber at key rest goes back to the key
-    rest + (e << W*var): one group's cells are keyed row by row, and the zero
-    cells dropped, with no exponent tuple built.  An exact division's quotient
-    cells, so keyed, are regrouped straight into the next pair's fibers, so
-    only the returned quotient or remainder is built as a polynomial.
+    holds [x_var^e] of each, and a step turns the top row into quotient digits
+    and updates the deg(g) rows below; no fiber is padded to another's length.
+    The divisor is g's numerators over their content, a primitive integer
+    polynomial, so by Gauss's lemma (MCA 6.2) a fiber it divides has integer
+    digits and no row is ever rescaled; the content goes into the quotient's
+    denominator.  A fiber's key is the monomial key with var's field cleared,
+    key & ~(mask << W*var), and row e of the fiber at key rest goes back to
+    the key rest + (e << W*var): an exact division's quotient cells are keyed
+    row by row, the zero cells dropped, and regrouped straight into the next
+    pair's fibers, so only the returned quotient is built as a polynomial.
     """
     steps = iter(steps)
     pair = next(steps, None)
     if pair is None:
-        return f, _make(f._arity, {}), None
+        return f, [], None
     var, g = pair
     f._check_var(var)
     shift = EXPONENT_BITS * var
@@ -295,24 +279,23 @@ def mpoly_div_in_var(f: MultiPoly, steps: Iterable[tuple[int, Poly]]) -> tuple[M
             raise ZeroDivisionError("division by zero polynomial")
         content = gcd(*g._num)
         *gcs, glead = (c // content for c in g._num)
-        k = len(gcs)
         groups: defaultdict[int, list[tuple[int, dict[int, int]]]] = defaultdict(list)
         for rest, row in rows.items():
             groups[max(row)].append((rest, row))
-        divided = [(top, [rest for rest, _ in members], *_divide_group(top, members, gcs, glead))
-                   for top, members in groups.items()]
-        if any(any(cells[: min(k, top + 1) * len(rests)]) for top, rests, cells, _ in divided):
-            common = lcm(*(scale for *_, scale in divided))
-            rem = chain.from_iterable(_keyed_cells(rests, cells, 0, min(k, top + 1), shift, common // scale)
-                                      for top, rests, cells, scale in divided)
-            return None, _make(f._arity, dict(rem), den * common), var
+        divided, fibers = [], []
+        for top, members in groups.items():
+            cells, marked = _divide_group(top, members, gcs, glead)
+            divided.append(([rest for rest, _ in members], cells))
+            fibers += [_make_poly([members[j][1].get(e, 0) for e in range(top + 1)], den) for j in marked]
+        if fibers:
+            return None, fibers, var
         # A list, not a generator: shift and g are rebound before these cells are read.
-        quotient = chain.from_iterable([_keyed_cells(rests, cells, k, top + 1, shift, g._den)
-                                        for top, rests, cells, _ in divided])
+        quotient = chain.from_iterable([_keyed_cells(rests, cells, len(gcs), shift, g._den)
+                                        for rests, cells in divided])
         den *= content
         pair = next(steps, None)
         if pair is None:
-            return _make(f._arity, dict(quotient), den), _make(f._arity, {}), var
+            return _make(f._arity, dict(quotient), den), [], var
         # The division is exact: its quotient cells become the fiber rows of the next var.
         nxt = pair[0]
         f._check_var(nxt)
@@ -333,29 +316,28 @@ def _fiber_rows(terms: Iterable[tuple[int, int]], shift: int) -> defaultdict[int
     return rows
 
 
-def _keyed_cells(rests: list[int], cells: list[int], lo: int, hi: int,
+def _keyed_cells(rests: list[int], cells: list[int], lo: int,
                  shift: int, factor: int) -> Iterable[tuple[int, int]]:
-    """(key, cell * factor) for the nonzero cells of rows lo..hi-1 of a divided
-    group of fibers at the keys rests, row e of the fiber at key rest going to
-    rest + ((e - lo) << shift)."""
+    """(key, cell * factor) for the nonzero cells of rows lo and up of a
+    divided group of fibers at the keys rests, row e of the fiber at key rest
+    going to rest + ((e - lo) << shift)."""
     w, step = len(rests), 1 << shift
-    block = cells[lo * w : hi * w]
+    block = cells[lo * w :]
     if factor != 1:
         block = [c * factor for c in block]
-    return compress(zip(starmap(add, product(range(0, (hi - lo) * step, step), rests)), block), block)
+    return compress(zip(starmap(add, product(range(0, len(block) // w * step, step), rests)), block), block)
 
 
 def _divide_group(top: int, members: list[tuple[int, dict[int, int]]],
-                  gcs: list[int], glead: int) -> tuple[list[int], int]:
+                  gcs: list[int], glead: int) -> tuple[list[int], list[int]]:
     """One integer long division of the w fibers of degree ``top`` by the
-    primitive numerators gcs + [glead].  The cells, row e then fiber j at
-    e * w + j, hold the quotient digits from row len(gcs) up, and below them
-    the remainder of the fibers times the returned scale.  A monic divisor
-    needs no scale.  A scale s found at one step multiplies only the rows in
-    reach of the divisor (the quotient row and the len(gcs) rows below it),
-    and a lower row takes the scale so far when it comes in reach.  No
-    quotient row takes a later scale: by Gauss's lemma a division that
-    rescales leaves a remainder, and its quotient is not read.
+    primitive numerators gcs + [glead]: the cells, row e then fiber j at
+    e * w + j, with the quotient digits from row len(gcs) up, and the sorted
+    indices j of the fibers it does not divide.  By Gauss's lemma a fiber it
+    divides has integer digits, so a digit glead does not divide marks its
+    fiber and is replaced by 0, and no row is rescaled; a fiber with a
+    nonzero cell below row len(gcs) at the end is marked too.  A marked
+    fiber's cells are not read.
     """
     w, k = len(members), len(gcs)
     cells = [0] * ((top + 1) * w)
@@ -363,19 +345,17 @@ def _divide_group(top: int, members: list[tuple[int, dict[int, int]]],
         for e, c in row.items():
             cells[e * w + j] = c
     spread = [c for c in gcs for _ in range(w)]
-    scale = 1
+    marked: set[int] = set()
     for lo in range((top - k) * w, -1, -w):
         hi = lo + k * w
-        if scale != 1:
-            cells[lo : lo + w] = [scale * c for c in cells[lo : lo + w]]
         q = cells[hi : hi + w]
         if glead != 1:
-            s = abs(glead) // gcd(glead, *q)
-            if s != 1:
-                scale *= s
-                cells[lo:hi] = [s * c for c in cells[lo:hi]]
-                q = [s * t for t in q]
+            rems = [t % glead for t in q]
+            if any(rems):
+                marked.update(compress(range(w), rems))
+                q = [0 if r else t for t, r in zip(q, rems)]
             cells[hi : hi + w] = q = [t // glead for t in q]
         if any(q):
             cells[lo:hi] = [c - gc * x for c, gc, x in zip(cells[lo:hi], spread, cycle(q))]
-    return cells, scale
+    marked.update(i % w for i in compress(range(min(k, top + 1) * w), cells))
+    return cells, sorted(marked)

@@ -227,7 +227,14 @@ def _coerce(value: Poly | RatLike) -> Poly:
 
 def _add(p: Poly, q: Poly, sign: int) -> Poly:
     """p + sign * q over the lcm of the two denominators."""
-    return _make(*_sum_over_lcm(p._num, p._den, q._num, q._den, sign))
+    den = lcm(p._den, q._den)
+    a, b, fa, fb = p._num, q._num, den // p._den, den // q._den
+    if fa != 1:
+        a = [fa * x for x in a]
+    if fb != 1:
+        b = [fb * x for x in b]
+    pairs = zip_longest(a, b, fillvalue=0)
+    return _make([x + y for x, y in pairs] if sign > 0 else [x - y for x, y in pairs], den)
 
 
 def _powers(base: int, d: int) -> list[int]:
@@ -277,18 +284,6 @@ def _synthetic(num: Sequence[int], c: int) -> list[int] | None:
         acc = acc * c + n
         out.append(acc)
     return None if acc else out[-2::-1]
-
-
-def _sum_over_lcm(a: Sequence[int], da: int, b: Sequence[int], db: int, sign: int) -> tuple[list[int], int]:
-    """The numerators of a / da + sign * b / db over lcm(da, db), not normalised."""
-    den = lcm(da, db)
-    fa, fb = den // da, den // db
-    if fa != 1:
-        a = [fa * x for x in a]
-    if fb != 1:
-        b = [fb * x for x in b]
-    pairs = zip_longest(a, b, fillvalue=0)
-    return [x + y for x, y in pairs] if sign > 0 else [x - y for x, y in pairs], den
 
 
 def _sub_div_linear(a: Sequence[int], da: int, b: Sequence[int], db: int, c: int, scale: int) -> tuple | None:
@@ -424,11 +419,10 @@ def first_root_not_vanishing(polys: Collection[Poly], nums: Iterable[int],
     polynomial is nonzero, with its value there.
 
     Each polynomial is a dividend that the monic polynomial with these simple
-    roots does not divide, or the nonzero remainder of such a division.  Both
-    equal the dividend at every root, so neither vanishes at all of them:
-    the monic polynomial would then divide the dividend.  SL(2,R) passes phi
-    itself, whichever of its divisions left the remainder.  Each root is made
-    as a Fraction only when its turn comes.
+    roots does not divide, so it does not vanish at all of them: the monic
+    polynomial would then divide it.  SL(2,R) passes phi itself, SL(2,R)^d
+    the fibers its ladder does not divide.  Each root is made as a Fraction
+    only when its turn comes.
     """
     for a in nums:
         root = Fraction(a, den)
@@ -436,7 +430,7 @@ def first_root_not_vanishing(polys: Collection[Poly], nums: Iterable[int],
             value = r(root)
             if value != 0:
                 return root, value
-    raise InternalNonDivisibility("nonzero remainder vanishing at every simple root")
+    raise InternalNonDivisibility("non-divisible dividend vanishing at every simple root")
 
 
 def square_parts(f: Poly) -> tuple[Poly, Poly]:

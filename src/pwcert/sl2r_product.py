@@ -76,21 +76,22 @@ def level3_check_product(phi: MultiPoly, l: KTypeVec, n: KTypeVec) -> Accept | R
 
     Divides by each variable's whole ladder factor q_{l_i,n_i}, variable 0
     upward (a fixed order; the result is order independent), in one
-    mpoly_div_in_var call: the chain stops at the first division that leaves
-    a remainder, returns it with no quotient and builds no ladder past it.  A
-    variable with an empty ladder (l_i = n_i) is left out of the chain, so h
-    is phi when every ladder is empty.  A failure is localized at
-    the first ladder root, in increasing order, at which some fiber of that
-    remainder does not vanish.  Divisor and roots come from one _ladder_pairs
-    call per variable, and the roots are made only on a remainder, one at a
-    time.  An odd exponent of h is found by one pass over its monomial keys.
+    mpoly_div_in_var call, which stops at the first division that is not
+    exact and builds no ladder past it.  A variable with an empty ladder
+    (l_i = n_i) is left out of the chain, so h is phi when every ladder is
+    empty.  A failure is localized, as level3_check_r localizes on phi, at the
+    first ladder root, in increasing order, at which some fiber the ladder
+    does not divide is nonzero: a fiber and its remainder agree at every root.
+    Divisor and roots come from one _ladder_pairs call per variable, and the
+    roots are made only on a reject, one at a time.  An odd exponent of h is
+    found by one pass over its monomial keys.
     """
     roots = _ladders(l, n)
     if phi.arity != len(roots):
         raise ValueError(f"phi has {phi.arity} variables, K-type vectors have {len(roots)}")
-    h, remainder, var = mpoly_div_in_var(phi, ((i, ladder(*r)) for i, r in enumerate(roots) if r[0]))
-    if not remainder.is_zero:
-        root, _ = first_root_not_vanishing(remainder.fibers(var).values(), *roots[var])
+    h, fibers, var = mpoly_div_in_var(phi, ((i, ladder(*r)) for i, r in enumerate(roots) if r[0]))
+    if fibers:
+        root, _ = first_root_not_vanishing(fibers, *roots[var])
         return Reject(ProductRootWitness(var=var, root=root))
     odd = h.odd_exponent()
     if odd is not None:

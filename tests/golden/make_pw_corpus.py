@@ -245,7 +245,8 @@ def calls() -> list[list[str]]:
     non_members = ['{"n":2,"m":2,"components":{"-2":{"coeffs":["1","1"]},"0":{"coeffs":["1"]},"2":{"coeffs":["1","1"]}}}',
                    '{"n":2,"m":2,"components":{"-2":{"coeffs":["5"]},"0":{"coeffs":["1"]},"2":{"coeffs":["5"]}}}']
     return (out + _first_failing_pairs() + [["extend", "--h", h, "--target", "4"] for h in non_members]
-            + _top_exponent_products() + _unreached_rows() + _input_errors() + _empty_ladders())
+            + _top_exponent_products() + _unreached_rows() + _input_errors() + _empty_ladders()
+            + _digits_not_divided())
 
 
 def _top_exponent_products() -> list[list[str]]:
@@ -328,6 +329,15 @@ def _empty_ladders() -> list[list[str]]:
     product = ["check3-product", "-n", "1,2", "-m", "1,2", "--phi"]
     return [product + [json.dumps(jsonio.mpoly_to_json(phi))]
             for phi in (MultiPoly(2, {(2, 0): 3, (0, 4): "-1/2"}), MultiPoly(2, {(1, 0): 3}))]
+
+
+def _digits_not_divided() -> list[list[str]]:
+    """check3-product root rejects where the ladder's lead 2 does not divide a
+    quotient digit: x0 against q_{0,2} = x - 1/2, and x0 x1 - x1, whose
+    division by x0 - 1 is exact, against q_{0,2} in x1."""
+    return [["check3-product", "-n", n, "-m", m, "--phi", json.dumps(jsonio.mpoly_to_json(phi))]
+            for n, m, phi in (("0", "2", MultiPoly(1, {(1,): 1})),
+                              ("1,0", "3,2", MultiPoly(2, {(1, 1): 1, (0, 1): -1})))]
 
 
 def run(args: list[str]) -> dict:

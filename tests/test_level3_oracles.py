@@ -52,7 +52,7 @@ def member_oracle_product(phi: MultiPoly, l, n) -> bool:
     d = len(l)
     for i in range(d):
         for root in q_roots_r(l[i], n[i]):
-            if not substitute_value(phi, i, root).is_zero:
+            if substitute_value(phi, i, root):
                 return False
     full_q = q_product(l, n)
     for i in range(d):

@@ -2,6 +2,7 @@
 
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 from pwcert import jsonio
 from pwcert.multipoly import EXPONENT_BITS, MultiPoly, mpoly_div_in_var
-from pwcert.poly import Poly
+from pwcert.poly import Poly, poly_div_rem
 from pwcert.sl2r import q_poly_r
 
 
@@ -21,45 +22,56 @@ def mp(arity, terms):
 def test_zero_terms_dropped():
     p = mp(2, {(1, 0): 3, (0, 1): 0})
     assert p.terms == {(1, 0): Fraction(3)}
-    assert mp(2, {}).is_zero
+    assert not mp(2, {})
 
 
-def assert_divides_exactly(f, g, var, r):
-    """f - r divides exactly by g in var: the kernel returns a quotient, and
-    that quotient times g is f - r.  With deg_var r < deg g, r is f's
-    remainder, as Euclidean division is unique."""
-    q, zero, at = mpoly_div_in_var(f - r, [(var, g)])
-    assert q is not None and zero.is_zero and at == var
-    assert q * MultiPoly.from_univariate(g, f.arity, var) == f - r
-    assert max((e[var] for e in r.terms), default=-1) < g.degree
+def fibers(f, var):
+    """f's fibers in var, as Polys keyed by the other exponents."""
+    rows = {}
+    for e, c in f.terms.items():
+        rows.setdefault(e[:var] + e[var + 1 :], {})[e[var]] = c
+    return {rest: Poly([row.get(i, 0) for i in range(max(row) + 1)]) for rest, row in rows.items()}
+
+
+def assert_not_divided(f, g, var, returned):
+    """The fibers the kernel returned are, as a multiset, exactly f's fibers
+    in var that poly_div_rem leaves a remainder for."""
+    expected = [p for p in fibers(f, var).values() if poly_div_rem(p, g)[1]]
+    assert Counter(returned) == Counter(expected)
 
 
 def test_div_in_var_examples():
     # f = x0 x1 + x1, g = t + 1 in var 0  ->  (x1, 0)
     f = mp(2, {(1, 1): 1, (0, 1): 1})
-    q, r, _ = mpoly_div_in_var(f, [(0, Poly([1, 1]))])
-    assert q == mp(2, {(0, 1): 1}) and r.is_zero
-    # f = x0^2, g = t - 1 in var 1 -> f constant in var 1: f is the
-    # remainder, and no quotient is built
+    q, rest, _ = mpoly_div_in_var(f, [(0, Poly([1, 1]))])
+    assert q == mp(2, {(0, 1): 1}) and rest == []
+    # f = x0^2, g = t - 1 in var 1 -> f constant in var 1: its one fiber, 1,
+    # is not divided, and no quotient is built
     f = mp(2, {(2, 0): 1})
-    q, r, _ = mpoly_div_in_var(f, [(1, Poly([-1, 1]))])
-    assert q is None and r == f
-    assert_divides_exactly(f, Poly([-1, 1]), 1, r)
+    q, rest, _ = mpoly_div_in_var(f, [(1, Poly([-1, 1]))])
+    assert q is None and rest == [Poly([1])]
+    assert_not_divided(f, Poly([-1, 1]), 1, rest)
     # f = (x0 + 1)(x1 - 1/2), g = t - 1/2 in var 1
     f = (mp(2, {(1, 0): 1, (0, 0): 1})) * mp(2, {(0, 1): 1, (0, 0): Fraction(-1, 2)})
-    q, r, _ = mpoly_div_in_var(f, [(1, Poly([Fraction(-1, 2), 1]))])
-    assert q == mp(2, {(1, 0): 1, (0, 0): 1}) and r.is_zero
-    # constant divisor: exact scaling, zero remainder
+    q, rest, _ = mpoly_div_in_var(f, [(1, Poly([Fraction(-1, 2), 1]))])
+    assert q == mp(2, {(1, 0): 1, (0, 0): 1}) and rest == []
+    # constant divisor: exact scaling, every fiber divided
     f = mp(2, {(2, 1): 3, (0, 0): 1})
-    q, r, _ = mpoly_div_in_var(f, [(0, Poly([3]))])
-    assert q == mp(2, {(2, 1): 1, (0, 0): Fraction(1, 3)}) and r.is_zero
+    q, rest, _ = mpoly_div_in_var(f, [(0, Poly([3]))])
+    assert q == mp(2, {(2, 1): 1, (0, 0): Fraction(1, 3)}) and rest == []
+    # g = 2t - 1 in var 0 on x0 x1 + 3 x1^2: the lead 2 does not divide the
+    # digit 1 of the fiber x0, which is marked; the fiber 3 is left over.
+    f = mp(2, {(1, 1): 1, (0, 2): 3})
+    q, rest, _ = mpoly_div_in_var(f, [(0, Poly([-1, 2]))])
+    assert q is None and Counter(rest) == Counter([Poly([0, 1]), Poly([3])])
+    assert_not_divided(f, Poly([-1, 2]), 0, rest)
 
 
 def test_div_in_var_chain_stops_at_first_remainder():
-    # f = (x0 + 1) ((x1 - 2) x2 + 5): x0 + 1 divides f, x1 - 2 leaves 5, and
-    # the chain returns no quotient, that division's remainder 5 and var 1
-    # without reading the pair after it.  Without the 5 the chain is exact
-    # through var 1, with the quotient x2.
+    # f = (x0 + 1) ((x1 - 2) x2 + 5): x0 + 1 divides f, x1 - 2 does not
+    # divide the quotient's fiber 5, and the chain returns no quotient, that
+    # fiber and var 1 without reading the pair after it.  Without the 5 the
+    # chain is exact through var 1, with the quotient x2.
     x0, x1, x2 = (mp(3, {tuple(int(i == v) for i in range(3)): 1}) for v in range(3))
     f = (x0 + 1) * ((x1 - 2) * x2 + 5)
     read = []
@@ -69,15 +81,15 @@ def test_div_in_var_chain_stops_at_first_remainder():
             read.append(var)
             yield var, g
 
-    assert mpoly_div_in_var(f, steps()) == (None, mp(3, {(0, 0, 0): 5}), 1)
+    assert mpoly_div_in_var(f, steps()) == (None, [Poly([5])], 1)
     assert read == [0, 1]
-    assert mpoly_div_in_var(f - (x0 + 1) * 5, [(0, Poly([1, 1])), (1, Poly([-2, 1]))]) == (x2, mp(3, {}), 1)
-    # Exact throughout: the last pair's quotient, a zero remainder and its var.
-    q, r, var = mpoly_div_in_var((x0 + 1) * (x2 - 2) * x1, [(0, Poly([1, 1])), (2, Poly([-2, 1]))])
-    assert q == x1 and r.is_zero and var == 2
+    assert mpoly_div_in_var(f - (x0 + 1) * 5, [(0, Poly([1, 1])), (1, Poly([-2, 1]))]) == (x2, [], 1)
+    # Exact throughout: the last pair's quotient, no fibers and its var.
+    q, rest, var = mpoly_div_in_var((x0 + 1) * (x2 - 2) * x1, [(0, Poly([1, 1])), (2, Poly([-2, 1]))])
+    assert q == x1 and rest == [] and var == 2
     # No pairs: f itself.
-    q, r, var = mpoly_div_in_var(f, [])
-    assert q == f and r.is_zero and var is None
+    q, rest, var = mpoly_div_in_var(f, [])
+    assert q == f and rest == [] and var is None
     # Each var must be a variable of f, and larger than the one before it.
     for steps, message in (([(3, Poly([1, 1]))], "variable index 3 out of range for arity 3"),
                            ([(1, Poly([1, 1])), (0, Poly([1, 1]))], "got 0 after 1"),
@@ -89,32 +101,32 @@ def test_div_in_var_chain_stops_at_first_remainder():
 def test_div_in_var_does_not_pad_fibers():
     # One fiber of degree 10,000 and 1,999 constant fibers: dividing each
     # group of one degree on its own keeps the peak near the size of the
-    # degree-10,000 quotient (about 30 MB); a 10,001 x 2,000 layout would
-    # add about 160 MB.
+    # degree-10,000 fiber (about 30 MB); a 10,001 x 2,000 layout would add
+    # about 160 MB.  No fiber is divided, and all 2,000 come back.
     f = mp(2, {(10_000, 0): 1, **{(0, j): j + 1 for j in range(2000)}})
     g = q_poly_r(1, 11)
     tracemalloc.start()
     try:
-        q, r, _ = mpoly_div_in_var(f, [(0, g)])
+        q, rest, _ = mpoly_div_in_var(f, [(0, g)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 80 * 2**20
-    assert q is None
-    assert_divides_exactly(f, g, 0, r)
+    assert q is None and len(rest) == 2000
+    assert_not_divided(f, g, 0, rest)
 
 
-def test_div_in_var_rescales_only_rows_in_reach():
-    # x1^10,000 / (2 x1 + 1): the lead 2 divides no quotient digit, so every
-    # step finds the scale 2.  Only the rows in reach of the divisor take it
-    # at once; scaling all 10,001 rows at every step takes about 11 s.
+def test_div_in_var_lead_two_non_member_within_budget():
+    # x1^10,000 / (2 x1 + 1): the lead 2 does not divide the first quotient
+    # digit, so the fiber is marked there and no row is ever rescaled; a
+    # division that rescaled all 10,001 rows at every step took about 11 s.
     f = mp(2, {(0, 10_000): 1, (3, 0): 1})
     g = Poly([1, 2])
     start = time.perf_counter()
-    q, r, var = mpoly_div_in_var(f, [(1, g)])
+    q, rest, var = mpoly_div_in_var(f, [(1, g)])
     assert time.perf_counter() - start < 3
-    assert q is None and var == 1 and r == mp(2, {(0, 0): Fraction(1, 2**10_000), (3, 0): 1})
-    assert_divides_exactly(f, g, 1, r)
+    # Neither fiber vanishes at the root -1/2, so g divides neither.
+    assert q is None and var == 1 and Counter(rest) == Counter([Poly([0] * 10_000 + [1]), Poly([1])])
 
 
 def test_div_by_zero_poly():
@@ -177,12 +189,12 @@ unipolys = st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(Poly)
 def test_div_in_var_reconstructs(f, g, var):
     if g.is_zero:
         return
-    q, r, _ = mpoly_div_in_var(f, [(var, g)])
+    q, rest, _ = mpoly_div_in_var(f, [(var, g)])
     if q is None:
-        assert not r.is_zero
+        assert rest
     else:
-        assert r.is_zero and q * MultiPoly.from_univariate(g, 2, var) == f
-    assert_divides_exactly(f, g, var, r)
+        assert rest == [] and q * MultiPoly.from_univariate(g, 2, var) == f
+    assert_not_divided(f, g, var, rest)
 
 
 @given(mpolys, st.integers(0, 1))

@@ -146,6 +146,22 @@ def reference_div_in_var(f: ReferenceMultiPoly, g: Poly, var: int):
     return ReferenceMultiPoly(f.arity, quo), ReferenceMultiPoly(f.arity, rem)
 
 
+def reference_chain(f: ReferenceMultiPoly, steps):
+    """What mpoly_div_in_var returns for the chain: the quotient, no fibers and
+    the last var, or None, the fibers of the first division's dividend that
+    poly_div_rem leaves a remainder for, and its var.  Each fiber is divided
+    by g's monic associate, which divides the same fibers, so that a non-unit
+    lead never makes poly_div_rem rescale a long remainder."""
+    var = None
+    for var, g in steps:
+        monic = g * (1 / g.leading)
+        fibers = [p for p in f.fibers(var).values() if poly_div_rem(p, monic)[1]]
+        if fibers:
+            return None, fibers, var
+        f = reference_div_in_var(f, monic, var)[0] * (1 / g.leading)
+    return f, [], var
+
+
 def reference_level3_check_product(phi: ReferenceMultiPoly, l, n):
     h = phi
     for i, (li, ni) in enumerate(zip(l, n)):
@@ -229,6 +245,11 @@ def _divisor(rng: random.Random, shape: str = "") -> Poly:
     return Poly([_coeff(rng, kind) for _ in range(rng.randint(1, 5))] + [lead])
 
 
+SHAPES = ("constant", "random-lead", "non-primitive", "ladder")  # the divisor shapes drawn by name
+# Factors whose roots are 0 or roots of unity: a product of a few keeps quotient digits small.
+FACTORS = [Poly([0, 1]), Poly([-1, 1]), Poly([1, 1]), Poly([1, 0, 1]), Poly([1, 1, 1]), Poly([1, -1, 1])]
+
+
 def _fibered(rng: random.Random, arity: int, var: int, tops: list[int], kind: str) -> list[tuple[tuple[int, ...], Fraction]]:
     """Term pairs with one fiber in ``var`` per entry of ``tops``, of that
     degree: its top term and up to two lower ones."""
@@ -272,7 +293,7 @@ def _assert_same(p: MultiPoly, ref: ReferenceMultiPoly) -> None:
     assert p.sorted_terms() == ref.sorted_terms()
     assert repr(p) == repr(ref)
     assert jsonio.mpoly_to_json(p) == jsonio.mpoly_to_json(ref)
-    assert p.is_zero == ref.is_zero
+    assert (not p) == ref.is_zero
     canonical = MultiPoly(ref.arity, ref.terms)
     assert p == canonical and hash(p) == hash(canonical)
 
@@ -283,7 +304,7 @@ def _assert_same(p: MultiPoly, ref: ReferenceMultiPoly) -> None:
 def test_construction_and_structure_match_fraction_kernel():
     # The public constructor on zero, constant, sparse and duplicate-key input
     # (terms that cancel exactly, and terms that add up), then the fibers in
-    # every variable.
+    # every variable, as the kernel returns them when it divides none.
     rng = random.Random(11001)
     for _ in range(CASES):
         arity = rng.randint(1, 4)
@@ -293,7 +314,7 @@ def test_construction_and_structure_match_fraction_kernel():
         reordered = MultiPoly(arity, list(reversed(items)))
         assert reordered == p and hash(reordered) == hash(p)
         for var in range(arity):
-            assert p.fibers(var) == ref.fibers(var)
+            _assert_fibers_same(p, ref, var)
     # Sparse terms with exponents up to MAX_EXPONENT in every variable.
     rng = random.Random(11009)
     for i in range(30):
@@ -302,7 +323,15 @@ def test_construction_and_structure_match_fraction_kernel():
         p, ref = MultiPoly(arity, items), ReferenceMultiPoly(arity, items)
         _assert_same(p, ref)
         var = rng.randrange(arity)
-        assert p.fibers(var) == ref.fibers(var)
+        _assert_fibers_same(p, ref, var)
+
+
+def _assert_fibers_same(p: MultiPoly, ref: ReferenceMultiPoly, var: int) -> None:
+    # x_var^(D + 1), D the degree in var, divides no fiber: the kernel returns them all.
+    top = max((e[var] for e in ref.terms), default=0)
+    quotient, fibers, _ = mpoly_div_in_var(p, [(var, Poly([0] * (top + 1) + [1]))])
+    assert Counter(fibers) == Counter(ref.fibers(var).values())
+    assert (quotient is None) == bool(fibers)
 
 
 def test_arithmetic_matches_fraction_kernel():
@@ -374,7 +403,7 @@ def test_div_in_var_matches_fraction_kernel():
         ref = ReferenceMultiPoly(arity, items)
         if rng.random() < 0.4:
             ref = ref * ReferenceMultiPoly.from_univariate(g, arity, var)
-        _assert_div_same(MultiPoly(arity, ref.terms), ref, g, var)
+        _assert_div_same(MultiPoly(arity, ref.terms), ref, [(var, g)])
     # The fibers of one degree are divided together: many fibers of one
     # degree, mixed degrees (fibers shorter than the divisor among them), and
     # a non-unit leading numerator that only one fiber's top term forces a
@@ -386,10 +415,10 @@ def test_div_in_var_matches_fraction_kernel():
         kind = rng.choice(("integer", "dyadic", "rational"))
         top = rng.randint(2, 8)
         items = _fibered(rng, arity, var, [top] * rng.randint(10, 20), kind)
-        _assert_div_same(MultiPoly(arity, items), ReferenceMultiPoly(arity, items), g, var)
+        _assert_div_same(MultiPoly(arity, items), ReferenceMultiPoly(arity, items), [(var, g)])
         tops = [rng.randint(0, max(g.degree, 0) + 4) for _ in range(rng.randint(2, 12))]
         items = _fibered(rng, arity, var, tops, kind)
-        _assert_div_same(MultiPoly(arity, items), ReferenceMultiPoly(arity, items), g, var)
+        _assert_div_same(MultiPoly(arity, items), ReferenceMultiPoly(arity, items), [(var, g)])
         lead = rng.randint(2, 9)
         g = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [lead])
         top = g.degree + rng.randint(0, 3)
@@ -399,7 +428,7 @@ def test_div_in_var_matches_fraction_kernel():
         for i in heads:
             c = lead * rng.choice((-3, -1, 1, 2))
             items[i] = (items[i][0], c + rng.randint(1, lead - 1) if i == odd else c)
-        _assert_div_same(MultiPoly(arity, items), ReferenceMultiPoly(arity, items), g, var)
+        _assert_div_same(MultiPoly(arity, items), ReferenceMultiPoly(arity, items), [(var, g)])
     # Sparse dividends with exponents up to MAX_EXPONENT in every variable,
     # and exact multiples of the divisor that reach past it.  A divisor is a
     # product of factors whose roots are 0 or roots of unity, so quotient
@@ -407,49 +436,39 @@ def test_div_in_var_matches_fraction_kernel():
     # poly_div_rem rescales its whole remainder at each step a lead does not
     # divide, which at degree 10,000 takes it seconds (test_multipoly pins
     # that case for mpoly_div_in_var).
-    factors = [Poly([0, 1]), Poly([-1, 1]), Poly([1, 1]), Poly([1, 0, 1]), Poly([1, 1, 1]), Poly([1, -1, 1])]
     rng = random.Random(11011)
     for i in range(8):
         arity = 1 + i % 4
         var = rng.randrange(arity)
         g = Poly.one()
         for _ in range(rng.randint(1, 3)):
-            g = g * rng.choice(factors)
+            g = g * rng.choice(FACTORS)
         ref = ReferenceMultiPoly(arity, _high_items(rng, arity))
         if rng.random() < 0.4:
             ref = ref * ReferenceMultiPoly.from_univariate(g, arity, var)
-        _assert_div_same(MultiPoly(arity, ref.terms), ref, g, var)
+        _assert_div_same(MultiPoly(arity, ref.terms), ref, [(var, g)])
 
 
-def _assert_div_same(f: MultiPoly, ref: ReferenceMultiPoly, g: Poly, var: int) -> None:
-    # The remainder always; the quotient of an exact division, and None for the
-    # quotient of one that leaves a remainder.
-    quotient, remainder, _ = mpoly_div_in_var(f, [(var, g)])
-    ref_quotient, ref_remainder = reference_div_in_var(ref, g, var)
-    _assert_same(remainder, ref_remainder)
-    if ref_remainder.terms:
+def _assert_div_same(f: MultiPoly, ref: ReferenceMultiPoly, steps) -> int | None:
+    # The fibers not divided, as a multiset, and the var always; the quotient
+    # of an exact chain, and None for the quotient of one that stops.  Returns
+    # the var the chain stops at, or None.
+    quotient, fibers, var = mpoly_div_in_var(f, steps)
+    ref_quotient, ref_fibers, ref_var = reference_chain(ref, steps)
+    assert Counter(fibers) == Counter(ref_fibers) and var == ref_var
+    if ref_fibers:
         assert quotient is None
-    else:
-        _assert_same(quotient, ref_quotient)
+        return var
+    _assert_same(quotient, ref_quotient)
+    return None
 
 
-def test_exact_divisions_never_rescale(monkeypatch):
+def test_exact_divisions_never_rescale():
     # Gauss's lemma: each division is by g's numerators over their content, a
-    # primitive integer polynomial, so an exact one has integer quotient digits
-    # and no group's scale is ever above 1 on a chain that returns a quotient.
-    # Members h * g_1(x_v1) * ... along one to three increasing variables, with
+    # primitive integer polynomial, so an exact one has integer quotient digits,
+    # none of which marks a fiber, and no row is ever rescaled.  Members
+    # h * g_1(x_v1) * ... along one to three increasing variables, with
     # constant, random-lead, non-primitive and ladder divisors.
-    import pwcert.multipoly
-
-    scales = []
-    divide = pwcert.multipoly._divide_group
-
-    def spy(*args):
-        cells, scale = divide(*args)
-        scales.append(scale)
-        return cells, scale
-
-    monkeypatch.setattr(pwcert.multipoly, "_divide_group", spy)
     rng = random.Random(11012)
     shapes = Counter()
     for _ in range(CASES // 4):
@@ -457,17 +476,70 @@ def test_exact_divisions_never_rescale(monkeypatch):
         h = ReferenceMultiPoly(arity, _items(rng, arity))
         steps, f = [], h
         for var in sorted(rng.sample(range(arity), rng.randint(1, min(arity, 3)))):
-            shape = rng.choice(("constant", "random-lead", "non-primitive", "ladder"))
+            shape = rng.choice(SHAPES)
             g = _divisor(rng, shape)
             steps.append((var, g))
             f = f * ReferenceMultiPoly.from_univariate(g, arity, var)
             shapes[shape] += 1
-        scales.clear()
-        quotient, remainder, _ = mpoly_div_in_var(MultiPoly(arity, f.terms), steps)
-        assert quotient is not None and remainder.is_zero
-        assert all(scale == 1 for scale in scales), scales
+        quotient, fibers, _ = mpoly_div_in_var(MultiPoly(arity, f.terms), steps)
+        assert fibers == []
         _assert_same(quotient, h)
     assert min(shapes.values()) >= CASES // 20, shapes
+
+
+def test_inexact_chains_return_the_fibers_not_divided():
+    # At the first division whose divisor does not divide every fiber, the
+    # kernel returns exactly the dividend's fibers that it does not divide,
+    # as poly_div_rem decides them fiber by fiber.  phi = h * g_1 * ... * g_s
+    # + p * g_1 * ... * g_(j-1), along one to three increasing variables: the
+    # divisions before the j-th are exact, and the j-th divides p's fibers
+    # only by chance.
+    rng = random.Random(11013)
+    stops = Counter()
+    for _ in range(CASES // 4):
+        arity = rng.randint(1, 4)
+        shapes = {var: rng.choice(SHAPES) for var in sorted(rng.sample(range(arity), rng.randint(1, min(arity, 3))))}
+        steps = [(var, _divisor(rng, shape)) for var, shape in shapes.items()]
+        h, p = (ReferenceMultiPoly(arity, _items(rng, arity)) for _ in range(2))
+        stops[shapes.get(_assert_div_same(*_chain(rng, h, p, steps), steps))] += 1
+    assert min(stops[shape] for shape in SHAPES[1:]) >= CASES // 40 and stops[None] >= CASES // 40, stops
+    # Sparse h and p with exponents up to MAX_EXPONENT in every variable.
+    # Each divisor is a constant, or a product of factors whose roots are 0
+    # or roots of unity times a random rational or a common integer factor, or
+    # a ladder with roots among 0 and +-1, so that the reference's quotient
+    # digits stay small over 10,000 steps.
+    rng = random.Random(11014)
+    stops = Counter()
+    for i in range(12):
+        arity = 1 + i % 4
+        steps = []
+        for var in sorted(rng.sample(range(arity), rng.randint(1, min(arity, 2)))):
+            shape = rng.choice(SHAPES)
+            g = rng.choice(FACTORS) * rng.choice(FACTORS)
+            if shape == "constant":
+                g = Poly.const(_nonzero(rng, "rational"))
+            elif shape == "random-lead":
+                g = g * _nonzero(rng, "rational")
+            elif shape == "non-primitive":
+                g = g * rng.choice((2, 3, 6, 10**12))
+            else:
+                g = from_roots(rng.sample((-1, 0, 1), rng.randint(1, 3)))
+            steps.append((var, g))
+        h, p = (ReferenceMultiPoly(arity, _high_items(rng, arity)) for _ in range(2))
+        stops[_assert_div_same(*_chain(rng, h, p, steps), steps) is not None] += 1
+    assert stops[True] >= 4, stops
+
+
+def _chain(rng: random.Random, h: ReferenceMultiPoly, p: ReferenceMultiPoly, steps) -> tuple[MultiPoly, ReferenceMultiPoly]:
+    """h times every divisor of the chain, plus p times those before a j drawn from rng."""
+    j = rng.randrange(len(steps))
+    for i, (var, g) in enumerate(steps):
+        lift = ReferenceMultiPoly.from_univariate(g, h.arity, var)
+        h = h * lift
+        if i < j:
+            p = p * lift
+    f = h + p
+    return MultiPoly(f.arity, f.terms), f
 
 
 def test_level3_check_product_matches_fraction_kernel():

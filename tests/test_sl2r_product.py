@@ -64,7 +64,7 @@ def test_check_odd_quotient_reject():
 def test_check_zero_accepted():
     result = level3_check_product(MultiPoly(2), (3, 3), (1, 1))
     assert isinstance(result, Accept)
-    assert result.h.is_zero
+    assert not result.h
 
 
 def test_check_root_witness_localized():
@@ -129,9 +129,9 @@ def test_empty_ladder_left_out_of_the_chain(monkeypatch, phi, expected):
 
 
 def test_root_reject_builds_no_quotient(monkeypatch):
-    # d = 2: x0 + 1 divides phi, x1 + 1 leaves a remainder.  The exact
-    # division's quotient passes to var 1 as fiber rows, the division that
-    # stops builds its remainder alone, and no quotient is made.
+    # d = 2: x0 + 1 divides phi, x1 + 1 does not.  The exact division's
+    # quotient passes to var 1 as fiber rows, the division that stops returns
+    # the fibers it does not divide as Polys, and no MultiPoly is made.
     import pwcert.multipoly
 
     x0, x1 = (inject(Poly([0, 1]), 2, i) for i in range(2))
@@ -140,7 +140,29 @@ def test_root_reject_builds_no_quotient(monkeypatch):
     make = pwcert.multipoly._make
     monkeypatch.setattr(pwcert.multipoly, "_make", lambda *args: made.append(args) or make(*args))
     assert level3_check_product(phi, (3, 3), (1, 1)) == Reject(ProductRootWitness(var=1, root=Fraction(-1)))
-    assert len(made) == 1
+    assert made == []
+
+
+def test_root_reject_evaluates_only_the_fibers_not_divided(monkeypatch):
+    # q_{1,41} has the roots 1, ..., 20.  400 fibers of degree 30 in x0 are
+    # members, and one more of that degree vanishes at the roots 1, ..., 19
+    # alone: the witness is 20, found with one evaluation per root.  The
+    # members share the group that is divided, and they are not evaluated.
+    rng = random.Random(41)
+    q = q_poly_r(1, 41)
+    bad = Poly([0] * 11 + [1])
+    for r in range(1, 20):
+        bad = bad * Poly([-r, 1])
+    terms = {(i, 400): c for i, c in enumerate(bad.coeffs)}
+    for j in range(400):
+        fiber = Poly([rng.randint(-9, 9) for _ in range(10)] + [rng.randint(1, 9)]) * q
+        terms.update({(i, j): c for i, c in enumerate(fiber.coeffs) if c})
+    phi = MultiPoly(2, terms)
+    calls = []
+    evaluate = Poly.__call__
+    monkeypatch.setattr(Poly, "__call__", lambda p, x: calls.append(x) or evaluate(p, x))
+    assert level3_check_product(phi, (1, 0), (41, 0)) == Reject(ProductRootWitness(var=0, root=Fraction(20)))
+    assert len(calls) <= 20
 
 
 def test_round_trip_random_d_up_to_3():

@@ -50,16 +50,27 @@ def functions(path: Path) -> dict[int, str]:
     return found
 
 
+def calls() -> list[list[str]]:
+    """The argv of every corpus record, then ``pw verify-numeric``."""
+    return [json.loads(line)["args"] for line in CORPUS.read_text(encoding="utf-8").splitlines()] + [["verify-numeric"]]
+
+
+def replay(argvs: list[list[str]]) -> None:
+    """Run each argv through pwcert.cli.main, its output discarded.  pwcert is
+    imported here, so a hook set before the call sees its import."""
+    from pwcert.cli import main
+
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+
+
 def entered(calls: list[list[str]]) -> set[tuple[str, int]]:
     """(file, first line) of each function code object that ran during the calls."""
     codes = set()
     sys.setprofile(lambda frame, event, arg: codes.add(frame.f_code))
     try:
-        from pwcert.cli import main
-
-        for argv in calls:
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                main(argv)
+        replay(calls)
     finally:
         sys.setprofile(None)
     return {(str(Path(code.co_filename).resolve()), code.co_firstlineno) for code in codes
@@ -68,8 +79,7 @@ def entered(calls: list[list[str]]) -> set[tuple[str, int]]:
 
 def unentered() -> list[tuple[str, str]]:
     """Sorted (qualified name, file:line) of each function no call entered."""
-    calls = [json.loads(line)["args"] for line in CORPUS.read_text(encoding="utf-8").splitlines()]
-    ran = entered(calls + [["verify-numeric"]])
+    ran = entered(calls())
     return sorted((name, f"{path.name}:{line}")
                   for path in sorted(PACKAGE.glob("*.py"))
                   for line, name in functions(path).items()
